@@ -24,15 +24,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import engine, persist
+from . import __version__, engine, persist
 from .engine import Coordinate, LogNorm, LogPerCapita, RateEstimate, SimConfig
 from .env import env_to_config, parse_env_spec
 from .errors import ConfigurationError, NumericError, StochpopError
 from .lyap import GammaClosedFormInput, gamma_closed_form_detailed, lyapunov_mc
 from .models import Biennial, model_info, parse_model
 from .env import Gamma as GammaDist
-
-VERSION = "0.1.0"
 
 _TASKS = ("simulate", "classify", "invade", "permanence", "drift", "rps", "gamma", "lyapunov")
 _TOP_KEYS = {"model", "env", "sim", "task", "task_params", "output_dir"}
@@ -441,7 +439,7 @@ def run_config(cfg: dict, out_dir=None, seed=None, threads: int = 1, explore: bo
         "task": cfg["task"],
         "provenance": {
             "package": "stochpop",
-            "version": VERSION,
+            "version": __version__,
             "seed": sim.seed,
             "config_sha256": digest,
             "explore": bool(explore),

@@ -12,14 +12,14 @@ them honest under autocorrelation.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .env import EnvSpec, make_stream
 from .errors import ConfigurationError, NumericError
-from .models import LOG_CAP, LOG_FLOOR, AffineChain, FaceModel, Model, Simplex
+from .models import LOG_CAP, LOG_FLOOR, AffineChain, Model, Simplex
 
 __all__ = [
     "N_BATCHES",
@@ -78,19 +78,7 @@ class SimConfig:
             raise ConfigurationError("bound_radius must be positive")
 
     def replaced(self, **kw) -> "SimConfig":
-        d = {
-            "seed": self.seed,
-            "replicates": self.replicates,
-            "burn_in": self.burn_in,
-            "horizon": self.horizon,
-            "thinning": self.thinning,
-            "initial_state": self.initial_state,
-            "eta_grid": self.eta_grid,
-            "bound_radius": self.bound_radius,
-            "replicate_base": self.replicate_base,
-        }
-        d.update(kw)
-        return SimConfig(**d)
+        return replace(self, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -250,15 +238,15 @@ class SimulationResult:
 # Initial states
 
 
-def _initial_states(model: Model, cfg: SimConfig, streams) -> np.ndarray:
+def _initial_states(model: Model, cfg: SimConfig, streams, supports) -> np.ndarray:
+    """One start per stream; row i is supported on ``supports[i]`` only."""
     k = model.k
     r = len(streams)
     if isinstance(cfg.initial_state, str):
         if cfg.initial_state != "random_interior":
             raise ConfigurationError(f"unknown initial_state {cfg.initial_state!r}")
-        support = getattr(model, "support", tuple(range(k)))
         x0 = np.zeros((r, k))
-        for i, stream in enumerate(streams):
+        for i, (stream, support) in enumerate(zip(streams, supports)):
             u = stream.uniforms(k)
             if isinstance(model.state_space, Simplex):
                 e = -np.log(u[list(support)])
@@ -277,9 +265,9 @@ def _initial_states(model: Model, cfg: SimConfig, streams) -> np.ndarray:
         if abs(x.sum() - 1.0) > 1e-9:
             raise ConfigurationError("simplex initial_state must sum to 1")
         x = x / x.sum()
-    outside = getattr(model, "outside", ())
-    if any(x[j] != 0.0 for j in outside):
-        raise ConfigurationError("initial_state must vanish outside the face support")
+    for support in set(supports):
+        if any(x[j] != 0.0 for j in range(k) if j not in support):
+            raise ConfigurationError("initial_state must vanish outside the face support")
     return np.tile(x, (r, 1))
 
 
@@ -293,17 +281,18 @@ def _batch_lengths(n_steps: int, n_batches: int) -> np.ndarray:
     return np.bincount(idx, minlength=n_batches)
 
 
-def _drive_group(model, envspec, cfg, functionals, sets, rep_ids):
-    """Advance one contiguous block of replicates in lockstep."""
+def _drive_group(model, envspec, cfg, functionals, sets, rows):
+    """Advance a block of (stream id, support, label) rows in lockstep; a row
+    draws from stream cfg.replicate_base + id and starts on its support."""
     k = model.k
     m = model.env_dim
     t_total = cfg.horizon
     burn = cfg.burn_in
     n_steps = t_total - burn
     n_batches = min(N_BATCHES, n_steps)
-    rg = len(rep_ids)
-    streams = [make_stream(cfg.seed, cfg.replicate_base + rid) for rid in rep_ids]
-    x = _initial_states(model, cfg, streams)
+    rg = len(rows)
+    streams = [make_stream(cfg.seed, cfg.replicate_base + sid) for sid, _, _ in rows]
+    x = _initial_states(model, cfg, streams, [support for _, support, _ in rows])
 
     mode = model.sim_mode
     alive0 = x > 0  # structural zeros are faces, never floor crossings
@@ -314,24 +303,18 @@ def _drive_group(model, envspec, cfg, functionals, sets, rep_ids):
         with np.errstate(divide="ignore"):
             ell = np.log(x[:, 0])
 
-    state_fns = []
-    pair_fns = []
-    for f in functionals:
-        if f.kind == "state":
-            state_fns.append(f)
-        else:
-            pair_fns.append(f)
-    if pair_fns and mode in ("linear", "affine"):
+    state_fns = [f for f in functionals if f.kind == "state"]
+    pair_fns = [f for f in functionals if f.kind != "state"]
+    if mode in ("linear", "affine") and not model.multiplicative:
         if any(isinstance(f, LogPerCapita) for f in pair_fns):
-            if not model.multiplicative:
-                raise ConfigurationError(f"{model.name} has no per-capita growth factors")
+            raise ConfigurationError(f"{model.name} has no per-capita growth factors")
 
     n_f = len(functionals)
     f_index = {f.name: i for i, f in enumerate(functionals)}
     occ_counts = np.zeros((rg, len(sets)), dtype=np.int64)
     fsums = np.zeros((rg, n_f, n_batches))
     n_thin = 0 if n_steps == 0 else 1 + (n_steps - 1) // cfg.thinning
-    thinned = np.zeros((n_thin, rg, k))
+    thinned = np.zeros((rg, n_thin, k))
     floored = np.zeros(rg, dtype=bool)
     frozen = np.zeros(rg, dtype=bool)
 
@@ -365,7 +348,7 @@ def _drive_group(model, envspec, cfg, functionals, sets, rep_ids):
                         val = f.set_descriptor.contains(x, model).astype(float)
                     fsums[:, f_index[f.name], b] += val
                 if rel % cfg.thinning == 0:
-                    thinned[rel // cfg.thinning] = x
+                    thinned[:, rel // cfg.thinning] = x
 
             # advance one step, collecting per-capita factors where cheap
             if mode == "log_mult":
@@ -427,7 +410,7 @@ def _drive_group(model, envspec, cfg, functionals, sets, rep_ids):
         if bad.any():
             which = int(np.argwhere(bad.reshape(rg, -1).any(axis=-1))[0][0])
             raise NumericError(
-                f"non-finite state for replicate {rep_ids[which]} "
+                f"non-finite state for {rows[which][2]} "
                 f"within steps {t}..{t + n - 1}",
                 state=x[which] if mode not in ("log_mult", "affine") else None,
                 step=t + n - 1,
@@ -445,39 +428,39 @@ def _drive_group(model, envspec, cfg, functionals, sets, rep_ids):
         "thinned": thinned,
         "floored": floored,
         "terminal": x,
+        "labels": [label for _, _, label in rows],
         "n_steps": n_steps,
         "n_batches": n_batches,
     }
 
 
-def _drive(model, envspec, cfg, functionals, sets, n_threads=1):
+# Per-row entries of a driver result; rows sit on axis 0 of each.
+_ROW_KEYS = ("occ_counts", "fsums", "thinned", "floored", "terminal", "labels")
+
+
+def _drive(model, envspec, cfg, functionals, sets, n_threads=1, rows=None):
+    """Run ``rows`` (by default replicates 0..R-1 of ``model`` on its own
+    support) split into contiguous blocks over worker threads."""
     model.check_env(envspec)
-    rep_ids = list(range(cfg.replicates))
-    n_threads = max(1, min(int(n_threads), cfg.replicates))
-    if n_threads == 1:
-        parts = [_drive_group(model, envspec, cfg, functionals, sets, rep_ids)]
-    else:
-        bounds = np.linspace(0, cfg.replicates, n_threads + 1).astype(int)
-        groups = [rep_ids[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        with ThreadPoolExecutor(max_workers=len(groups)) as pool:
-            parts = list(
-                pool.map(
-                    lambda g: _drive_group(model, envspec, cfg, functionals, sets, g),
-                    groups,
-                )
-            )
-    out = parts[0]
-    if len(parts) > 1:
-        out = {
-            "occ_counts": np.concatenate([p["occ_counts"] for p in parts]),
-            "fsums": np.concatenate([p["fsums"] for p in parts]),
-            "thinned": np.concatenate([p["thinned"] for p in parts], axis=1),
-            "floored": np.concatenate([p["floored"] for p in parts]),
-            "terminal": np.concatenate([p["terminal"] for p in parts]),
-            "n_steps": parts[0]["n_steps"],
-            "n_batches": parts[0]["n_batches"],
-        }
-    return out
+    if rows is None:
+        support = getattr(model, "support", tuple(range(model.k)))
+        rows = [(r, support, f"replicate {r}") for r in range(cfg.replicates)]
+    n_threads = max(1, min(int(n_threads), len(rows)))
+    bounds = np.linspace(0, len(rows), n_threads + 1).astype(int)
+    groups = [rows[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    if len(groups) == 1:
+        return _drive_group(model, envspec, cfg, functionals, sets, groups[0])
+    with ThreadPoolExecutor(max_workers=len(groups)) as pool:
+        parts = list(
+            pool.map(lambda g: _drive_group(model, envspec, cfg, functionals, sets, g), groups)
+        )
+    return {key: (np.concatenate([p[key] for p in parts]) if key in _ROW_KEYS else val)
+            for key, val in parts[0].items()}
+
+
+def _row_slice(raw, a, b):
+    """The driver result restricted to rows a..b-1."""
+    return {key: (val[a:b] if key in _ROW_KEYS else val) for key, val in raw.items()}
 
 
 def _rate_from_batches(batch_means: np.ndarray, n: int) -> RateEstimate:
@@ -490,6 +473,14 @@ def _rate_from_batches(batch_means: np.ndarray, n: int) -> RateEstimate:
         return RateEstimate(mean, 0.0, b, n)
     se = float(np.sqrt(batch_means.var(ddof=1) / b))
     return RateEstimate(mean, se, b, n)
+
+
+def _check_finite(averages: dict, label):
+    """A non-finite mean or SE is an error, never a reported estimate."""
+    for name, est in averages.items():
+        if not (np.isfinite(est.mean) and np.isfinite(est.std_error)):
+            raise NumericError(f"non-finite estimate of {name} for {label}: "
+                               f"mean {est.mean}, std_error {est.std_error}")
 
 
 def _build_result(raw, functionals, sets) -> SimulationResult:
@@ -507,11 +498,12 @@ def _build_result(raw, functionals, sets) -> SimulationResult:
             mean = float(raw["fsums"][r, j].sum() / n_steps)
             est = _rate_from_batches(bmeans[r, j], n_steps)
             fa[f.name] = RateEstimate(mean, est.std_error, n_batches, n_steps)
+        _check_finite(fa, raw["labels"][r])
         reps.append(
             EmpiricalSummary(
                 occupation={sd.name: float(occ[r, j]) for j, sd in enumerate(sets)},
                 functional_averages=fa,
-                thinned_samples=raw["thinned"][:, r, :].copy(),
+                thinned_samples=raw["thinned"][r].copy(),
                 terminal_state=raw["terminal"][r].copy(),
                 extinction_flag=bool(raw["floored"][r]),
             )
@@ -521,6 +513,7 @@ def _build_result(raw, functionals, sets) -> SimulationResult:
         mean = float(raw["fsums"][:, j, :].sum() / (n_steps * r_total))
         est = _rate_from_batches(bmeans[:, j, :].ravel(), n_steps * r_total)
         pooled_fa[f.name] = RateEstimate(mean, est.std_error, n_batches * r_total, n_steps * r_total)
+    _check_finite(pooled_fa, "the pooled replicates")
     pooled = PooledSummary(
         occupation={sd.name: float(occ[:, j].mean()) for j, sd in enumerate(sets)},
         functional_averages=pooled_fa,

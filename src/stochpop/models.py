@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import Constant, EnvSpec
+from .env import EnvSpec
 from .errors import ConfigurationError
 
 __all__ = [
@@ -444,8 +444,11 @@ class AffineChain(Model):
 class FaceModel(Model):
     """A model with every species outside ``support`` pinned to exactly zero.
 
-    Dynamics agree with the base model on the face; the pinned coordinates
-    are forced back to zero each step to guard against drift.
+    Dynamics agree with the base model on the face.  The pinned coordinates
+    are forced back to zero each step because a face need not be invariant
+    under the base step: the biennial face (0,) holds only stage 1, which
+    the base step sends into stage 2.  Faces of per-capita models are
+    invariant, so boundary reports run them as rows of the base model.
     """
 
     def __init__(self, base: Model, support: tuple):
@@ -597,7 +600,3 @@ def model_info() -> list:
         {"name": name, "params": _MODEL_PARAM_DOC[name], "env_coords": _MODEL_ENV_DOC[name]}
         for name in MODEL_NAMES
     ]
-
-
-def example_constant(value: float) -> Constant:
-    return Constant(float(value))

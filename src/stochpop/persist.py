@@ -14,12 +14,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .engine import (
-    LogPerCapita,
-    RateEstimate,
-    SimConfig,
-    simulate,
-)
+from .engine import LogPerCapita, RateEstimate, SimConfig, simulate
+from .engine import _build_result, _drive, _initial_states, _row_slice
 from .env import EnvSpec, make_stream, sample_block
 from .errors import ConfigurationError, FaceDegenerateError
 from .models import (
@@ -125,6 +121,30 @@ def _face_code(support) -> int:
     return sum(1 << i for i in support)
 
 
+def _face_runs(model, envspec, cfg: SimConfig, supports, functionals, n_threads: int = 1) -> list:
+    """One result per face, all faces run as rows of one lockstep batch of
+    ``model``: per-capita dynamics keep zeros at zero, so a face differs only
+    in the support of its start.  Replicate r of face S keeps its stream
+    _BASE_FACE + code(S) * 2^20 + r."""
+    r_total = cfg.replicates
+    rows = [
+        (_BASE_FACE + (_face_code(s) << 20) + r, s, f"face {s} replicate {r}")
+        for s in supports
+        for r in range(r_total)
+    ]
+    if not rows:
+        return []
+    raw = _drive(model, envspec, cfg, functionals, (), n_threads=n_threads, rows=rows)
+    return [
+        _build_result(_row_slice(raw, j * r_total, (j + 1) * r_total), functionals, ())
+        for j in range(len(supports))
+    ]
+
+
+def _extinct_replicates(result) -> list:
+    return [r for r, s in enumerate(result.replicates) if s.extinction_flag]
+
+
 def invasion_rate(model, envspec, cfg: SimConfig, invader: int, resident_support,
                   n_threads: int = 1) -> RateEstimate:
     """Average log growth of a missing species along a boundary-face run.
@@ -139,19 +159,16 @@ def invasion_rate(model, envspec, cfg: SimConfig, invader: int, resident_support
         raise ConfigurationError("invader must not belong to the resident support")
     if not (0 <= invader < model.k):
         raise ConfigurationError(f"species index {invader} out of range")
-    face = model.restrict_to_face(resident_support)
-    face_cfg = cfg.replaced(
-        replicate_base=cfg.replicate_base + _BASE_FACE + _face_code(resident_support) * (1 << 20)
-    )
-    result = simulate(face, envspec, face_cfg, functionals=(LogPerCapita(invader),),
-                      n_threads=n_threads)
-    extinct = [r for r, s in enumerate(result.replicates) if s.extinction_flag]
+    model.restrict_to_face(resident_support)  # validates the support
+    functional = LogPerCapita(invader)
+    (result,) = _face_runs(model, envspec, cfg, [resident_support], (functional,), n_threads)
+    extinct = _extinct_replicates(result)
     if extinct:
         raise FaceDegenerateError(
             f"resident community on face {resident_support} hit the extinction "
             f"floor in replicates {extinct}; invasion rate is ill-posed"
         )
-    return result.pooled.functional_averages[LogPerCapita(invader).name]
+    return result.pooled.functional_averages[functional.name]
 
 
 def _vertex_rows(model: RpsLottery, envspec, cfg: SimConfig) -> list:
@@ -184,37 +201,19 @@ def boundary_invasion_report(model, envspec, cfg: SimConfig, n_threads: int = 1)
     if isinstance(model, RpsLottery):
         rows = _vertex_rows(model, envspec, cfg)
     else:
+        supports = [s for size in range(1, k) for s in combinations(range(k), size)]
+        functionals = tuple(LogPerCapita(i) for i in range(k))
         rows = []
-        supports = [
-            s
-            for size in range(1, k)
-            for s in combinations(range(k), size)
-        ]
-        for support in supports:
-            face = model.restrict_to_face(support)
-            face_cfg = cfg.replaced(
-                replicate_base=cfg.replicate_base + _BASE_FACE + _face_code(support) * (1 << 20)
-            )
-            functionals = tuple(LogPerCapita(i) for i in range(k))
-            result = simulate(face, envspec, face_cfg, functionals=functionals,
-                              n_threads=n_threads)
-            extinct = [r for r, s in enumerate(result.replicates) if s.extinction_flag]
+        for support, result in zip(
+            supports, _face_runs(model, envspec, cfg, supports, functionals, n_threads)
+        ):
+            extinct = _extinct_replicates(result)
             if extinct:
-                rows.append(
-                    FaceRow(
-                        support=support,
-                        measure="simulated",
-                        rates={},
-                        degenerate=(
-                            f"resident community degenerated in replicates {extinct}; "
-                            "its ergodic measures concentrate on smaller supports"
-                        ),
-                    )
-                )
+                degenerate = (f"resident community degenerated in replicates {extinct}; "
+                              "its ergodic measures concentrate on smaller supports")
+                rows.append(FaceRow(support, "simulated", rates={}, degenerate=degenerate))
                 continue
-            rates = {
-                i: result.pooled.functional_averages[LogPerCapita(i).name] for i in range(k)
-            }
+            rates = {i: result.pooled.functional_averages[f.name] for i, f in enumerate(functionals)}
             rows.append(FaceRow(support=support, measure="simulated", rates=rates))
 
     table = InvasionTable(rows=rows)
@@ -568,9 +567,7 @@ def affine_domination_audit(model, envspec, construction: DriftConstruction, cfg
     streams = [
         make_stream(cfg.seed, cfg.replicate_base + r) for r in range(cfg.replicates)
     ]
-    from .engine import _initial_states
-
-    x = _initial_states(model, cfg, streams)
+    x = _initial_states(model, cfg, streams, [tuple(range(model.k))] * cfg.replicates)
     z = construction.v(x).copy()
     draws = np.empty((cfg.horizon, cfg.replicates, model.env_dim))
     for i, stream in enumerate(streams):

@@ -22,6 +22,19 @@ def _classify_cfg(seed=42):
     }
 
 
+def _permanence_cfg():
+    return {
+        "model": {
+            "model": "lottery",
+            "k": 3,
+            "d": 0.1,
+            "fecundity": [{"dist": "lognormal", "log_mean": 1.0, "log_sd": 0.3}] * 3,
+        },
+        "sim": {"seed": 5, "replicates": 2, "burn_in": 100, "horizon": 1100},
+        "task": "permanence",
+    }
+
+
 def _write(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -55,13 +68,14 @@ def test_every_csv_estimate_is_in_json_with_se_and_n(tmp_path):
 
 
 def test_byte_identical_across_runs_and_threads(tmp_path):
-    cfg_path = _write(tmp_path, _classify_cfg())
-    blobs = []
-    for i, threads in enumerate(("1", "1", "4")):
-        out = tmp_path / f"out{i}"
-        assert main(["run", "--config", cfg_path, "--out", str(out), "--threads", threads]) == 0
-        blobs.append((out / "results.json").read_bytes() + (out / "results.csv").read_bytes())
-    assert blobs[0] == blobs[1] == blobs[2]
+    for name, cfg in (("classify", _classify_cfg()), ("permanence", _permanence_cfg())):
+        cfg_path = _write(tmp_path, cfg, name=f"{name}.json")
+        blobs = []
+        for i, threads in enumerate(("1", "1", "4")):
+            out = tmp_path / f"{name}{i}"
+            assert main(["run", "--config", cfg_path, "--out", str(out), "--threads", threads]) == 0
+            blobs.append((out / "results.json").read_bytes() + (out / "results.csv").read_bytes())
+        assert blobs[0] == blobs[1] == blobs[2]
 
 
 def test_malformed_config_exits_2_without_outputs(tmp_path, capsys):

@@ -21,7 +21,7 @@ from stochpop.engine import (
     simulate,
 )
 from stochpop.env import Constant, EnvSpec, LogNormal, Normal, Uniform
-from stochpop.errors import ConfigurationError
+from stochpop.errors import ConfigurationError, NumericError
 from stochpop.models import BevertonHolt, Hassell, Lottery, RickerScalar
 
 
@@ -89,6 +89,16 @@ def test_extinction_flags_for_decaying_hassell():
     assert result.pooled.extinct_fraction == 1.0
     for s in result.replicates:
         assert s.extinction_flag
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_average_raises_instead_of_reporting():
+    # without density dependence the state explodes and saturates, so its
+    # running sum overflows: an inf mean with a NaN SE must not be returned
+    env = EnvSpec((LogNormal(0.3, 0.3), Constant(0.0)))
+    cfg = SimConfig(seed=1, horizon=6000)
+    with pytest.raises(NumericError, match=r"coord_0 for replicate 0"):
+        simulate(Hassell(), env, cfg, functionals=(Coordinate(0),))
 
 
 def test_thinned_samples_shape_and_terminal():

@@ -228,6 +228,15 @@ def test_restrict_to_face_drops_lottery_species():
     assert np.allclose(out3[:2], out2, atol=1e-15)
 
 
+def test_face_model_pins_a_face_the_base_step_leaves():
+    # stage 1 alone is not invariant: the biennial step sends it into stage
+    # 2, so the face model must force coordinate 1 back to zero
+    m = Biennial(0.5, 0.5, 1.0, 1.0)
+    x, w = np.array([1.0, 0.0]), np.array([2.0])
+    assert m.step(x, w)[1] > 0.0
+    assert m.restrict_to_face((0,)).step(x, w)[1] == 0.0
+
+
 def test_restrict_to_face_validation():
     m = RickerCompetition(0.6, 0.5)
     with pytest.raises(ConfigurationError):

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from stochpop.engine import Box, SimConfig, simulate
-from stochpop.env import Constant, EnvSpec, LogNormal, Normal, Uniform
-from stochpop.errors import ConfigurationError, FaceDegenerateError
+from stochpop.engine import Box, LogPerCapita, SimConfig, simulate
+from stochpop.env import Constant, EnvSpec, Gamma, LogNormal, Normal, Uniform
+from stochpop.errors import ConfigurationError, FaceDegenerateError, NumericError
 from stochpop.models import (
     AffineChain,
     BevertonHolt,
+    Biennial,
     Hassell,
     Lottery,
     RickerCompetition,
@@ -18,7 +19,9 @@ from stochpop.models import (
     RpsLottery,
 )
 from stochpop.persist import (
+    _BASE_FACE,
     DriftConstruction,
+    _face_code,
     affine_domination_audit,
     boundary_invasion_report,
     drift_bounded_check,
@@ -215,6 +218,57 @@ def test_degenerate_face_blocks_permanence_claim():
     assert degenerate and degenerate[0].support == (1,)
     assert verdict.kind == "inconclusive"
     assert table.annotations
+
+
+@pytest.mark.parametrize(
+    "model,env,cfg",
+    [
+        (
+            Lottery(3, 0.1),
+            EnvSpec((LogNormal(1.0, 0.3),) * 3),
+            SimConfig(seed=28, replicates=2, burn_in=100, horizon=1100),
+        ),
+        (
+            RickerCompetition(0.3, 0.3),
+            EnvSpec((Normal(1.0, 0.3), Normal(-0.5, 0.3))),
+            SimConfig(seed=27, replicates=1, burn_in=500, horizon=5500),
+        ),
+    ],
+    ids=["lottery", "ricker-degenerate"],
+)
+def test_boundary_report_rows_match_separate_face_runs(model, env, cfg):
+    # the report runs all faces as rows of one batch of the base model; each
+    # face must reproduce a run of its face model on the face's own streams
+    table, _ = boundary_invasion_report(model, env, cfg)
+    functionals = tuple(LogPerCapita(i) for i in range(model.k))
+    assert [row.support for row in table.rows]
+    for row in table.rows:
+        face_cfg = cfg.replaced(replicate_base=_BASE_FACE + (_face_code(row.support) << 20))
+        ref = simulate(model.restrict_to_face(row.support), env, face_cfg, functionals=functionals)
+        assert bool(row.degenerate) == any(s.extinction_flag for s in ref.replicates)
+        if not row.degenerate:
+            assert row.rates == {
+                i: ref.pooled.functional_averages[f.name] for i, f in enumerate(functionals)
+            }
+
+
+def test_face_runs_keep_their_checks():
+    with pytest.raises(ConfigurationError, match="per-capita"):
+        boundary_invasion_report(
+            Biennial(0.5, 0.5, 1.0, 1.0), EnvSpec((Gamma(2.0, 2.0),)), SimConfig(seed=1, horizon=100)
+        )
+    env = EnvSpec((LogNormal(1.0, 0.3),) * 3)
+    off_face = SimConfig(seed=1, horizon=100, initial_state=(0.5, 0.5, 0.0))
+    with pytest.raises(ConfigurationError, match="vanish outside the face support"):
+        invasion_rate(Lottery(3, 0.1), env, off_face, invader=2, resident_support=(0,))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_face_numeric_error_names_face_and_replicate():
+    env = EnvSpec((Constant(1e308), Constant(1e308)))
+    cfg = SimConfig(seed=1, replicates=2, horizon=100)
+    with pytest.raises(NumericError, match=r"face \(0,\) replicate 0 "):
+        boundary_invasion_report(RickerCompetition(0.3, 0.3), env, cfg)
 
 
 def test_rps_boundary_rows_are_analytic_vertices():
