@@ -325,7 +325,7 @@ def _task_gamma(model, envspec, sim, params, threads):
         rel_tol=float(params.get("rel_tol", 1e-9)),
     )
     detail = gamma_closed_form_detailed(inp)
-    mc = lyapunov_mc(model, envspec, sim, norm=params.get("norm", "l1"), n_threads=threads)
+    mc = lyapunov_mc(model, envspec, sim, norm=params.get("norm", "l1"))
     results = {
         "gamma_closed_form": detail["value"],
         "quadrature_error_bound": detail["error_bound"],
@@ -348,7 +348,7 @@ def _task_lyapunov(model, envspec, sim, params, threads):
     extra = set(params) - allowed
     if extra:
         raise ConfigurationError(f"unknown lyapunov task_params {sorted(extra)}")
-    mc = lyapunov_mc(model, envspec, sim, norm=params.get("norm", "l1"), n_threads=threads)
+    mc = lyapunov_mc(model, envspec, sim, norm=params.get("norm", "l1"))
     return {"gamma_mc": mc}, [_est_row("lyapunov", "gamma_mc", mc)], {}
 
 

@@ -415,6 +415,14 @@ def _drive_group(model, envspec, cfg, functionals, sets, rows):
                 state=x[which] if mode not in ("log_mult", "affine") else None,
                 step=t + n - 1,
             )
+        bad_sum = ~np.isfinite(fsums).all(axis=-1)
+        if bad_sum.any():
+            row, j = (int(i) for i in np.argwhere(bad_sum)[0])
+            raise NumericError(
+                f"non-finite estimate of {functionals[j].name} for {rows[row][2]} "
+                f"within steps {t}..{t + n - 1}",
+                step=t + n - 1,
+            )
         t += n
 
     if mode == "log_mult":

@@ -1,8 +1,13 @@
 """Dominant growth exponent of linearized dynamics.
 
-Monte Carlo route: iterate ``v <- A(0, w) v`` with renormalization every
-step (matrices here are small, so overflow protection beats the cost) and
-time-average the one-step log growth of the norm.
+Monte Carlo route: time-average the one-step log growth of the norm of
+``v <- A(0, w) v``, renormalized.  The growth summed over a run of steps
+telescopes to ``log||P v||`` with ``P`` the run's matrix product, so each
+time batch is computed from blocked products: a pairwise tree over the
+step axis, vectorized over replicates and rescaled by the largest entry at
+every level so it never overflows.  There is no per-step Python loop
+except on the error path, which replays one block to find the step at
+which a vector vanished.
 
 Closed-form route for the two-stage bet-hedging model: with flowering
 probability ``p`` in (0, 1), survivorship ``a``, and Gamma(k, theta) seed
@@ -29,7 +34,6 @@ Richardson error control applies cleanly for every shape k > 0.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,15 +68,66 @@ def _norm(v, kind):
     raise ConfigurationError(f"unknown norm {kind!r}")
 
 
-def _mc_group(model, envspec, cfg, norm, rep_ids):
+def _product(mats):
+    """``A_{n-1} ... A_0`` of a nonnegative ``(n, R, k, k)`` stack by a
+    pairwise tree.
+
+    Each pairwise product is divided by its largest entry, so nothing
+    overflows; returns the scaled ``(R, k, k)`` product and the ``(R,)`` log
+    of the scale taken out.  A zero product is left unscaled.
+    """
+    logs = np.zeros(mats.shape[:2])
+    while len(mats) > 1:
+        h = len(mats) // 2
+        prod = mats[1:2 * h:2] @ mats[0:2 * h:2]
+        scale = prod.max(axis=(-2, -1))
+        scale[scale <= 0.0] = 1.0
+        prod /= scale[..., None, None]
+        lg = logs[1:2 * h:2] + logs[0:2 * h:2] + np.log(scale)
+        if len(mats) % 2:
+            prod = np.concatenate((prod, mats[-1:]))
+            lg = np.concatenate((lg, logs[-1:]))
+        mats, logs = prod, lg
+    return mats[0], logs[0]
+
+
+def _stepwise(mats, v, norm, t0):
+    """One step at a time through a stack that starts at step ``t0``: the
+    summed log growths and the final vector.  Raises at the first step at
+    which a vector vanishes."""
+    logsum = np.zeros(len(v))
+    for s, a_mat in enumerate(mats):
+        grown = np.einsum("rij,rj->ri", a_mat, v)
+        tot = _norm(grown, norm)
+        if np.any(tot <= 0.0):
+            raise NumericError(
+                "zero vector under the linearized dynamics: "
+                "the model violates primitivity",
+                step=t0 + s,
+            )
+        logsum += np.log(tot)
+        v = grown / tot[:, None]
+    return logsum, v
+
+
+def _mc_batch_sums(model, envspec, cfg, norm):
+    """``(R, n_batches)`` sums of the one-step log growths per time batch.
+
+    The sum over a run of steps telescopes to ``log||P v||``, with ``P`` the
+    product of the run's matrices and ``v`` the normalized vector at its
+    start; so each draw chunk is cut at the burn-in end and at the batch
+    edges, and each piece costs one blocked product.  The matrices are
+    nonnegative, so the vector vanishes inside a piece exactly when ``P v``
+    does.
+    """
     k = model.k
     m = model.env_dim
     burn = cfg.burn_in
     t_total = cfg.horizon
     n_steps = t_total - burn
     n_batches = min(20, n_steps)
-    rg = len(rep_ids)
-    streams = [make_stream(cfg.seed, cfg.replicate_base + rid) for rid in rep_ids]
+    rg = cfg.replicates
+    streams = [make_stream(cfg.seed, cfg.replicate_base + r) for r in range(rg)]
 
     if isinstance(cfg.initial_state, str):
         v = np.empty((rg, k))
@@ -85,6 +140,8 @@ def _mc_group(model, envspec, cfg, norm, rep_ids):
         v = np.tile(v0, (rg, 1))
     v = v / _norm(v, norm)[:, None]
 
+    # batch b covers steps edges[b] .. edges[b + 1] - 1
+    edges = burn + np.concatenate(([0], np.cumsum(_batch_lengths(n_steps, n_batches))))
     gsums = np.zeros((rg, n_batches))
     t = 0
     while t < t_total:
@@ -93,25 +150,25 @@ def _mc_group(model, envspec, cfg, norm, rep_ids):
         for i, stream in enumerate(streams):
             u[:, i, :] = stream.uniforms(n * m).reshape(n, m)
         mats = model.linearization_at_zero(envspec.transform(u))
-        for s in range(n):
-            step_t = t + s
-            grown = np.einsum("rij,rj->ri", mats[s], v)
+        cuts = [t, *edges[(edges > t) & (edges < t + n)].tolist(), t + n]
+        for a, c in zip(cuts[:-1], cuts[1:]):
+            piece = mats[a - t:c - t]
+            prod, logscale = _product(piece)
+            grown = np.einsum("rij,rj->ri", prod, v)
             tot = _norm(grown, norm)
             if np.any(tot <= 0.0):
-                raise NumericError(
-                    "zero vector under the linearized dynamics: "
-                    "the model violates primitivity",
-                    step=step_t,
-                )
-            if step_t >= burn:
-                b = ((step_t - burn) * n_batches) // n_steps
-                gsums[:, b] += np.log(tot)
-            v = grown / tot[:, None]
+                # find the step at which the vector vanished
+                logsum, v = _stepwise(piece, v, norm, a)
+            else:
+                logsum = np.log(tot) + logscale
+                v = grown / tot[:, None]
+            if a >= burn:
+                gsums[:, np.searchsorted(edges, a, side="right") - 1] += logsum
         t += n
-    return gsums, n_steps, n_batches
+    return gsums
 
 
-def lyapunov_mc(model, envspec, cfg: SimConfig, norm: str = "l1", n_threads: int = 1) -> RateEstimate:
+def lyapunov_mc(model, envspec, cfg: SimConfig, norm: str = "l1") -> RateEstimate:
     """Time-averaged one-step log growth of the renormalized iteration.
 
     The limit is norm independent; the ``norm`` argument only selects the
@@ -120,17 +177,8 @@ def lyapunov_mc(model, envspec, cfg: SimConfig, norm: str = "l1", n_threads: int
     if not model.structured:
         raise ConfigurationError(f"{model.name} has no linearization at the origin")
     model.check_env(envspec)
-    rep_ids = list(range(cfg.replicates))
-    n_threads = max(1, min(int(n_threads), cfg.replicates))
-    if n_threads == 1:
-        parts = [_mc_group(model, envspec, cfg, norm, rep_ids)]
-    else:
-        bounds = np.linspace(0, cfg.replicates, n_threads + 1).astype(int)
-        groups = [rep_ids[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        with ThreadPoolExecutor(max_workers=len(groups)) as pool:
-            parts = list(pool.map(lambda g: _mc_group(model, envspec, cfg, norm, g), groups))
-    gsums = np.concatenate([p[0] for p in parts])
-    n_steps, n_batches = parts[0][1], parts[0][2]
+    gsums = _mc_batch_sums(model, envspec, cfg, norm)
+    n_steps, n_batches = cfg.horizon - cfg.burn_in, gsums.shape[1]
     lengths = _batch_lengths(n_steps, n_batches)
     bmeans = gsums / lengths[None, :]
     mean = float(gsums.sum() / (n_steps * cfg.replicates))

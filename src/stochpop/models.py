@@ -374,6 +374,8 @@ class Biennial(Model):
 
     def linearization_at_zero(self, w):
         xi = np.asarray(w, dtype=float)[..., 0]
+        if np.any(xi < 0):
+            raise ConfigurationError("biennial seed draws must be nonnegative")
         a_mat = np.zeros(xi.shape + (2, 2), dtype=float)
         a_mat[..., 0, 1] = self.p * xi
         a_mat[..., 1, 0] = self.a

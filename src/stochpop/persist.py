@@ -132,8 +132,6 @@ def _face_runs(model, envspec, cfg: SimConfig, supports, functionals, n_threads:
         for s in supports
         for r in range(r_total)
     ]
-    if not rows:
-        return []
     raw = _drive(model, envspec, cfg, functionals, (), n_threads=n_threads, rows=rows)
     return [
         _build_result(_row_slice(raw, j * r_total, (j + 1) * r_total), functionals, ())
@@ -196,6 +194,8 @@ def boundary_invasion_report(model, envspec, cfg: SimConfig, n_threads: int = 1)
     (their average log growth should vanish).
     """
     k = model.k
+    if k < 2:
+        raise ConfigurationError(f"{model.name} has one species and no boundary faces to invade")
     if k > 6:
         raise ConfigurationError("face enumeration supports at most 6 species")
     if isinstance(model, RpsLottery):

@@ -97,8 +97,9 @@ def test_non_finite_average_raises_instead_of_reporting():
     # running sum overflows: an inf mean with a NaN SE must not be returned
     env = EnvSpec((LogNormal(0.3, 0.3), Constant(0.0)))
     cfg = SimConfig(seed=1, horizon=6000)
-    with pytest.raises(NumericError, match=r"coord_0 for replicate 0"):
+    with pytest.raises(NumericError, match=r"coord_0 for replicate 0") as info:
         simulate(Hassell(), env, cfg, functionals=(Coordinate(0),))
+    assert info.value.step < 5999  # stopped at the chunk where the sum overflowed
 
 
 def test_thinned_samples_shape_and_terminal():

@@ -8,16 +8,19 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from stochpop.engine import SimConfig
-from stochpop.env import Constant, EnvSpec, Gamma, Uniform
-from stochpop.errors import ConfigurationError, QuadratureError
+from stochpop.engine import SimConfig, _batch_lengths
+from stochpop.env import Constant, Discrete, EnvSpec, Gamma, Normal, Uniform, make_stream
+from stochpop.errors import ConfigurationError, NumericError, QuadratureError
 from stochpop.lyap import (
+    _CHUNK,
     GammaClosedFormInput,
     adaptive_simpson,
     digamma,
     flowering_limit_report,
     gamma_closed_form,
     gamma_closed_form_detailed,
+    _mc_batch_sums,
+    _norm,
     lyapunov_mc,
 )
 from stochpop.models import Biennial, Hassell, LinearMatrix
@@ -140,11 +143,95 @@ def test_lyapunov_requires_structured_model_and_positive_start():
         lyapunov_mc(m, genv, SimConfig(seed=1, horizon=100, initial_state=(1.0, 0.0)))
 
 
-def test_threaded_estimate_is_identical():
+def _reference_batch_sums(model, envspec, cfg, norm="l1"):
+    """The estimator one renormalized step at a time: per-step log growth of
+    the norm, summed into 20 time batches."""
+    k, m = model.k, model.env_dim
+    burn, t_total = cfg.burn_in, cfg.horizon
+    n_steps = t_total - burn
+    n_batches = min(20, n_steps)
+    streams = [make_stream(cfg.seed, cfg.replicate_base + r) for r in range(cfg.replicates)]
+    if isinstance(cfg.initial_state, str):
+        v = np.array([0.1 + 0.9 * s.uniforms(k) for s in streams])
+    else:
+        v = np.tile(np.asarray(cfg.initial_state, dtype=float), (cfg.replicates, 1))
+    v = v / _norm(v, norm)[:, None]
+    gsums = np.zeros((cfg.replicates, n_batches))
+    t = 0
+    while t < t_total:
+        n = min(_CHUNK, t_total - t)
+        u = np.stack([s.uniforms(n * m).reshape(n, m) for s in streams], axis=1)
+        mats = model.linearization_at_zero(envspec.transform(u))
+        for s in range(n):
+            grown = np.einsum("rij,rj->ri", mats[s], v)
+            tot = _norm(grown, norm)
+            if t + s >= burn:
+                gsums[:, ((t + s - burn) * n_batches) // n_steps] += np.log(tot)
+            v = grown / tot[:, None]
+        t += n
+    return gsums
+
+
+_BIENNIAL = (Biennial(p=0.5, a=0.5, b1=1.0, b2=1.0), EnvSpec((Gamma(2.0, 2.0),)))
+_LINEAR3 = (LinearMatrix(3), EnvSpec(tuple(Uniform(0.05, 1.0) for _ in range(9))))
+
+
+@pytest.mark.parametrize(
+    "case,model_env,cfg,norm",
+    [
+        ("biennial", _BIENNIAL, SimConfig(seed=31, replicates=3, burn_in=500, horizon=10_500), "l1"),
+        ("linear3", _LINEAR3, SimConfig(seed=32, replicates=3, burn_in=300, horizon=6300), "l1"),
+        ("max-norm", _BIENNIAL, SimConfig(seed=33, replicates=2, burn_in=300, horizon=6300), "max"),
+        ("no-burn-in", _BIENNIAL, SimConfig(seed=34, replicates=2, burn_in=0, horizon=6000), "l1"),
+        ("ragged-burn-in", _LINEAR3, SimConfig(seed=35, replicates=2, burn_in=4100, horizon=9000), "l1"),
+        ("short-horizon", _BIENNIAL, SimConfig(seed=36, replicates=2, burn_in=100, horizon=3000), "l1"),
+        ("few-steps", _BIENNIAL, SimConfig(seed=37, replicates=2, burn_in=4090, horizon=4105), "l1"),
+        ("explicit-start", _LINEAR3,
+         SimConfig(seed=38, replicates=2, burn_in=50, horizon=5050, initial_state=(0.2, 0.5, 0.3)), "l1"),
+    ],
+)
+def test_blocked_batch_means_match_stepwise_reference(case, model_env, cfg, norm):
+    model, env = model_env
+    n_steps = cfg.horizon - cfg.burn_in
+    lengths = _batch_lengths(n_steps, min(20, n_steps))
+    blocked = _mc_batch_sums(model, env, cfg, norm) / lengths
+    ref = _reference_batch_sums(model, env, cfg, norm) / lengths
+    assert blocked.shape == ref.shape == (cfg.replicates, len(lengths))
+    np.testing.assert_allclose(blocked, ref, rtol=1e-12, atol=0.0)
+
+
+def test_negative_seed_draws_are_refused():
+    m = Biennial(p=0.4, a=0.5, b1=1.0, b2=1.0)
+    env = EnvSpec((Normal(0.5, 1.0),))
+    with pytest.raises(ConfigurationError, match="nonnegative"):
+        lyapunov_mc(m, env, SimConfig(seed=1, horizon=100))
+
+
+def test_batch_sums_do_not_depend_on_grouping():
     m = Biennial(p=0.4, a=0.5, b1=1.0, b2=1.0)
     env = EnvSpec((Gamma(1.0, 2.0),))
     cfg = SimConfig(seed=23, replicates=6, burn_in=100, horizon=5100)
-    assert lyapunov_mc(m, env, cfg, n_threads=1) == lyapunov_mc(m, env, cfg, n_threads=3)
+    group = _mc_batch_sums(m, env, cfg, "l1")
+    for r in range(cfg.replicates):
+        alone = _mc_batch_sums(m, env, cfg.replaced(replicates=1, replicate_base=r), "l1")
+        assert np.array_equal(group[r], alone[0]), r
+
+
+def test_vanishing_vector_raises_at_its_first_step():
+    # [[0]] with probability 1/2: the iteration dies at the first zero draw
+    m = LinearMatrix(1)
+    env = EnvSpec((Discrete((0.0, 1.0), (0.5, 0.5)),))
+    steps = []
+    for seed in range(40):
+        cfg = SimConfig(seed=seed, replicates=1, burn_in=0, horizon=200)
+        stream = make_stream(seed, 0)
+        stream.uniforms(1)  # the random initial vector
+        first_zero = int(np.argmax(env.transform(stream.uniforms(200)[:, None])[:, 0] == 0.0))
+        with pytest.raises(NumericError, match="primitivity") as info:
+            lyapunov_mc(m, env, cfg)
+        assert info.value.step == first_zero, seed
+        steps.append(first_zero)
+    assert max(steps) >= 4  # some zeros lie well inside the first piece
 
 
 # ---------------------------------------------------------------------------

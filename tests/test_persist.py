@@ -271,6 +271,13 @@ def test_face_numeric_error_names_face_and_replicate():
         boundary_invasion_report(RickerCompetition(0.3, 0.3), env, cfg)
 
 
+def test_single_species_boundary_report_is_refused():
+    # no proper face exists, so there is nothing to invade and no verdict
+    env = EnvSpec((LogNormal(-0.5, 0.3), Constant(1.0)))
+    with pytest.raises(ConfigurationError, match="no boundary faces"):
+        boundary_invasion_report(Hassell(), env, SimConfig(seed=1, horizon=1000))
+
+
 def test_rps_boundary_rows_are_analytic_vertices():
     env = EnvSpec((Constant(3.2), Constant(2.0), Constant(1.0)))
     m = RpsLottery(0.1)
