@@ -9,8 +9,8 @@ One task per invocation, declared in a JSON config:
 Outputs are results.json (full report with provenance) and results.csv
 (flat estimates table); the simulate task additionally writes
 replicates.csv with per-replicate occupation and functional summaries.
-Identical config and seed give byte-identical outputs regardless of
-``--threads``.
+Identical config and seed give byte-identical outputs; ``--threads`` is
+accepted for compatibility and has no effect.
 """
 
 from __future__ import annotations
@@ -141,9 +141,9 @@ def _est_row(task, quantity, est: RateEstimate, species="", face="", verdict="")
 # Task runners: each returns (results_dict, estimate_rows, extra_files)
 
 
-def _task_simulate(model, envspec, sim, params, threads):
+def _task_simulate(model, envspec, sim, params):
     functionals = _parse_functionals(params.get("functionals", []))
-    result = engine.simulate(model, envspec, sim, functionals=functionals, n_threads=threads)
+    result = engine.simulate(model, envspec, sim, functionals=functionals)
     rows = [
         _row("simulate", f"occupation[{name}]", mean=val, n=sim.horizon - sim.burn_in)
         for name, val in result.pooled.occupation.items()
@@ -175,8 +175,8 @@ def _task_simulate(model, envspec, sim, params, threads):
     return results, rows, extra
 
 
-def _task_classify(model, envspec, sim, params, threads):
-    verdict = persist.scalar_classify(model, envspec, sim, n_threads=threads)
+def _task_classify(model, envspec, sim, params):
+    verdict = persist.scalar_classify(model, envspec, sim)
     rows = [
         _est_row("classify", name, est, verdict=verdict.kind)
         for name, est in verdict.evidence.items()
@@ -189,20 +189,20 @@ def _task_classify(model, envspec, sim, params, threads):
     return results, rows, {}
 
 
-def _task_invade(model, envspec, sim, params, threads):
+def _task_invade(model, envspec, sim, params):
     if "invader" not in params or "resident_support" not in params:
         raise ConfigurationError("invade task needs task_params invader and resident_support")
     invader = int(params["invader"])
     support = tuple(int(i) for i in params["resident_support"])
-    est = persist.invasion_rate(model, envspec, sim, invader, support, n_threads=threads)
+    est = persist.invasion_rate(model, envspec, sim, invader, support)
     rows = [
         _est_row("invade", "invasion_rate", est, species=invader, face=_face_label(support))
     ]
     return {"invader": invader, "resident_support": list(support), "rate": est}, rows, {}
 
 
-def _task_permanence(model, envspec, sim, params, threads):
-    table, verdict = persist.boundary_invasion_report(model, envspec, sim, n_threads=threads)
+def _task_permanence(model, envspec, sim, params):
+    table, verdict = persist.boundary_invasion_report(model, envspec, sim)
     weights = persist.find_persistence_weights(table)
     rows = []
     for r in table.rows:
@@ -241,7 +241,7 @@ def _task_permanence(model, envspec, sim, params, threads):
     return results, rows, {}
 
 
-def _task_drift(model, envspec, sim, params, threads):
+def _task_drift(model, envspec, sim, params):
     allowed = {"n_pairs", "margin", "domination_steps"}
     extra = set(params) - allowed
     if extra:
@@ -287,7 +287,7 @@ def _task_drift(model, envspec, sim, params, threads):
     return results, rows, {}
 
 
-def _task_rps(model, envspec, sim, params, threads):
+def _task_rps(model, envspec, sim, params):
     allowed = {"n", "d"}
     extra = set(params) - allowed
     if extra:
@@ -307,7 +307,7 @@ def _task_rps(model, envspec, sim, params, threads):
     return dict(rep, d=d), rows, {}
 
 
-def _task_gamma(model, envspec, sim, params, threads):
+def _task_gamma(model, envspec, sim, params):
     allowed = {"rel_tol", "norm"}
     extra = set(params) - allowed
     if extra:
@@ -343,7 +343,7 @@ def _task_gamma(model, envspec, sim, params, threads):
     return results, rows, {}
 
 
-def _task_lyapunov(model, envspec, sim, params, threads):
+def _task_lyapunov(model, envspec, sim, params):
     allowed = {"norm"}
     extra = set(params) - allowed
     if extra:
@@ -399,7 +399,9 @@ def _strip_verdicts(node):
 
 
 def run_config(cfg: dict, out_dir=None, seed=None, threads: int = 1, explore: bool = False) -> dict:
-    """Validate, run one task, and write results; returns the full report."""
+    """Validate, run one task, and write results; returns the full report.
+
+    ``threads`` is accepted for compatibility and has no effect."""
     _validate_top(cfg)
     if seed is not None:
         cfg.setdefault("sim", {})["seed"] = int(seed)
@@ -416,7 +418,7 @@ def run_config(cfg: dict, out_dir=None, seed=None, threads: int = 1, explore: bo
     resolved_json = json.dumps(_jsonable(resolved), sort_keys=True, indent=2)
     digest = hashlib.sha256(resolved_json.encode()).hexdigest()
 
-    results, rows, extra_files = _RUNNERS[cfg["task"]](model, envspec, sim, params, threads)
+    results, rows, extra_files = _RUNNERS[cfg["task"]](model, envspec, sim, params)
     if explore:
         raw = {}
         for eta in sim.eta_grid:
@@ -493,8 +495,7 @@ def _cmd_run(args) -> int:
     try:
         for assignment in args.set or []:
             _apply_set(cfg, assignment)
-        run_config(cfg, out_dir=args.out, seed=args.seed, threads=args.threads,
-                   explore=args.explore)
+        run_config(cfg, out_dir=args.out, seed=args.seed, explore=args.explore)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -528,7 +529,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--seed", type=int, default=None, help="override sim.seed")
     p_run.add_argument("--threads", type=int, default=1,
-                       help="worker threads (affects speed only, never results)")
+                       help="accepted for compatibility; has no effect")
     p_run.add_argument("--explore", action="store_true",
                        help="report raw statistics only, with no verdicts, and attach "
                             "ensemble hit probabilities for the eta grid")

@@ -2,8 +2,8 @@
 
 The driver advances all replicates in lockstep (vectorized over the
 replicate axis) while every replicate consumes draws only from its own
-stream, so results are bit-identical across runs and across any split of
-replicates over worker threads.  Occupation fractions and functional
+stream, so results are bit-identical across runs and across any grouping
+of rows into one batch.  Occupation fractions and functional
 time-averages are accumulated streaming over the post-burn-in window;
 standard errors come from 20 equal time batches per replicate, which keeps
 them honest under autocorrelation.
@@ -11,7 +11,6 @@ them honest under autocorrelation.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -281,11 +280,28 @@ def _batch_lengths(n_steps: int, n_batches: int) -> np.ndarray:
     return np.bincount(idx, minlength=n_batches)
 
 
-def _drive_group(model, envspec, cfg, functionals, sets, rows):
+def _draw_chunks(envspec, streams, t_total):
+    """Yield ``(t, draws)`` for steps t..t+n-1 in chunks of at most _CHUNK
+    steps: ``draws[s, i]`` is the environment of ``streams[i]`` at step t+s.
+    Streams are counter-based, so no draw depends on the chunking."""
+    m = envspec.dim
+    for t in range(0, t_total, _CHUNK):
+        n = min(_CHUNK, t_total - t)
+        u = np.empty((n, len(streams), m))
+        for i, stream in enumerate(streams):
+            u[:, i, :] = stream.uniforms(n * m).reshape(n, m)
+        yield t, envspec.transform(u)
+
+
+def _drive(model, envspec, cfg, functionals, sets, rows=None):
     """Advance a block of (stream id, support, label) rows in lockstep; a row
-    draws from stream cfg.replicate_base + id and starts on its support."""
+    draws from stream cfg.replicate_base + id and starts on its support.  By
+    default the rows are replicates 0..R-1 of ``model`` on its own support."""
+    model.check_env(envspec)
+    if rows is None:
+        support = getattr(model, "support", tuple(range(model.k)))
+        rows = [(r, support, f"replicate {r}") for r in range(cfg.replicates)]
     k = model.k
-    m = model.env_dim
     t_total = cfg.horizon
     burn = cfg.burn_in
     n_steps = t_total - burn
@@ -318,17 +334,10 @@ def _drive_group(model, envspec, cfg, functionals, sets, rows):
     floored = np.zeros(rg, dtype=bool)
     frozen = np.zeros(rg, dtype=bool)
 
-    t = 0
-    while t < t_total:
-        n = min(_CHUNK, t_total - t)
-        u = np.empty((n, rg, m))
-        for i, stream in enumerate(streams):
-            u[:, i, :] = stream.uniforms(n * m).reshape(n, m)
-        draws = envspec.transform(u)
-
-        for s in range(n):
+    for t, draws in _draw_chunks(envspec, streams, t_total):
+        n = len(draws)
+        for s, w in enumerate(draws):
             step_t = t + s
-            w = draws[s]
 
             if mode == "log_mult":
                 x = np.exp(np.minimum(ell, LOG_CAP))
@@ -423,7 +432,6 @@ def _drive_group(model, envspec, cfg, functionals, sets, rows):
                 f"within steps {t}..{t + n - 1}",
                 step=t + n - 1,
             )
-        t += n
 
     if mode == "log_mult":
         x = np.exp(np.minimum(ell, LOG_CAP))
@@ -446,41 +454,23 @@ def _drive_group(model, envspec, cfg, functionals, sets, rows):
 _ROW_KEYS = ("occ_counts", "fsums", "thinned", "floored", "terminal", "labels")
 
 
-def _drive(model, envspec, cfg, functionals, sets, n_threads=1, rows=None):
-    """Run ``rows`` (by default replicates 0..R-1 of ``model`` on its own
-    support) split into contiguous blocks over worker threads."""
-    model.check_env(envspec)
-    if rows is None:
-        support = getattr(model, "support", tuple(range(model.k)))
-        rows = [(r, support, f"replicate {r}") for r in range(cfg.replicates)]
-    n_threads = max(1, min(int(n_threads), len(rows)))
-    bounds = np.linspace(0, len(rows), n_threads + 1).astype(int)
-    groups = [rows[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    if len(groups) == 1:
-        return _drive_group(model, envspec, cfg, functionals, sets, groups[0])
-    with ThreadPoolExecutor(max_workers=len(groups)) as pool:
-        parts = list(
-            pool.map(lambda g: _drive_group(model, envspec, cfg, functionals, sets, g), groups)
-        )
-    return {key: (np.concatenate([p[key] for p in parts]) if key in _ROW_KEYS else val)
-            for key, val in parts[0].items()}
-
-
 def _row_slice(raw, a, b):
     """The driver result restricted to rows a..b-1."""
     return {key: (val[a:b] if key in _ROW_KEYS else val) for key, val in raw.items()}
 
 
-def _rate_from_batches(batch_means: np.ndarray, n: int) -> RateEstimate:
-    """Estimate from a flat array of equal-length batch means."""
-    b = batch_means.size
-    mean = float(batch_means.mean())
-    if b < 2 or np.ptp(batch_means) == 0.0:
+def _batch_estimate(sums: np.ndarray, bmeans: np.ndarray, n_steps: int) -> RateEstimate:
+    """Time average over rows of ``(..., n_batches)`` batch sums of n_steps
+    steps each; the SE weights the rows' batch means ``bmeans`` equally."""
+    b = bmeans.size
+    n = n_steps * (sums.size // sums.shape[-1])
+    mean = float(sums.sum() / n)
+    flat = bmeans.ravel()
+    if b < 2 or np.ptp(flat) == 0.0:
         # identical batches come from deterministic inputs; report SE 0
         # rather than the rounding residue of the variance formula
         return RateEstimate(mean, 0.0, b, n)
-    se = float(np.sqrt(batch_means.var(ddof=1) / b))
-    return RateEstimate(mean, se, b, n)
+    return RateEstimate(mean, float(np.sqrt(flat.var(ddof=1) / b)), b, n)
 
 
 def _check_finite(averages: dict, label):
@@ -493,19 +483,14 @@ def _check_finite(averages: dict, label):
 
 def _build_result(raw, functionals, sets) -> SimulationResult:
     n_steps = raw["n_steps"]
-    n_batches = raw["n_batches"]
-    lengths = _batch_lengths(n_steps, n_batches)
+    lengths = _batch_lengths(n_steps, raw["n_batches"])
     occ = raw["occ_counts"] / n_steps
     # fsums holds batch sums; per-batch means weight each batch equally
     bmeans = raw["fsums"] / lengths[None, None, :]
     reps = []
-    r_total = occ.shape[0]
-    for r in range(r_total):
-        fa = {}
-        for j, f in enumerate(functionals):
-            mean = float(raw["fsums"][r, j].sum() / n_steps)
-            est = _rate_from_batches(bmeans[r, j], n_steps)
-            fa[f.name] = RateEstimate(mean, est.std_error, n_batches, n_steps)
+    for r in range(len(occ)):
+        fa = {f.name: _batch_estimate(raw["fsums"][r, j], bmeans[r, j], n_steps)
+              for j, f in enumerate(functionals)}
         _check_finite(fa, raw["labels"][r])
         reps.append(
             EmpiricalSummary(
@@ -516,11 +501,8 @@ def _build_result(raw, functionals, sets) -> SimulationResult:
                 extinction_flag=bool(raw["floored"][r]),
             )
         )
-    pooled_fa = {}
-    for j, f in enumerate(functionals):
-        mean = float(raw["fsums"][:, j, :].sum() / (n_steps * r_total))
-        est = _rate_from_batches(bmeans[:, j, :].ravel(), n_steps * r_total)
-        pooled_fa[f.name] = RateEstimate(mean, est.std_error, n_batches * r_total, n_steps * r_total)
+    pooled_fa = {f.name: _batch_estimate(raw["fsums"][:, j, :], bmeans[:, j, :], n_steps)
+                 for j, f in enumerate(functionals)}
     _check_finite(pooled_fa, "the pooled replicates")
     pooled = PooledSummary(
         occupation={sd.name: float(occ[:, j].mean()) for j, sd in enumerate(sets)},
@@ -546,7 +528,7 @@ def default_sets(cfg: SimConfig) -> list:
     return sets
 
 
-def simulate(model, envspec, cfg, functionals=(), n_threads=1) -> SimulationResult:
+def simulate(model, envspec, cfg, functionals=()) -> SimulationResult:
     """Run replicate trajectories; summarize occupation over steps B..T-1.
 
     Results are a pure function of (model, env, cfg): replicate r draws only
@@ -554,17 +536,17 @@ def simulate(model, envspec, cfg, functionals=(), n_threads=1) -> SimulationResu
     in id order.
     """
     sets = default_sets(cfg)
-    raw = _drive(model, envspec, cfg, tuple(functionals), sets, n_threads=n_threads)
+    raw = _drive(model, envspec, cfg, tuple(functionals), sets)
     return _build_result(raw, tuple(functionals), sets)
 
 
-def ergodic_average(model, envspec, cfg, functional, n_threads=1) -> RateEstimate:
+def ergodic_average(model, envspec, cfg, functional) -> RateEstimate:
     """Time average of one functional over the post-burn-in window."""
     if not isinstance(functional, (Coordinate, LogPerCapita, Indicator, LogNorm)):
         raise ConfigurationError(f"unsupported functional {functional!r}")
     if cfg.horizon - cfg.burn_in < 2:
         raise ConfigurationError("horizon too short for at least 2 batches")
-    result = simulate(model, envspec, cfg, functionals=(functional,), n_threads=n_threads)
+    result = simulate(model, envspec, cfg, functionals=(functional,))
     return result.pooled.functional_averages[functional.name]
 
 

@@ -8,8 +8,8 @@ scalar distribution in an :class:`EnvSpec`.  Determinism contract:
   streams and the full draw sequence is a pure function of the key.
 * Every scalar draw is produced by inverse CDF from exactly one uniform
   (normal via ``ndtri``, gamma via ``gammaincinv``), so the value of draw
-  ``i`` depends only on ``(seed, replicate_id, i)`` regardless of how draws
-  are batched across calls or threads.
+  ``i`` depends only on ``(seed, replicate_id, i)``, however the draws are
+  cut into calls or grouped with other streams' draws.
 """
 
 from __future__ import annotations

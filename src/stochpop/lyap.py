@@ -38,8 +38,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import RateEstimate, SimConfig, _batch_lengths, _rate_from_batches
-from .env import EnvSpec, make_stream
+from .engine import (
+    N_BATCHES,
+    RateEstimate,
+    SimConfig,
+    _batch_estimate,
+    _batch_lengths,
+    _draw_chunks,
+    _initial_states,
+)
+from .env import make_stream
 from .errors import ConfigurationError, NumericError, QuadratureError
 
 __all__ = [
@@ -52,7 +60,6 @@ __all__ = [
     "adaptive_simpson",
 ]
 
-_CHUNK = 4096
 _P_CAP = 1.0 - 1e-6
 
 
@@ -120,36 +127,22 @@ def _mc_batch_sums(model, envspec, cfg, norm):
     nonnegative, so the vector vanishes inside a piece exactly when ``P v``
     does.
     """
-    k = model.k
-    m = model.env_dim
     burn = cfg.burn_in
-    t_total = cfg.horizon
-    n_steps = t_total - burn
-    n_batches = min(20, n_steps)
+    n_steps = cfg.horizon - burn
+    n_batches = min(N_BATCHES, n_steps)
     rg = cfg.replicates
     streams = [make_stream(cfg.seed, cfg.replicate_base + r) for r in range(rg)]
-
-    if isinstance(cfg.initial_state, str):
-        v = np.empty((rg, k))
-        for i, stream in enumerate(streams):
-            v[i] = 0.1 + 0.9 * stream.uniforms(k)
-    else:
-        v0 = np.asarray(cfg.initial_state, dtype=float)
-        if v0.shape != (k,) or np.any(v0 <= 0):
-            raise ConfigurationError("initial vector must be strictly positive")
-        v = np.tile(v0, (rg, 1))
+    v = _initial_states(model, cfg, streams, [tuple(range(model.k))] * rg)
+    if np.any(v <= 0):
+        raise ConfigurationError("initial vector must be strictly positive")
     v = v / _norm(v, norm)[:, None]
 
     # batch b covers steps edges[b] .. edges[b + 1] - 1
     edges = burn + np.concatenate(([0], np.cumsum(_batch_lengths(n_steps, n_batches))))
     gsums = np.zeros((rg, n_batches))
-    t = 0
-    while t < t_total:
-        n = min(_CHUNK, t_total - t)
-        u = np.empty((n, rg, m))
-        for i, stream in enumerate(streams):
-            u[:, i, :] = stream.uniforms(n * m).reshape(n, m)
-        mats = model.linearization_at_zero(envspec.transform(u))
+    for t, draws in _draw_chunks(envspec, streams, cfg.horizon):
+        mats = model.linearization_at_zero(draws)
+        n = len(mats)
         cuts = [t, *edges[(edges > t) & (edges < t + n)].tolist(), t + n]
         for a, c in zip(cuts[:-1], cuts[1:]):
             piece = mats[a - t:c - t]
@@ -164,7 +157,6 @@ def _mc_batch_sums(model, envspec, cfg, norm):
                 v = grown / tot[:, None]
             if a >= burn:
                 gsums[:, np.searchsorted(edges, a, side="right") - 1] += logsum
-        t += n
     return gsums
 
 
@@ -178,12 +170,8 @@ def lyapunov_mc(model, envspec, cfg: SimConfig, norm: str = "l1") -> RateEstimat
         raise ConfigurationError(f"{model.name} has no linearization at the origin")
     model.check_env(envspec)
     gsums = _mc_batch_sums(model, envspec, cfg, norm)
-    n_steps, n_batches = cfg.horizon - cfg.burn_in, gsums.shape[1]
-    lengths = _batch_lengths(n_steps, n_batches)
-    bmeans = gsums / lengths[None, :]
-    mean = float(gsums.sum() / (n_steps * cfg.replicates))
-    est = _rate_from_batches(bmeans.ravel(), n_steps * cfg.replicates)
-    return RateEstimate(mean, est.std_error, n_batches * cfg.replicates, n_steps * cfg.replicates)
+    n_steps = cfg.horizon - cfg.burn_in
+    return _batch_estimate(gsums, gsums / _batch_lengths(n_steps, gsums.shape[1]), n_steps)
 
 
 # ---------------------------------------------------------------------------

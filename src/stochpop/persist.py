@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .engine import LogPerCapita, RateEstimate, SimConfig, simulate
-from .engine import _build_result, _drive, _initial_states, _row_slice
+from .engine import _build_result, _draw_chunks, _drive, _initial_states, _row_slice
 from .env import EnvSpec, make_stream, sample_block
 from .errors import ConfigurationError, FaceDegenerateError
 from .models import (
@@ -121,7 +121,7 @@ def _face_code(support) -> int:
     return sum(1 << i for i in support)
 
 
-def _face_runs(model, envspec, cfg: SimConfig, supports, functionals, n_threads: int = 1) -> list:
+def _face_runs(model, envspec, cfg: SimConfig, supports, functionals) -> list:
     """One result per face, all faces run as rows of one lockstep batch of
     ``model``: per-capita dynamics keep zeros at zero, so a face differs only
     in the support of its start.  Replicate r of face S keeps its stream
@@ -132,7 +132,7 @@ def _face_runs(model, envspec, cfg: SimConfig, supports, functionals, n_threads:
         for s in supports
         for r in range(r_total)
     ]
-    raw = _drive(model, envspec, cfg, functionals, (), n_threads=n_threads, rows=rows)
+    raw = _drive(model, envspec, cfg, functionals, (), rows=rows)
     return [
         _build_result(_row_slice(raw, j * r_total, (j + 1) * r_total), functionals, ())
         for j in range(len(supports))
@@ -143,8 +143,7 @@ def _extinct_replicates(result) -> list:
     return [r for r, s in enumerate(result.replicates) if s.extinction_flag]
 
 
-def invasion_rate(model, envspec, cfg: SimConfig, invader: int, resident_support,
-                  n_threads: int = 1) -> RateEstimate:
+def invasion_rate(model, envspec, cfg: SimConfig, invader: int, resident_support) -> RateEstimate:
     """Average log growth of a missing species along a boundary-face run.
 
     The resident community is simulated on its face from a canonical
@@ -159,7 +158,7 @@ def invasion_rate(model, envspec, cfg: SimConfig, invader: int, resident_support
         raise ConfigurationError(f"species index {invader} out of range")
     model.restrict_to_face(resident_support)  # validates the support
     functional = LogPerCapita(invader)
-    (result,) = _face_runs(model, envspec, cfg, [resident_support], (functional,), n_threads)
+    (result,) = _face_runs(model, envspec, cfg, [resident_support], (functional,))
     extinct = _extinct_replicates(result)
     if extinct:
         raise FaceDegenerateError(
@@ -186,7 +185,7 @@ def _vertex_rows(model: RpsLottery, envspec, cfg: SimConfig) -> list:
     return rows
 
 
-def boundary_invasion_report(model, envspec, cfg: SimConfig, n_threads: int = 1):
+def boundary_invasion_report(model, envspec, cfg: SimConfig):
     """Invasion rates for every boundary face plus a permanence verdict.
 
     One sampled ergodic measure per face, from the canonical interior-of-
@@ -204,9 +203,7 @@ def boundary_invasion_report(model, envspec, cfg: SimConfig, n_threads: int = 1)
         supports = [s for size in range(1, k) for s in combinations(range(k), size)]
         functionals = tuple(LogPerCapita(i) for i in range(k))
         rows = []
-        for support, result in zip(
-            supports, _face_runs(model, envspec, cfg, supports, functionals, n_threads)
-        ):
+        for support, result in zip(supports, _face_runs(model, envspec, cfg, supports, functionals)):
             extinct = _extinct_replicates(result)
             if extinct:
                 degenerate = (f"resident community degenerated in replicates {extinct}; "
@@ -333,7 +330,7 @@ def find_persistence_weights(table: InvasionTable):
 # Scalar classification
 
 
-def scalar_classify(model, envspec, cfg: SimConfig, n_threads: int = 1) -> Verdict:
+def scalar_classify(model, envspec, cfg: SimConfig) -> Verdict:
     """Classify a scalar model as extinction, explosion, or persistent.
 
     Decides on the average log growth at zero and its large-density limit
@@ -375,7 +372,7 @@ def scalar_classify(model, envspec, cfg: SimConfig, n_threads: int = 1) -> Verdi
         margins = [_margin(lam0), _margin(lam_inf)]
 
     sim_cfg = cfg if cfg.eta_grid else cfg.replaced(eta_grid=(0.01,))
-    result = simulate(model, envspec, sim_cfg, n_threads=n_threads)
+    result = simulate(model, envspec, sim_cfg)
     r_total = len(result.replicates)
     ext = result.pooled.extinct_fraction
     evidence = {
@@ -569,16 +566,12 @@ def affine_domination_audit(model, envspec, construction: DriftConstruction, cfg
     ]
     x = _initial_states(model, cfg, streams, [tuple(range(model.k))] * cfg.replicates)
     z = construction.v(x).copy()
-    draws = np.empty((cfg.horizon, cfg.replicates, model.env_dim))
-    for i, stream in enumerate(streams):
-        draws[:, i, :] = sample_block(envspec, stream, cfg.horizon)
     min_slack = np.inf
-    for t in range(cfg.horizon):
-        w = draws[t]
-        x = model.step(x, w)
-        z = construction.alpha(w) * z + construction.beta(w)
-        slack = float((z - construction.v(x)).min())
-        min_slack = min(min_slack, slack)
+    for _, draws in _draw_chunks(envspec, streams, cfg.horizon):
+        for w in draws:
+            x = model.step(x, w)
+            z = construction.alpha(w) * z + construction.beta(w)
+            min_slack = min(min_slack, float((z - construction.v(x)).min()))
     return {"ok": min_slack >= 0.0, "min_slack": min_slack, "steps": cfg.horizon}
 
 

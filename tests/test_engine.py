@@ -15,7 +15,9 @@ from stochpop.engine import (
     LogPerCapita,
     OutsideBall,
     SimConfig,
+    _drive,
     auxiliary_affine_chain,
+    default_sets,
     ensemble_hit_probability,
     ergodic_average,
     simulate,
@@ -67,19 +69,21 @@ def test_occupation_additivity():
         )
 
 
-def test_reproducibility_across_runs_and_threads():
+def test_rows_of_a_batch_match_one_row_runs():
     cfg = SimConfig(seed=3, replicates=6, burn_in=50, horizon=2050, eta_grid=(0.01,), bound_radius=3.0)
     env = EnvSpec((LogNormal(0.2, 0.4), Constant(1.0)))
-    runs = [
-        simulate(Hassell(), env, cfg, functionals=(Coordinate(0),), n_threads=k) for k in (1, 1, 3, 4)
-    ]
-    base = runs[0]
-    for other in runs[1:]:
-        assert other.pooled.occupation == base.pooled.occupation
-        assert other.pooled.functional_averages["coord_0"] == base.pooled.functional_averages["coord_0"]
-        for a, b in zip(base.replicates, other.replicates):
-            assert np.array_equal(a.terminal_state, b.terminal_state)
-            assert a.occupation == b.occupation
+    model = Hassell()
+    functionals = (Coordinate(0), LogPerCapita(0))
+    sets = default_sets(cfg)
+    batch = _drive(model, env, cfg, functionals, sets)
+    again = _drive(model, env, cfg, functionals, sets)
+    for key, value in batch.items():
+        assert np.array_equal(value, again[key]), key
+    support = tuple(range(model.k))
+    for r in range(cfg.replicates):
+        alone = _drive(model, env, cfg, functionals, sets, rows=[(r, support, f"replicate {r}")])
+        for key in ("occ_counts", "fsums", "terminal"):
+            assert np.array_equal(alone[key][0], batch[key][r]), (key, r)
 
 
 def test_extinction_flags_for_decaying_hassell():

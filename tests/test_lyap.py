@@ -8,11 +8,10 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from stochpop.engine import SimConfig, _batch_lengths
+from stochpop.engine import _CHUNK, SimConfig, _batch_lengths
 from stochpop.env import Constant, Discrete, EnvSpec, Gamma, Normal, Uniform, make_stream
 from stochpop.errors import ConfigurationError, NumericError, QuadratureError
 from stochpop.lyap import (
-    _CHUNK,
     GammaClosedFormInput,
     adaptive_simpson,
     digamma,
@@ -188,6 +187,10 @@ _LINEAR3 = (LinearMatrix(3), EnvSpec(tuple(Uniform(0.05, 1.0) for _ in range(9))
         ("few-steps", _BIENNIAL, SimConfig(seed=37, replicates=2, burn_in=4090, horizon=4105), "l1"),
         ("explicit-start", _LINEAR3,
          SimConfig(seed=38, replicates=2, burn_in=50, horizon=5050, initial_state=(0.2, 0.5, 0.3)), "l1"),
+        # the same edges placed around the 2048-step chunk
+        ("under-one-chunk", _BIENNIAL, SimConfig(seed=39, replicates=2, burn_in=100, horizon=1500), "l1"),
+        ("burn-in-past-edge", _LINEAR3, SimConfig(seed=40, replicates=2, burn_in=2100, horizon=6100), "l1"),
+        ("straddle-edge", _BIENNIAL, SimConfig(seed=41, replicates=2, burn_in=2040, horizon=2055), "l1"),
     ],
 )
 def test_blocked_batch_means_match_stepwise_reference(case, model_env, cfg, norm):
@@ -198,6 +201,13 @@ def test_blocked_batch_means_match_stepwise_reference(case, model_env, cfg, norm
     ref = _reference_batch_sums(model, env, cfg, norm) / lengths
     assert blocked.shape == ref.shape == (cfg.replicates, len(lengths))
     np.testing.assert_allclose(blocked, ref, rtol=1e-12, atol=0.0)
+
+
+def test_unknown_initial_state_string_is_refused():
+    m = Biennial(p=0.5, a=0.5, b1=1.0, b2=1.0)
+    cfg = SimConfig(seed=1, horizon=200, initial_state="bogus")
+    with pytest.raises(ConfigurationError, match="unknown initial_state 'bogus'"):
+        lyapunov_mc(m, EnvSpec((Gamma(2.0, 2.0),)), cfg)
 
 
 def test_negative_seed_draws_are_refused():

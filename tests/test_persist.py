@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from stochpop.engine import Box, LogPerCapita, SimConfig, simulate
-from stochpop.env import Constant, EnvSpec, Gamma, LogNormal, Normal, Uniform
+from stochpop.engine import _CHUNK, Box, LogPerCapita, SimConfig, _initial_states, simulate
+from stochpop.env import Constant, EnvSpec, Gamma, LogNormal, Normal, Uniform, make_stream, sample_block
 from stochpop.errors import ConfigurationError, FaceDegenerateError, NumericError
 from stochpop.models import (
     AffineChain,
@@ -374,6 +374,39 @@ def test_dominating_chain_stays_above_model(seed):
     audit = affine_domination_audit(m, env, con, SimConfig(seed=seed, replicates=3, horizon=10_000))
     assert audit["ok"]
     assert audit["min_slack"] >= 0.0
+
+
+def _reference_domination_audit(model, envspec, construction, cfg):
+    """The audit with every draw of the horizon held at once."""
+    streams = [make_stream(cfg.seed, cfg.replicate_base + r) for r in range(cfg.replicates)]
+    x = _initial_states(model, cfg, streams, [tuple(range(model.k))] * cfg.replicates)
+    z = construction.v(x).copy()
+    draws = np.empty((cfg.horizon, cfg.replicates, model.env_dim))
+    for i, stream in enumerate(streams):
+        draws[:, i, :] = sample_block(envspec, stream, cfg.horizon)
+    min_slack = np.inf
+    for t in range(cfg.horizon):
+        w = draws[t]
+        x = model.step(x, w)
+        z = construction.alpha(w) * z + construction.beta(w)
+        min_slack = min(min_slack, float((z - construction.v(x)).min()))
+    return {"ok": min_slack >= 0.0, "min_slack": min_slack, "steps": cfg.horizon}
+
+
+def test_chunked_domination_audit_matches_all_at_once_reference():
+    env = EnvSpec((Normal(1.0, 0.3), Normal(0.8, 0.3)))
+    m = RickerCompetition(0.6, 0.5)
+    con = drift_construction(m, env, seed=18)
+    # a chain that loses 1e-3 a step has its smallest slack at the last
+    # step, so every draw of the horizon moves min_slack
+    sinking = DriftConstruction(name="sinking", v_name="total_density", v=con.v,
+                                alpha=lambda w: np.ones(w.shape[:-1]),
+                                beta=lambda w: np.full(w.shape[:-1], -1e-3), params={})
+    cfg = SimConfig(seed=18, replicates=3, horizon=5000)
+    assert cfg.horizon > 2 * _CHUNK and cfg.horizon % _CHUNK
+    for construction in (con, sinking):
+        audit = affine_domination_audit(m, env, construction, cfg)
+        assert audit == _reference_domination_audit(m, env, construction, cfg)
 
 
 def test_drift_ergodic_check_toy_contraction():
