@@ -32,8 +32,25 @@ from .lyap import GammaClosedFormInput, gamma_closed_form_detailed, lyapunov_mc
 from .models import Biennial, model_info, parse_model
 from .env import Gamma as GammaDist
 
-_TASKS = ("simulate", "classify", "invade", "permanence", "drift", "rps", "gamma", "lyapunov")
 _TOP_KEYS = {"model", "env", "sim", "task", "task_params", "output_dir"}
+# The task_params keys each task reads; any other key is rejected.
+_TASK_PARAMS = {
+    "simulate": {"functionals"},
+    "classify": set(),
+    "invade": {"invader", "resident_support"},
+    "permanence": set(),
+    "drift": {"n_pairs", "margin", "domination_steps"},
+    "rps": {"n", "d"},
+    "gamma": {"rel_tol", "norm"},
+    "lyapunov": {"norm"},
+}
+_TASKS = tuple(_TASK_PARAMS)
+# The header of each CSV output, in column order.
+_CSV_FIELDS = {
+    "results.csv": ("task", "quantity", "species", "face", "mean", "std_error", "n", "verdict"),
+    "replicates.csv": ("replicate", "set_name", "occupation", "functional", "mean", "std_error",
+                       "extinct"),
+}
 _SIM_KEYS = {
     "seed",
     "replicates",
@@ -242,10 +259,6 @@ def _task_permanence(model, envspec, sim, params):
 
 
 def _task_drift(model, envspec, sim, params):
-    allowed = {"n_pairs", "margin", "domination_steps"}
-    extra = set(params) - allowed
-    if extra:
-        raise ConfigurationError(f"unknown drift task_params {sorted(extra)}")
     n_pairs = int(params.get("n_pairs", 100_000))
     margin = float(params.get("margin", 0.1))
     construction = persist.drift_construction(model, envspec, seed=sim.seed, margin=margin)
@@ -288,10 +301,6 @@ def _task_drift(model, envspec, sim, params):
 
 
 def _task_rps(model, envspec, sim, params):
-    allowed = {"n", "d"}
-    extra = set(params) - allowed
-    if extra:
-        raise ConfigurationError(f"unknown rps task_params {sorted(extra)}")
     if "d" in params:
         d = float(params["d"])
     elif hasattr(model, "d"):
@@ -308,10 +317,6 @@ def _task_rps(model, envspec, sim, params):
 
 
 def _task_gamma(model, envspec, sim, params):
-    allowed = {"rel_tol", "norm"}
-    extra = set(params) - allowed
-    if extra:
-        raise ConfigurationError(f"unknown gamma task_params {sorted(extra)}")
     if not isinstance(model, Biennial):
         raise ConfigurationError("gamma task needs the biennial model")
     dist = envspec.coords[0]
@@ -344,10 +349,6 @@ def _task_gamma(model, envspec, sim, params):
 
 
 def _task_lyapunov(model, envspec, sim, params):
-    allowed = {"norm"}
-    extra = set(params) - allowed
-    if extra:
-        raise ConfigurationError(f"unknown lyapunov task_params {sorted(extra)}")
     mc = lyapunov_mc(model, envspec, sim, norm=params.get("norm", "l1"))
     return {"gamma_mc": mc}, [_est_row("lyapunov", "gamma_mc", mc)], {}
 
@@ -412,6 +413,9 @@ def run_config(cfg: dict, out_dir=None, seed=None, threads: int = 1, explore: bo
     params = cfg.get("task_params", {})
     if not isinstance(params, dict):
         raise ConfigurationError("task_params must be an object")
+    extra = set(params) - _TASK_PARAMS[cfg["task"]]
+    if extra:
+        raise ConfigurationError(f"unknown {cfg['task']} task_params {sorted(extra)}")
 
     resolved = dict(cfg)
     resolved["env"] = env_to_config(envspec)
@@ -456,26 +460,16 @@ def run_config(cfg: dict, out_dir=None, seed=None, threads: int = 1, explore: bo
     written = []
     try:
         json_path = target / "results.json"
-        json_path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
         written.append(json_path)
-        csv_path = target / "results.csv"
-        with csv_path.open("w", newline="") as fh:
-            writer = csv.DictWriter(
-                fh,
-                fieldnames=["task", "quantity", "species", "face", "mean", "std_error", "n", "verdict"],
-            )
-            writer.writeheader()
-            for row in report["estimates"]:
-                writer.writerow(row)
-        written.append(csv_path)
-        for name, file_rows in extra_files.items():
+        json_path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        for name, file_rows in {"results.csv": report["estimates"], **extra_files}.items():
             path = target / name
+            written.append(path)
             with path.open("w", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=list(file_rows[0].keys()))
+                writer = csv.DictWriter(fh, fieldnames=_CSV_FIELDS[name])
                 writer.writeheader()
                 for row in file_rows:
                     writer.writerow({k: _jsonable(v) for k, v in row.items()})
-            written.append(path)
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)

@@ -44,6 +44,7 @@ __all__ = [
 
 N_BATCHES = 20
 _CHUNK = 2048
+_BLOCK = 1 << 21  # most draws in one chunk: bounds a wide batch's memory
 _LINEAR_FLOOR = float(np.exp(LOG_FLOOR))
 
 
@@ -282,11 +283,15 @@ def _batch_lengths(n_steps: int, n_batches: int) -> np.ndarray:
 
 def _draw_chunks(envspec, streams, t_total):
     """Yield ``(t, draws)`` for steps t..t+n-1 in chunks of at most _CHUNK
-    steps: ``draws[s, i]`` is the environment of ``streams[i]`` at step t+s.
-    Streams are counter-based, so no draw depends on the chunking."""
+    steps and, for wide batches, at most _BLOCK draws: ``draws[s, i]`` is the
+    environment of ``streams[i]`` at step t+s.  Streams are counter-based, so
+    no draw depends on the chunking; but lyap cuts its blocked products at
+    chunk ends, so its sums change in their last bits with the chunk length,
+    which is shorter than _CHUNK once rows * m exceeds _BLOCK / _CHUNK."""
     m = envspec.dim
-    for t in range(0, t_total, _CHUNK):
-        n = min(_CHUNK, t_total - t)
+    chunk = max(1, min(_CHUNK, _BLOCK // (len(streams) * m)))
+    for t in range(0, t_total, chunk):
+        n = min(chunk, t_total - t)
         u = np.empty((n, len(streams), m))
         for i, stream in enumerate(streams):
             u[:, i, :] = stream.uniforms(n * m).reshape(n, m)
@@ -311,24 +316,23 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
     x = _initial_states(model, cfg, streams, [support for _, support, _ in rows])
 
     mode = model.sim_mode
+    # log_mult and affine carry the log state ell; x is its capped view
+    log_state = mode in ("log_mult", "affine")
     alive0 = x > 0  # structural zeros are faces, never floor crossings
-    if mode == "log_mult":
+    if log_state:
         with np.errstate(divide="ignore"):
             ell = np.log(x)
-    elif mode == "affine":
-        with np.errstate(divide="ignore"):
-            ell = np.log(x[:, 0])
 
-    state_fns = [f for f in functionals if f.kind == "state"]
-    pair_fns = [f for f in functionals if f.kind != "state"]
+    state_fns = [(j, f) for j, f in enumerate(functionals) if f.kind == "state"]
+    pair_fns = [(j, f) for j, f in enumerate(functionals) if f.kind != "state"]
     if mode in ("linear", "affine") and not model.multiplicative:
-        if any(isinstance(f, LogPerCapita) for f in pair_fns):
+        if any(isinstance(f, LogPerCapita) for _, f in pair_fns):
             raise ConfigurationError(f"{model.name} has no per-capita growth factors")
+    # the log growth of the total is computed only when it is measured
+    norm = any(isinstance(f, LogNorm) for f in functionals)
 
-    n_f = len(functionals)
-    f_index = {f.name: i for i, f in enumerate(functionals)}
     occ_counts = np.zeros((rg, len(sets)), dtype=np.int64)
-    fsums = np.zeros((rg, n_f, n_batches))
+    fsums = np.zeros((rg, len(functionals), n_batches))
     n_thin = 0 if n_steps == 0 else 1 + (n_steps - 1) // cfg.thinning
     thinned = np.zeros((rg, n_thin, k))
     floored = np.zeros(rg, dtype=bool)
@@ -338,11 +342,8 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
         n = len(draws)
         for s, w in enumerate(draws):
             step_t = t + s
-
-            if mode == "log_mult":
+            if log_state:
                 x = np.exp(np.minimum(ell, LOG_CAP))
-            elif mode == "affine":
-                x = np.exp(np.minimum(ell, LOG_CAP))[:, None]
 
             measuring = step_t >= burn
             if measuring:
@@ -350,16 +351,15 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
                 b = (rel * n_batches) // n_steps
                 for j, sd in enumerate(sets):
                     occ_counts[:, j] += sd.contains(x, model)
-                for f in state_fns:
+                for j, f in state_fns:
                     if isinstance(f, Coordinate):
-                        val = x[:, f.i]
+                        fsums[:, j, b] += x[:, f.i]
                     else:
-                        val = f.set_descriptor.contains(x, model).astype(float)
-                    fsums[:, f_index[f.name], b] += val
+                        fsums[:, j, b] += f.set_descriptor.contains(x, model).astype(float)
                 if rel % cfg.thinning == 0:
                     thinned[:, rel // cfg.thinning] = x
 
-            # advance one step, collecting per-capita factors where cheap
+            # advance one step; each mode sets logf and, if measured, growth
             if mode == "log_mult":
                 logf = model.log_percapita(x, w)
                 ell_new = ell + logf
@@ -367,34 +367,19 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
                 if dip.any():
                     ell_new[dip] = LOG_FLOOR
                     floored |= dip.any(axis=-1)
-                if measuring and pair_fns:
-                    for f in pair_fns:
-                        if isinstance(f, LogPerCapita):
-                            val = logf[:, f.i]
-                        else:
-                            val = logsumexp(ell_new, axis=-1) - logsumexp(ell, axis=-1)
-                        fsums[:, f_index[f.name], b] += val
+                if measuring and norm:
+                    growth = logsumexp(ell_new, axis=-1) - logsumexp(ell, axis=-1)
                 ell = ell_new
             elif mode == "simplex":
                 logf = model.log_percapita(x, w)
                 x_new = x * np.exp(logf)
                 x_new /= x_new.sum(axis=-1, keepdims=True)
-                low = np.where(alive0, x_new, np.inf).min(axis=-1) < _LINEAR_FLOOR
-                floored |= low
-                if measuring and pair_fns:
-                    for f in pair_fns:
-                        if isinstance(f, LogPerCapita):
-                            val = logf[:, f.i]
-                        else:
-                            val = np.zeros(rg)
-                        fsums[:, f_index[f.name], b] += val
+                floored |= np.where(alive0, x_new, np.inf).min(axis=-1) < _LINEAR_FLOOR
+                growth = 0.0  # the total stays 1
                 x = x_new
             elif mode == "affine":
-                la, lb = np.log(w[:, 0]), np.log(w[:, 1])
-                ell_new = np.logaddexp(la + ell, lb)
-                if measuring and pair_fns:
-                    for f in pair_fns:
-                        fsums[:, f_index[f.name], b] += ell_new - ell
+                ell_new = np.logaddexp(np.log(w[:, :1]) + ell, np.log(w[:, 1:]))
+                growth = (ell_new - ell)[:, 0]
                 ell = ell_new
             else:
                 x_new = model.step(x, w)
@@ -403,25 +388,22 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
                     floored |= crossed
                     frozen |= crossed
                     x_new[frozen] = x[frozen]
-                if measuring and pair_fns:
-                    tot_old = x.sum(axis=-1)
-                    tot_new = x_new.sum(axis=-1)
+                if measuring and norm:
                     with np.errstate(divide="ignore", invalid="ignore"):
-                        g = np.log(tot_new) - np.log(tot_old)
-                    for f in pair_fns:
-                        fsums[:, f_index[f.name], b] += g
+                        growth = np.log(x_new.sum(axis=-1)) - np.log(x.sum(axis=-1))
                 x = x_new
 
-        if mode in ("log_mult", "affine"):
-            bad = np.isnan(ell) | (ell == np.inf)
-        else:
-            bad = ~np.isfinite(x)
+            if measuring:
+                for j, f in pair_fns:
+                    fsums[:, j, b] += logf[:, f.i] if isinstance(f, LogPerCapita) else growth
+
+        bad = (np.isnan(ell) | (ell == np.inf)) if log_state else ~np.isfinite(x)
         if bad.any():
-            which = int(np.argwhere(bad.reshape(rg, -1).any(axis=-1))[0][0])
+            which = int(np.argwhere(bad.any(axis=-1))[0][0])
             raise NumericError(
                 f"non-finite state for {rows[which][2]} "
                 f"within steps {t}..{t + n - 1}",
-                state=x[which] if mode not in ("log_mult", "affine") else None,
+                state=None if log_state else x[which],
                 step=t + n - 1,
             )
         bad_sum = ~np.isfinite(fsums).all(axis=-1)
@@ -433,10 +415,8 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
                 step=t + n - 1,
             )
 
-    if mode == "log_mult":
+    if log_state:
         x = np.exp(np.minimum(ell, LOG_CAP))
-    elif mode == "affine":
-        x = np.exp(np.minimum(ell, LOG_CAP))[:, None]
 
     return {
         "occ_counts": occ_counts,

@@ -88,7 +88,12 @@ class Model:
     sim_mode = "linear"
 
     def step(self, x, w):
-        raise NotImplementedError
+        # per-capita models: x_i' = x_i * f_i(x, w), renormalized on a simplex
+        x = np.asarray(x, dtype=float)
+        out = x * np.exp(self.log_percapita(x, w))
+        if isinstance(self.state_space, Simplex):
+            out /= out.sum(axis=-1, keepdims=True)
+        return out
 
     def log_percapita(self, x, w):
         raise ConfigurationError(f"{self.name} has no per-capita form")
@@ -117,10 +122,6 @@ class Model:
                 f"{self.name} needs {self.env_dim} environment coordinates, got {env.dim}"
             )
 
-    def _mult_step(self, x, w):
-        x = np.asarray(x, dtype=float)
-        return x * np.exp(self.log_percapita(x, w))
-
 
 class Hassell(Model):
     """Scalar overcompensating model: x' = x * lam / (1 + x)**b."""
@@ -135,9 +136,6 @@ class Hassell(Model):
     def __init__(self):
         self.state_space = Orthant(1)
         self.extinction = Origin(1)
-
-    def step(self, x, w):
-        return self._mult_step(x, w)
 
     def log_percapita(self, x, w):
         lam, b = w[..., 0], w[..., 1]
@@ -167,9 +165,6 @@ class RickerScalar(Model):
         self.state_space = Orthant(1)
         self.extinction = Origin(1)
 
-    def step(self, x, w):
-        return self._mult_step(x, w)
-
     def log_percapita(self, x, w):
         r, a = w[..., 0], w[..., 1]
         lf = r - a * x[..., 0]
@@ -197,9 +192,6 @@ class BevertonHolt(Model):
         self.s = float(s)
         self.state_space = Orthant(1)
         self.extinction = Origin(1)
-
-    def step(self, x, w):
-        return self._mult_step(x, w)
 
     def log_percapita(self, x, w):
         lam, a = w[..., 0], w[..., 1]
@@ -237,9 +229,6 @@ class RickerCompetition(Model):
         self.state_space = Orthant(2)
         self.extinction = CoordinateUnion((0, 1))
 
-    def step(self, x, w):
-        return self._mult_step(x, w)
-
     def log_percapita(self, x, w):
         x = np.asarray(x, dtype=float)
         lf = np.empty(np.broadcast_shapes(x.shape, w.shape), dtype=float)
@@ -270,11 +259,6 @@ class Lottery(Model):
         self.env_coord_names = tuple(f"xi{i + 1}" for i in range(self.k))
         self.state_space = Simplex(self.k)
         self.extinction = CoordinateUnion(tuple(range(self.k)))
-
-    def step(self, x, w):
-        x = np.asarray(x, dtype=float)
-        out = x * np.exp(self.log_percapita(x, w))
-        return out / out.sum(axis=-1, keepdims=True)
 
     def log_percapita(self, x, w):
         if np.any(w <= 0):
@@ -320,11 +304,6 @@ class RpsLottery(Model):
             ],
             axis=-1,
         )
-
-    def step(self, x, w):
-        x = np.asarray(x, dtype=float)
-        out = x * np.exp(self.log_percapita(x, w))
-        return out / out.sum(axis=-1, keepdims=True)
 
     def log_percapita(self, x, w):
         x = np.asarray(x, dtype=float)

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from stochpop import engine
 from stochpop.cli import main, run_config
 from stochpop.errors import ConfigurationError
 
@@ -32,6 +33,26 @@ def _permanence_cfg():
         },
         "sim": {"seed": 5, "replicates": 2, "burn_in": 100, "horizon": 1100},
         "task": "permanence",
+    }
+
+
+def _simulate_cfg():
+    return {
+        "model": {
+            "model": "hassell",
+            "lam": {"dist": "lognormal", "log_mean": 0.3, "log_sd": 0.3},
+            "b": 1.0,
+        },
+        "sim": {
+            "seed": 5,
+            "replicates": 3,
+            "burn_in": 100,
+            "horizon": 2100,
+            "eta_grid": [0.01],
+            "bound_radius": 5.0,
+        },
+        "task": "simulate",
+        "task_params": {"functionals": [{"kind": "coordinate", "i": 0}]},
     }
 
 
@@ -99,6 +120,13 @@ def test_unknown_keys_rejected(tmp_path):
     cfg3 = _classify_cfg()
     cfg3["task"] = "classification"
     assert main(["run", "--config", _write(tmp_path, cfg3, "c3.json"), "--out", str(tmp_path / "o3")]) == 2
+    cfg4 = _classify_cfg()
+    cfg4["task_params"] = {"bogus": 1}
+    assert main(["run", "--config", _write(tmp_path, cfg4, "c4.json"), "--out", str(tmp_path / "o4")]) == 2
+    cfg5 = _simulate_cfg()
+    cfg5["task_params"] = {"functionls": [{"kind": "coordinate", "i": 0}]}
+    assert main(["run", "--config", _write(tmp_path, cfg5, "c5.json"), "--out", str(tmp_path / "o5")]) == 2
+    assert not (tmp_path / "o4").exists() and not (tmp_path / "o5").exists()
 
 
 def test_missing_config_file_exits_2(tmp_path):
@@ -218,23 +246,7 @@ def test_rps_task_uses_model_turnover(tmp_path):
 
 
 def test_simulate_task_writes_replicate_csv(tmp_path):
-    cfg = {
-        "model": {
-            "model": "hassell",
-            "lam": {"dist": "lognormal", "log_mean": 0.3, "log_sd": 0.3},
-            "b": 1.0,
-        },
-        "sim": {
-            "seed": 5,
-            "replicates": 3,
-            "burn_in": 100,
-            "horizon": 2100,
-            "eta_grid": [0.01],
-            "bound_radius": 5.0,
-        },
-        "task": "simulate",
-        "task_params": {"functionals": [{"kind": "coordinate", "i": 0}]},
-    }
+    cfg = _simulate_cfg()
     out = tmp_path / "out"
     assert main(["run", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
     rows = list(csv.DictReader((out / "replicates.csv").open()))
@@ -242,6 +254,31 @@ def test_simulate_task_writes_replicate_csv(tmp_path):
     report = json.loads((out / "results.json").read_text())
     occ = report["results"]["pooled"]["occupation"]
     assert occ["outside_ball=5"] + occ["not[outside_ball=5]"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_simulate_with_nothing_to_measure_writes_header_only(tmp_path):
+    cfg = _simulate_cfg()
+    del cfg["sim"]["eta_grid"], cfg["sim"]["bound_radius"], cfg["task_params"]
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+    assert (out / "replicates.csv").read_text().splitlines() == [
+        "replicate,set_name,occupation,functional,mean,std_error,extinct"
+    ]
+
+
+def test_write_failure_part_way_leaves_no_outputs(tmp_path, monkeypatch):
+    summary_rows = engine.summary_rows
+
+    def bad_rows(result):
+        rows = summary_rows(result)
+        rows[1]["unexpected"] = 1
+        return rows
+
+    monkeypatch.setattr(engine, "summary_rows", bad_rows)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError):
+        run_config(_simulate_cfg(), out_dir=out)
+    assert list(out.iterdir()) == []
 
 
 def test_list_models_stable_and_complete(capsys):

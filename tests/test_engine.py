@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from scipy.special import logsumexp
+
+from stochpop import engine
 from stochpop.engine import (
     Box,
     Complement,
@@ -15,16 +18,28 @@ from stochpop.engine import (
     LogPerCapita,
     OutsideBall,
     SimConfig,
+    _draw_chunks,
     _drive,
+    _initial_states,
     auxiliary_affine_chain,
     default_sets,
     ensemble_hit_probability,
     ergodic_average,
     simulate,
 )
-from stochpop.env import Constant, EnvSpec, LogNormal, Normal, Uniform
+from stochpop.env import Constant, Discrete, EnvSpec, LogNormal, Normal, Uniform, make_stream
 from stochpop.errors import ConfigurationError, NumericError
-from stochpop.models import BevertonHolt, Hassell, Lottery, RickerScalar
+from stochpop.models import (
+    LOG_CAP,
+    LOG_FLOOR,
+    AffineChain,
+    BevertonHolt,
+    Biennial,
+    Hassell,
+    Lottery,
+    RickerCompetition,
+    RickerScalar,
+)
 
 
 def _bh_env():
@@ -70,6 +85,16 @@ def test_occupation_additivity():
 
 
 def test_rows_of_a_batch_match_one_row_runs():
+    _check_rows_match_one_row_runs()
+
+
+def test_rows_match_one_row_runs_across_draw_block_lengths(monkeypatch):
+    # 6 rows x 2 draws make 83-step chunks, one row 500-step chunks
+    monkeypatch.setattr(engine, "_BLOCK", 1000)
+    _check_rows_match_one_row_runs()
+
+
+def _check_rows_match_one_row_runs():
     cfg = SimConfig(seed=3, replicates=6, burn_in=50, horizon=2050, eta_grid=(0.01,), bound_radius=3.0)
     env = EnvSpec((LogNormal(0.2, 0.4), Constant(1.0)))
     model = Hassell()
@@ -227,3 +252,162 @@ def test_random_interior_simplex_start_is_interior():
     starts = np.stack([s.thinned_samples[0] for s in result.replicates])
     assert np.all(starts >= 0.01 - 1e-12)
     assert np.allclose(starts.sum(axis=1), 1.0, atol=1e-12)
+
+
+_LINEAR_FLOOR = float(np.exp(LOG_FLOOR))
+
+
+def _reference_drive(model, envspec, cfg, functionals, sets):
+    """The driver with its pair functionals accumulated separately in each
+    sim_mode branch, one replicate per row."""
+    support = tuple(range(model.k))
+    rows = [(r, support, f"replicate {r}") for r in range(cfg.replicates)]
+    k = model.k
+    t_total = cfg.horizon
+    burn = cfg.burn_in
+    n_steps = t_total - burn
+    n_batches = min(20, n_steps)
+    rg = len(rows)
+    streams = [make_stream(cfg.seed, cfg.replicate_base + sid) for sid, _, _ in rows]
+    x = _initial_states(model, cfg, streams, [support for _, support, _ in rows])
+
+    mode = model.sim_mode
+    alive0 = x > 0
+    if mode == "log_mult":
+        with np.errstate(divide="ignore"):
+            ell = np.log(x)
+    elif mode == "affine":
+        with np.errstate(divide="ignore"):
+            ell = np.log(x[:, 0])
+
+    state_fns = [f for f in functionals if f.kind == "state"]
+    pair_fns = [f for f in functionals if f.kind != "state"]
+    f_index = {f.name: i for i, f in enumerate(functionals)}
+    occ_counts = np.zeros((rg, len(sets)), dtype=np.int64)
+    fsums = np.zeros((rg, len(functionals), n_batches))
+    n_thin = 0 if n_steps == 0 else 1 + (n_steps - 1) // cfg.thinning
+    thinned = np.zeros((rg, n_thin, k))
+    floored = np.zeros(rg, dtype=bool)
+    frozen = np.zeros(rg, dtype=bool)
+
+    for t, draws in _draw_chunks(envspec, streams, t_total):
+        for s, w in enumerate(draws):
+            step_t = t + s
+            if mode == "log_mult":
+                x = np.exp(np.minimum(ell, LOG_CAP))
+            elif mode == "affine":
+                x = np.exp(np.minimum(ell, LOG_CAP))[:, None]
+
+            measuring = step_t >= burn
+            if measuring:
+                rel = step_t - burn
+                b = (rel * n_batches) // n_steps
+                for j, sd in enumerate(sets):
+                    occ_counts[:, j] += sd.contains(x, model)
+                for f in state_fns:
+                    if isinstance(f, Coordinate):
+                        val = x[:, f.i]
+                    else:
+                        val = f.set_descriptor.contains(x, model).astype(float)
+                    fsums[:, f_index[f.name], b] += val
+                if rel % cfg.thinning == 0:
+                    thinned[:, rel // cfg.thinning] = x
+
+            if mode == "log_mult":
+                logf = model.log_percapita(x, w)
+                ell_new = ell + logf
+                dip = (ell_new < LOG_FLOOR) & alive0
+                if dip.any():
+                    ell_new[dip] = LOG_FLOOR
+                    floored |= dip.any(axis=-1)
+                if measuring and pair_fns:
+                    for f in pair_fns:
+                        if isinstance(f, LogPerCapita):
+                            val = logf[:, f.i]
+                        else:
+                            val = logsumexp(ell_new, axis=-1) - logsumexp(ell, axis=-1)
+                        fsums[:, f_index[f.name], b] += val
+                ell = ell_new
+            elif mode == "simplex":
+                logf = model.log_percapita(x, w)
+                x_new = x * np.exp(logf)
+                x_new /= x_new.sum(axis=-1, keepdims=True)
+                floored |= np.where(alive0, x_new, np.inf).min(axis=-1) < _LINEAR_FLOOR
+                if measuring and pair_fns:
+                    for f in pair_fns:
+                        if isinstance(f, LogPerCapita):
+                            val = logf[:, f.i]
+                        else:
+                            val = np.zeros(rg)
+                        fsums[:, f_index[f.name], b] += val
+                x = x_new
+            elif mode == "affine":
+                la, lb = np.log(w[:, 0]), np.log(w[:, 1])
+                ell_new = np.logaddexp(la + ell, lb)
+                if measuring and pair_fns:
+                    for f in pair_fns:
+                        fsums[:, f_index[f.name], b] += ell_new - ell
+                ell = ell_new
+            else:
+                x_new = model.step(x, w)
+                crossed = (np.max(x_new, axis=-1) <= _LINEAR_FLOOR) & ~frozen
+                if crossed.any():
+                    floored |= crossed
+                    frozen |= crossed
+                    x_new[frozen] = x[frozen]
+                if measuring and pair_fns:
+                    tot_old = x.sum(axis=-1)
+                    tot_new = x_new.sum(axis=-1)
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        g = np.log(tot_new) - np.log(tot_old)
+                    for f in pair_fns:
+                        fsums[:, f_index[f.name], b] += g
+                x = x_new
+
+    if mode == "log_mult":
+        x = np.exp(np.minimum(ell, LOG_CAP))
+    elif mode == "affine":
+        x = np.exp(np.minimum(ell, LOG_CAP))[:, None]
+    return {"occ_counts": occ_counts, "fsums": fsums, "thinned": thinned,
+            "floored": floored, "terminal": x}
+
+
+# (model, env, pair functionals); p = 1 makes a zero seed draw on a
+# stage-2-only biennial state kill its row, so the floor freeze is exercised
+_DRIVE_CASES = {
+    "hassell": (Hassell(), EnvSpec((LogNormal(0.2, 0.4), Constant(1.0))),
+                (LogPerCapita(0), LogNorm())),
+    "ricker-competition": (RickerCompetition(0.6, 0.5),
+                           EnvSpec((Normal(1.0, 0.3), Normal(0.8, 0.3))),
+                           (LogPerCapita(1), LogNorm())),
+    "lottery": (Lottery(3, 0.3), EnvSpec((LogNormal(1.0, 0.5),) * 3),
+                (LogPerCapita(2), LogNorm())),
+    "biennial": (Biennial(1.0, 0.5, 1.0, 1.0),
+                 EnvSpec((Discrete((0.0, 3.0), (0.004, 0.996)),)), (LogNorm(),)),
+    "affine": (AffineChain(), EnvSpec((LogNormal(-0.3, 0.4), Constant(1.0))), (LogNorm(),)),
+}
+
+
+@pytest.mark.parametrize("case", list(_DRIVE_CASES))
+def test_drive_matches_per_mode_reference(monkeypatch, case):
+    # 7- to 21-step chunks at _BLOCK = 64, so burn_in 25 ends inside a chunk
+    monkeypatch.setattr(engine, "_BLOCK", 64)
+    model, env, pair_fns = _DRIVE_CASES[case]
+    cfg = SimConfig(seed=16, replicates=3, burn_in=25, horizon=400, thinning=7,
+                    eta_grid=(0.05,), bound_radius=2.0)
+    functionals = (Coordinate(model.k - 1), Indicator(Box(((0.2, 1.5),) * model.k))) + pair_fns
+    sets = default_sets(cfg)
+    got = _drive(model, env, cfg, functionals, sets)
+    want = _reference_drive(model, env, cfg, functionals, sets)
+    for key in ("occ_counts", "fsums", "thinned", "floored", "terminal"):
+        assert np.array_equal(got[key], want[key]), key
+    if case == "biennial":
+        assert 0 < got["floored"].sum() < cfg.replicates
+
+
+def test_repeated_functional_is_not_counted_twice():
+    cfg = SimConfig(seed=1, replicates=2, burn_in=10, horizon=510)
+    env = EnvSpec((LogNormal(0.3, 0.3), Constant(1.0)))
+    once = simulate(Hassell(), env, cfg, (Coordinate(0),))
+    twice = simulate(Hassell(), env, cfg, (Coordinate(0), Coordinate(0)))
+    assert twice.pooled.functional_averages == once.pooled.functional_averages
