@@ -19,6 +19,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -65,25 +66,18 @@ _SIM_KEYS = {
 
 def _jsonable(obj):
     """Convert results to JSON-safe values with deterministic formatting."""
-    if isinstance(obj, RateEstimate):
-        return _jsonable(obj.to_dict())
+    if isinstance(obj, float):  # numpy's float64 included
+        if math.isfinite(obj):
+            return float(obj)
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        x = float(obj)
-        if np.isnan(x):
-            return "nan"
-        if np.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return x
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, RateEstimate):
+        return _jsonable(obj.to_dict())
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return _jsonable(obj.tolist())
     return obj
 
 
@@ -138,16 +132,17 @@ def _face_label(support) -> str:
 
 
 def _row(task, quantity, species="", face="", mean="", std_error="", n="", verdict=""):
-    return {
+    """One results.csv row, converted to plain JSON values here, once."""
+    return _jsonable({
         "task": task,
         "quantity": quantity,
         "species": species,
         "face": face,
-        "mean": _jsonable(mean),
-        "std_error": _jsonable(std_error),
+        "mean": mean,
+        "std_error": std_error,
         "n": n,
         "verdict": verdict,
-    }
+    })
 
 
 def _est_row(task, quantity, est: RateEstimate, species="", face="", verdict=""):
@@ -155,7 +150,8 @@ def _est_row(task, quantity, est: RateEstimate, species="", face="", verdict="")
 
 
 # ---------------------------------------------------------------------------
-# Task runners: each returns (results_dict, estimate_rows, extra_files)
+# Task runners: each returns (results_dict, estimate_rows, extra_files); the
+# rows of both CSV files hold plain values and are written as they are
 
 
 def _task_simulate(model, envspec, sim, params):
@@ -452,7 +448,7 @@ def run_config(cfg: dict, out_dir=None, seed=None, threads: int = 1, explore: bo
         },
         "config": json.loads(resolved_json),
         "results": _jsonable(results),
-        "estimates": _jsonable(rows),
+        "estimates": rows,
     }
 
     target = Path(out_dir if out_dir is not None else cfg.get("output_dir", "."))
@@ -468,8 +464,7 @@ def run_config(cfg: dict, out_dir=None, seed=None, threads: int = 1, explore: bo
             with path.open("w", newline="") as fh:
                 writer = csv.DictWriter(fh, fieldnames=_CSV_FIELDS[name])
                 writer.writeheader()
-                for row in file_rows:
-                    writer.writerow({k: _jsonable(v) for k, v in row.items()})
+                writer.writerows(file_rows)
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)

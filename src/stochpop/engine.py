@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import logsumexp
 
-from .env import EnvSpec, make_stream
+from .env import EnvSpec, make_stream, open_unit
 from .errors import ConfigurationError, NumericError
 from .models import LOG_CAP, LOG_FLOOR, AffineChain, Model, Simplex
 
@@ -289,13 +289,20 @@ def _draw_chunks(envspec, streams, t_total):
     chunk ends, so its sums change in their last bits with the chunk length,
     which is shorter than _CHUNK once rows * m exceeds _BLOCK / _CHUNK."""
     m = envspec.dim
-    chunk = max(1, min(_CHUNK, _BLOCK // (len(streams) * m)))
+    rows = len(streams)
+    chunk = max(1, min(_CHUNK, _BLOCK // (rows * m)))
+    # one reused buffer; each stream fills its own contiguous row
+    buf = np.empty(rows * min(chunk, t_total) * m)
     for t in range(0, t_total, chunk):
         n = min(chunk, t_total - t)
-        u = np.empty((n, len(streams), m))
-        for i, stream in enumerate(streams):
-            u[:, i, :] = stream.uniforms(n * m).reshape(n, m)
-        yield t, envspec.transform(u)
+        u = buf[: rows * n * m].reshape(rows, n * m)
+        for row, stream in zip(u, streams):
+            stream.uniforms(n * m, out=row)
+        open_unit(u)
+        # the transform writes step-major, so each step's draws are contiguous
+        draws = np.empty((n, rows, m))
+        envspec.transform(u.reshape(rows, n, m), out=draws.transpose(1, 0, 2))
+        yield t, draws
 
 
 def _drive(model, envspec, cfg, functionals, sets, rows=None):
@@ -303,6 +310,10 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
     draws from stream cfg.replicate_base + id and starts on its support.  By
     default the rows are replicates 0..R-1 of ``model`` on its own support."""
     model.check_env(envspec)
+    for f in functionals:
+        if isinstance(f, (Coordinate, LogPerCapita)) and not 0 <= f.i < model.k:
+            raise ConfigurationError(f"species index {f.i} of {f.name} out of range "
+                                     f"for {model.name}")
     if rows is None:
         support = getattr(model, "support", tuple(range(model.k)))
         rows = [(r, support, f"replicate {r}") for r in range(cfg.replicates)]
@@ -463,24 +474,37 @@ def _check_finite(averages: dict, label):
 
 def _build_result(raw, functionals, sets) -> SimulationResult:
     n_steps = raw["n_steps"]
-    lengths = _batch_lengths(n_steps, raw["n_batches"])
+    b = raw["n_batches"]
+    lengths = _batch_lengths(n_steps, b)
     occ = raw["occ_counts"] / n_steps
     # fsums holds batch sums; per-batch means weight each batch equally
     bmeans = raw["fsums"] / lengths[None, None, :]
-    reps = []
-    for r in range(len(occ)):
-        fa = {f.name: _batch_estimate(raw["fsums"][r, j], bmeans[r, j], n_steps)
-              for j, f in enumerate(functionals)}
-        _check_finite(fa, raw["labels"][r])
-        reps.append(
-            EmpiricalSummary(
-                occupation={sd.name: float(occ[r, j]) for j, sd in enumerate(sets)},
-                functional_averages=fa,
-                thinned_samples=raw["thinned"][r].copy(),
-                terminal_state=raw["terminal"][r].copy(),
-                extinction_flag=bool(raw["floored"][r]),
-            )
+    # every row's _batch_estimate at once: the same sums, variances and
+    # zero-spread test, over the last axis
+    means = raw["fsums"].sum(axis=-1) / n_steps
+    ses = np.zeros_like(means)
+    if b >= 2:
+        ses = np.sqrt(bmeans.var(axis=-1, ddof=1) / b)
+        ses[np.ptp(bmeans, axis=-1) == 0.0] = 0.0
+    names = [f.name for f in functionals]
+    set_names = [sd.name for sd in sets]
+    reps = [
+        EmpiricalSummary(
+            occupation=dict(zip(set_names, occ_r)),
+            functional_averages={name: RateEstimate(mean, se, b, n_steps)
+                                 for name, mean, se in zip(names, means_r, ses_r)},
+            thinned_samples=thinned,
+            terminal_state=terminal,
+            extinction_flag=floored,
         )
+        for occ_r, means_r, ses_r, thinned, terminal, floored in zip(
+            occ.tolist(), means.tolist(), ses.tolist(), raw["thinned"], raw["terminal"],
+            raw["floored"].tolist())
+    ]
+    bad = ~(np.isfinite(means) & np.isfinite(ses)).all(axis=-1)
+    if bad.any():
+        r = int(np.argmax(bad))
+        _check_finite(reps[r].functional_averages, raw["labels"][r])
     pooled_fa = {f.name: _batch_estimate(raw["fsums"][:, j, :], bmeans[:, j, :], n_steps)
                  for j, f in enumerate(functionals)}
     _check_finite(pooled_fa, "the pooled replicates")

@@ -172,12 +172,21 @@ class EnvSpec:
     def means(self) -> np.ndarray:
         return np.array([c.mean() for c in self.coords])
 
-    def transform(self, u: np.ndarray) -> np.ndarray:
-        """Map uniforms of shape ``(..., dim)`` to environment vectors."""
-        out = np.empty_like(u, dtype=float)
+    def transform(self, u: np.ndarray, out=None) -> np.ndarray:
+        """Map uniforms of shape ``(..., dim)`` to environment vectors, in
+        ``out`` (of u's shape, any strides) when given."""
+        if out is None:
+            out = np.empty_like(u, dtype=float)
         for j, c in enumerate(self.coords):
             out[..., j] = c.ppf(u[..., j])
         return out
+
+
+def open_unit(u: np.ndarray) -> np.ndarray:
+    """Nudge exact zeros of [0, 1) words to 2**-54, in place, so inverse
+    CDFs stay finite; the smallest nonzero word is 2**-53."""
+    u[u == 0.0] = 2.0**-54
+    return u
 
 
 class Stream:
@@ -195,12 +204,15 @@ class Stream:
         key = np.array([self.seed, self.replicate_id], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
-    def uniforms(self, n: int) -> np.ndarray:
-        """``n`` doubles in the open interval (0, 1), one 64-bit word each."""
-        u = self._gen.random(n)
-        # random() lands in [0, 1); nudge an exact 0 so inverse CDFs stay finite.
-        u[u == 0.0] = 2.0**-54
-        return u
+    def uniforms(self, n: int, out=None) -> np.ndarray:
+        """``n`` doubles in the open interval (0, 1), one 64-bit word each.
+
+        With ``out`` (a contiguous length-``n`` row of a larger block) the
+        words are written there as drawn, in [0, 1): the caller runs
+        :func:`open_unit` once over the whole block."""
+        if out is not None:
+            return self._gen.random(n, out=out)
+        return open_unit(self._gen.random(n))
 
     def __repr__(self):
         return f"Stream(seed={self.seed}, replicate_id={self.replicate_id})"

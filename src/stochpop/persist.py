@@ -53,6 +53,7 @@ _BASE_POINT_MC = 1 << 32
 _BASE_FACE = 1 << 33
 _BASE_AUDIT = 1 << 34
 _BASE_MOMENTS = 1 << 35
+_FACE_FIELD = 1 << 20  # replicate ids per face in the _BASE_FACE namespace
 
 _SIGMAS = 3.0
 
@@ -127,8 +128,11 @@ def _face_runs(model, envspec, cfg: SimConfig, supports, functionals) -> list:
     in the support of its start.  Replicate r of face S keeps its stream
     _BASE_FACE + code(S) * 2^20 + r."""
     r_total = cfg.replicates
+    if r_total > _FACE_FIELD:
+        raise ConfigurationError(f"a boundary run takes at most {_FACE_FIELD} replicates per "
+                                 f"face, so that faces never share streams; got {r_total}")
     rows = [
-        (_BASE_FACE + (_face_code(s) << 20) + r, s, f"face {s} replicate {r}")
+        (_BASE_FACE + _face_code(s) * _FACE_FIELD + r, s, f"face {s} replicate {r}")
         for s in supports
         for r in range(r_total)
     ]

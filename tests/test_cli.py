@@ -1,14 +1,25 @@
 """CLI contract: schema validation, exit codes, deterministic outputs."""
 
 import csv
+import hashlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from stochpop import engine
+import stochpop
+from stochpop import cli, engine
 from stochpop.cli import main, run_config
+from stochpop.engine import RateEstimate
+from stochpop.env import env_to_config
 from stochpop.errors import ConfigurationError
+from stochpop.models import parse_model
 
 
 def _classify_cfg(seed=42):
@@ -308,3 +319,135 @@ def test_explore_reports_raw_statistics_without_verdicts(tmp_path):
     hit = report["results"]["exploratory"]["ensemble_hit_at_horizon"]["S_eta=0.01"]
     assert 0.0 <= hit["mean"] <= 1.0
     assert all(r["verdict"] in ("", "exploratory") for r in report["estimates"])
+
+
+def test_functional_index_out_of_range_exits_2_through_the_module(tmp_path):
+    src = str(Path(stochpop.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for n, functional in enumerate(({"kind": "coordinate", "i": -1},
+                                    {"kind": "log_percapita", "i": 3})):
+        cfg = _simulate_cfg()
+        cfg["task_params"] = {"functionals": [{"kind": "coordinate", "i": 0}, functional]}
+        out = tmp_path / f"out{n}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "stochpop.cli", "run",
+             "--config", _write(tmp_path, cfg, f"c{n}.json"), "--out", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "configuration error: species index" in proc.stderr
+        assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# Output bytes against the writer that converted every field on the way out
+
+
+def _reference_jsonable(obj):
+    if isinstance(obj, RateEstimate):
+        return _reference_jsonable(obj.to_dict())
+    if isinstance(obj, dict):
+        return {str(k): _reference_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_reference_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_reference_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating, float)):
+        x = float(obj)
+        if np.isnan(x):
+            return "nan"
+        if np.isinf(x):
+            return "inf" if x > 0 else "-inf"
+        return x
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.bool_,)):
+        return bool(obj)
+    return obj
+
+
+def _reference_outputs(cfg, monkeypatch) -> dict:
+    """The bytes of each output file when the report and every CSV field go
+    through ``_reference_jsonable`` as they are written."""
+    monkeypatch.setattr(cli, "_jsonable", _reference_jsonable)
+    model, envspec = parse_model(cfg["model"])
+    sim = cli._parse_sim(cfg["sim"])
+    resolved = dict(cfg, env=env_to_config(envspec))
+    resolved_json = json.dumps(_reference_jsonable(resolved), sort_keys=True, indent=2)
+    results, rows, extra = cli._RUNNERS[cfg["task"]](model, envspec, sim,
+                                                     cfg.get("task_params", {}))
+    monkeypatch.undo()
+    report = {
+        "task": cfg["task"],
+        "provenance": {
+            "package": "stochpop",
+            "version": stochpop.__version__,
+            "seed": sim.seed,
+            "config_sha256": hashlib.sha256(resolved_json.encode()).hexdigest(),
+            "explore": False,
+        },
+        "config": json.loads(resolved_json),
+        "results": _reference_jsonable(results),
+        "estimates": _reference_jsonable(rows),
+    }
+    files = {"results.json": (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()}
+    for name, file_rows in {"results.csv": report["estimates"], **extra}.items():
+        fh = io.StringIO(newline="")
+        writer = csv.DictWriter(fh, fieldnames=cli._CSV_FIELDS[name])
+        writer.writeheader()
+        for row in file_rows:
+            writer.writerow({k: _reference_jsonable(v) for k, v in row.items()})
+        files[name] = fh.getvalue().encode()
+    return files
+
+
+def _gamma_cfg():
+    return {
+        "model": {"model": "biennial", "p": 0.5, "a": 0.5, "b1": 1.0, "b2": 1.0,
+                  "xi": {"dist": "gamma", "shape": 2.0, "scale": 2.0}},
+        "sim": {"seed": 2, "replicates": 3, "burn_in": 10, "horizon": 600},
+        "task": "gamma",
+    }
+
+
+def _simulate_all_cfg():
+    cfg = _simulate_cfg()
+    cfg["task_params"] = {"functionals": [{"kind": "coordinate", "i": 0},
+                                          {"kind": "log_percapita", "i": 0},
+                                          {"kind": "log_norm"}]}
+    return cfg
+
+
+@pytest.mark.parametrize("make_cfg", [_simulate_all_cfg, _permanence_cfg, _classify_cfg,
+                                      _gamma_cfg])
+def test_output_bytes_match_the_per_field_writer(tmp_path, monkeypatch, make_cfg):
+    out = tmp_path / "out"
+    run_config(make_cfg(), out_dir=out)
+    want = _reference_outputs(make_cfg(), monkeypatch)
+    assert sorted(p.name for p in out.iterdir()) == sorted(want)
+    for name, blob in want.items():
+        assert (out / name).read_bytes() == blob, name
+
+
+def test_jsonable_matches_the_reference_on_every_leaf_type():
+    values = {
+        "floats": [0.1, -0.0, 1e308, float("nan"), float("inf"), float("-inf")],
+        "numpy": [np.float64(0.1), np.float64("nan"), np.float32(0.1), np.float32("-inf"),
+                  np.int64(-3), np.bool_(True), np.str_("s")],
+        "array": np.array([[0.5, np.nan], [np.inf, -1.0]]),
+        "ints": np.arange(3),
+        "nested": ({1: RateEstimate(0.5, float("inf"), 20, 100)}, [True, None, "x", 7]),
+    }
+    got, want = cli._jsonable(values), _reference_jsonable(values)
+
+    def leaf_types(node):
+        if isinstance(node, dict):
+            return set().union(*map(leaf_types, node.values()))
+        if isinstance(node, list):
+            return set().union(*map(leaf_types, node))
+        return {type(node)}
+
+    # plain leaves: the CSV writer formats numpy scalars differently
+    assert leaf_types(got) == {float, int, str, bool, type(None)}
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    assert json.dumps(got, sort_keys=True, indent=2) == json.dumps(want, sort_keys=True, indent=2)

@@ -27,7 +27,16 @@ from stochpop.engine import (
     ergodic_average,
     simulate,
 )
-from stochpop.env import Constant, Discrete, EnvSpec, LogNormal, Normal, Uniform, make_stream
+from stochpop.env import (
+    Constant,
+    Discrete,
+    EnvSpec,
+    LogNormal,
+    Normal,
+    Uniform,
+    make_stream,
+    sample_block,
+)
 from stochpop.errors import ConfigurationError, NumericError
 from stochpop.models import (
     LOG_CAP,
@@ -411,3 +420,180 @@ def test_repeated_functional_is_not_counted_twice():
     once = simulate(Hassell(), env, cfg, (Coordinate(0),))
     twice = simulate(Hassell(), env, cfg, (Coordinate(0), Coordinate(0)))
     assert twice.pooled.functional_averages == once.pooled.functional_averages
+
+
+def test_functional_index_out_of_range_opens_no_stream(monkeypatch):
+    def no_stream(*args):
+        raise AssertionError("a stream was opened")
+
+    monkeypatch.setattr(engine, "make_stream", no_stream)
+    cfg = SimConfig(seed=1, replicates=2, horizon=50)
+    env = EnvSpec((LogNormal(0.3, 0.3), Constant(1.0)))
+    for bad in (Coordinate(-1), Coordinate(1), LogPerCapita(3), LogPerCapita(-2)):
+        with pytest.raises(ConfigurationError, match="species index"):
+            simulate(Hassell(), env, cfg, (Coordinate(0), bad))
+
+
+# ---------------------------------------------------------------------------
+# The draw block against one stream at a time
+
+
+class _ZeroAt:
+    """A stream generator that emits an exact 0.0 at the given word indices."""
+
+    def __init__(self, gen, zeros):
+        self.gen, self.zeros, self.pos = gen, set(zeros), 0
+
+    def random(self, n, out=None):
+        u = self.gen.random(n, out=out)
+        for i in range(self.pos, self.pos + n):
+            if i in self.zeros:
+                u[i - self.pos] = 0.0
+        self.pos += n
+        return u
+
+
+def _streams(rows, zeros):
+    streams = [make_stream(9, r) for r in range(rows)]
+    for r, words in zeros.items():
+        streams[r]._gen = _ZeroAt(streams[r]._gen, words)
+    return streams
+
+
+_BLOCK_CASES = {
+    # m, rows, steps, _BLOCK (None keeps the shipped bound), zeros {row: word indices}
+    "m1_short_last_chunk": (1, 3, 5000, None, {}),
+    "m3_short_last_chunk": (3, 4, 2100, None, {}),
+    "rows_above_block_per_chunk": (1, 3, 3000, 4096, {}),
+    "one_step_chunks": (2, 3, 7, 4, {}),
+    "exact_zero_words": (2, 3, 3000, 4096, {0: (5, 2731), 2: (0, 5999)}),
+}
+
+
+@pytest.mark.parametrize("case", list(_BLOCK_CASES))
+def test_draw_block_matches_each_stream_alone(monkeypatch, case):
+    m, rows, steps, block, zeros = _BLOCK_CASES[case]
+    if block is not None:
+        monkeypatch.setattr(engine, "_BLOCK", block)
+        assert rows > engine._BLOCK // engine._CHUNK
+    env = EnvSpec((Uniform(0.0, 1.0), LogNormal(0.3, 0.3), Discrete((1.0, 2.0), (0.25, 0.75)))[:m])
+    chunks = list(_draw_chunks(env, _streams(rows, zeros), steps))
+    assert all(draws.flags.c_contiguous for _, draws in chunks)
+    got = np.concatenate([draws for _, draws in chunks])
+    assert [t for t, _ in chunks] == list(range(0, steps, len(chunks[0][1])))
+    assert got.shape == (steps, rows, m)
+    for r, stream in enumerate(_streams(rows, zeros)):
+        assert np.array_equal(got[:, r, :], sample_block(env, stream, steps))
+    for r, words in zeros.items():
+        for word in words:
+            # an exact zero word comes out as 2**-54, transformed
+            j = word % m
+            assert got[word // m, r, j] == env.coords[j].ppf(np.array([2.0**-54]))[0]
+    if zeros:
+        assert got[0, 2, 0] == 2.0**-54  # through the Uniform(0, 1) ppf
+
+
+# ---------------------------------------------------------------------------
+# The row-wise reduction against one estimate per row
+
+
+def _reference_estimate(sums, bmeans, n_steps):
+    """One row's batch-means estimate, computed on its own."""
+    b = bmeans.size
+    n = n_steps * (sums.size // sums.shape[-1])
+    mean = float(sums.sum() / n)
+    flat = bmeans.ravel()
+    if b < 2 or np.ptp(flat) == 0.0:
+        return engine.RateEstimate(mean, 0.0, b, n)
+    return engine.RateEstimate(mean, float(np.sqrt(flat.var(ddof=1) / b)), b, n)
+
+
+def _reference_rows(raw, functionals):
+    """Each row's estimates one call at a time, and the first non-finite one
+    in row order, named as the error names it."""
+    lengths = engine._batch_lengths(raw["n_steps"], raw["n_batches"])
+    bmeans = raw["fsums"] / lengths
+    out, first_bad = [], None
+    with np.errstate(all="ignore"):
+        for r, label in enumerate(raw["labels"]):
+            fa = {f.name: _reference_estimate(raw["fsums"][r, j], bmeans[r, j], raw["n_steps"])
+                  for j, f in enumerate(functionals)}
+            out.append(fa)
+            for name, est in fa.items():
+                if first_bad is None and not (np.isfinite(est.mean) and np.isfinite(est.std_error)):
+                    first_bad = (f"non-finite estimate of {name} for {label}: "
+                                 f"mean {est.mean}, std_error {est.std_error}")
+    return out, first_bad
+
+
+def _raw(fsums, n_steps):
+    rows = len(fsums)
+    return {
+        "occ_counts": np.zeros((rows, 0), dtype=np.int64),
+        "fsums": fsums,
+        "thinned": np.zeros((rows, 1, 1)),
+        "floored": np.zeros(rows, dtype=bool),
+        "terminal": np.ones((rows, 1)),
+        "labels": [f"replicate {r}" for r in range(rows)],
+        "n_steps": n_steps,
+        "n_batches": fsums.shape[-1],
+    }
+
+
+def test_row_wise_reduction_matches_per_row_estimates():
+    rng = np.random.default_rng(3)
+    n_steps = 1003  # batches of 50 and 51 steps
+    fsums = rng.normal(size=(6, 3, 20)) * np.array([1.0, 1e-9, 1e6])[None, :, None]
+    lengths = engine._batch_lengths(n_steps, 20)
+    fsums[2, 1] = 0.1 * lengths  # zero spread: every batch mean is 0.1 ...
+    assert np.ptp(fsums[2, 1] / lengths) == 0.0
+    assert np.var(fsums[2, 1] / lengths, ddof=1) > 0.0  # ... but the variance has residue
+    fsums[4, 0] = 0.0
+    functionals = (Coordinate(0), LogNorm(), LogPerCapita(0))
+    want, first_bad = _reference_rows(_raw(fsums, n_steps), functionals)
+    assert first_bad is None
+    got = engine._build_result(_raw(fsums, n_steps), functionals, ())
+    assert [s.functional_averages for s in got.replicates] == want
+    assert want[2]["log_norm_growth"].std_error == 0.0
+    assert want[4]["coord_0"].std_error == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("horizon", [1, 2, 301])
+def test_row_wise_reduction_matches_per_row_estimates_on_a_run(horizon):
+    # horizon 1 leaves one batch of one step; Indicator of an empty box has
+    # zero spread in every row
+    cfg = SimConfig(seed=4, replicates=5, burn_in=0, horizon=horizon, thinning=3)
+    env = EnvSpec((LogNormal(0.3, 0.3), Constant(1.0)))
+    functionals = (Coordinate(0), LogPerCapita(0), Indicator(Box(((-2.0, -1.0),))), LogNorm())
+    raw = _drive(Hassell(), env, cfg, functionals, ())
+    want, _ = _reference_rows(raw, functionals)
+    got = engine._build_result(raw, functionals, ())
+    assert [s.functional_averages for s in got.replicates] == want
+    for r, s in enumerate(got.replicates):
+        assert np.shares_memory(s.terminal_state, raw["terminal"])
+        assert np.array_equal(s.terminal_state, raw["terminal"][r])
+        assert np.array_equal(s.thinned_samples, raw["thinned"][r])
+    if horizon == 1:
+        assert all(est.batches == 1 and est.std_error == 0.0
+                   for fa in want for est in fa.values())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_row_wise_reduction_names_the_same_non_finite_row():
+    functionals = (Coordinate(0), LogPerCapita(0))
+    fsums = np.ones((4, 2, 20))
+    fsums[1, 1, ::2] = 1e307  # finite sums whose variance overflows: SE inf
+    fsums[1, 1, 1::2] = -1e307
+    fsums[2, 0, 3] = np.nan
+    fsums[2, 1, 3] = np.nan
+    fsums[3, 1, 0] = np.inf
+    for first, expected in ((0, "log_percapita_0 for replicate 1: mean 0.0, std_error inf"),
+                            (2, "coord_0 for replicate 0: mean nan"),
+                            (3, "log_percapita_0 for replicate 0: mean inf")):
+        raw = _raw(fsums[first:], 400)
+        _, first_bad = _reference_rows(raw, functionals)
+        assert expected in first_bad
+        with pytest.raises(NumericError) as err:
+            engine._build_result(raw, functionals, ())
+        assert str(err.value) == first_bad

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from stochpop import engine, persist
 from stochpop.engine import _CHUNK, Box, LogPerCapita, SimConfig, _initial_states, simulate
 from stochpop.env import Constant, EnvSpec, Gamma, LogNormal, Normal, Uniform, make_stream, sample_block
 from stochpop.errors import ConfigurationError, FaceDegenerateError, NumericError
@@ -107,6 +108,24 @@ def test_degenerate_face_raises():
     m = RpsLottery(0.5)
     cfg = SimConfig(seed=7, replicates=1, burn_in=100, horizon=5100)
     with pytest.raises(FaceDegenerateError):
+        invasion_rate(m, env, cfg, invader=2, resident_support=(0, 1))
+
+
+def test_face_stream_field_overflow_raises_before_any_stream(monkeypatch):
+    # replicate 2^20 of one face would take the first stream of the next face
+    def no_stream(*args):
+        raise AssertionError("a stream was opened")
+
+    monkeypatch.setattr(engine, "make_stream", no_stream)
+    monkeypatch.setattr(persist, "make_stream", no_stream)
+    # no stream id is even packed, so a missing check fails at the first row
+    monkeypatch.setattr(persist, "_face_code", no_stream)
+    m = Lottery(3, 0.3)
+    env = EnvSpec((LogNormal(1.0, 0.3),) * 3)
+    cfg = SimConfig(seed=1, replicates=2**20 + 1, burn_in=0, horizon=10)
+    with pytest.raises(ConfigurationError, match="replicates per face"):
+        boundary_invasion_report(m, env, cfg)
+    with pytest.raises(ConfigurationError, match="replicates per face"):
         invasion_rate(m, env, cfg, invader=2, resident_support=(0, 1))
 
 
