@@ -62,6 +62,8 @@ _SIM_KEYS = {
     "eta_grid",
     "bound_radius",
 }
+# sim keys that must be JSON integers; "replicate_base" is no config key
+_SIM_INTS = ("seed", "replicates", "burn_in", "horizon", "thinning")
 
 
 def _jsonable(obj):
@@ -79,6 +81,14 @@ def _jsonable(obj):
     if isinstance(obj, (np.ndarray, np.generic)):
         return _jsonable(obj.tolist())
     return obj
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _validate_top(cfg: dict):
@@ -102,24 +112,38 @@ def _parse_sim(obj) -> SimConfig:
         raise ConfigurationError(f"unknown sim keys {sorted(extra)}")
     if "seed" not in obj or "horizon" not in obj:
         raise ConfigurationError("sim section needs at least seed and horizon")
+    for key in _SIM_INTS:
+        if key in obj and not _is_int(obj[key]):
+            raise ConfigurationError(f"sim {key} must be an integer, got {obj[key]!r}")
     kw = dict(obj)
     if "eta_grid" in kw:
+        if not (isinstance(kw["eta_grid"], list) and all(map(_is_number, kw["eta_grid"]))):
+            raise ConfigurationError(f"sim eta_grid must be a list of numbers, "
+                                     f"got {kw['eta_grid']!r}")
         kw["eta_grid"] = tuple(float(e) for e in kw["eta_grid"])
+    if kw.get("bound_radius") is not None and not _is_number(kw["bound_radius"]):
+        raise ConfigurationError(f"sim bound_radius must be a number, "
+                                 f"got {kw['bound_radius']!r}")
     if "initial_state" in kw and isinstance(kw["initial_state"], list):
+        if not all(map(_is_number, kw["initial_state"])):
+            raise ConfigurationError(f"sim initial_state must be a list of numbers, "
+                                     f"got {kw['initial_state']!r}")
         kw["initial_state"] = tuple(float(v) for v in kw["initial_state"])
     return SimConfig(**kw)
 
 
 def _parse_functionals(spec_list):
+    if not isinstance(spec_list, list):
+        raise ConfigurationError(f"functionals must be a list, got {spec_list!r}")
     out = []
     for item in spec_list:
         if not isinstance(item, dict) or "kind" not in item:
             raise ConfigurationError(f"functional spec must be an object with 'kind': {item!r}")
         kind = item["kind"]
-        if kind == "coordinate":
-            out.append(Coordinate(int(item["i"])))
-        elif kind == "log_percapita":
-            out.append(LogPerCapita(int(item["i"])))
+        if kind in ("coordinate", "log_percapita"):
+            if not _is_int(item.get("i")):
+                raise ConfigurationError(f"{kind} functional needs an integer 'i': {item!r}")
+            out.append((Coordinate if kind == "coordinate" else LogPerCapita)(item["i"]))
         elif kind == "log_norm":
             out.append(LogNorm())
         else:

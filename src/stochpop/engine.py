@@ -7,6 +7,12 @@ of rows into one batch.  Occupation fractions and functional
 time-averages are accumulated streaming over the post-burn-in window;
 standard errors come from 20 equal time batches per replicate, which keeps
 them honest under autocorrelation.
+
+The step loop only advances the state and measures it.  Draws are checked
+once per chunk (``Model.check_draws``), the functionals of the current time
+batch are summed into one per-batch accumulator, and the simplex floor flag
+is taken once per chunk from a running minimum; each gives the same bits as
+a per-step update.
 """
 
 from __future__ import annotations
@@ -151,8 +157,6 @@ class Complement:
 class Coordinate:
     i: int
 
-    kind = "state"
-
     @property
     def name(self):
         return f"coord_{self.i}"
@@ -161,8 +165,6 @@ class Coordinate:
 @dataclass(frozen=True)
 class Indicator:
     set_descriptor: object
-
-    kind = "state"
 
     @property
     def name(self):
@@ -173,8 +175,6 @@ class Indicator:
 class LogPerCapita:
     i: int
 
-    kind = "pair"
-
     @property
     def name(self):
         return f"log_percapita_{self.i}"
@@ -182,11 +182,14 @@ class LogPerCapita:
 
 @dataclass(frozen=True)
 class LogNorm:
-    kind = "pair"
-
     @property
     def name(self):
         return "log_norm_growth"
+
+
+# The functional kinds `_drive` measures, in the column order of its
+# per-batch accumulator
+_KINDS = (Coordinate, Indicator, LogPerCapita, LogNorm)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +314,8 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
     default the rows are replicates 0..R-1 of ``model`` on its own support."""
     model.check_env(envspec)
     for f in functionals:
+        if not isinstance(f, _KINDS):
+            raise ConfigurationError(f"unsupported functional {f!r}")
         if isinstance(f, (Coordinate, LogPerCapita)) and not 0 <= f.i < model.k:
             raise ConfigurationError(f"species index {f.i} of {f.name} out of range "
                                      f"for {model.name}")
@@ -334,13 +339,24 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
         with np.errstate(divide="ignore"):
             ell = np.log(x)
 
-    state_fns = [(j, f) for j, f in enumerate(functionals) if f.kind == "state"]
-    pair_fns = [(j, f) for j, f in enumerate(functionals) if f.kind != "state"]
-    if mode in ("linear", "affine") and not model.multiplicative:
-        if any(isinstance(f, LogPerCapita) for _, f in pair_fns):
-            raise ConfigurationError(f"{model.name} has no per-capita growth factors")
+    # Each functional's sum over the current time batch is kept in acc, its
+    # columns grouped by kind; acc is stored into fsums[:, cols, acc_b] when
+    # the batch changes and at every chunk end.  Each sum still starts at
+    # 0.0 and adds the same terms in the same order.
+    cols = [j for kind in _KINDS for j, f in enumerate(functionals) if isinstance(f, kind)]
+    groups = [[f for f in functionals if isinstance(f, kind)] for kind in _KINDS]
+    coords, indicators, lpcs, lognorms = groups
+    if lpcs and mode in ("linear", "affine") and not model.multiplicative:
+        raise ConfigurationError(f"{model.name} has no per-capita growth factors")
     # the log growth of the total is computed only when it is measured
-    norm = any(isinstance(f, LogNorm) for f in functionals)
+    norm = bool(lognorms)
+    acc = np.zeros((rg, len(cols)))
+    acc_b = 0
+    edges = np.cumsum([0] + [len(group) for group in groups]).tolist()
+    acc_coord, acc_ind, acc_lpc, acc_norm = (acc[:, lo:hi] for lo, hi in zip(edges, edges[1:]))
+    coord_idx = np.array([f.i for f in coords], dtype=np.intp)
+    lpc_idx = np.array([f.i for f in lpcs], dtype=np.intp)
+    ind_cols = [(acc_ind[:, n], f.set_descriptor) for n, f in enumerate(indicators)]
 
     occ_counts = np.zeros((rg, len(sets)), dtype=np.int64)
     fsums = np.zeros((rg, len(functionals), n_batches))
@@ -348,8 +364,11 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
     thinned = np.zeros((rg, n_thin, k))
     floored = np.zeros(rg, dtype=bool)
     frozen = np.zeros(rg, dtype=bool)
+    # simplex mode: each coordinate's smallest value within the chunk
+    xmin = np.full((rg, k), np.inf)
 
     for t, draws in _draw_chunks(envspec, streams, t_total):
+        model.check_draws(draws, t)
         n = len(draws)
         for s, w in enumerate(draws):
             step_t = t + s
@@ -360,13 +379,16 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
             if measuring:
                 rel = step_t - burn
                 b = (rel * n_batches) // n_steps
+                if b != acc_b:
+                    fsums[:, cols, acc_b] = acc
+                    acc.fill(0.0)
+                    acc_b = b
                 for j, sd in enumerate(sets):
                     occ_counts[:, j] += sd.contains(x, model)
-                for j, f in state_fns:
-                    if isinstance(f, Coordinate):
-                        fsums[:, j, b] += x[:, f.i]
-                    else:
-                        fsums[:, j, b] += f.set_descriptor.contains(x, model).astype(float)
+                if coords:
+                    acc_coord += x.take(coord_idx, axis=1)
+                for col, sd in ind_cols:
+                    col += sd.contains(x, model)
                 if rel % cfg.thinning == 0:
                     thinned[:, rel // cfg.thinning] = x
 
@@ -379,18 +401,18 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
                     ell_new[dip] = LOG_FLOOR
                     floored |= dip.any(axis=-1)
                 if measuring and norm:
-                    growth = logsumexp(ell_new, axis=-1) - logsumexp(ell, axis=-1)
+                    growth = (logsumexp(ell_new, axis=-1, keepdims=True)
+                              - logsumexp(ell, axis=-1, keepdims=True))
                 ell = ell_new
             elif mode == "simplex":
                 logf = model.log_percapita(x, w)
-                x_new = x * np.exp(logf)
-                x_new /= x_new.sum(axis=-1, keepdims=True)
-                floored |= np.where(alive0, x_new, np.inf).min(axis=-1) < _LINEAR_FLOOR
+                x = x * np.exp(logf)
+                x /= x.sum(axis=-1, keepdims=True)
+                np.minimum(xmin, x, out=xmin)
                 growth = 0.0  # the total stays 1
-                x = x_new
             elif mode == "affine":
                 ell_new = np.logaddexp(np.log(w[:, :1]) + ell, np.log(w[:, 1:]))
-                growth = (ell_new - ell)[:, 0]
+                growth = ell_new - ell
                 ell = ell_new
             else:
                 x_new = model.step(x, w)
@@ -401,13 +423,20 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
                     x_new[frozen] = x[frozen]
                 if measuring and norm:
                     with np.errstate(divide="ignore", invalid="ignore"):
-                        growth = np.log(x_new.sum(axis=-1)) - np.log(x.sum(axis=-1))
+                        growth = (np.log(x_new.sum(axis=-1, keepdims=True))
+                                  - np.log(x.sum(axis=-1, keepdims=True)))
                 x = x_new
 
             if measuring:
-                for j, f in pair_fns:
-                    fsums[:, j, b] += logf[:, f.i] if isinstance(f, LogPerCapita) else growth
+                if lpcs:
+                    acc_lpc += logf.take(lpc_idx, axis=1)
+                if norm:
+                    acc_norm += growth
 
+        fsums[:, cols, acc_b] = acc
+        if mode == "simplex":
+            floored |= np.where(alive0, xmin, np.inf).min(axis=-1) < _LINEAR_FLOOR
+            xmin.fill(np.inf)
         bad = (np.isnan(ell) | (ell == np.inf)) if log_state else ~np.isfinite(x)
         if bad.any():
             which = int(np.argwhere(bad.any(axis=-1))[0][0])
@@ -546,8 +575,6 @@ def simulate(model, envspec, cfg, functionals=()) -> SimulationResult:
 
 def ergodic_average(model, envspec, cfg, functional) -> RateEstimate:
     """Time average of one functional over the post-burn-in window."""
-    if not isinstance(functional, (Coordinate, LogPerCapita, Indicator, LogNorm)):
-        raise ConfigurationError(f"unsupported functional {functional!r}")
     if cfg.horizon - cfg.burn_in < 2:
         raise ConfigurationError("horizon too short for at least 2 batches")
     result = simulate(model, envspec, cfg, functionals=(functional,))

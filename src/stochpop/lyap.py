@@ -141,6 +141,7 @@ def _mc_batch_sums(model, envspec, cfg, norm):
     edges = burn + np.concatenate(([0], np.cumsum(_batch_lengths(n_steps, n_batches))))
     gsums = np.zeros((rg, n_batches))
     for t, draws in _draw_chunks(envspec, streams, cfg.horizon):
+        model.check_draws(draws, t)
         mats = model.linearization_at_zero(draws)
         n = len(mats)
         cuts = [t, *edges[(edges > t) & (edges < t + n)].tolist(), t + n]

@@ -6,6 +6,11 @@ exactly zero and positive coordinates stay positive, so the extinction set
 and its complement are both invariant.  ``step`` and the per-capita factors
 are pure functions and broadcast over leading axes: ``x`` may be ``(k,)`` or
 ``(R, k)`` with ``w`` of matching leading shape.
+
+``step``, ``log_percapita`` and ``linearization_at_zero`` are unchecked
+kernels: they assume draws the model is defined on.  ``check_draws`` refuses
+any other draw, and every consumer of draws calls it once on each whole
+block (each chunk of a run, each Monte Carlo sample), never per step.
 """
 
 from __future__ import annotations
@@ -73,6 +78,15 @@ class CoordinateUnion:
         return np.min(x[..., list(self.indices)], axis=-1)
 
 
+def _refuse(bad, message, t):
+    """Raise ``message`` if any flag of ``bad`` is set.  ``bad`` has the
+    leading axes of a step-major draw block, so the first offending step is
+    the first flagged index on axis 0, counted from ``t``."""
+    if bad.any():
+        first = int(np.argmax(bad.reshape(len(bad), -1).any(axis=1))) if bad.ndim else 0
+        raise ConfigurationError(f"{message} (first at step {t + first})")
+
+
 class Model:
     """Shared interface; concrete models fill in the class attributes."""
 
@@ -86,6 +100,12 @@ class Model:
     # "simplex": frequency dynamics renormalized each step;
     # "linear": plain state-space iteration.
     sim_mode = "linear"
+
+    def check_draws(self, w, t=0):
+        """Raise ``ConfigurationError`` if a draw of the step-major block
+        ``w`` lies outside the model's domain, naming the first offending
+        step: row 0 of ``w`` is step ``t`` (or sample ``t``).  ``w`` is
+        ``(n, ..., env_dim)``, or one ``(env_dim,)`` vector."""
 
     def step(self, x, w):
         # per-capita models: x_i' = x_i * f_i(x, w), renormalized on a simplex
@@ -137,10 +157,11 @@ class Hassell(Model):
         self.state_space = Orthant(1)
         self.extinction = Origin(1)
 
+    def check_draws(self, w, t=0):
+        _refuse((w[..., 0] <= 0) | (w[..., 1] < 0), "hassell needs lam > 0 and b >= 0", t)
+
     def log_percapita(self, x, w):
         lam, b = w[..., 0], w[..., 1]
-        if np.any(lam <= 0) or np.any(b < 0):
-            raise ConfigurationError("hassell needs lam > 0 and b >= 0")
         lf = np.log(lam) - b * np.log1p(x[..., 0])
         return lf[..., None]
 
@@ -193,10 +214,11 @@ class BevertonHolt(Model):
         self.state_space = Orthant(1)
         self.extinction = Origin(1)
 
+    def check_draws(self, w, t=0):
+        _refuse((w[..., 0] <= 0) | (w[..., 1] < 0), "beverton_holt needs lam > 0 and a >= 0", t)
+
     def log_percapita(self, x, w):
         lam, a = w[..., 0], w[..., 1]
-        if np.any(lam <= 0) or np.any(a < 0):
-            raise ConfigurationError("beverton_holt needs lam > 0 and a >= 0")
         lf = np.log(lam / (1.0 + a * x[..., 0]) + self.s)
         return lf[..., None]
 
@@ -260,11 +282,12 @@ class Lottery(Model):
         self.state_space = Simplex(self.k)
         self.extinction = CoordinateUnion(tuple(range(self.k)))
 
+    def check_draws(self, w, t=0):
+        _refuse((w <= 0).any(axis=-1), "lottery fecundities must be strictly positive", t)
+
     def log_percapita(self, x, w):
-        if np.any(w <= 0):
-            raise ConfigurationError("lottery fecundities must be strictly positive")
         x = np.asarray(x, dtype=float)
-        pool = np.sum(x * w, axis=-1, keepdims=True)
+        pool = (x * w).sum(axis=-1, keepdims=True)
         return np.log((1.0 - self.d) + self.d * w / pool)
 
 
@@ -291,10 +314,12 @@ class RpsLottery(Model):
         self.state_space = Simplex(3)
         self.extinction = CoordinateUnion((0, 1, 2))
 
+    def check_draws(self, w, t=0):
+        a, b, g = w[..., 0], w[..., 1], w[..., 2]
+        _refuse((g <= 0) | (b <= g) | (a <= b), "draws must satisfy alpha > beta > gamma > 0", t)
+
     def _rates(self, x, w):
         a, b, g = w[..., 0], w[..., 1], w[..., 2]
-        if np.any(g <= 0) or np.any(b <= g) or np.any(a <= b):
-            raise ConfigurationError("draws must satisfy alpha > beta > gamma > 0")
         x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
         return np.stack(
             [
@@ -308,7 +333,7 @@ class RpsLottery(Model):
     def log_percapita(self, x, w):
         x = np.asarray(x, dtype=float)
         rates = self._rates(x, w)
-        pool = np.sum(x * rates, axis=-1, keepdims=True)
+        pool = (x * rates).sum(axis=-1, keepdims=True)
         return np.log((1.0 - self.d) + self.d * rates / pool)
 
 
@@ -338,11 +363,12 @@ class Biennial(Model):
         self.state_space = Orthant(2)
         self.extinction = Origin(2)
 
+    def check_draws(self, w, t=0):
+        _refuse(w[..., 0] < 0, "biennial seed draws must be nonnegative", t)
+
     def step(self, x, w):
         x = np.asarray(x, dtype=float)
         xi = w[..., 0]
-        if np.any(xi < 0):
-            raise ConfigurationError("biennial seed draws must be nonnegative")
         n = x[..., 0] + x[..., 1]
         s1 = 1.0 / (1.0 + self.b1 * n)
         s2 = self.a / (1.0 + self.b2 * n)
@@ -353,8 +379,6 @@ class Biennial(Model):
 
     def linearization_at_zero(self, w):
         xi = np.asarray(w, dtype=float)[..., 0]
-        if np.any(xi < 0):
-            raise ConfigurationError("biennial seed draws must be nonnegative")
         a_mat = np.zeros(xi.shape + (2, 2), dtype=float)
         a_mat[..., 0, 1] = self.p * xi
         a_mat[..., 1, 0] = self.a
@@ -383,10 +407,11 @@ class LinearMatrix(Model):
         self.state_space = Orthant(self.k)
         self.extinction = Origin(self.k)
 
+    def check_draws(self, w, t=0):
+        _refuse((w < 0).any(axis=-1), "matrix entries must be nonnegative", t)
+
     def _matrix(self, w):
         w = np.asarray(w, dtype=float)
-        if np.any(w < 0):
-            raise ConfigurationError("matrix entries must be nonnegative")
         return w.reshape(w.shape[:-1] + (self.k, self.k))
 
     def step(self, x, w):
@@ -414,11 +439,12 @@ class AffineChain(Model):
         self.state_space = Orthant(1)
         self.extinction = Origin(1)
 
+    def check_draws(self, w, t=0):
+        _refuse((w[..., 0] < 0) | (w[..., 1] < 0), "affine chain draws must be nonnegative", t)
+
     def step(self, x, w):
         x = np.asarray(x, dtype=float)
         alpha, beta = w[..., 0], w[..., 1]
-        if np.any(alpha < 0) or np.any(beta < 0):
-            raise ConfigurationError("affine chain draws must be nonnegative")
         return (alpha * x[..., 0] + beta)[..., None]
 
 
@@ -445,6 +471,9 @@ class FaceModel(Model):
         self.sim_mode = base.sim_mode
         self.state_space = base.state_space
         self.extinction = CoordinateUnion(self.support)
+
+    def check_draws(self, w, t=0):
+        self.base.check_draws(w, t)
 
     def step(self, x, w):
         out = self.base.step(x, w)

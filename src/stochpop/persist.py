@@ -114,6 +114,7 @@ def mean_percapita_growth_at(model, envspec, x, i: int, n: int, seed: int = 0) -
     x = np.asarray(x, dtype=float)
     stream = make_stream(seed, _BASE_POINT_MC)
     w = sample_block(envspec, stream, n)
+    model.check_draws(w)
     vals = model.log_percapita(np.tile(x, (n, 1)), w)[:, i]
     return _iid_estimate(vals)
 
@@ -521,6 +522,7 @@ def drift_bounded_check(model, envspec, construction: DriftConstruction, n: int,
     stream = make_stream(seed, _BASE_AUDIT)
     x = _log_uniform_states(stream, n, model.k)
     w = sample_block(envspec, stream, n)
+    model.check_draws(w)
     lhs = construction.v(model.step(x, w))
     rhs = construction.alpha(w) * construction.v(x) + construction.beta(w)
     tol = 1e-9 * (1.0 + np.abs(rhs))
@@ -538,6 +540,7 @@ def drift_bounded_check(model, envspec, construction: DriftConstruction, n: int,
         }
 
     moments = sample_block(envspec, make_stream(seed, _BASE_MOMENTS), max(n, 4000))
+    model.check_draws(moments)
     with np.errstate(divide="ignore"):
         log_alpha = np.log(construction.alpha(moments))
         logp_beta = np.maximum(np.log(construction.beta(moments)), 0.0)
@@ -571,7 +574,8 @@ def affine_domination_audit(model, envspec, construction: DriftConstruction, cfg
     x = _initial_states(model, cfg, streams, [tuple(range(model.k))] * cfg.replicates)
     z = construction.v(x).copy()
     min_slack = np.inf
-    for _, draws in _draw_chunks(envspec, streams, cfg.horizon):
+    for t, draws in _draw_chunks(envspec, streams, cfg.horizon):
+        model.check_draws(draws, t)
         for w in draws:
             x = model.step(x, w)
             z = construction.alpha(w) * z + construction.beta(w)
@@ -598,6 +602,7 @@ def drift_ergodic_check(model, envspec, v, set_c, beta: float, n_states: int,
     holds = True
     for s in range(n_states):
         w = sample_block(envspec, stream, inner)
+        model.check_draws(w)
         vx1 = v(model.step(np.tile(x[s], (inner, 1)), w))
         est = _iid_estimate(vx1)
         indicator = 1.0 if bool(set_c.contains(x[s], model)) else 0.0
@@ -630,12 +635,10 @@ def rps_condition(envspec, d: float, n: int, seed: int = 0) -> dict:
     """
     if envspec.dim != 3:
         raise ConfigurationError("environment must supply (alpha, beta, gamma) draws")
-    if not (0.0 < d <= 1.0):
-        raise ConfigurationError("death fraction must lie in (0, 1]")
+    model = RpsLottery(d)  # checks the death fraction
     w = sample_block(envspec, make_stream(seed, _BASE_POINT_MC + 1), n)
+    model.check_draws(w)
     a, b, g = w[:, 0], w[:, 1], w[:, 2]
-    if np.any(g <= 0) or np.any(b <= g) or np.any(a <= b):
-        raise ConfigurationError("draws must satisfy alpha > beta > gamma > 0")
     exact = np.log1p(d * (a / b - 1.0)) + np.log1p(d * (g / b - 1.0))
     small = a / b + g / b - 2.0
     exact_est = _iid_estimate(exact)
@@ -670,6 +673,7 @@ def lottery_taylor_rate(envspec, d: float, face_samples, invader: int, seed: int
         raise ConfigurationError("face_samples must be a 2-d array of states")
     n = x.shape[0]
     w = sample_block(envspec, make_stream(seed, _BASE_POINT_MC + 2), n)
+    Lottery(envspec.dim, d).check_draws(w)
     ratio = w[:, invader] / np.sum(x * w, axis=-1)
     base = _iid_estimate(ratio)
     return RateEstimate(-d + d * base.mean, d * base.std_error, base.batches, n)

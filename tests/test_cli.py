@@ -339,6 +339,65 @@ def test_functional_index_out_of_range_exits_2_through_the_module(tmp_path):
         assert not out.exists()
 
 
+def _set_functional(cfg, functional):
+    cfg["task_params"] = {"functionals": [functional]}
+
+
+# (edit of the simulate config, expected stderr); before the config was
+# type-checked, the first and last two exited 1 and the second ran as coord_0
+_MISTYPED = {
+    "missing_i": (lambda c: _set_functional(c, {"kind": "coordinate"}), "integer 'i'"),
+    "fractional_i": (lambda c: _set_functional(c, {"kind": "coordinate", "i": 0.7}),
+                     "integer 'i'"),
+    "string_horizon": (lambda c: c["sim"].update(horizon="50"), "sim horizon must be an integer"),
+    "fractional_replicates": (lambda c: c["sim"].update(replicates=2.5),
+                              "sim replicates must be an integer"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MISTYPED))
+def test_mistyped_config_value_exits_2_through_the_module(tmp_path, case):
+    edit, message = _MISTYPED[case]
+    cfg = _simulate_cfg()
+    edit(cfg)
+    src = str(Path(stochpop.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "stochpop.cli", "run",
+         "--config", _write(tmp_path, cfg), "--out", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "configuration error" in proc.stderr and message in proc.stderr
+    assert not out.exists()
+
+
+_MISTYPED_MORE = {
+    "bool_seed": lambda c: c["sim"].update(seed=True),
+    "float_seed": lambda c: c["sim"].update(seed=5.0),
+    "null_burn_in": lambda c: c["sim"].update(burn_in=None),
+    "string_thinning": lambda c: c["sim"].update(thinning="10"),
+    "string_eta": lambda c: c["sim"].update(eta_grid=["0.01"]),
+    "scalar_eta_grid": lambda c: c["sim"].update(eta_grid=0.01),
+    "string_bound_radius": lambda c: c["sim"].update(bound_radius="5"),
+    "string_initial_coordinate": lambda c: c["sim"].update(initial_state=[1, "x"]),
+    "bool_i": lambda c: _set_functional(c, {"kind": "log_percapita", "i": False}),
+    "string_i": lambda c: _set_functional(c, {"kind": "log_percapita", "i": "0"}),
+    "functionals_object": lambda c: c.update(task_params={"functionals": {"kind": "log_norm"}}),
+}
+
+
+@pytest.mark.parametrize("case", list(_MISTYPED_MORE))
+def test_mistyped_config_value_exits_2_without_outputs(tmp_path, capsys, case):
+    cfg = _simulate_cfg()
+    _MISTYPED_MORE[case](cfg)
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # Output bytes against the writer that converted every field on the way out
 

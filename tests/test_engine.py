@@ -1,13 +1,14 @@
 """Simulation engine: occupation statistics, averages, reproducibility."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from scipy.special import logsumexp
 
-from stochpop import engine
+from stochpop import engine, lyap
 from stochpop.engine import (
     Box,
     Complement,
@@ -45,9 +46,11 @@ from stochpop.models import (
     BevertonHolt,
     Biennial,
     Hassell,
+    LinearMatrix,
     Lottery,
     RickerCompetition,
     RickerScalar,
+    RpsLottery,
 )
 
 
@@ -289,8 +292,8 @@ def _reference_drive(model, envspec, cfg, functionals, sets):
         with np.errstate(divide="ignore"):
             ell = np.log(x[:, 0])
 
-    state_fns = [f for f in functionals if f.kind == "state"]
-    pair_fns = [f for f in functionals if f.kind != "state"]
+    state_fns = [f for f in functionals if isinstance(f, (Coordinate, Indicator))]
+    pair_fns = [f for f in functionals if not isinstance(f, (Coordinate, Indicator))]
     f_index = {f.name: i for i, f in enumerate(functionals)}
     occ_counts = np.zeros((rg, len(sets)), dtype=np.int64)
     fsums = np.zeros((rg, len(functionals), n_batches))
@@ -390,11 +393,18 @@ _DRIVE_CASES = {
                            EnvSpec((Normal(1.0, 0.3), Normal(0.8, 0.3))),
                            (LogPerCapita(1), LogNorm())),
     "lottery": (Lottery(3, 0.3), EnvSpec((LogNormal(1.0, 0.5),) * 3),
-                (LogPerCapita(2), LogNorm())),
+                (LogPerCapita(2), LogNorm(), LogPerCapita(0))),
     "biennial": (Biennial(1.0, 0.5, 1.0, 1.0),
                  EnvSpec((Discrete((0.0, 3.0), (0.004, 0.996)),)), (LogNorm(),)),
     "affine": (AffineChain(), EnvSpec((LogNormal(-0.3, 0.4), Constant(1.0))), (LogNorm(),)),
+    # species 2 starts just above the floor; with d = 0.5 its per-capita
+    # factor is at least 0.5, so it dips without being absorbed: seed 16
+    # takes replicate 0 below the floor at step 3 and back above it at
+    # step 4, inside the first chunk
+    "lottery-floor": (Lottery(2, 0.5), EnvSpec((Constant(1.0), Discrete((1e-6, 1e6), (0.8, 0.2)))),
+                      (LogPerCapita(1), LogNorm())),
 }
+_DRIVE_CFG = {"lottery-floor": {"initial_state": (1.0, 1e-303)}}
 
 
 @pytest.mark.parametrize("case", list(_DRIVE_CASES))
@@ -403,8 +413,10 @@ def test_drive_matches_per_mode_reference(monkeypatch, case):
     monkeypatch.setattr(engine, "_BLOCK", 64)
     model, env, pair_fns = _DRIVE_CASES[case]
     cfg = SimConfig(seed=16, replicates=3, burn_in=25, horizon=400, thinning=7,
-                    eta_grid=(0.05,), bound_radius=2.0)
-    functionals = (Coordinate(model.k - 1), Indicator(Box(((0.2, 1.5),) * model.k))) + pair_fns
+                    eta_grid=(0.05,), bound_radius=2.0).replaced(**_DRIVE_CFG.get(case, {}))
+    # two coordinates where k > 1 (the reference names each column once)
+    functionals = (Coordinate(model.k - 1), Indicator(Box(((0.2, 1.5),) * model.k)),
+                   *[Coordinate(0)][:model.k - 1], *pair_fns)
     sets = default_sets(cfg)
     got = _drive(model, env, cfg, functionals, sets)
     want = _reference_drive(model, env, cfg, functionals, sets)
@@ -412,6 +424,9 @@ def test_drive_matches_per_mode_reference(monkeypatch, case):
         assert np.array_equal(got[key], want[key]), key
     if case == "biennial":
         assert 0 < got["floored"].sum() < cfg.replicates
+    if case == "lottery-floor":
+        assert got["floored"].any()
+        assert np.all(got["terminal"][got["floored"]] > _LINEAR_FLOOR)  # a dip, not an absorption
 
 
 def test_repeated_functional_is_not_counted_twice():
@@ -597,3 +612,91 @@ def test_row_wise_reduction_names_the_same_non_finite_row():
         with pytest.raises(NumericError) as err:
             engine._build_result(raw, functionals, ())
         assert str(err.value) == first_bad
+
+
+# ---------------------------------------------------------------------------
+# Draw checks, once per draw block
+
+
+def _bad_at_zero_word(bad, good):
+    """Draws ``good``, except that an exact zero word (nudged to 2**-54)
+    draws ``bad``: no other word is below the first probability."""
+    return Discrete((bad, good), (1e-16, 1.0 - 1e-16))
+
+
+def _zero_words(monkeypatch, module, zeros):
+    """Streams opened through ``module`` emit exact zeros at the given word
+    indices, keyed by replicate id."""
+    real = module.make_stream
+
+    def make(seed, replicate_id=0):
+        stream = real(seed, replicate_id)
+        if replicate_id in zeros:
+            stream._gen = _ZeroAt(stream._gen, zeros[replicate_id])
+        return stream
+
+    monkeypatch.setattr(module, "make_stream", make)
+
+
+# model, environment with one bad-at-zero coordinate j, j, today's wording
+_DRAW_CHECK_CASES = {
+    "hassell": (Hassell(), (_bad_at_zero_word(0.0, 2.0), Constant(1.0)), 0,
+                "hassell needs lam > 0 and b >= 0"),
+    "beverton_holt": (BevertonHolt(), (_bad_at_zero_word(0.0, 2.0), Constant(1.0)), 0,
+                      "beverton_holt needs lam > 0 and a >= 0"),
+    "lottery": (Lottery(3, 0.3), (LogNormal(1.0, 0.3), _bad_at_zero_word(0.0, 2.0),
+                                  LogNormal(1.0, 0.3)), 1,
+                "lottery fecundities must be strictly positive"),
+    "rps_lottery": (RpsLottery(0.2), (_bad_at_zero_word(1.5, 3.0), Constant(2.0), Constant(1.0)), 0,
+                    "draws must satisfy alpha > beta > gamma > 0"),
+    "biennial": (Biennial(0.5, 0.5, 1.0, 1.0), (_bad_at_zero_word(-1.0, 2.0),), 0,
+                 "biennial seed draws must be nonnegative"),
+    "linear_matrix": (LinearMatrix(2), (Constant(0.5), _bad_at_zero_word(-1.0, 0.5),
+                                        Constant(0.5), Constant(0.5)), 1,
+                      "matrix entries must be nonnegative"),
+    "affine_chain": (AffineChain(), (_bad_at_zero_word(-1.0, 0.5), Constant(1.0)), 0,
+                     "affine chain draws must be nonnegative"),
+}
+
+
+def _bad_draw_run(monkeypatch, case, module):
+    """Model, environment, config and expected message of a 3-row run whose
+    only bad draws are at step 197 of row 2 and step 199 of row 0, both in
+    the last chunk."""
+    model, coords, j, message = _DRAW_CHECK_CASES[case]
+    monkeypatch.setattr(engine, "_BLOCK", 64)  # 5- to 10-step chunks
+    m = len(coords)
+    # the random start takes k words of each stream before the first step
+    _zero_words(monkeypatch, module, {2: [model.k + 197 * m + j], 0: [model.k + 199 * m + j]})
+    cfg = SimConfig(seed=5, replicates=3, burn_in=10, horizon=200)
+    return model, EnvSpec(coords), cfg, re.escape(f"{message} (first at step 197)")
+
+
+@pytest.mark.parametrize("case", list(_DRAW_CHECK_CASES))
+def test_bad_draw_in_a_late_chunk_is_refused_with_its_step(monkeypatch, case):
+    model, env, cfg, message = _bad_draw_run(monkeypatch, case, engine)
+    with pytest.raises(ConfigurationError, match=message):
+        simulate(model, env, cfg)
+
+
+@pytest.mark.parametrize("case", ["biennial", "linear_matrix"])
+def test_bad_draw_in_a_late_chunk_is_refused_by_lyapunov_mc(monkeypatch, case):
+    model, env, cfg, message = _bad_draw_run(monkeypatch, case, lyap)
+    with pytest.raises(ConfigurationError, match=message):
+        lyap.lyapunov_mc(model, env, cfg)
+
+
+def test_check_draws_names_the_first_step_of_any_block_shape():
+    m = Hassell()
+    bad = np.ones((6, 4, 2))
+    bad[4, 0, 0] = 0.0
+    bad[2, 3, 1] = -1.0
+    for w, t, step in ((bad, 0, 2), (bad, 100, 102), (bad[:, 0], 7, 11), (bad[4, 0], 3, 3)):
+        with pytest.raises(ConfigurationError, match=rf"\(first at step {step}\)$"):
+            m.check_draws(w, t)
+    m.check_draws(np.ones((6, 4, 2)))
+    # a face model checks as its base does, the absent species' draws included
+    w = np.full((5, 2, 3), 2.0)
+    w[3, 1, 2] = 0.0
+    with pytest.raises(ConfigurationError, match=r"positive \(first at step 3\)$"):
+        Lottery(3, 0.2).restrict_to_face((0, 1)).check_draws(w)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from stochpop.engine import SimConfig, simulate
 from stochpop.env import Constant, EnvSpec, Gamma, LogNormal, Normal, Uniform, make_stream, sample_block
 from stochpop.errors import ConfigurationError
 from stochpop.models import (
@@ -70,10 +71,16 @@ def test_rps_vertex_rates():
 
 
 def test_rps_rejects_unordered_draws():
+    # step is an unchecked kernel; the draws are refused by check_draws,
+    # which every run calls on its draw blocks
     m = RpsLottery(0.1)
-    x = np.array([0.3, 0.3, 0.4])
-    with pytest.raises(ConfigurationError):
-        m.step(x, np.array([2.0, 3.0, 1.0]))
+    w = np.array([2.0, 3.0, 1.0])
+    with pytest.raises(ConfigurationError, match=r"alpha > beta > gamma > 0 \(first at step 0\)"):
+        m.check_draws(w)
+    env = EnvSpec(tuple(Constant(v) for v in w))
+    cfg = SimConfig(seed=1, horizon=10, initial_state=(0.3, 0.3, 0.4))
+    with pytest.raises(ConfigurationError, match="alpha > beta > gamma > 0"):
+        simulate(m, env, cfg)
 
 
 def test_biennial_linearization_at_zero():

@@ -1,6 +1,7 @@
 """Criterion checkers: classification, invasion, drift, cyclic conditions."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +36,8 @@ from stochpop.persist import (
     rps_condition,
     scalar_classify,
 )
+from test_engine import _bad_at_zero_word, _zero_words
+
 
 # ---------------------------------------------------------------------------
 # point growth rates
@@ -530,3 +533,58 @@ def test_taylor_rate_warns_for_large_turnover():
     env = EnvSpec((Constant(2.0),) * 3)
     with pytest.warns(UserWarning):
         lottery_taylor_rate(env, 0.5, _vertex_samples(3, 0), 1, seed=26)
+
+
+# ---------------------------------------------------------------------------
+# Draw checks on each Monte Carlo sample block
+
+
+def _point_mc_cases():
+    hassell = Hassell()
+    env_h = EnvSpec((_bad_at_zero_word(0.0, 2.0), Constant(1.0)))
+    env_rps = EnvSpec((_bad_at_zero_word(1.5, 3.0), Constant(2.0), Constant(1.0)))
+    env_lot = EnvSpec((LogNormal(1.0, 0.3), _bad_at_zero_word(0.0, 2.0), LogNormal(1.0, 0.3)))
+    hassell_msg = "hassell needs lam > 0 and b >= 0"
+
+    def construction():
+        return drift_construction(hassell, env_h, seed=3)
+
+    # name: (run, {replicate id: zero word indices}, wording, first bad sample)
+    return {
+        "mean_percapita_growth_at": (
+            lambda: mean_percapita_growth_at(hassell, env_h, [1.0], 0, 50, seed=3),
+            {persist._BASE_POINT_MC: [2 * 37]}, hassell_msg, 37),
+        # 100 states take 200 words before the 100 (x, w) pairs' draws
+        "drift_bounded_check_pairs": (
+            lambda: drift_bounded_check(hassell, env_h, construction(), 100, seed=3),
+            {persist._BASE_AUDIT: [200 + 2 * 61]}, hassell_msg, 61),
+        "drift_bounded_check_moments": (
+            lambda: drift_bounded_check(hassell, env_h, construction(), 100, seed=3),
+            {persist._BASE_MOMENTS: [2 * 1234]}, hassell_msg, 1234),
+        # 3 states take 6 words; state 1's inner block starts at word 106
+        "drift_ergodic_check": (
+            lambda: drift_ergodic_check(hassell, env_h, lambda x: x[..., 0], Box(((0.0, 2.0),)),
+                                        0.5, n_states=3, inner=50, seed=3),
+            {persist._BASE_AUDIT + 1: [106 + 2 * 17]}, hassell_msg, 17),
+        # rows 2 and 0 of a 3-row audit, after one word of random start
+        "affine_domination_audit": (
+            lambda: affine_domination_audit(hassell, env_h, construction(),
+                                            SimConfig(seed=3, replicates=3, horizon=200)),
+            {2: [1 + 2 * 197], 0: [1 + 2 * 199]}, hassell_msg, 197),
+        "rps_condition": (
+            lambda: rps_condition(env_rps, 0.1, 50, seed=3),
+            {persist._BASE_POINT_MC + 1: [3 * 23]}, "draws must satisfy alpha > beta > gamma > 0", 23),
+        "lottery_taylor_rate": (
+            lambda: lottery_taylor_rate(env_lot, 0.05, np.eye(3)[[0] * 50], 1, seed=3),
+            {persist._BASE_POINT_MC + 2: [3 * 23 + 1]},
+            "lottery fecundities must be strictly positive", 23),
+    }
+
+
+@pytest.mark.parametrize("case", list(_point_mc_cases()))
+def test_bad_draw_in_a_sample_block_is_refused_with_its_index(monkeypatch, case):
+    run, zeros, message, first = _point_mc_cases()[case]
+    monkeypatch.setattr(engine, "_BLOCK", 64)  # 10-step audit chunks
+    _zero_words(monkeypatch, persist, zeros)
+    with pytest.raises(ConfigurationError, match=re.escape(f"{message} (first at step {first})")):
+        run()
