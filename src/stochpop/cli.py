@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__, engine, persist
 from .engine import Coordinate, LogNorm, LogPerCapita, RateEstimate, SimConfig
-from .env import env_to_config, parse_env_spec
+from .env import config_int, config_list, config_number, env_to_config, is_int, parse_env_spec
 from .errors import ConfigurationError, NumericError, StochpopError
 from .lyap import GammaClosedFormInput, gamma_closed_form_detailed, lyapunov_mc
 from .models import Biennial, model_info, parse_model
@@ -83,14 +83,6 @@ def _jsonable(obj):
     return obj
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _validate_top(cfg: dict):
     if not isinstance(cfg, dict):
         raise ConfigurationError("config must be a JSON object")
@@ -113,22 +105,15 @@ def _parse_sim(obj) -> SimConfig:
     if "seed" not in obj or "horizon" not in obj:
         raise ConfigurationError("sim section needs at least seed and horizon")
     for key in _SIM_INTS:
-        if key in obj and not _is_int(obj[key]):
-            raise ConfigurationError(f"sim {key} must be an integer, got {obj[key]!r}")
+        if key in obj:
+            config_int(obj[key], f"sim {key}")
     kw = dict(obj)
     if "eta_grid" in kw:
-        if not (isinstance(kw["eta_grid"], list) and all(map(_is_number, kw["eta_grid"]))):
-            raise ConfigurationError(f"sim eta_grid must be a list of numbers, "
-                                     f"got {kw['eta_grid']!r}")
-        kw["eta_grid"] = tuple(float(e) for e in kw["eta_grid"])
-    if kw.get("bound_radius") is not None and not _is_number(kw["bound_radius"]):
-        raise ConfigurationError(f"sim bound_radius must be a number, "
-                                 f"got {kw['bound_radius']!r}")
-    if "initial_state" in kw and isinstance(kw["initial_state"], list):
-        if not all(map(_is_number, kw["initial_state"])):
-            raise ConfigurationError(f"sim initial_state must be a list of numbers, "
-                                     f"got {kw['initial_state']!r}")
-        kw["initial_state"] = tuple(float(v) for v in kw["initial_state"])
+        kw["eta_grid"] = config_list(kw["eta_grid"], "sim eta_grid")
+    if kw.get("bound_radius") is not None:
+        config_number(kw["bound_radius"], "sim bound_radius")
+    if isinstance(kw.get("initial_state"), list):
+        kw["initial_state"] = config_list(kw["initial_state"], "sim initial_state")
     return SimConfig(**kw)
 
 
@@ -141,7 +126,7 @@ def _parse_functionals(spec_list):
             raise ConfigurationError(f"functional spec must be an object with 'kind': {item!r}")
         kind = item["kind"]
         if kind in ("coordinate", "log_percapita"):
-            if not _is_int(item.get("i")):
+            if not is_int(item.get("i")):
                 raise ConfigurationError(f"{kind} functional needs an integer 'i': {item!r}")
             out.append((Coordinate if kind == "coordinate" else LogPerCapita)(item["i"]))
         elif kind == "log_norm":
@@ -229,8 +214,8 @@ def _task_classify(model, envspec, sim, params):
 def _task_invade(model, envspec, sim, params):
     if "invader" not in params or "resident_support" not in params:
         raise ConfigurationError("invade task needs task_params invader and resident_support")
-    invader = int(params["invader"])
-    support = tuple(int(i) for i in params["resident_support"])
+    invader = config_int(params["invader"], "task_params invader")
+    support = config_list(params["resident_support"], "task_params resident_support", config_int)
     est = persist.invasion_rate(model, envspec, sim, invader, support)
     rows = [
         _est_row("invade", "invasion_rate", est, species=invader, face=_face_label(support))
@@ -279,8 +264,9 @@ def _task_permanence(model, envspec, sim, params):
 
 
 def _task_drift(model, envspec, sim, params):
-    n_pairs = int(params.get("n_pairs", 100_000))
-    margin = float(params.get("margin", 0.1))
+    n_pairs = config_int(params.get("n_pairs", 100_000), "task_params n_pairs")
+    margin = config_number(params.get("margin", 0.1), "task_params margin")
+    steps = config_int(params.get("domination_steps", 0), "task_params domination_steps")
     construction = persist.drift_construction(model, envspec, seed=sim.seed, margin=margin)
     report = persist.drift_bounded_check(model, envspec, construction, n_pairs, seed=sim.seed)
     results = {
@@ -302,7 +288,6 @@ def _task_drift(model, envspec, sim, params):
         _est_row("drift", "E_logplus_beta", report.e_logplus_beta),
         _row("drift", "violations", mean=report.violations, n=report.n_pairs),
     ]
-    steps = int(params.get("domination_steps", 0))
     if steps > 0:
         audit = persist.affine_domination_audit(
             model, envspec, construction, sim.replaced(horizon=steps, burn_in=0)
@@ -322,12 +307,12 @@ def _task_drift(model, envspec, sim, params):
 
 def _task_rps(model, envspec, sim, params):
     if "d" in params:
-        d = float(params["d"])
+        d = config_number(params["d"], "task_params d")
     elif hasattr(model, "d"):
         d = model.d
     else:
         raise ConfigurationError("rps task needs a death fraction (model.d or task_params.d)")
-    n = int(params.get("n", 10_000))
+    n = config_int(params.get("n", 10_000), "task_params n")
     rep = persist.rps_condition(envspec, d, n, seed=sim.seed)
     rows = [
         _est_row("rps", "exact_lhs", rep["exact_lhs"], verdict=rep["exact_verdict"]),
@@ -347,7 +332,7 @@ def _task_gamma(model, envspec, sim, params):
         a=model.a,
         theta=dist.scale,
         k=dist.shape,
-        rel_tol=float(params.get("rel_tol", 1e-9)),
+        rel_tol=config_number(params.get("rel_tol", 1e-9), "task_params rel_tol"),
     )
     detail = gamma_closed_form_detailed(inp)
     mc = lyapunov_mc(model, envspec, sim, norm=params.get("norm", "l1"))

@@ -10,9 +10,11 @@ them honest under autocorrelation.
 
 The step loop only advances the state and measures it.  Draws are checked
 once per chunk (``Model.check_draws``), the functionals of the current time
-batch are summed into one per-batch accumulator, and the simplex floor flag
-is taken once per chunk from a running minimum; each gives the same bits as
-a per-step update.
+batch are summed into one per-batch accumulator, the simplex floor flag is
+taken once per chunk from a running minimum, and occupation is counted once
+per chunk: each measured state is stored in a ``(steps, rows, k)`` block and
+every set tests the block at the chunk's end.  Each gives the same bits as a
+per-step update.
 """
 
 from __future__ import annotations
@@ -338,11 +340,14 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
     if log_state:
         with np.errstate(divide="ignore"):
             ell = np.log(x)
+    # a structural zero's log state is -inf, which never lies below -inf
+    log_floor = np.where(alive0, LOG_FLOOR, -np.inf)
 
-    # Each functional's sum over the current time batch is kept in acc, its
-    # columns grouped by kind; acc is stored into fsums[:, cols, acc_b] when
-    # the batch changes and at every chunk end.  Each sum still starts at
-    # 0.0 and adds the same terms in the same order.
+    # Each functional's sum over the current time batch is kept in a row of
+    # acc, the rows grouped by kind, so each add runs over contiguous
+    # memory; acc is stored into fsums[:, cols, acc_b] when the batch
+    # changes and at every chunk end.  Each sum still starts at 0.0 and adds
+    # the same terms in the same order.
     cols = [j for kind in _KINDS for j, f in enumerate(functionals) if isinstance(f, kind)]
     groups = [[f for f in functionals if isinstance(f, kind)] for kind in _KINDS]
     coords, indicators, lpcs, lognorms = groups
@@ -350,13 +355,13 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
         raise ConfigurationError(f"{model.name} has no per-capita growth factors")
     # the log growth of the total is computed only when it is measured
     norm = bool(lognorms)
-    acc = np.zeros((rg, len(cols)))
+    acc = np.zeros((len(cols), rg))
     acc_b = 0
     edges = np.cumsum([0] + [len(group) for group in groups]).tolist()
-    acc_coord, acc_ind, acc_lpc, acc_norm = (acc[:, lo:hi] for lo, hi in zip(edges, edges[1:]))
+    acc_coord, acc_ind, acc_lpc, acc_norm = (acc[lo:hi] for lo, hi in zip(edges, edges[1:]))
     coord_idx = np.array([f.i for f in coords], dtype=np.intp)
     lpc_idx = np.array([f.i for f in lpcs], dtype=np.intp)
-    ind_cols = [(acc_ind[:, n], f.set_descriptor) for n, f in enumerate(indicators)]
+    ind_rows = [(acc_ind[n], f.set_descriptor) for n, f in enumerate(indicators)]
 
     occ_counts = np.zeros((rg, len(sets)), dtype=np.int64)
     fsums = np.zeros((rg, len(functionals), n_batches))
@@ -366,10 +371,14 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
     frozen = np.zeros(rg, dtype=bool)
     # simplex mode: each coordinate's smallest value within the chunk
     xmin = np.full((rg, k), np.inf)
+    # the chunk's measured states, for the occupation counts at its end
+    xs = None
 
     for t, draws in _draw_chunks(envspec, streams, t_total):
         model.check_draws(draws, t)
         n = len(draws)
+        if sets and (xs is None or len(xs) < n):
+            xs = np.empty((n, rg, k))
         for s, w in enumerate(draws):
             step_t = t + s
             if log_state:
@@ -380,15 +389,15 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
                 rel = step_t - burn
                 b = (rel * n_batches) // n_steps
                 if b != acc_b:
-                    fsums[:, cols, acc_b] = acc
+                    fsums[:, cols, acc_b] = acc.T
                     acc.fill(0.0)
                     acc_b = b
-                for j, sd in enumerate(sets):
-                    occ_counts[:, j] += sd.contains(x, model)
+                if sets:
+                    xs[s] = x
                 if coords:
-                    acc_coord += x.take(coord_idx, axis=1)
-                for col, sd in ind_cols:
-                    col += sd.contains(x, model)
+                    acc_coord += x.T.take(coord_idx, axis=0)
+                for row, sd in ind_rows:
+                    row += sd.contains(x, model)
                 if rel % cfg.thinning == 0:
                     thinned[:, rel // cfg.thinning] = x
 
@@ -396,13 +405,12 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
             if mode == "log_mult":
                 logf = model.log_percapita(x, w)
                 ell_new = ell + logf
-                dip = (ell_new < LOG_FLOOR) & alive0
+                dip = ell_new < log_floor
                 if dip.any():
                     ell_new[dip] = LOG_FLOOR
                     floored |= dip.any(axis=-1)
                 if measuring and norm:
-                    growth = (logsumexp(ell_new, axis=-1, keepdims=True)
-                              - logsumexp(ell, axis=-1, keepdims=True))
+                    growth = logsumexp(ell_new, axis=-1) - logsumexp(ell, axis=-1)
                 ell = ell_new
             elif mode == "simplex":
                 logf = model.log_percapita(x, w)
@@ -412,7 +420,7 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
                 growth = 0.0  # the total stays 1
             elif mode == "affine":
                 ell_new = np.logaddexp(np.log(w[:, :1]) + ell, np.log(w[:, 1:]))
-                growth = ell_new - ell
+                growth = ell_new[:, 0] - ell[:, 0]
                 ell = ell_new
             else:
                 x_new = model.step(x, w)
@@ -423,17 +431,20 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
                     x_new[frozen] = x[frozen]
                 if measuring and norm:
                     with np.errstate(divide="ignore", invalid="ignore"):
-                        growth = (np.log(x_new.sum(axis=-1, keepdims=True))
-                                  - np.log(x.sum(axis=-1, keepdims=True)))
+                        growth = np.log(x_new.sum(axis=-1)) - np.log(x.sum(axis=-1))
                 x = x_new
 
             if measuring:
                 if lpcs:
-                    acc_lpc += logf.take(lpc_idx, axis=1)
+                    acc_lpc += logf.T.take(lpc_idx, axis=0)
                 if norm:
                     acc_norm += growth
 
-        fsums[:, cols, acc_b] = acc
+        fsums[:, cols, acc_b] = acc.T
+        lo = max(0, burn - t)  # the first measured step of the chunk
+        if sets and lo < n:
+            for j, sd in enumerate(sets):
+                occ_counts[:, j] += sd.contains(xs[lo:n], model).sum(axis=0)
         if mode == "simplex":
             floored |= np.where(alive0, xmin, np.inf).min(axis=-1) < _LINEAR_FLOOR
             xmin.fill(np.inf)

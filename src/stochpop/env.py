@@ -10,6 +10,13 @@ scalar distribution in an :class:`EnvSpec`.  Determinism contract:
   (normal via ``ndtri``, gamma via ``gammaincinv``), so the value of draw
   ``i`` depends only on ``(seed, replicate_id, i)``, however the draws are
   cut into calls or grouped with other streams' draws.
+
+Every ``ppf(u, out=None)`` computes in place: it writes its result into
+``out`` (any strides, u's shape) and returns it, or into a new array when
+``out`` is None, and allocates no other temporary of u's size (Discrete
+needs one index array).  Each in-place step is an operation of the plain
+expression (``mean + sd * ndtri(u)`` and so on) with its operands swapped;
+IEEE multiplication and addition commute, so the bits are the same.
 """
 
 from __future__ import annotations
@@ -39,6 +46,13 @@ __all__ = [
 ]
 
 _PROB_TOL = 1e-12
+# Most entries in the transform's scratch: 512 KiB, which stays in cache
+_SCRATCH = 1 << 16
+
+
+def _result(u, out):
+    """Where a ppf writes: ``out``, or a new array of u's shape."""
+    return np.empty(np.shape(u)) if out is None else out
 
 
 @dataclass(frozen=True)
@@ -49,8 +63,10 @@ class Constant:
         if not math.isfinite(self.value):
             raise ConfigurationError("constant distribution needs a finite value")
 
-    def ppf(self, u):
-        return np.full_like(u, self.value, dtype=float)
+    def ppf(self, u, out=None):
+        out = _result(u, out)
+        out[...] = self.value
+        return out
 
     def mean(self):
         return self.value
@@ -65,8 +81,11 @@ class Normal:
         if not (self.sd > 0):
             raise ConfigurationError("normal sd must be strictly positive")
 
-    def ppf(self, u):
-        return self.mean_ + self.sd * ndtri(u)
+    def ppf(self, u, out=None):
+        out = ndtri(u, out=_result(u, out))
+        out *= self.sd
+        out += self.mean_
+        return out
 
     def mean(self):
         return self.mean_
@@ -81,8 +100,11 @@ class LogNormal:
         if not (self.log_sd > 0):
             raise ConfigurationError("lognormal log_sd must be strictly positive")
 
-    def ppf(self, u):
-        return np.exp(self.log_mean + self.log_sd * ndtri(u))
+    def ppf(self, u, out=None):
+        out = ndtri(u, out=_result(u, out))
+        out *= self.log_sd
+        out += self.log_mean
+        return np.exp(out, out=out)
 
     def mean(self):
         return math.exp(self.log_mean + 0.5 * self.log_sd**2)
@@ -97,12 +119,18 @@ class Gamma:
         if not (self.shape > 0 and self.scale > 0):
             raise ConfigurationError("gamma shape and scale must be strictly positive")
 
-    def ppf(self, u):
+    def ppf(self, u, out=None):
+        out = _result(u, out)
         # shape 1 is exponential; the closed form is much faster than the
         # general inverse regularized incomplete gamma.
         if self.shape == 1.0:
-            return -self.scale * np.log1p(-u)
-        return self.scale * gammaincinv(self.shape, u)
+            np.negative(u, out=out)
+            np.log1p(out, out=out)
+            out *= -self.scale
+        else:
+            gammaincinv(self.shape, u, out=out)
+            out *= self.scale
+        return out
 
     def mean(self):
         return self.shape * self.scale
@@ -117,8 +145,10 @@ class Uniform:
         if not (self.lo < self.hi):
             raise ConfigurationError("uniform bounds need lo < hi")
 
-    def ppf(self, u):
-        return self.lo + (self.hi - self.lo) * u
+    def ppf(self, u, out=None):
+        out = np.multiply(u, self.hi - self.lo, out=_result(u, out))
+        out += self.lo
+        return out
 
     def mean(self):
         return 0.5 * (self.lo + self.hi)
@@ -140,11 +170,12 @@ class Discrete:
                 f"discrete probs must sum to 1 within {_PROB_TOL:g}, got {float(p.sum())!r}"
             )
 
-    def ppf(self, u):
+    def ppf(self, u, out=None):
         cum = np.cumsum(np.asarray(self.probs, dtype=float))
-        cum[-1] = 1.0  # absorb rounding so u close to 1 stays in range
         idx = np.searchsorted(cum, u, side="right")
-        return np.asarray(self.values, dtype=float)[np.minimum(idx, len(self.values) - 1)]
+        # clipping keeps u at or above a rounded-down cum[-1] on the last value
+        return np.take(np.asarray(self.values, dtype=float), idx, out=_result(u, out),
+                       mode="clip")
 
     def mean(self):
         return float(np.dot(self.values, self.probs))
@@ -174,11 +205,30 @@ class EnvSpec:
 
     def transform(self, u: np.ndarray, out=None) -> np.ndarray:
         """Map uniforms of shape ``(..., dim)`` to environment vectors, in
-        ``out`` (of u's shape, any strides) when given."""
+        ``out`` (of u's shape, any strides) when given.
+
+        A constant is written straight into its column.  Every other
+        coordinate's ppf writes into one contiguous scratch, a block of
+        leading-axis entries at a time (at most _SCRATCH values, or one
+        entry), and each block is then copied into the column: an inverse
+        CDF runs faster into contiguous memory than into a strided column,
+        and a cache-sized block copies into a step-major column faster than
+        a whole one."""
         if out is None:
             out = np.empty_like(u, dtype=float)
+        # one vector: its leading axis is the coordinates, so add one
+        uu, oo = (u, out) if u.ndim > 1 else (u[None], out[None])
+        step = max(1, _SCRATCH // math.prod(uu.shape[1:-1]))
+        scratch = None
         for j, c in enumerate(self.coords):
-            out[..., j] = c.ppf(u[..., j])
+            if isinstance(c, Constant):
+                c.ppf(uu[..., j], out=oo[..., j])
+                continue
+            if scratch is None:
+                scratch = np.empty((min(step, len(uu)),) + uu.shape[1:-1])
+            for a in range(0, len(uu), step):
+                block = uu[a:a + step, ..., j]
+                oo[a:a + step, ..., j] = c.ppf(block, out=scratch[:len(block)])
         return out
 
 
@@ -235,49 +285,72 @@ def sample_block(spec: EnvSpec, stream: Stream, n: int) -> np.ndarray:
     return spec.transform(u)
 
 
-_DIST_FIELDS = {
-    "constant": ("value",),
-    "normal": ("mean", "sd"),
-    "lognormal": ("log_mean", "log_sd"),
-    "gamma": ("shape", "scale"),
-    "uniform": ("lo", "hi"),
-    "discrete": ("values", "probs"),
+# Each JSON distribution kind: its class and the fields of its constructor
+_DISTS = {
+    "constant": (Constant, ("value",)),
+    "normal": (Normal, ("mean", "sd")),
+    "lognormal": (LogNormal, ("log_mean", "log_sd")),
+    "gamma": (Gamma, ("shape", "scale")),
+    "uniform": (Uniform, ("lo", "hi")),
+    "discrete": (Discrete, ("values", "probs")),
 }
+
+
+def is_int(value) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def config_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer, else a ConfigurationError naming
+    ``what``; a bool, a float or a string is never coerced."""
+    if not is_int(value):
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def config_number(value, what: str) -> float:
+    """``value`` as a float if it is a JSON number (not a bool), else a
+    ConfigurationError naming ``what``."""
+    if not (is_int(value) or isinstance(value, float)):
+        raise ConfigurationError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigurationError(f"{what} is out of range: {value!r}") from None
+
+
+def config_list(value, what: str, item=config_number) -> tuple:
+    """A JSON list whose every entry passes ``item``, as a tuple."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigurationError(f"{what} must be a list, got {value!r}")
+    return tuple(item(v, f"{what} entry") for v in value)
 
 
 def parse_dist(obj) -> object:
     """Build a scalar distribution from its JSON form.
 
-    A bare number is shorthand for a constant.
+    A bare number is shorthand for a constant.  Every field must be a JSON
+    number (discrete: a list of them); nothing is coerced.
     """
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+    if is_int(obj) or isinstance(obj, float):
         d = Constant(float(obj))
         d.validate()
         return d
     if not isinstance(obj, dict):
         raise ConfigurationError(f"distribution must be a number or object, got {obj!r}")
     kind = obj.get("dist")
-    if kind not in _DIST_FIELDS:
+    if kind not in _DISTS:
         raise ConfigurationError(f"unknown distribution kind {kind!r}")
-    fields = _DIST_FIELDS[kind]
+    cls, fields = _DISTS[kind]
     extra = set(obj) - set(fields) - {"dist"}
     if extra:
         raise ConfigurationError(f"unknown keys {sorted(extra)} for {kind!r} distribution")
     missing = [f for f in fields if f not in obj]
     if missing:
         raise ConfigurationError(f"{kind!r} distribution missing keys {missing}")
-    if kind == "constant":
-        d = Constant(float(obj["value"]))
-    elif kind == "normal":
-        d = Normal(float(obj["mean"]), float(obj["sd"]))
-    elif kind == "lognormal":
-        d = LogNormal(float(obj["log_mean"]), float(obj["log_sd"]))
-    elif kind == "gamma":
-        d = Gamma(float(obj["shape"]), float(obj["scale"]))
-    elif kind == "uniform":
-        d = Uniform(float(obj["lo"]), float(obj["hi"]))
-    else:
-        d = Discrete(tuple(float(v) for v in obj["values"]), tuple(float(p) for p in obj["probs"]))
+    check = config_list if kind == "discrete" else config_number
+    d = cls(*(check(obj[f], f"{kind} {f}") for f in fields))
     d.validate()
     return d
 

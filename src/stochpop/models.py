@@ -520,9 +520,10 @@ def parse_model(cfg: dict):
 
     Distribution-valued entries populate the default environment in the
     model's canonical coordinate order; an explicit top-level "env" section
-    overrides them.
+    overrides them.  Scalar parameters must be JSON numbers (lottery k an
+    integer); nothing is coerced.
     """
-    from .env import parse_dist
+    from .env import config_int, config_list, config_number, parse_dist
 
     if not isinstance(cfg, dict) or "model" not in cfg:
         raise ConfigurationError('model config must be an object with a "model" key')
@@ -537,7 +538,7 @@ def parse_model(cfg: dict):
         coords = (parse_dist(cfg["r"]), parse_dist(cfg["a"]))
     elif name == "beverton_holt":
         _require_keys(cfg, {"lam", "a", "s"}, {"lam", "a"})
-        model = BevertonHolt(s=float(cfg.get("s", 0.0)))
+        model = BevertonHolt(s=config_number(cfg.get("s", 0.0), "beverton_holt s"))
         coords = (parse_dist(cfg["lam"]), parse_dist(cfg["a"]))
     elif name == "ricker_competition":
         _require_keys(cfg, {"r", "alpha"}, {"r", "alpha"})
@@ -546,25 +547,26 @@ def parse_model(cfg: dict):
             raise ConfigurationError("ricker_competition needs two growth-rate distributions")
         if not (isinstance(alpha, list) and len(alpha) == 2):
             raise ConfigurationError("ricker_competition needs two competition coefficients")
-        model = RickerCompetition(float(alpha[0]), float(alpha[1]))
+        model = RickerCompetition(*config_list(alpha, "ricker_competition alpha"))
         coords = tuple(parse_dist(d) for d in r)
     elif name == "lottery":
         _require_keys(cfg, {"k", "d", "fecundity"}, {"d", "fecundity"})
         fec = cfg["fecundity"]
         if not (isinstance(fec, list) and len(fec) >= 2):
             raise ConfigurationError("lottery needs at least two fecundity distributions")
-        k = int(cfg.get("k", len(fec)))
+        k = config_int(cfg.get("k", len(fec)), "lottery k")
         if k != len(fec):
             raise ConfigurationError("lottery k must match the number of fecundity entries")
-        model = Lottery(k=k, d=float(cfg["d"]))
+        model = Lottery(k=k, d=config_number(cfg["d"], "lottery d"))
         coords = tuple(parse_dist(d) for d in fec)
     elif name == "rps_lottery":
         _require_keys(cfg, {"d", "alpha", "beta", "gamma"}, {"d", "alpha", "beta", "gamma"})
-        model = RpsLottery(d=float(cfg["d"]))
+        model = RpsLottery(d=config_number(cfg["d"], "rps_lottery d"))
         coords = tuple(parse_dist(cfg[key]) for key in ("alpha", "beta", "gamma"))
     elif name == "biennial":
         _require_keys(cfg, {"p", "a", "b1", "b2", "xi"}, {"p", "a", "b1", "b2", "xi"})
-        model = Biennial(float(cfg["p"]), float(cfg["a"]), float(cfg["b1"]), float(cfg["b2"]))
+        model = Biennial(*(config_number(cfg[key], f"biennial {key}")
+                           for key in ("p", "a", "b1", "b2")))
         coords = (parse_dist(cfg["xi"]),)
     elif name == "linear_matrix":
         _require_keys(cfg, {"entries"}, {"entries"})

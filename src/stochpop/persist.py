@@ -668,12 +668,16 @@ def lottery_taylor_rate(envspec, d: float, face_samples, invader: int, seed: int
     if d > 0.2:
         warnings.warn(f"first-order rate requested at d={d:g}; the expansion "
                       "is only reliable for small turnover")
+    m = envspec.dim
     x = np.asarray(face_samples, dtype=float)
-    if x.ndim != 2:
-        raise ConfigurationError("face_samples must be a 2-d array of states")
+    if x.ndim != 2 or x.shape[1] != m:
+        raise ConfigurationError(f"face_samples must be a 2-d array of states with {m} "
+                                 f"columns, got shape {x.shape}")
+    if not 0 <= invader < m:
+        raise ConfigurationError(f"invader {invader} out of range for {m} species")
     n = x.shape[0]
     w = sample_block(envspec, make_stream(seed, _BASE_POINT_MC + 2), n)
-    Lottery(envspec.dim, d).check_draws(w)
+    Lottery(m, d).check_draws(w)
     ratio = w[:, invader] / np.sum(x * w, axis=-1)
     base = _iid_estimate(ratio)
     return RateEstimate(-d + d * base.mean, d * base.std_error, base.batches, n)

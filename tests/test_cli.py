@@ -398,6 +398,146 @@ def test_mistyped_config_value_exits_2_without_outputs(tmp_path, capsys, case):
     assert not out.exists()
 
 
+def _invade_lottery_cfg():
+    return {
+        "model": {
+            "model": "lottery",
+            "k": 3,
+            "d": 0.1,
+            "fecundity": [{"dist": "lognormal", "log_mean": 1.0, "log_sd": 0.3}] * 3,
+        },
+        "sim": {"seed": 3, "replicates": 1, "burn_in": 10, "horizon": 110},
+        "task": "invade",
+        "task_params": {"invader": 1, "resident_support": [0]},
+    }
+
+
+def _set_log_sd(cfg, value):
+    cfg["model"]["fecundity"] = [dict(cfg["model"]["fecundity"][0], log_sd=value)] * 3
+
+
+# (edit of the lottery invade config, expected stderr); before model and
+# task parameters were type-checked, the first two ran as invader 1 and k = 3
+# and exited 0, the last three exited 1 with a ValueError traceback
+_MISTYPED_PARAMS = {
+    "fractional_invader": (lambda c: c["task_params"].update(invader=1.7),
+                           "task_params invader must be an integer, got 1.7"),
+    "fractional_k": (lambda c: c["model"].update(k=3.5), "lottery k must be an integer, got 3.5"),
+    "string_resident": (lambda c: c["task_params"].update(resident_support=["a"]),
+                        "task_params resident_support entry must be an integer, got 'a'"),
+    "string_d": (lambda c: c["model"].update(d="0.1x"), "lottery d must be a number, got '0.1x'"),
+    "string_log_sd": (lambda c: _set_log_sd(c, "0.3"),
+                      "lognormal log_sd must be a number, got '0.3'"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MISTYPED_PARAMS))
+def test_mistyped_model_or_task_param_exits_2_through_the_module(tmp_path, case):
+    edit, message = _MISTYPED_PARAMS[case]
+    cfg = _invade_lottery_cfg()
+    edit(cfg)
+    src = str(Path(stochpop.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "stochpop.cli", "run",
+         "--config", _write(tmp_path, cfg), "--out", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "configuration error" in proc.stderr and message in proc.stderr
+    assert not out.exists()
+
+
+def _drift_cfg():
+    return {
+        "model": {"model": "hassell", "lam": {"dist": "lognormal", "log_mean": 0.3,
+                                              "log_sd": 0.3}, "b": 1.0},
+        "sim": {"seed": 3, "horizon": 100},
+        "task": "drift",
+    }
+
+
+def _rps_cfg():
+    return {
+        "model": {"model": "rps_lottery", "d": 0.1, "alpha": 3.2, "beta": 2.0, "gamma": 1.0},
+        "sim": {"seed": 3, "horizon": 100},
+        "task": "rps",
+    }
+
+
+def _gamma_task_cfg():
+    return {
+        "model": {"model": "biennial", "p": 0.5, "a": 0.5, "b1": 1.0, "b2": 1.0,
+                  "xi": {"dist": "gamma", "shape": 2.0, "scale": 2.0}},
+        "sim": {"seed": 3, "horizon": 100},
+        "task": "gamma",
+    }
+
+
+def _model_cfg(model):
+    return dict(_drift_cfg(), model=model)
+
+
+# (config, expected stderr): each value is a bool, a fractional float or a
+# string where a number or an integer is required
+_MISTYPED_PARAMS_MORE = {
+    "bool_invader": (dict(_invade_lottery_cfg(), task_params={"invader": True,
+                                                              "resident_support": [0]}),
+                     "task_params invader must be an integer"),
+    "scalar_resident_support": (dict(_invade_lottery_cfg(), task_params={
+        "invader": 1, "resident_support": 0}), "task_params resident_support must be a list"),
+    "bool_n_pairs": (dict(_drift_cfg(), task_params={"n_pairs": True}),
+                     "task_params n_pairs must be an integer"),
+    "string_margin": (dict(_drift_cfg(), task_params={"margin": "0.1"}),
+                      "task_params margin must be a number"),
+    "fractional_domination_steps": (dict(_drift_cfg(), task_params={"domination_steps": 2.5}),
+                                    "task_params domination_steps must be an integer"),
+    "fractional_rps_n": (dict(_rps_cfg(), task_params={"n": 500.5}),
+                         "task_params n must be an integer"),
+    "string_rps_d": (dict(_rps_cfg(), task_params={"d": "0.1"}), "task_params d must be a number"),
+    "string_rel_tol": (dict(_gamma_task_cfg(), task_params={"rel_tol": "1e-9"}),
+                       "task_params rel_tol must be a number"),
+    "bool_k": (dict(_invade_lottery_cfg(), model=dict(_invade_lottery_cfg()["model"], k=True)),
+               "lottery k must be an integer"),
+    "string_beverton_holt_s": (_model_cfg({"model": "beverton_holt", "lam": 2.0, "a": 1.0,
+                                           "s": "0.5"}), "beverton_holt s must be a number"),
+    "string_alpha": (_model_cfg({"model": "ricker_competition", "r": [1.0, 0.8],
+                                 "alpha": ["0.6", 0.5]}),
+                     "ricker_competition alpha entry must be a number"),
+    "bool_biennial_p": (dict(_gamma_task_cfg(), model=dict(_gamma_task_cfg()["model"], p=False)),
+                        "biennial p must be a number"),
+    "string_rps_model_d": (dict(_rps_cfg(), model=dict(_rps_cfg()["model"], d="0.1")),
+                           "rps_lottery d must be a number"),
+    "string_constant": (_model_cfg({"model": "hassell", "lam": 2.0,
+                                    "b": {"dist": "constant", "value": "1"}}),
+                        "constant value must be a number"),
+    "bool_normal_mean": (_model_cfg({"model": "ricker", "a": 1.0,
+                                     "r": {"dist": "normal", "mean": True, "sd": 0.3}}),
+                         "normal mean must be a number"),
+    "string_discrete_prob": (_model_cfg({"model": "hassell", "lam": 2.0, "b": {
+        "dist": "discrete", "values": [1.0, 2.0], "probs": ["0.5", 0.5]}}),
+                             "discrete probs entry must be a number"),
+    "scalar_discrete_values": (_model_cfg({"model": "hassell", "lam": 2.0, "b": {
+        "dist": "discrete", "values": 1.0, "probs": [1.0]}}),
+                               "discrete values must be a list"),
+    # an integer no float can hold
+    "huge_int_log_sd": (_model_cfg({"model": "hassell", "b": 1.0, "lam": {
+        "dist": "lognormal", "log_mean": 0.3, "log_sd": 10**400}}),
+                        "lognormal log_sd is out of range"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MISTYPED_PARAMS_MORE))
+def test_mistyped_model_or_task_param_exits_2_without_outputs(tmp_path, capsys, case):
+    cfg, message = _MISTYPED_PARAMS_MORE[case]
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # Output bytes against the writer that converted every field on the way out
 

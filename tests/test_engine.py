@@ -1,5 +1,6 @@
 """Simulation engine: occupation statistics, averages, reproducibility."""
 
+import itertools
 import math
 import re
 
@@ -32,6 +33,7 @@ from stochpop.env import (
     Constant,
     Discrete,
     EnvSpec,
+    Gamma,
     LogNormal,
     Normal,
     Uniform,
@@ -429,6 +431,44 @@ def test_drive_matches_per_mode_reference(monkeypatch, case):
         assert np.all(got["terminal"][got["floored"]] > _LINEAR_FLOOR)  # a dip, not an absorption
 
 
+def _recut_chunks(lengths):
+    """A ``_draw_chunks`` whose chunks have the given lengths, repeated:
+    the same draws as the regular chunks, cut elsewhere."""
+    def chunks(envspec, streams, t_total):
+        draws = np.concatenate([d for _, d in _draw_chunks(envspec, streams, t_total)])
+        t = 0
+        for n in itertools.cycle(lengths):
+            if t >= t_total:
+                return
+            yield t, draws[t:t + n]
+            t += n
+    return chunks
+
+
+# chunk edges at 8, 38, 41, 86, 94, ...: the first chunk is the shortest but
+# one, so a state block sized by it overflows in the second
+_RECUT = (8, 30, 3, 45)
+
+
+@pytest.mark.parametrize("case", ["hassell", "lottery", "biennial", "affine"])
+@pytest.mark.parametrize("burn_in", [8, 41, 50], ids=["at_first_edge", "at_later_edge",
+                                                      "past_three_chunks"])
+def test_occupation_per_chunk_matches_the_reference_across_burn_in_edges(
+        monkeypatch, case, burn_in):
+    monkeypatch.setattr(engine, "_draw_chunks", _recut_chunks(_RECUT))
+    model, env, pair_fns = _DRIVE_CASES[case]
+    cfg = SimConfig(seed=17, replicates=3, burn_in=burn_in, horizon=200, thinning=7,
+                    eta_grid=(0.05, 0.5), bound_radius=2.0)
+    functionals = (Coordinate(0), Indicator(Box(((0.2, 1.5),) * model.k)), *pair_fns)
+    sets = default_sets(cfg)
+    got = _drive(model, env, cfg, functionals, sets)
+    want = _reference_drive(model, env, cfg, functionals, sets)
+    for key in ("occ_counts", "fsums", "thinned", "floored", "terminal"):
+        assert np.array_equal(got[key], want[key]), key
+    # the ball and its complement split every measured step
+    assert np.all(got["occ_counts"][:, 2] + got["occ_counts"][:, 3] == 200 - burn_in)
+
+
 def test_repeated_functional_is_not_counted_twice():
     cfg = SimConfig(seed=1, replicates=2, burn_in=10, horizon=510)
     env = EnvSpec((LogNormal(0.3, 0.3), Constant(1.0)))
@@ -482,7 +522,15 @@ _BLOCK_CASES = {
     "rows_above_block_per_chunk": (1, 3, 3000, 4096, {}),
     "one_step_chunks": (2, 3, 7, 4, {}),
     "exact_zero_words": (2, 3, 3000, 4096, {0: (5, 2731), 2: (0, 5999)}),
+    # every kind: a constant written straight into its column and each
+    # other ppf through the transform's scratch; 195-step chunks
+    "m8_every_kind": (8, 3, 700, 4096, {}),
+    "m8_exact_zero_words": (8, 3, 700, 4096, {0: (3, 4, 1373), 1: (6, 7), 2: (0, 5, 5599)}),
 }
+# the coordinates of a case with m draws per step are the first m here
+_BLOCK_COORDS = (Uniform(0.0, 1.0), LogNormal(0.3, 0.3), Discrete((1.0, 2.0), (0.25, 0.75)),
+                 Constant(1.5), Gamma(1.0, 2.0), Gamma(2.0, 2.0), Normal(0.5, 1.0),
+                 Uniform(-1.0, 3.0))
 
 
 @pytest.mark.parametrize("case", list(_BLOCK_CASES))
@@ -491,7 +539,7 @@ def test_draw_block_matches_each_stream_alone(monkeypatch, case):
     if block is not None:
         monkeypatch.setattr(engine, "_BLOCK", block)
         assert rows > engine._BLOCK // engine._CHUNK
-    env = EnvSpec((Uniform(0.0, 1.0), LogNormal(0.3, 0.3), Discrete((1.0, 2.0), (0.25, 0.75)))[:m])
+    env = EnvSpec(_BLOCK_COORDS[:m])
     chunks = list(_draw_chunks(env, _streams(rows, zeros), steps))
     assert all(draws.flags.c_contiguous for _, draws in chunks)
     got = np.concatenate([draws for _, draws in chunks])

@@ -1,10 +1,13 @@
 """Environment distributions and stream determinism."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import gammaincinv, ndtri
 
+from stochpop import env
 from stochpop.env import (
     Constant,
     Discrete,
@@ -151,3 +154,113 @@ def test_parse_env_spec_round_trip():
         parse_env_spec({"coords": []})
     with pytest.raises(ConfigurationError):
         parse_env_spec({"coordinates": []})
+
+
+# ---------------------------------------------------------------------------
+# In-place inverse CDFs against the out-of-place expressions they replace
+
+
+def _oracle_ppf(dist, u):
+    """Each distribution's inverse CDF as it was computed out of place."""
+    if isinstance(dist, Constant):
+        return np.full_like(u, dist.value, dtype=float)
+    if isinstance(dist, Normal):
+        return dist.mean_ + dist.sd * ndtri(u)
+    if isinstance(dist, LogNormal):
+        return np.exp(dist.log_mean + dist.log_sd * ndtri(u))
+    if isinstance(dist, Gamma):
+        if dist.shape == 1.0:
+            return -dist.scale * np.log1p(-u)
+        return dist.scale * gammaincinv(dist.shape, u)
+    if isinstance(dist, Uniform):
+        return dist.lo + (dist.hi - dist.lo) * u
+    cum = np.cumsum(np.asarray(dist.probs, dtype=float))
+    cum[-1] = 1.0
+    idx = np.searchsorted(cum, u, side="right")
+    return np.asarray(dist.values, dtype=float)[np.minimum(idx, len(dist.values) - 1)]
+
+
+_ALL_DISTS = [
+    Constant(2.5),
+    Normal(1.5, 0.7),
+    LogNormal(0.3, 0.3),
+    Gamma(1.0, 2.0),
+    Gamma(2.0, 2.0),
+    Gamma(0.4, 1.5),
+    Uniform(-1.0, 3.0),
+    Discrete((0.0, 1.0, 5.0), (0.2, 0.5, 0.3)),
+    # cum[-1] rounds to 1 - 2**-53, so u = 1 - 2**-53 lands on it
+    Discrete((1.0, 2.0, 3.0), (0.7, 0.2, 0.1)),
+]
+
+
+def _edge_uniforms(n=20_000):
+    u = make_stream(31, 0).uniforms(n)
+    u[:3] = (2.0**-54, 2.0**-53, 1.0 - 2.0**-53)
+    return u
+
+
+@pytest.mark.parametrize("dist", _ALL_DISTS, ids=repr)
+def test_ppf_in_place_gives_the_bits_of_the_out_of_place_form(dist):
+    u = _edge_uniforms()
+    want = _oracle_ppf(dist, u).view(np.int64)
+    block = np.full((u.size, 3), np.nan)
+    out = block[:, 1]  # a strided column, as in a step-major draw block
+    assert dist.ppf(u, out=out) is out
+    assert np.array_equal(np.ascontiguousarray(out).view(np.int64), want)
+    assert np.isnan(block[:, [0, 2]]).all()
+    fresh = dist.ppf(u)
+    assert isinstance(fresh, np.ndarray) and fresh.shape == u.shape
+    assert not np.shares_memory(fresh, u)
+    assert np.array_equal(fresh.view(np.int64), want)
+
+
+def test_transform_into_a_step_major_block_gives_the_bits_of_each_coordinate():
+    spec = EnvSpec(tuple(_ALL_DISTS))
+    rows, n, m = 5, 400, spec.dim
+    u = _edge_uniforms(rows * n * m).reshape(rows, n, m)
+    draws = np.empty((n, rows, m))
+    assert spec.transform(u, out=draws.transpose(1, 0, 2)).base is draws
+    fresh = spec.transform(u)
+    for j, dist in enumerate(spec.coords):
+        want = _oracle_ppf(dist, u[..., j]).view(np.int64)
+        assert np.array_equal(np.ascontiguousarray(draws[..., j].T).view(np.int64), want), j
+        assert np.array_equal(fresh[..., j].view(np.int64), want), j
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_transform_allocates_one_scratch_and_no_ppf_temporary():
+    # a column of the block is 800 kB, above the scratch bound; before, each
+    # ppf allocated two or three column-sized temporaries and the constant
+    # a full one
+    rows, n = 1000, 100
+    column = rows * n * 8
+    scratch = (env._SCRATCH // n) * n * 8
+    assert scratch < column
+    spec = EnvSpec((LogNormal(0.3, 0.3), Constant(1.0), Gamma(1.0, 2.0), Gamma(2.0, 1.0),
+                    Normal(0.0, 1.0), Uniform(0.0, 2.0)))
+    u = _edge_uniforms(rows * n * spec.dim).reshape(rows, n, spec.dim)
+    draws = np.empty((n, rows, spec.dim))
+    peak = _peak_bytes(lambda: spec.transform(u, out=draws.transpose(1, 0, 2)))
+    assert scratch <= peak < scratch + 0.25 * column
+    for dist in spec.coords:
+        assert _peak_bytes(lambda: dist.ppf(u[..., 0], out=draws[:, :, 0].T)) < 0.25 * column
+
+
+@pytest.mark.parametrize("shape", [(3,), (70_000, 3), (5, 70_000, 3), (2, 3, 40_000, 3)])
+def test_transform_in_scratch_blocks_matches_each_coordinate(shape):
+    # blocks of the leading axis: a vector, one block with a short tail,
+    # one row per block, and a block of 2-d entries
+    spec = EnvSpec((LogNormal(0.3, 0.3), Constant(1.0), Normal(0.5, 2.0)))
+    u = _edge_uniforms(math.prod(shape)).reshape(shape)
+    got = spec.transform(u)
+    for j, dist in enumerate(spec.coords):
+        assert np.array_equal(got[..., j], _oracle_ppf(dist, u[..., j])), j

@@ -535,6 +535,24 @@ def test_taylor_rate_warns_for_large_turnover():
         lottery_taylor_rate(env, 0.5, _vertex_samples(3, 0), 1, seed=26)
 
 
+@pytest.mark.parametrize("invader, samples, message", [
+    (-1, _vertex_samples(3, 0, n=50), "invader -1 out of range for 3 species"),
+    (3, _vertex_samples(3, 0, n=50), "invader 3 out of range for 3 species"),
+    (1, _vertex_samples(2, 0, n=50), r"with 3 columns, got shape \(50, 2\)"),
+], ids=["invader_-1", "invader_3", "two_columns"])
+def test_taylor_rate_refuses_a_bad_invader_or_sample_width(monkeypatch, invader, samples,
+                                                           message):
+    # before, -1 returned species 2's rate, 3 raised IndexError and two
+    # columns a numpy broadcast ValueError
+    def no_stream(*args):
+        raise AssertionError("a stream was opened")
+
+    monkeypatch.setattr(persist, "make_stream", no_stream)
+    env = EnvSpec((LogNormal(1.0, 0.3),) * 3)
+    with pytest.raises(ConfigurationError, match=message):
+        lottery_taylor_rate(env, 0.05, samples, invader, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # Draw checks on each Monte Carlo sample block
 
