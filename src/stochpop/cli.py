@@ -57,13 +57,12 @@ _SIM_KEYS = {
     "replicates",
     "burn_in",
     "horizon",
-    "thinning",
     "initial_state",
     "eta_grid",
     "bound_radius",
 }
 # sim keys that must be JSON integers; "replicate_base" is no config key
-_SIM_INTS = ("seed", "replicates", "burn_in", "horizon", "thinning")
+_SIM_INTS = ("seed", "replicates", "burn_in", "horizon")
 
 
 def _jsonable(obj):

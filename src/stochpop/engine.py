@@ -6,7 +6,9 @@ stream, so results are bit-identical across runs and across any grouping
 of rows into one batch.  Occupation fractions and functional
 time-averages are accumulated streaming over the post-burn-in window;
 standard errors come from 20 equal time batches per replicate, which keeps
-them honest under autocorrelation.
+them honest under autocorrelation.  No sample path is stored: a run keeps
+only these sums and each replicate's terminal state, so its memory does not
+grow with the horizon.
 
 The step loop only advances the state and measures it.  Draws are checked
 once per chunk (``Model.check_draws``), the functionals of the current time
@@ -62,7 +64,6 @@ class SimConfig:
     replicates: int = 1
     burn_in: int = 0
     horizon: int = 1000
-    thinning: int = 100
     initial_state: object = "random_interior"
     eta_grid: tuple = ()
     bound_radius: object = None
@@ -77,8 +78,6 @@ class SimConfig:
             raise ConfigurationError("horizon must be positive")
         if not (0 <= self.burn_in < self.horizon):
             raise ConfigurationError("burn_in must satisfy 0 <= burn_in < horizon")
-        if self.thinning < 1:
-            raise ConfigurationError("thinning must be positive")
         for eta in self.eta_grid:
             if not eta > 0:
                 raise ConfigurationError("eta_grid entries must be positive")
@@ -218,7 +217,6 @@ class RateEstimate:
 class EmpiricalSummary:
     occupation: dict
     functional_averages: dict
-    thinned_samples: np.ndarray
     terminal_state: np.ndarray
     extinction_flag: bool
     divergence_flag: bool = False
@@ -365,8 +363,6 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
 
     occ_counts = np.zeros((rg, len(sets)), dtype=np.int64)
     fsums = np.zeros((rg, len(functionals), n_batches))
-    n_thin = 0 if n_steps == 0 else 1 + (n_steps - 1) // cfg.thinning
-    thinned = np.zeros((rg, n_thin, k))
     floored = np.zeros(rg, dtype=bool)
     frozen = np.zeros(rg, dtype=bool)
     # simplex mode: each coordinate's smallest value within the chunk
@@ -398,8 +394,6 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
                     acc_coord += x.T.take(coord_idx, axis=0)
                 for row, sd in ind_rows:
                     row += sd.contains(x, model)
-                if rel % cfg.thinning == 0:
-                    thinned[:, rel // cfg.thinning] = x
 
             # advance one step; each mode sets logf and, if measured, growth
             if mode == "log_mult":
@@ -472,7 +466,6 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
     return {
         "occ_counts": occ_counts,
         "fsums": fsums,
-        "thinned": thinned,
         "floored": floored,
         "terminal": x,
         "labels": [label for _, _, label in rows],
@@ -482,7 +475,7 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
 
 
 # Per-row entries of a driver result; rows sit on axis 0 of each.
-_ROW_KEYS = ("occ_counts", "fsums", "thinned", "floored", "terminal", "labels")
+_ROW_KEYS = ("occ_counts", "fsums", "floored", "terminal", "labels")
 
 
 def _row_slice(raw, a, b):
@@ -533,13 +526,11 @@ def _build_result(raw, functionals, sets) -> SimulationResult:
             occupation=dict(zip(set_names, occ_r)),
             functional_averages={name: RateEstimate(mean, se, b, n_steps)
                                  for name, mean, se in zip(names, means_r, ses_r)},
-            thinned_samples=thinned,
             terminal_state=terminal,
             extinction_flag=floored,
         )
-        for occ_r, means_r, ses_r, thinned, terminal, floored in zip(
-            occ.tolist(), means.tolist(), ses.tolist(), raw["thinned"], raw["terminal"],
-            raw["floored"].tolist())
+        for occ_r, means_r, ses_r, terminal, floored in zip(
+            occ.tolist(), means.tolist(), ses.tolist(), raw["terminal"], raw["floored"].tolist())
     ]
     bad = ~(np.isfinite(means) & np.isfinite(ses)).all(axis=-1)
     if bad.any():

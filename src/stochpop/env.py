@@ -22,7 +22,7 @@ IEEE multiplication and addition commute, so the bits are the same.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy.special import gammaincinv, ndtri
@@ -200,9 +200,6 @@ class EnvSpec:
     def is_deterministic(self) -> bool:
         return all(isinstance(c, Constant) for c in self.coords)
 
-    def means(self) -> np.ndarray:
-        return np.array([c.mean() for c in self.coords])
-
     def transform(self, u: np.ndarray, out=None) -> np.ndarray:
         """Map uniforms of shape ``(..., dim)`` to environment vectors, in
         ``out`` (of u's shape, any strides) when given.
@@ -310,14 +307,18 @@ def config_int(value, what: str) -> int:
 
 
 def config_number(value, what: str) -> float:
-    """``value`` as a float if it is a JSON number (not a bool), else a
-    ConfigurationError naming ``what``."""
+    """``value`` as a float if it is a finite JSON number (not a bool), else
+    a ConfigurationError naming ``what``; JSON's NaN and Infinity, which
+    Python's parser accepts, are refused."""
     if not (is_int(value) or isinstance(value, float)):
         raise ConfigurationError(f"{what} must be a number, got {value!r}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:  # an integer beyond the float range
         raise ConfigurationError(f"{what} is out of range: {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigurationError(f"{what} must be finite, got {value!r}")
+    return number
 
 
 def config_list(value, what: str, item=config_number) -> tuple:
@@ -330,13 +331,11 @@ def config_list(value, what: str, item=config_number) -> tuple:
 def parse_dist(obj) -> object:
     """Build a scalar distribution from its JSON form.
 
-    A bare number is shorthand for a constant.  Every field must be a JSON
-    number (discrete: a list of them); nothing is coerced.
+    A bare number is shorthand for a constant.  Every field must be a finite
+    JSON number (discrete: a list of them); nothing is coerced.
     """
     if is_int(obj) or isinstance(obj, float):
-        d = Constant(float(obj))
-        d.validate()
-        return d
+        return Constant(config_number(obj, "constant value"))
     if not isinstance(obj, dict):
         raise ConfigurationError(f"distribution must be a number or object, got {obj!r}")
     kind = obj.get("dist")
@@ -357,18 +356,10 @@ def parse_dist(obj) -> object:
 
 def dist_to_config(dist) -> dict:
     """Inverse of :func:`parse_dist`, for provenance echoing."""
-    if isinstance(dist, Constant):
-        return {"dist": "constant", "value": dist.value}
-    if isinstance(dist, Normal):
-        return {"dist": "normal", "mean": dist.mean_, "sd": dist.sd}
-    if isinstance(dist, LogNormal):
-        return {"dist": "lognormal", "log_mean": dist.log_mean, "log_sd": dist.log_sd}
-    if isinstance(dist, Gamma):
-        return {"dist": "gamma", "shape": dist.shape, "scale": dist.scale}
-    if isinstance(dist, Uniform):
-        return {"dist": "uniform", "lo": dist.lo, "hi": dist.hi}
-    if isinstance(dist, Discrete):
-        return {"dist": "discrete", "values": list(dist.values), "probs": list(dist.probs)}
+    for kind, (cls, fields) in _DISTS.items():
+        if isinstance(dist, cls):
+            values = [list(v) if kind == "discrete" else v for v in astuple(dist)]
+            return {"dist": kind, **dict(zip(fields, values))}
     raise ConfigurationError(f"not a distribution: {dist!r}")
 
 

@@ -37,6 +37,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .engine import (
     N_BATCHES,
@@ -374,34 +375,8 @@ def flowering_limit_report(a: float, theta: float, k: float, rel_tol: float = 1e
 # ---------------------------------------------------------------------------
 # Digamma
 
-# Asymptotic tail coefficients: -B_{2n}/(2n) for psi(x) ~ ln x - 1/(2x) + ...
-_PSI_TAIL = (
-    -1.0 / 12.0,
-    1.0 / 120.0,
-    -1.0 / 252.0,
-    1.0 / 240.0,
-    -1.0 / 132.0,
-    691.0 / 32760.0,
-)
-
-
 def digamma(x: float) -> float:
-    """Logarithmic derivative of the gamma function for x > 0.
-
-    Recurrence psi(x+1) = psi(x) + 1/x shifts the argument to at least 8,
-    where the asymptotic series through 1/x^12 is accurate to ~1e-14.
-    """
+    """Logarithmic derivative of the gamma function for x > 0."""
     if not (x > 0):
         raise ConfigurationError("digamma requires a positive argument")
-    x = float(x)
-    acc = 0.0
-    while x < 8.0:
-        acc -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    tail = 0.0
-    power = inv2
-    for coeff in _PSI_TAIL:
-        tail += coeff * power
-        power *= inv2
-    return acc + math.log(x) - 0.5 / x + tail
+    return float(special.digamma(x))

@@ -93,7 +93,6 @@ class Model:
     name = ""
     k = 0
     env_dim = 0
-    env_coord_names = ()
     multiplicative = False
     structured = False
     # "log_mult": orthant multiplicative dynamics simulated in log state;
@@ -149,7 +148,6 @@ class Hassell(Model):
     name = "hassell"
     k = 1
     env_dim = 2
-    env_coord_names = ("lam", "b")
     multiplicative = True
     sim_mode = "log_mult"
 
@@ -178,7 +176,6 @@ class RickerScalar(Model):
     name = "ricker"
     k = 1
     env_dim = 2
-    env_coord_names = ("r", "a")
     multiplicative = True
     sim_mode = "log_mult"
 
@@ -203,7 +200,6 @@ class BevertonHolt(Model):
     name = "beverton_holt"
     k = 1
     env_dim = 2
-    env_coord_names = ("lam", "a")
     multiplicative = True
     sim_mode = "log_mult"
 
@@ -240,7 +236,6 @@ class RickerCompetition(Model):
     name = "ricker_competition"
     k = 2
     env_dim = 2
-    env_coord_names = ("xi1", "xi2")
     multiplicative = True
     sim_mode = "log_mult"
 
@@ -278,7 +273,6 @@ class Lottery(Model):
         self.k = int(k)
         self.d = float(d)
         self.env_dim = self.k
-        self.env_coord_names = tuple(f"xi{i + 1}" for i in range(self.k))
         self.state_space = Simplex(self.k)
         self.extinction = CoordinateUnion(tuple(range(self.k)))
 
@@ -303,7 +297,6 @@ class RpsLottery(Model):
     name = "rps_lottery"
     k = 3
     env_dim = 3
-    env_coord_names = ("alpha", "beta", "gamma")
     multiplicative = True
     sim_mode = "simplex"
 
@@ -348,7 +341,6 @@ class Biennial(Model):
     name = "biennial"
     k = 2
     env_dim = 1
-    env_coord_names = ("xi",)
     structured = True
     sim_mode = "linear"
 
@@ -401,9 +393,6 @@ class LinearMatrix(Model):
             raise ConfigurationError("matrix dimension must be at least 1")
         self.k = int(k)
         self.env_dim = self.k * self.k
-        self.env_coord_names = tuple(
-            f"a{i + 1}{j + 1}" for i in range(self.k) for j in range(self.k)
-        )
         self.state_space = Orthant(self.k)
         self.extinction = Origin(self.k)
 
@@ -432,7 +421,6 @@ class AffineChain(Model):
     name = "affine_chain"
     k = 1
     env_dim = 2
-    env_coord_names = ("alpha", "beta")
     sim_mode = "affine"
 
     def __init__(self):
@@ -465,7 +453,6 @@ class FaceModel(Model):
         self.name = f"{base.name}[face {'+'.join(str(i + 1) for i in self.support)}]"
         self.k = base.k
         self.env_dim = base.env_dim
-        self.env_coord_names = base.env_coord_names
         self.multiplicative = base.multiplicative
         self.structured = base.structured
         self.sim_mode = base.sim_mode

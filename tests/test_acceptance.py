@@ -115,10 +115,13 @@ def test_criterion_4_lottery_coexistence():
 
     for d in (0.02, 0.05):
         small = Lottery(3, d)
-        cfg_d = SimConfig(seed=403, replicates=1, burn_in=1000, horizon=31_000, thinning=10)
+        cfg_d = SimConfig(seed=403, replicates=1, burn_in=1000, horizon=31_000)
         exact = invasion_rate(small, env, cfg_d, invader=1, resident_support=(0,))
-        face = simulate(small.restrict_to_face((0,)), env, cfg_d.replaced(replicate_base=1 << 22))
-        samples = face.replicates[0].thinned_samples
+        # the terminal states of 3000 runs on the resident face (0,), each the
+        # vertex (1, 0, 0)
+        face = simulate(small.restrict_to_face((0,)), env,
+                        SimConfig(seed=403, replicates=3000, horizon=100))
+        samples = np.stack([s.terminal_state for s in face.replicates])
         taylor = lottery_taylor_rate(env, d, samples, 1, seed=404)
         tol = max(SIGMAS * math.hypot(exact.std_error, taylor.std_error), 0.25 * d * d)
         assert abs(exact.mean - taylor.mean) < tol, (d, exact, taylor)

@@ -73,6 +73,20 @@ def _write(tmp_path, cfg, name="cfg.json"):
     return str(path)
 
 
+def _run_module(tmp_path, cfg, *args, name="cfg.json", out="out"):
+    """Run ``python -m stochpop.cli run`` on ``cfg``; returns the finished
+    process and its output directory."""
+    src = str(Path(stochpop.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / out
+    proc = subprocess.run(
+        [sys.executable, "-m", "stochpop.cli", "run",
+         "--config", _write(tmp_path, cfg, name), "--out", str(out), *args],
+        capture_output=True, text=True, env=env,
+    )
+    return proc, out
+
+
 def test_classify_run_writes_results(tmp_path):
     cfg_path = _write(tmp_path, _classify_cfg())
     out = tmp_path / "out"
@@ -322,18 +336,11 @@ def test_explore_reports_raw_statistics_without_verdicts(tmp_path):
 
 
 def test_functional_index_out_of_range_exits_2_through_the_module(tmp_path):
-    src = str(Path(stochpop.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     for n, functional in enumerate(({"kind": "coordinate", "i": -1},
                                     {"kind": "log_percapita", "i": 3})):
         cfg = _simulate_cfg()
         cfg["task_params"] = {"functionals": [{"kind": "coordinate", "i": 0}, functional]}
-        out = tmp_path / f"out{n}"
-        proc = subprocess.run(
-            [sys.executable, "-m", "stochpop.cli", "run",
-             "--config", _write(tmp_path, cfg, f"c{n}.json"), "--out", str(out)],
-            capture_output=True, text=True, env=env,
-        )
+        proc, out = _run_module(tmp_path, cfg, name=f"c{n}.json", out=f"out{n}")
         assert proc.returncode == 2, proc.stderr
         assert "configuration error: species index" in proc.stderr
         assert not out.exists()
@@ -360,14 +367,7 @@ def test_mistyped_config_value_exits_2_through_the_module(tmp_path, case):
     edit, message = _MISTYPED[case]
     cfg = _simulate_cfg()
     edit(cfg)
-    src = str(Path(stochpop.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = tmp_path / "out"
-    proc = subprocess.run(
-        [sys.executable, "-m", "stochpop.cli", "run",
-         "--config", _write(tmp_path, cfg), "--out", str(out)],
-        capture_output=True, text=True, env=env,
-    )
+    proc, out = _run_module(tmp_path, cfg)
     assert proc.returncode == 2, proc.stderr
     assert "configuration error" in proc.stderr and message in proc.stderr
     assert not out.exists()
@@ -395,6 +395,16 @@ def test_mistyped_config_value_exits_2_without_outputs(tmp_path, capsys, case):
     out = tmp_path / "out"
     assert main(["run", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 2
     assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_thinning_is_an_unknown_sim_key(tmp_path, capsys):
+    # runs keep no thinned samples, so the key that spaced them is refused
+    cfg = _simulate_cfg()
+    cfg["sim"]["thinning"] = 10
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 2
+    assert "configuration error: unknown sim keys ['thinning']" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -436,14 +446,7 @@ def test_mistyped_model_or_task_param_exits_2_through_the_module(tmp_path, case)
     edit, message = _MISTYPED_PARAMS[case]
     cfg = _invade_lottery_cfg()
     edit(cfg)
-    src = str(Path(stochpop.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = tmp_path / "out"
-    proc = subprocess.run(
-        [sys.executable, "-m", "stochpop.cli", "run",
-         "--config", _write(tmp_path, cfg), "--out", str(out)],
-        capture_output=True, text=True, env=env,
-    )
+    proc, out = _run_module(tmp_path, cfg)
     assert proc.returncode == 2, proc.stderr
     assert "configuration error" in proc.stderr and message in proc.stderr
     assert not out.exists()
@@ -535,6 +538,40 @@ def test_mistyped_model_or_task_param_exits_2_without_outputs(tmp_path, capsys, 
     assert main(["run", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and message in err
+    assert not out.exists()
+
+
+def _ricker_cfg(**normal):
+    return {
+        "model": {"model": "ricker", "a": 1.0,
+                  "r": dict({"dist": "normal", "mean": 1.0, "sd": 0.3}, **normal)},
+        "sim": {"seed": 3, "replicates": 2, "horizon": 100},
+        "task": "simulate",
+    }
+
+
+# (config, extra arguments, expected stderr): json.loads reads NaN, Infinity
+# and -Infinity; before numbers were checked to be finite, the first two
+# exited 3 with "non-finite state for replicate 0" and the others failed a
+# later check whose message did not name the value
+_NON_FINITE = {
+    "nan_normal_mean": (_ricker_cfg(mean=math.nan), (), "normal mean must be finite, got nan"),
+    "infinite_normal_sd": (_ricker_cfg(sd=math.inf), (), "normal sd must be finite, got inf"),
+    "nan_bound_radius_by_set": (_ricker_cfg(), ("--set", "sim.bound_radius=NaN"),
+                                "sim bound_radius must be finite, got nan"),
+    "nan_margin": (dict(_drift_cfg(), task_params={"margin": math.nan}), (),
+                   "task_params margin must be finite, got nan"),
+    "negative_infinite_constant": (_ricker_cfg(), ("--set", "model.a=-Infinity"),
+                                   "constant value must be finite, got -inf"),
+}
+
+
+@pytest.mark.parametrize("case", list(_NON_FINITE))
+def test_non_finite_number_exits_2_through_the_module(tmp_path, case):
+    cfg, args, message = _NON_FINITE[case]
+    proc, out = _run_module(tmp_path, cfg, *args)
+    assert proc.returncode == 2, proc.stderr
+    assert "configuration error" in proc.stderr and message in proc.stderr
     assert not out.exists()
 
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,11 +146,30 @@ def test_non_finite_average_raises_instead_of_reporting():
     assert info.value.step < 5999  # stopped at the chunk where the sum overflowed
 
 
-def test_thinned_samples_shape_and_terminal():
-    cfg = SimConfig(seed=5, replicates=2, burn_in=100, horizon=1100, thinning=100)
+def test_terminal_state_shape():
+    cfg = SimConfig(seed=5, replicates=2, burn_in=100, horizon=1100)
     result = simulate(Hassell(), EnvSpec((LogNormal(0.3, 0.3), Constant(1.0))), cfg)
-    assert result.replicates[0].thinned_samples.shape == (10, 1)
     assert result.replicates[0].terminal_state.shape == (1,)
+
+
+def _simulate_peak_bytes(cfg):
+    tracemalloc.start()
+    try:
+        simulate(Hassell(), EnvSpec((LogNormal(0.3, 0.3), Constant(1.0))), cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_is_bounded_in_the_horizon():
+    # both horizons run 2048-step chunks at R = 64 and span more than one
+    # chunk (from the second chunk on, the previous chunk's draw block is
+    # still held while the next is filled), so they hold the same blocks; a
+    # horizon ten times longer may add no more than a small fixed amount,
+    # a third of what keeping one state per 100 steps would add (189 kB)
+    short = _simulate_peak_bytes(SimConfig(seed=1, replicates=64, horizon=4096))
+    long = _simulate_peak_bytes(SimConfig(seed=1, replicates=64, horizon=40_960))
+    assert long - short < 64 * 1024
 
 
 def test_lottery_exchangeable_species_split_time_evenly():
@@ -238,8 +258,6 @@ def test_sim_config_validation():
     with pytest.raises(ConfigurationError):
         SimConfig(seed=1, burn_in=10, horizon=10)
     with pytest.raises(ConfigurationError):
-        SimConfig(seed=1, horizon=10, thinning=0)
-    with pytest.raises(ConfigurationError):
         SimConfig(seed=1, horizon=10, eta_grid=(0.0,))
     with pytest.raises(ConfigurationError):
         SimConfig(seed=1, horizon=10, replicates=0)
@@ -260,10 +278,9 @@ def test_initial_state_validation():
 
 
 def test_random_interior_simplex_start_is_interior():
-    env = EnvSpec((LogNormal(1.0, 0.3),) * 3)
-    cfg = SimConfig(seed=15, replicates=16, burn_in=0, horizon=1, thinning=1)
-    result = simulate(Lottery(3, 0.2), env, cfg)
-    starts = np.stack([s.thinned_samples[0] for s in result.replicates])
+    cfg = SimConfig(seed=15, replicates=16, horizon=1)
+    streams = [make_stream(cfg.seed, r) for r in range(cfg.replicates)]
+    starts = _initial_states(Lottery(3, 0.2), cfg, streams, [(0, 1, 2)] * cfg.replicates)
     assert np.all(starts >= 0.01 - 1e-12)
     assert np.allclose(starts.sum(axis=1), 1.0, atol=1e-12)
 
@@ -276,7 +293,6 @@ def _reference_drive(model, envspec, cfg, functionals, sets):
     sim_mode branch, one replicate per row."""
     support = tuple(range(model.k))
     rows = [(r, support, f"replicate {r}") for r in range(cfg.replicates)]
-    k = model.k
     t_total = cfg.horizon
     burn = cfg.burn_in
     n_steps = t_total - burn
@@ -299,8 +315,6 @@ def _reference_drive(model, envspec, cfg, functionals, sets):
     f_index = {f.name: i for i, f in enumerate(functionals)}
     occ_counts = np.zeros((rg, len(sets)), dtype=np.int64)
     fsums = np.zeros((rg, len(functionals), n_batches))
-    n_thin = 0 if n_steps == 0 else 1 + (n_steps - 1) // cfg.thinning
-    thinned = np.zeros((rg, n_thin, k))
     floored = np.zeros(rg, dtype=bool)
     frozen = np.zeros(rg, dtype=bool)
 
@@ -324,8 +338,6 @@ def _reference_drive(model, envspec, cfg, functionals, sets):
                     else:
                         val = f.set_descriptor.contains(x, model).astype(float)
                     fsums[:, f_index[f.name], b] += val
-                if rel % cfg.thinning == 0:
-                    thinned[:, rel // cfg.thinning] = x
 
             if mode == "log_mult":
                 logf = model.log_percapita(x, w)
@@ -382,8 +394,7 @@ def _reference_drive(model, envspec, cfg, functionals, sets):
         x = np.exp(np.minimum(ell, LOG_CAP))
     elif mode == "affine":
         x = np.exp(np.minimum(ell, LOG_CAP))[:, None]
-    return {"occ_counts": occ_counts, "fsums": fsums, "thinned": thinned,
-            "floored": floored, "terminal": x}
+    return {"occ_counts": occ_counts, "fsums": fsums, "floored": floored, "terminal": x}
 
 
 # (model, env, pair functionals); p = 1 makes a zero seed draw on a
@@ -414,7 +425,7 @@ def test_drive_matches_per_mode_reference(monkeypatch, case):
     # 7- to 21-step chunks at _BLOCK = 64, so burn_in 25 ends inside a chunk
     monkeypatch.setattr(engine, "_BLOCK", 64)
     model, env, pair_fns = _DRIVE_CASES[case]
-    cfg = SimConfig(seed=16, replicates=3, burn_in=25, horizon=400, thinning=7,
+    cfg = SimConfig(seed=16, replicates=3, burn_in=25, horizon=400,
                     eta_grid=(0.05,), bound_radius=2.0).replaced(**_DRIVE_CFG.get(case, {}))
     # two coordinates where k > 1 (the reference names each column once)
     functionals = (Coordinate(model.k - 1), Indicator(Box(((0.2, 1.5),) * model.k)),
@@ -422,7 +433,7 @@ def test_drive_matches_per_mode_reference(monkeypatch, case):
     sets = default_sets(cfg)
     got = _drive(model, env, cfg, functionals, sets)
     want = _reference_drive(model, env, cfg, functionals, sets)
-    for key in ("occ_counts", "fsums", "thinned", "floored", "terminal"):
+    for key in ("occ_counts", "fsums", "floored", "terminal"):
         assert np.array_equal(got[key], want[key]), key
     if case == "biennial":
         assert 0 < got["floored"].sum() < cfg.replicates
@@ -457,13 +468,13 @@ def test_occupation_per_chunk_matches_the_reference_across_burn_in_edges(
         monkeypatch, case, burn_in):
     monkeypatch.setattr(engine, "_draw_chunks", _recut_chunks(_RECUT))
     model, env, pair_fns = _DRIVE_CASES[case]
-    cfg = SimConfig(seed=17, replicates=3, burn_in=burn_in, horizon=200, thinning=7,
+    cfg = SimConfig(seed=17, replicates=3, burn_in=burn_in, horizon=200,
                     eta_grid=(0.05, 0.5), bound_radius=2.0)
     functionals = (Coordinate(0), Indicator(Box(((0.2, 1.5),) * model.k)), *pair_fns)
     sets = default_sets(cfg)
     got = _drive(model, env, cfg, functionals, sets)
     want = _reference_drive(model, env, cfg, functionals, sets)
-    for key in ("occ_counts", "fsums", "thinned", "floored", "terminal"):
+    for key in ("occ_counts", "fsums", "floored", "terminal"):
         assert np.array_equal(got[key], want[key]), key
     # the ball and its complement split every measured step
     assert np.all(got["occ_counts"][:, 2] + got["occ_counts"][:, 3] == 200 - burn_in)
@@ -594,7 +605,6 @@ def _raw(fsums, n_steps):
     return {
         "occ_counts": np.zeros((rows, 0), dtype=np.int64),
         "fsums": fsums,
-        "thinned": np.zeros((rows, 1, 1)),
         "floored": np.zeros(rows, dtype=bool),
         "terminal": np.ones((rows, 1)),
         "labels": [f"replicate {r}" for r in range(rows)],
@@ -626,7 +636,7 @@ def test_row_wise_reduction_matches_per_row_estimates():
 def test_row_wise_reduction_matches_per_row_estimates_on_a_run(horizon):
     # horizon 1 leaves one batch of one step; Indicator of an empty box has
     # zero spread in every row
-    cfg = SimConfig(seed=4, replicates=5, burn_in=0, horizon=horizon, thinning=3)
+    cfg = SimConfig(seed=4, replicates=5, burn_in=0, horizon=horizon)
     env = EnvSpec((LogNormal(0.3, 0.3), Constant(1.0)))
     functionals = (Coordinate(0), LogPerCapita(0), Indicator(Box(((-2.0, -1.0),))), LogNorm())
     raw = _drive(Hassell(), env, cfg, functionals, ())
@@ -636,7 +646,6 @@ def test_row_wise_reduction_matches_per_row_estimates_on_a_run(horizon):
     for r, s in enumerate(got.replicates):
         assert np.shares_memory(s.terminal_state, raw["terminal"])
         assert np.array_equal(s.terminal_state, raw["terminal"][r])
-        assert np.array_equal(s.thinned_samples, raw["thinned"][r])
     if horizon == 1:
         assert all(est.batches == 1 and est.std_error == 0.0
                    for fa in want for est in fa.values())

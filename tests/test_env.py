@@ -156,6 +156,27 @@ def test_parse_env_spec_round_trip():
         parse_env_spec({"coordinates": []})
 
 
+# one JSON form of each distribution kind
+_DIST_CONFIGS = [
+    {"dist": "constant", "value": 1.5},
+    {"dist": "normal", "mean": -0.5, "sd": 0.3},
+    {"dist": "lognormal", "log_mean": 0.2, "log_sd": 0.4},
+    {"dist": "gamma", "shape": 2.0, "scale": 0.5},
+    {"dist": "uniform", "lo": 0.5, "hi": 2.0},
+    {"dist": "discrete", "values": [0.0, 3.0], "probs": [0.25, 0.75]},
+]
+
+
+def test_dist_to_config_inverts_parse_dist_for_every_kind():
+    assert sorted(obj["dist"] for obj in _DIST_CONFIGS) == sorted(env._DISTS)
+    for obj in _DIST_CONFIGS:
+        d = parse_dist(obj)
+        assert env.dist_to_config(d) == obj
+        assert parse_dist(env.dist_to_config(d)) == d
+    with pytest.raises(ConfigurationError, match="not a distribution"):
+        env.dist_to_config(EnvSpec((Constant(1.0),)))
+
+
 # ---------------------------------------------------------------------------
 # In-place inverse CDFs against the out-of-place expressions they replace
 

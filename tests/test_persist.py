@@ -520,10 +520,12 @@ def test_taylor_rate_zero_without_noise():
 def test_taylor_rate_agrees_with_exact_invasion_rate(d):
     env = EnvSpec((LogNormal(1.0, 0.3),) * 3)
     m = Lottery(3, d)
-    cfg = SimConfig(seed=25, replicates=1, burn_in=1000, horizon=31000, thinning=10)
+    cfg = SimConfig(seed=25, replicates=1, burn_in=1000, horizon=31000)
     exact = invasion_rate(m, env, cfg, invader=1, resident_support=(0,))
-    face = simulate(m.restrict_to_face((0,)), env, cfg.replaced(replicate_base=1 << 22))
-    samples = face.replicates[0].thinned_samples
+    # the terminal states of 3000 runs on the resident face (0,), each the
+    # vertex (1, 0, 0)
+    face = simulate(m.restrict_to_face((0,)), env, SimConfig(seed=25, replicates=3000, horizon=100))
+    samples = np.stack([s.terminal_state for s in face.replicates])
     taylor = lottery_taylor_rate(env, d, samples, 1, seed=25)
     tol = max(3 * math.hypot(exact.std_error, taylor.std_error), 0.25 * d * d)
     assert abs(exact.mean - taylor.mean) < tol
