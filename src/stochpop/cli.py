@@ -465,7 +465,10 @@ def run_config(cfg: dict, out_dir=None, seed=None, threads: int = 1, explore: bo
     try:
         json_path = target / "results.json"
         written.append(json_path)
-        json_path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        # streamed: the whole document is never held as one string
+        with json_path.open("w") as fh:
+            json.dump(report, fh, sort_keys=True, indent=2)
+            fh.write("\n")
         for name, file_rows in {"results.csv": report["estimates"], **extra_files}.items():
             path = target / name
             written.append(path)

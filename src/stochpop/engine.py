@@ -14,9 +14,14 @@ The step loop only advances the state and measures it.  Draws are checked
 once per chunk (``Model.check_draws``), the functionals of the current time
 batch are summed into one per-batch accumulator, the simplex floor flag is
 taken once per chunk from a running minimum, and occupation is counted once
-per chunk: each measured state is stored in a ``(steps, rows, k)`` block and
-every set tests the block at the chunk's end.  Each gives the same bits as a
-per-step update.
+per full state block: each measured state is stored in a ``(steps, rows,
+k)`` block of at most ``env._SCRATCH`` values, and every set tests the block
+when it is full and once after the last chunk.  Each gives the same bits as
+a per-step update.
+
+A run's memory is one draw block, reused by every chunk of the run (a chunk
+is valid only until the next is drawn), plus cache-sized buffers: the
+uniforms of a block of rows, the transform's scratch and the state block.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import logsumexp
 
-from .env import EnvSpec, make_stream, open_unit
+from .env import _SCRATCH, EnvSpec, make_stream, open_unit
 from .errors import ConfigurationError, NumericError
 from .models import LOG_CAP, LOG_FLOOR, AffineChain, Model, Simplex
 
@@ -290,21 +295,34 @@ def _draw_chunks(envspec, streams, t_total):
     environment of ``streams[i]`` at step t+s.  Streams are counter-based, so
     no draw depends on the chunking; but lyap cuts its blocked products at
     chunk ends, so its sums change in their last bits with the chunk length,
-    which is shorter than _CHUNK once rows * m exceeds _BLOCK / _CHUNK."""
+    which is shorter than _CHUNK once rows * m exceeds _BLOCK / _CHUNK.
+
+    Every chunk is a view of one draw block per run, so it is valid only
+    until the next chunk is drawn.  ``_drive``, ``lyap._mc_batch_sums`` and
+    ``persist.affine_domination_audit`` use each chunk within its own
+    iteration and keep nothing of it; any other consumer must copy.  The
+    uniforms are drawn a block of rows at a time into one buffer of at most
+    _SCRATCH values (or one row), which is opened and transformed straight
+    into those rows of the draw block while it is still in cache."""
     m = envspec.dim
     rows = len(streams)
-    chunk = max(1, min(_CHUNK, _BLOCK // (rows * m)))
-    # one reused buffer; each stream fills its own contiguous row
-    buf = np.empty(rows * min(chunk, t_total) * m)
+    chunk = min(t_total, _CHUNK, max(1, _BLOCK // (rows * m)))
+    span = min(rows, max(1, _SCRATCH // (chunk * m)))  # rows per uniform block
+    block = np.empty((chunk, rows, m))
+    buf = np.empty(span * chunk * m)
     for t in range(0, t_total, chunk):
         n = min(chunk, t_total - t)
-        u = buf[: rows * n * m].reshape(rows, n * m)
-        for row, stream in zip(u, streams):
-            stream.uniforms(n * m, out=row)
-        open_unit(u)
-        # the transform writes step-major, so each step's draws are contiguous
-        draws = np.empty((n, rows, m))
-        envspec.transform(u.reshape(rows, n, m), out=draws.transpose(1, 0, 2))
+        draws = block[:n]
+        for a in range(0, rows, span):
+            part = streams[a:a + span]
+            # each stream fills its own contiguous row of the buffer
+            u = buf[: len(part) * n * m].reshape(len(part), n * m)
+            for row, stream in zip(u, part):
+                stream.uniforms(n * m, out=row)
+            open_unit(u)
+            # the transform writes step-major, so each step's draws are contiguous
+            envspec.transform(u.reshape(len(part), n, m),
+                              out=draws[:, a:a + span].transpose(1, 0, 2))
         yield t, draws
 
 
@@ -367,14 +385,19 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
     frozen = np.zeros(rg, dtype=bool)
     # simplex mode: each coordinate's smallest value within the chunk
     xmin = np.full((rg, k), np.inf)
-    # the chunk's measured states, for the occupation counts at its end
-    xs = None
+    # measured states, counted into occ_counts each time the block is full
+    # and once after the last chunk; the block holds at most _SCRATCH values
+    # (or one step), so it and each set's test stay in cache
+    xs = np.empty((max(1, min(n_steps, _SCRATCH // (rg * k))), rg, k)) if sets else None
+    held = 0
+
+    def count_occupation(states):
+        for j, sd in enumerate(sets):
+            occ_counts[:, j] += sd.contains(states, model).sum(axis=0)
 
     for t, draws in _draw_chunks(envspec, streams, t_total):
         model.check_draws(draws, t)
         n = len(draws)
-        if sets and (xs is None or len(xs) < n):
-            xs = np.empty((n, rg, k))
         for s, w in enumerate(draws):
             step_t = t + s
             if log_state:
@@ -389,7 +412,11 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
                     acc.fill(0.0)
                     acc_b = b
                 if sets:
-                    xs[s] = x
+                    xs[held] = x
+                    held += 1
+                    if held == len(xs):
+                        count_occupation(xs)
+                        held = 0
                 if coords:
                     acc_coord += x.T.take(coord_idx, axis=0)
                 for row, sd in ind_rows:
@@ -435,10 +462,6 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
                     acc_norm += growth
 
         fsums[:, cols, acc_b] = acc.T
-        lo = max(0, burn - t)  # the first measured step of the chunk
-        if sets and lo < n:
-            for j, sd in enumerate(sets):
-                occ_counts[:, j] += sd.contains(xs[lo:n], model).sum(axis=0)
         if mode == "simplex":
             floored |= np.where(alive0, xmin, np.inf).min(axis=-1) < _LINEAR_FLOOR
             xmin.fill(np.inf)
@@ -460,6 +483,8 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
                 step=t + n - 1,
             )
 
+    if held:
+        count_occupation(xs[:held])
     if log_state:
         x = np.exp(np.minimum(ell, LOG_CAP))
 

@@ -81,7 +81,8 @@ class CoordinateUnion:
 def _refuse(bad, message, t):
     """Raise ``message`` if any flag of ``bad`` is set.  ``bad`` has the
     leading axes of a step-major draw block, so the first offending step is
-    the first flagged index on axis 0, counted from ``t``."""
+    the first flagged index on axis 0, counted from ``t``.  A model with a
+    bound per draw column builds ``bad`` only when a column minimum fails it."""
     if bad.any():
         first = int(np.argmax(bad.reshape(len(bad), -1).any(axis=1))) if bad.ndim else 0
         raise ConfigurationError(f"{message} (first at step {t + first})")
@@ -156,7 +157,9 @@ class Hassell(Model):
         self.extinction = Origin(1)
 
     def check_draws(self, w, t=0):
-        _refuse((w[..., 0] <= 0) | (w[..., 1] < 0), "hassell needs lam > 0 and b >= 0", t)
+        lam, b = w[..., 0], w[..., 1]
+        if not (lam.min() > 0 and b.min() >= 0):
+            _refuse((lam <= 0) | (b < 0), "hassell needs lam > 0 and b >= 0", t)
 
     def log_percapita(self, x, w):
         lam, b = w[..., 0], w[..., 1]
@@ -211,7 +214,9 @@ class BevertonHolt(Model):
         self.extinction = Origin(1)
 
     def check_draws(self, w, t=0):
-        _refuse((w[..., 0] <= 0) | (w[..., 1] < 0), "beverton_holt needs lam > 0 and a >= 0", t)
+        lam, a = w[..., 0], w[..., 1]
+        if not (lam.min() > 0 and a.min() >= 0):
+            _refuse((lam <= 0) | (a < 0), "beverton_holt needs lam > 0 and a >= 0", t)
 
     def log_percapita(self, x, w):
         lam, a = w[..., 0], w[..., 1]
@@ -428,7 +433,9 @@ class AffineChain(Model):
         self.extinction = Origin(1)
 
     def check_draws(self, w, t=0):
-        _refuse((w[..., 0] < 0) | (w[..., 1] < 0), "affine chain draws must be nonnegative", t)
+        alpha, beta = w[..., 0], w[..., 1]
+        if not (alpha.min() >= 0 and beta.min() >= 0):
+            _refuse((alpha < 0) | (beta < 0), "affine chain draws must be nonnegative", t)
 
     def step(self, x, w):
         x = np.asarray(x, dtype=float)

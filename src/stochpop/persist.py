@@ -111,12 +111,20 @@ def mean_percapita_growth_at(model, envspec, x, i: int, n: int, seed: int = 0) -
         raise ConfigurationError(f"species index {i} out of range")
     if n < 2:
         raise ConfigurationError("need at least 2 draws")
-    x = np.asarray(x, dtype=float)
-    stream = make_stream(seed, _BASE_POINT_MC)
-    w = sample_block(envspec, stream, n)
+    return _growth_on(model, x, i, _point_draws(model, envspec, n, seed))
+
+
+def _point_draws(model, envspec, n: int, seed: int) -> np.ndarray:
+    """The n checked draws of every point estimate at ``seed``."""
+    w = sample_block(envspec, make_stream(seed, _BASE_POINT_MC), n)
     model.check_draws(w)
-    vals = model.log_percapita(np.tile(x, (n, 1)), w)[:, i]
-    return _iid_estimate(vals)
+    return w
+
+
+def _growth_on(model, x, i: int, w: np.ndarray) -> RateEstimate:
+    """Mean of log f_i(x, w) over the draws w, one per row."""
+    x = np.asarray(x, dtype=float)
+    return _iid_estimate(model.log_percapita(np.tile(x, (len(w), 1)), w)[:, i])
 
 
 def _face_code(support) -> int:
@@ -430,12 +438,12 @@ class DriftReport:
 
 
 def _scalar_contraction_scale(model, envspec, seed, margin) -> float:
-    """Smallest doubling scale M with E[log f(M)] clearly below -margin."""
+    """Smallest doubling scale M with E[log f(M)] clearly below -margin;
+    every scale is tested on the same draws."""
+    w = _point_draws(model, envspec, 4000, seed + 17)
     m_val = 1.0
     for _ in range(60):
-        est = mean_percapita_growth_at(
-            model, envspec, np.full(1, m_val), 0, 4000, seed=seed + 17
-        )
+        est = _growth_on(model, np.full(1, m_val), 0, w)
         if est.mean + _SIGMAS * est.std_error <= -margin:
             return m_val
         m_val *= 2.0

@@ -162,14 +162,21 @@ def _simulate_peak_bytes(cfg):
 
 
 def test_memory_is_bounded_in_the_horizon():
-    # both horizons run 2048-step chunks at R = 64 and span more than one
-    # chunk (from the second chunk on, the previous chunk's draw block is
-    # still held while the next is filled), so they hold the same blocks; a
-    # horizon ten times longer may add no more than a small fixed amount,
-    # a third of what keeping one state per 100 steps would add (189 kB)
+    # both horizons run 2048-step chunks at R = 64 through one reused draw
+    # block, so they hold the same buffers; a horizon ten times longer may
+    # add no more than a small fixed amount, a third of what keeping one
+    # state per 100 steps would add (189 kB)
     short = _simulate_peak_bytes(SimConfig(seed=1, replicates=64, horizon=4096))
     long = _simulate_peak_bytes(SimConfig(seed=1, replicates=64, horizon=40_960))
     assert long - short < 64 * 1024
+
+
+def test_a_second_chunk_reuses_the_draw_block():
+    # at R = 64 one 2048-step chunk against two: a second draw block live
+    # while the next chunk is drawn would add its 2 MiB
+    one = _simulate_peak_bytes(SimConfig(seed=1, replicates=64, horizon=2048))
+    two = _simulate_peak_bytes(SimConfig(seed=1, replicates=64, horizon=4096))
+    assert two - one < 8 * 1024
 
 
 def test_lottery_exchangeable_species_split_time_evenly():
@@ -446,7 +453,8 @@ def _recut_chunks(lengths):
     """A ``_draw_chunks`` whose chunks have the given lengths, repeated:
     the same draws as the regular chunks, cut elsewhere."""
     def chunks(envspec, streams, t_total):
-        draws = np.concatenate([d for _, d in _draw_chunks(envspec, streams, t_total)])
+        # each chunk is valid only until the next is drawn, so copy it
+        draws = np.concatenate([d.copy() for _, d in _draw_chunks(envspec, streams, t_total)])
         t = 0
         for n in itertools.cycle(lengths):
             if t >= t_total:
@@ -456,8 +464,8 @@ def _recut_chunks(lengths):
     return chunks
 
 
-# chunk edges at 8, 38, 41, 86, 94, ...: the first chunk is the shortest but
-# one, so a state block sized by it overflows in the second
+# chunk edges at 8, 38, 41, 86, 94, ...: unequal chunks, so a burn-in end or
+# a full state block falls at a chunk edge or inside a chunk
 _RECUT = (8, 30, 3, 45)
 
 
@@ -478,6 +486,28 @@ def test_occupation_per_chunk_matches_the_reference_across_burn_in_edges(
         assert np.array_equal(got[key], want[key]), key
     # the ball and its complement split every measured step
     assert np.all(got["occ_counts"][:, 2] + got["occ_counts"][:, 3] == 200 - burn_in)
+
+
+@pytest.mark.parametrize("case", ["hassell", "lottery", "biennial", "affine"])
+@pytest.mark.parametrize("steps", [0, 7, 45])
+def test_occupation_from_a_state_block_shorter_than_a_chunk_matches_the_reference(
+        monkeypatch, case, steps):
+    # _SCRATCH holds `steps` steps' states of the 159 measured (0 is below
+    # one step, so the state block holds one): 7 fill the block first at
+    # step 47, inside the 45-step chunk that starts at the burn-in end, and
+    # leave 5 for the count after the last chunk; 45 fill it at that chunk's
+    # last step, then inside later chunks, and leave 24
+    monkeypatch.setattr(engine, "_draw_chunks", _recut_chunks(_RECUT))
+    model, env, pair_fns = _DRIVE_CASES[case]
+    cfg = SimConfig(seed=17, replicates=3, burn_in=41, horizon=200,
+                    eta_grid=(0.05, 0.5), bound_radius=2.0)
+    monkeypatch.setattr(engine, "_SCRATCH", cfg.replicates * model.k * steps)
+    functionals = (Coordinate(0), *pair_fns)
+    sets = default_sets(cfg)
+    got = _drive(model, env, cfg, functionals, sets)
+    want = _reference_drive(model, env, cfg, functionals, sets)
+    for key in ("occ_counts", "fsums", "floored", "terminal"):
+        assert np.array_equal(got[key], want[key]), key
 
 
 def test_repeated_functional_is_not_counted_twice():
@@ -527,16 +557,21 @@ def _streams(rows, zeros):
 
 
 _BLOCK_CASES = {
-    # m, rows, steps, _BLOCK (None keeps the shipped bound), zeros {row: word indices}
-    "m1_short_last_chunk": (1, 3, 5000, None, {}),
-    "m3_short_last_chunk": (3, 4, 2100, None, {}),
-    "rows_above_block_per_chunk": (1, 3, 3000, 4096, {}),
-    "one_step_chunks": (2, 3, 7, 4, {}),
-    "exact_zero_words": (2, 3, 3000, 4096, {0: (5, 2731), 2: (0, 5999)}),
+    # m, rows, steps, _BLOCK and engine._SCRATCH (None keeps the shipped
+    # bound), zeros {row: word indices}
+    "m1_short_last_chunk": (1, 3, 5000, None, None, {}),
+    "m3_short_last_chunk": (3, 4, 2100, None, None, {}),
+    "rows_above_block_per_chunk": (1, 3, 3000, 4096, None, {}),
+    "one_step_chunks": (2, 3, 7, 4, None, {}),
+    "exact_zero_words": (2, 3, 3000, 4096, None, {0: (5, 2731), 2: (0, 5999)}),
     # every kind: a constant written straight into its column and each
     # other ppf through the transform's scratch; 195-step chunks
-    "m8_every_kind": (8, 3, 700, 4096, {}),
-    "m8_exact_zero_words": (8, 3, 700, 4096, {0: (3, 4, 1373), 1: (6, 7), 2: (0, 5, 5599)}),
+    "m8_every_kind": (8, 3, 700, 4096, None, {}),
+    "m8_exact_zero_words": (8, 3, 700, 4096, None, {0: (3, 4, 1373), 1: (6, 7), 2: (0, 5, 5599)}),
+    # 409-step chunks whose uniforms are drawn for rows 0-1, 2-3 and 4
+    "row_blocks": (2, 5, 3000, 4096, 2 * 409 * 2, {1: (3, 5999), 2: (0,), 4: (818, 5998)}),
+    # a uniform buffer below one row still holds one row
+    "row_blocks_of_one_row": (3, 4, 700, 4096, 5, {0: (2,), 2: (0,), 3: (1000, 2099)}),
 }
 # the coordinates of a case with m draws per step are the first m here
 _BLOCK_COORDS = (Uniform(0.0, 1.0), LogNormal(0.3, 0.3), Discrete((1.0, 2.0), (0.25, 0.75)),
@@ -546,13 +581,17 @@ _BLOCK_COORDS = (Uniform(0.0, 1.0), LogNormal(0.3, 0.3), Discrete((1.0, 2.0), (0
 
 @pytest.mark.parametrize("case", list(_BLOCK_CASES))
 def test_draw_block_matches_each_stream_alone(monkeypatch, case):
-    m, rows, steps, block, zeros = _BLOCK_CASES[case]
+    m, rows, steps, block, scratch, zeros = _BLOCK_CASES[case]
     if block is not None:
         monkeypatch.setattr(engine, "_BLOCK", block)
         assert rows > engine._BLOCK // engine._CHUNK
+    if scratch is not None:
+        monkeypatch.setattr(engine, "_SCRATCH", scratch)
     env = EnvSpec(_BLOCK_COORDS[:m])
-    chunks = list(_draw_chunks(env, _streams(rows, zeros), steps))
-    assert all(draws.flags.c_contiguous for _, draws in chunks)
+    chunks = []
+    for t, draws in _draw_chunks(env, _streams(rows, zeros), steps):
+        assert draws.flags.c_contiguous
+        chunks.append((t, draws.copy()))  # valid only until the next chunk
     got = np.concatenate([draws for _, draws in chunks])
     assert [t for t, _ in chunks] == list(range(0, steps, len(chunks[0][1])))
     assert got.shape == (steps, rows, m)

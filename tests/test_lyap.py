@@ -24,8 +24,6 @@ from stochpop.lyap import (
 )
 from stochpop.models import Biennial, Hassell, LinearMatrix
 
-EULER_MASCHERONI = 0.57721566490153286
-
 
 def _const_env(values):
     return EnvSpec(tuple(Constant(v) for v in values))
@@ -35,22 +33,10 @@ def _const_env(values):
 # digamma
 
 
-def test_digamma_at_one_is_negative_euler_constant():
-    assert digamma(1.0) == pytest.approx(-EULER_MASCHERONI, abs=1e-10)
-
-
-def test_digamma_recurrence():
-    for x in (0.3, 1.0, 2.0, 4.7):
-        assert digamma(x + 1.0) == pytest.approx(digamma(x) + 1.0 / x, abs=1e-12)
-
-
-def test_digamma_half_duplication_identity():
-    assert digamma(0.5) == pytest.approx(digamma(1.0) - 2 * math.log(2.0), abs=1e-10)
-
-
-def test_digamma_against_library_oracle():
-    for x in (0.01, 0.2, 1.0, 3.3, 7.9, 25.0, 123.4):
-        assert digamma(x) == pytest.approx(scipy.special.digamma(x), abs=1e-10)
+def test_digamma_returns_scipys_value():
+    for x in (0.01, 0.5, 1.0, 3.3, 123.4):
+        assert digamma(x) == scipy.special.digamma(x)
+        assert type(digamma(x)) is float
 
 
 def test_digamma_rejects_nonpositive():

@@ -344,6 +344,28 @@ def test_hassell_drift_construction_passes_audit():
     assert report.e_log_alpha.mean + 3 * report.e_log_alpha.std_error < 0
 
 
+def test_contraction_scale_draws_its_block_once(monkeypatch):
+    # E[log f(M)] = 3 - log(1 + M) first clears -0.1 at M = 32, after six
+    # scales; each used to redraw the same block from a reopened stream
+    env = EnvSpec((LogNormal(3.0, 0.3), Constant(1.0)))
+    want = 1.0
+    while True:
+        est = mean_percapita_growth_at(Hassell(), env, [want], 0, 4000, seed=5 + 17)
+        if est.mean + 3 * est.std_error <= -0.1:
+            break
+        want *= 2.0
+    opened = []
+
+    def counting(seed, replicate_id=0):
+        opened.append((seed, replicate_id))
+        return make_stream(seed, replicate_id)
+
+    monkeypatch.setattr(persist, "make_stream", counting)
+    con = drift_construction(Hassell(), env, seed=5, margin=0.1)
+    assert con.params["M"] == want == 32.0
+    assert opened == [(5 + 17, persist._BASE_POINT_MC)]
+
+
 def test_competition_drift_construction_passes_audit():
     env = EnvSpec((Normal(1.0, 0.3), Normal(0.8, 0.3)))
     m = RickerCompetition(0.6, 0.5)
