@@ -61,7 +61,7 @@ _SIM_KEYS = {
     "eta_grid",
     "bound_radius",
 }
-# sim keys that must be JSON integers; "replicate_base" is no config key
+# sim keys that must be JSON integers
 _SIM_INTS = ("seed", "replicates", "burn_in", "horizon")
 
 

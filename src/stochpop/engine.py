@@ -10,14 +10,17 @@ them honest under autocorrelation.  No sample path is stored: a run keeps
 only these sums and each replicate's terminal state, so its memory does not
 grow with the horizon.
 
-The step loop only advances the state and measures it.  Draws are checked
-once per chunk (``Model.check_draws``), the functionals of the current time
-batch are summed into one per-batch accumulator, the simplex floor flag is
-taken once per chunk from a running minimum, and occupation is counted once
-per full state block: each measured state is stored in a ``(steps, rows,
-k)`` block of at most ``env._SCRATCH`` values, and every set tests the block
-when it is full and once after the last chunk.  Each gives the same bits as
-a per-step update.
+Every trajectory run, here and in lyap and persist, opens its rows through
+``_open_rows``: one stream and one start per row, and the draws in checked
+pieces that each lie in one time batch.
+
+The step loop only advances the state and measures it.  The functionals of
+a piece's time batch are summed into one per-batch accumulator, the
+simplex floor flag is taken once per piece from a running minimum, and
+occupation is counted once per full state block: each measured state is
+stored in a ``(steps, rows, k)`` block of at most ``env._SCRATCH`` values,
+and every set tests the block when it is full and once after the last
+chunk.  Each gives the same bits as a per-step update.
 
 A run's memory is one draw block, reused by every chunk of the run (a chunk
 is valid only until the next is drawn), plus cache-sized buffers: the
@@ -72,9 +75,6 @@ class SimConfig:
     initial_state: object = "random_interior"
     eta_grid: tuple = ()
     bound_radius: object = None
-    # Stream namespace: replicate r draws from (seed, replicate_base + r).
-    # Nested estimators use disjoint bases so they never share a stream.
-    replicate_base: int = 0
 
     def __post_init__(self):
         if self.replicates < 1:
@@ -298,9 +298,8 @@ def _draw_chunks(envspec, streams, t_total):
     which is shorter than _CHUNK once rows * m exceeds _BLOCK / _CHUNK.
 
     Every chunk is a view of one draw block per run, so it is valid only
-    until the next chunk is drawn.  ``_drive``, ``lyap._mc_batch_sums`` and
-    ``persist.affine_domination_audit`` use each chunk within its own
-    iteration and keep nothing of it; any other consumer must copy.  The
+    until the next chunk is drawn.  Its one consumer is ``_open_rows``, whose
+    pieces are views of the chunk; any other consumer must copy.  The
     uniforms are drawn a block of rows at a time into one buffer of at most
     _SCRATCH values (or one row), which is opened and transformed straight
     into those rows of the draw block while it is still in cache."""
@@ -326,28 +325,55 @@ def _draw_chunks(envspec, streams, t_total):
         yield t, draws
 
 
-def _drive(model, envspec, cfg, functionals, sets, rows=None):
-    """Advance a block of (stream id, support, label) rows in lockstep; a row
-    draws from stream cfg.replicate_base + id and starts on its support.  By
-    default the rows are replicates 0..R-1 of ``model`` on its own support."""
+def _open_rows(model, envspec, cfg, rows=None):
+    """The only place a trajectory run opens its streams.  ``rows`` are
+    (stream id, support, label): a row draws from stream (cfg.seed, id) and
+    starts on its support; by default they are replicates 0..R-1 of
+    ``model`` on its own support.  Returns ``(rows, x0, pieces)``: one start
+    per row, and ``(t, b, draws)`` for steps t..t+n-1.  Each draw chunk is
+    checked once by ``model.check_draws`` and cut at the burn-in end and at
+    every time-batch edge, so a piece lies in one chunk and one batch ``b``
+    (-1 in the burn-in); it is valid only until the next piece is drawn."""
     model.check_env(envspec)
+    if rows is None:
+        support = getattr(model, "support", tuple(range(model.k)))
+        rows = [(r, support, f"replicate {r}") for r in range(cfg.replicates)]
+    streams = [make_stream(cfg.seed, sid) for sid, _, _ in rows]
+    x0 = _initial_states(model, cfg, streams, [support for _, support, _ in rows])
+    n_steps = cfg.horizon - cfg.burn_in
+    # batch b covers steps edges[b] .. edges[b + 1] - 1; burn-in ends at edges[0]
+    lengths = _batch_lengths(n_steps, min(N_BATCHES, n_steps))
+    edges = (cfg.burn_in + np.concatenate(([0], np.cumsum(lengths)))).tolist()
+
+    def pieces():
+        b = -1
+        for t0, draws in _draw_chunks(envspec, streams, cfg.horizon):
+            model.check_draws(draws, t0)
+            t, end = t0, t0 + len(draws)
+            while t < end:
+                while edges[b + 1] <= t:
+                    b += 1
+                stop = min(end, edges[b + 1])
+                yield t, b, draws[t - t0:stop - t0]
+                t = stop
+
+    return rows, x0, pieces()
+
+
+def _drive(model, envspec, cfg, functionals, sets, rows=None):
+    """Advance a block of rows (see ``_open_rows``) in lockstep and measure
+    them over the post-burn-in window."""
     for f in functionals:
         if not isinstance(f, _KINDS):
             raise ConfigurationError(f"unsupported functional {f!r}")
         if isinstance(f, (Coordinate, LogPerCapita)) and not 0 <= f.i < model.k:
             raise ConfigurationError(f"species index {f.i} of {f.name} out of range "
                                      f"for {model.name}")
-    if rows is None:
-        support = getattr(model, "support", tuple(range(model.k)))
-        rows = [(r, support, f"replicate {r}") for r in range(cfg.replicates)]
+    rows, x, pieces = _open_rows(model, envspec, cfg, rows)
     k = model.k
-    t_total = cfg.horizon
-    burn = cfg.burn_in
-    n_steps = t_total - burn
+    n_steps = cfg.horizon - cfg.burn_in
     n_batches = min(N_BATCHES, n_steps)
     rg = len(rows)
-    streams = [make_stream(cfg.seed, cfg.replicate_base + sid) for sid, _, _ in rows]
-    x = _initial_states(model, cfg, streams, [support for _, support, _ in rows])
 
     mode = model.sim_mode
     # log_mult and affine carry the log state ell; x is its capped view
@@ -361,9 +387,9 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
 
     # Each functional's sum over the current time batch is kept in a row of
     # acc, the rows grouped by kind, so each add runs over contiguous
-    # memory; acc is stored into fsums[:, cols, acc_b] when the batch
-    # changes and at every chunk end.  Each sum still starts at 0.0 and adds
-    # the same terms in the same order.
+    # memory; acc is reset when a piece starts a new batch and stored into
+    # fsums[:, cols, b] at every piece end.  Each sum still starts at 0.0 and
+    # adds the same terms in the same order.
     cols = [j for kind in _KINDS for j, f in enumerate(functionals) if isinstance(f, kind)]
     groups = [[f for f in functionals if isinstance(f, kind)] for kind in _KINDS]
     coords, indicators, lpcs, lognorms = groups
@@ -383,7 +409,7 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
     fsums = np.zeros((rg, len(functionals), n_batches))
     floored = np.zeros(rg, dtype=bool)
     frozen = np.zeros(rg, dtype=bool)
-    # simplex mode: each coordinate's smallest value within the chunk
+    # simplex mode: each coordinate's smallest value within the piece
     xmin = np.full((rg, k), np.inf)
     # measured states, counted into occ_counts each time the block is full
     # and once after the last chunk; the block holds at most _SCRATCH values
@@ -395,22 +421,16 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
         for j, sd in enumerate(sets):
             occ_counts[:, j] += sd.contains(states, model).sum(axis=0)
 
-    for t, draws in _draw_chunks(envspec, streams, t_total):
-        model.check_draws(draws, t)
-        n = len(draws)
-        for s, w in enumerate(draws):
-            step_t = t + s
+    for t, b, draws in pieces:
+        measuring = b >= 0
+        if b > acc_b:
+            acc.fill(0.0)
+            acc_b = b
+        for w in draws:
             if log_state:
                 x = np.exp(np.minimum(ell, LOG_CAP))
 
-            measuring = step_t >= burn
             if measuring:
-                rel = step_t - burn
-                b = (rel * n_batches) // n_steps
-                if b != acc_b:
-                    fsums[:, cols, acc_b] = acc.T
-                    acc.fill(0.0)
-                    acc_b = b
                 if sets:
                     xs[held] = x
                     held += 1
@@ -461,7 +481,7 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
                 if norm:
                     acc_norm += growth
 
-        fsums[:, cols, acc_b] = acc.T
+        last = t + len(draws) - 1
         if mode == "simplex":
             floored |= np.where(alive0, xmin, np.inf).min(axis=-1) < _LINEAR_FLOOR
             xmin.fill(np.inf)
@@ -469,19 +489,21 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
         if bad.any():
             which = int(np.argwhere(bad.any(axis=-1))[0][0])
             raise NumericError(
-                f"non-finite state for {rows[which][2]} "
-                f"within steps {t}..{t + n - 1}",
+                f"non-finite state for {rows[which][2]} within steps {t}..{last}",
                 state=None if log_state else x[which],
-                step=t + n - 1,
+                step=last,
             )
-        bad_sum = ~np.isfinite(fsums).all(axis=-1)
-        if bad_sum.any():
-            row, j = (int(i) for i in np.argwhere(bad_sum)[0])
-            raise NumericError(
-                f"non-finite estimate of {functionals[j].name} for {rows[row][2]} "
-                f"within steps {t}..{t + n - 1}",
-                step=t + n - 1,
-            )
+        if measuring:
+            # earlier batches were checked when they were stored
+            fsums[:, cols, b] = acc.T
+            bad_sum = ~np.isfinite(fsums[:, :, b])
+            if bad_sum.any():
+                row, j = (int(i) for i in np.argwhere(bad_sum)[0])
+                raise NumericError(
+                    f"non-finite estimate of {functionals[j].name} for {rows[row][2]} "
+                    f"within steps {t}..{last}",
+                    step=last,
+                )
 
     if held:
         count_occupation(xs[:held])

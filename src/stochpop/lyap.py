@@ -39,16 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .engine import (
-    N_BATCHES,
-    RateEstimate,
-    SimConfig,
-    _batch_estimate,
-    _batch_lengths,
-    _draw_chunks,
-    _initial_states,
-)
-from .env import make_stream
+from .engine import N_BATCHES, RateEstimate, SimConfig, _batch_estimate, _batch_lengths, _open_rows
 from .errors import ConfigurationError, NumericError, QuadratureError
 
 __all__ = [
@@ -118,47 +109,36 @@ def _stepwise(mats, v, norm, t0):
     return logsum, v
 
 
-def _mc_batch_sums(model, envspec, cfg, norm):
-    """``(R, n_batches)`` sums of the one-step log growths per time batch.
+def _mc_batch_sums(model, envspec, cfg, norm, rows=None):
+    """``(rows, n_batches)`` sums of the one-step log growths per time batch,
+    over the rows of ``_open_rows`` (replicates 0..R-1 by default).
 
     The sum over a run of steps telescopes to ``log||P v||``, with ``P`` the
     product of the run's matrices and ``v`` the normalized vector at its
-    start; so each draw chunk is cut at the burn-in end and at the batch
-    edges, and each piece costs one blocked product.  The matrices are
+    start; every piece of ``_open_rows`` lies in one time batch (or the
+    burn-in), so each piece costs one blocked product.  The matrices are
     nonnegative, so the vector vanishes inside a piece exactly when ``P v``
     does.
     """
-    burn = cfg.burn_in
-    n_steps = cfg.horizon - burn
-    n_batches = min(N_BATCHES, n_steps)
-    rg = cfg.replicates
-    streams = [make_stream(cfg.seed, cfg.replicate_base + r) for r in range(rg)]
-    v = _initial_states(model, cfg, streams, [tuple(range(model.k))] * rg)
+    rows, v, pieces = _open_rows(model, envspec, cfg, rows)
     if np.any(v <= 0):
         raise ConfigurationError("initial vector must be strictly positive")
     v = v / _norm(v, norm)[:, None]
-
-    # batch b covers steps edges[b] .. edges[b + 1] - 1
-    edges = burn + np.concatenate(([0], np.cumsum(_batch_lengths(n_steps, n_batches))))
-    gsums = np.zeros((rg, n_batches))
-    for t, draws in _draw_chunks(envspec, streams, cfg.horizon):
-        model.check_draws(draws, t)
+    n_steps = cfg.horizon - cfg.burn_in
+    gsums = np.zeros((len(rows), min(N_BATCHES, n_steps)))
+    for t, b, draws in pieces:
         mats = model.linearization_at_zero(draws)
-        n = len(mats)
-        cuts = [t, *edges[(edges > t) & (edges < t + n)].tolist(), t + n]
-        for a, c in zip(cuts[:-1], cuts[1:]):
-            piece = mats[a - t:c - t]
-            prod, logscale = _product(piece)
-            grown = np.einsum("rij,rj->ri", prod, v)
-            tot = _norm(grown, norm)
-            if np.any(tot <= 0.0):
-                # find the step at which the vector vanished
-                logsum, v = _stepwise(piece, v, norm, a)
-            else:
-                logsum = np.log(tot) + logscale
-                v = grown / tot[:, None]
-            if a >= burn:
-                gsums[:, np.searchsorted(edges, a, side="right") - 1] += logsum
+        prod, logscale = _product(mats)
+        grown = np.einsum("rij,rj->ri", prod, v)
+        tot = _norm(grown, norm)
+        if np.any(tot <= 0.0):
+            # find the step at which the vector vanished
+            logsum, v = _stepwise(mats, v, norm, t)
+        else:
+            logsum = np.log(tot) + logscale
+            v = grown / tot[:, None]
+        if b >= 0:
+            gsums[:, b] += logsum
     return gsums
 
 
@@ -170,7 +150,6 @@ def lyapunov_mc(model, envspec, cfg: SimConfig, norm: str = "l1") -> RateEstimat
     """
     if not model.structured:
         raise ConfigurationError(f"{model.name} has no linearization at the origin")
-    model.check_env(envspec)
     gsums = _mc_batch_sums(model, envspec, cfg, norm)
     n_steps = cfg.horizon - cfg.burn_in
     return _batch_estimate(gsums, gsums / _batch_lengths(n_steps, gsums.shape[1]), n_steps)

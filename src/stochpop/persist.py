@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .engine import LogPerCapita, RateEstimate, SimConfig, simulate
-from .engine import _build_result, _draw_chunks, _drive, _initial_states, _row_slice
+from .engine import _build_result, _drive, _open_rows, _row_slice
 from .env import EnvSpec, make_stream, sample_block
 from .errors import ConfigurationError, FaceDegenerateError
 from .models import (
@@ -111,12 +111,13 @@ def mean_percapita_growth_at(model, envspec, x, i: int, n: int, seed: int = 0) -
         raise ConfigurationError(f"species index {i} out of range")
     if n < 2:
         raise ConfigurationError("need at least 2 draws")
-    return _growth_on(model, x, i, _point_draws(model, envspec, n, seed))
+    w = _point_draws(model, envspec, make_stream(seed, _BASE_POINT_MC), n)
+    return _growth_on(model, x, i, w)
 
 
-def _point_draws(model, envspec, n: int, seed: int) -> np.ndarray:
-    """The n checked draws of every point estimate at ``seed``."""
-    w = sample_block(envspec, make_stream(seed, _BASE_POINT_MC), n)
+def _point_draws(model, envspec, stream, n: int) -> np.ndarray:
+    """The next n draws of ``stream``, one per row, checked by ``model``."""
+    w = sample_block(envspec, stream, n)
     model.check_draws(w)
     return w
 
@@ -440,7 +441,7 @@ class DriftReport:
 def _scalar_contraction_scale(model, envspec, seed, margin) -> float:
     """Smallest doubling scale M with E[log f(M)] clearly below -margin;
     every scale is tested on the same draws."""
-    w = _point_draws(model, envspec, 4000, seed + 17)
+    w = _point_draws(model, envspec, make_stream(seed + 17, _BASE_POINT_MC), 4000)
     m_val = 1.0
     for _ in range(60):
         est = _growth_on(model, np.full(1, m_val), 0, w)
@@ -527,10 +528,11 @@ def drift_bounded_check(model, envspec, construction: DriftConstruction, n: int,
     zero.
     """
     model.check_env(envspec)
+    if n < 1:
+        raise ConfigurationError("need at least 1 (x, w) pair")
     stream = make_stream(seed, _BASE_AUDIT)
     x = _log_uniform_states(stream, n, model.k)
-    w = sample_block(envspec, stream, n)
-    model.check_draws(w)
+    w = _point_draws(model, envspec, stream, n)
     lhs = construction.v(model.step(x, w))
     rhs = construction.alpha(w) * construction.v(x) + construction.beta(w)
     tol = 1e-9 * (1.0 + np.abs(rhs))
@@ -547,8 +549,7 @@ def drift_bounded_check(model, envspec, construction: DriftConstruction, n: int,
             "rhs": float(rhs[idx]),
         }
 
-    moments = sample_block(envspec, make_stream(seed, _BASE_MOMENTS), max(n, 4000))
-    model.check_draws(moments)
+    moments = _point_draws(model, envspec, make_stream(seed, _BASE_MOMENTS), max(n, 4000))
     with np.errstate(divide="ignore"):
         log_alpha = np.log(construction.alpha(moments))
         logp_beta = np.maximum(np.log(construction.beta(moments)), 0.0)
@@ -575,15 +576,10 @@ def affine_domination_audit(model, envspec, construction: DriftConstruction, cfg
     Z_{t+1} = alpha(w) Z_t + beta(w) started from Z_0 = V(X_0) must stay at
     or above V(X_t) pathwise; returns the minimum slack observed.
     """
-    model.check_env(envspec)
-    streams = [
-        make_stream(cfg.seed, cfg.replicate_base + r) for r in range(cfg.replicates)
-    ]
-    x = _initial_states(model, cfg, streams, [tuple(range(model.k))] * cfg.replicates)
+    _, x, pieces = _open_rows(model, envspec, cfg)
     z = construction.v(x).copy()
     min_slack = np.inf
-    for t, draws in _draw_chunks(envspec, streams, cfg.horizon):
-        model.check_draws(draws, t)
+    for _, _, draws in pieces:
         for w in draws:
             x = model.step(x, w)
             z = construction.alpha(w) * z + construction.beta(w)
@@ -609,8 +605,7 @@ def drift_ergodic_check(model, envspec, v, set_c, beta: float, n_states: int,
     worst = {"slack": np.inf, "x": None, "inner_se": 0.0}
     holds = True
     for s in range(n_states):
-        w = sample_block(envspec, stream, inner)
-        model.check_draws(w)
+        w = _point_draws(model, envspec, stream, inner)
         vx1 = v(model.step(np.tile(x[s], (inner, 1)), w))
         est = _iid_estimate(vx1)
         indicator = 1.0 if bool(set_c.contains(x[s], model)) else 0.0
@@ -644,8 +639,9 @@ def rps_condition(envspec, d: float, n: int, seed: int = 0) -> dict:
     if envspec.dim != 3:
         raise ConfigurationError("environment must supply (alpha, beta, gamma) draws")
     model = RpsLottery(d)  # checks the death fraction
-    w = sample_block(envspec, make_stream(seed, _BASE_POINT_MC + 1), n)
-    model.check_draws(w)
+    if n < 2:
+        raise ConfigurationError("need at least 2 draws")
+    w = _point_draws(model, envspec, make_stream(seed, _BASE_POINT_MC + 1), n)
     a, b, g = w[:, 0], w[:, 1], w[:, 2]
     exact = np.log1p(d * (a / b - 1.0)) + np.log1p(d * (g / b - 1.0))
     small = a / b + g / b - 2.0
@@ -684,8 +680,7 @@ def lottery_taylor_rate(envspec, d: float, face_samples, invader: int, seed: int
     if not 0 <= invader < m:
         raise ConfigurationError(f"invader {invader} out of range for {m} species")
     n = x.shape[0]
-    w = sample_block(envspec, make_stream(seed, _BASE_POINT_MC + 2), n)
-    Lottery(m, d).check_draws(w)
+    w = _point_draws(Lottery(m, d), envspec, make_stream(seed, _BASE_POINT_MC + 2), n)
     ratio = w[:, invader] / np.sum(x * w, axis=-1)
     base = _iid_estimate(ratio)
     return RateEstimate(-d + d * base.mean, d * base.std_error, base.batches, n)

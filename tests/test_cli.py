@@ -530,10 +530,24 @@ _MISTYPED_PARAMS_MORE = {
                         "lognormal log_sd is out of range"),
 }
 
+# (config, expected stderr): sample sizes too small for an estimate with a
+# standard error; before they were refused, rps n = 1 exited 0 with SE 0 and
+# a decisive verdict from one draw, n = 0 exited 0 with nan, and rps n = -3
+# and drift n_pairs = 0 exited 1 with a traceback
+_TOO_FEW_SAMPLES = {
+    "rps_n_1": (dict(_rps_cfg(), task_params={"n": 1}), "need at least 2 draws"),
+    "rps_n_0": (dict(_rps_cfg(), task_params={"n": 0}), "need at least 2 draws"),
+    "rps_n_-3": (dict(_rps_cfg(), task_params={"n": -3}), "need at least 2 draws"),
+    "drift_n_pairs_0": (dict(_drift_cfg(), task_params={"n_pairs": 0}),
+                        "need at least 1 (x, w) pair"),
+    "drift_n_pairs_-1": (dict(_drift_cfg(), task_params={"n_pairs": -1}),
+                         "need at least 1 (x, w) pair"),
+}
 
-@pytest.mark.parametrize("case", list(_MISTYPED_PARAMS_MORE))
+
+@pytest.mark.parametrize("case", list(_MISTYPED_PARAMS_MORE) + list(_TOO_FEW_SAMPLES))
 def test_mistyped_model_or_task_param_exits_2_without_outputs(tmp_path, capsys, case):
-    cfg, message = _MISTYPED_PARAMS_MORE[case]
+    cfg, message = {**_MISTYPED_PARAMS_MORE, **_TOO_FEW_SAMPLES}[case]
     out = tmp_path / "out"
     assert main(["run", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err

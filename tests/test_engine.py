@@ -10,7 +10,7 @@ import pytest
 
 from scipy.special import logsumexp
 
-from stochpop import engine, lyap
+from stochpop import engine, lyap, persist
 from stochpop.engine import (
     Box,
     Complement,
@@ -143,7 +143,7 @@ def test_non_finite_average_raises_instead_of_reporting():
     cfg = SimConfig(seed=1, horizon=6000)
     with pytest.raises(NumericError, match=r"coord_0 for replicate 0") as info:
         simulate(Hassell(), env, cfg, functionals=(Coordinate(0),))
-    assert info.value.step < 5999  # stopped at the chunk where the sum overflowed
+    assert info.value.step < 5999  # stopped at the piece where the sum overflowed
 
 
 def test_terminal_state_shape():
@@ -305,7 +305,7 @@ def _reference_drive(model, envspec, cfg, functionals, sets):
     n_steps = t_total - burn
     n_batches = min(20, n_steps)
     rg = len(rows)
-    streams = [make_stream(cfg.seed, cfg.replicate_base + sid) for sid, _, _ in rows]
+    streams = [make_stream(cfg.seed, sid) for sid, _, _ in rows]
     x = _initial_states(model, cfg, streams, [support for _, support, _ in rows])
 
     mode = model.sim_mode
@@ -607,6 +607,93 @@ def test_draw_block_matches_each_stream_alone(monkeypatch, case):
 
 
 # ---------------------------------------------------------------------------
+# The rows of a run: its streams, and its draws cut into pieces
+
+# burn_in, horizon and _BLOCK (None keeps the shipped bound); at _BLOCK = 60
+# a 3-row Hassell run draws 10-step chunks, so each 18- or 19-step batch of
+# the 400-step runs spans two or three chunks
+_PIECE_CASES = {
+    "burn_in_inside_a_chunk": (25, 400, 60),
+    "burn_in_at_a_chunk_edge": (30, 400, 60),
+    "no_burn_in": (0, 400, 60),
+    "fewer_than_20_measured_steps": (25, 37, 60),
+    "many_batches_in_one_chunk": (5, 405, None),
+}
+
+
+@pytest.mark.parametrize("case", list(_PIECE_CASES))
+def test_pieces_tile_the_horizon_within_chunks_and_batches(monkeypatch, case):
+    burn_in, horizon, block = _PIECE_CASES[case]
+    if block is not None:
+        monkeypatch.setattr(engine, "_BLOCK", block)
+    chunks, checked = [], []
+
+    def recording(envspec, streams, t_total):
+        for t, draws in _draw_chunks(envspec, streams, t_total):
+            chunks.append((t, draws.copy()))  # valid only until the next chunk
+            yield t, draws
+
+    monkeypatch.setattr(engine, "_draw_chunks", recording)
+    model = Hassell()
+    model.check_draws = lambda w, t=0: checked.append((t, len(w)))
+    cfg = SimConfig(seed=3, replicates=3, burn_in=burn_in, horizon=horizon)
+    env = EnvSpec((LogNormal(0.3, 0.3), Uniform(0.5, 1.5)))
+    _, _, pieces = engine._open_rows(model, env, cfg)
+    n_steps = horizon - burn_in
+    n_batches = min(20, n_steps)
+    step, cells = 0, set()
+    for t, b, draws in pieces:
+        c, chunk = chunks[-1]
+        assert t == step and 0 < len(draws) and c <= t and t + len(draws) <= c + len(chunk)
+        assert np.array_equal(draws, chunk[t - c:t - c + len(draws)])
+        for s in range(t, t + len(draws)):
+            assert b == (-1 if s < burn_in else ((s - burn_in) * n_batches) // n_steps), s
+        cells.add((c, b))
+        step += len(draws)
+    assert step == horizon
+    # one piece per chunk and batch it meets: no cut other than the edges
+    assert len(cells) == len({(s - s % len(chunks[0][1]),
+                               -1 if s < burn_in else ((s - burn_in) * n_batches) // n_steps)
+                              for s in range(horizon)})
+    assert checked == [(c, len(chunk)) for c, chunk in chunks]  # each chunk once
+
+
+def test_every_trajectory_run_opens_its_streams_through_open_rows(monkeypatch):
+    cfg = SimConfig(seed=2, replicates=3, burn_in=5, horizon=60)
+    replicates = [(2, r) for r in range(3)]
+    h_env = EnvSpec((LogNormal(0.3, 0.3), Constant(1.0)))
+    lottery, l_env = Lottery(3, 0.3), EnvSpec((LogNormal(1.0, 0.3),) * 3)
+    faces = [s for size in (1, 2) for s in itertools.combinations(range(3), size)]
+    construction = persist.drift_construction(Hassell(), h_env, seed=2)
+    runs = {
+        "simulate": (lambda: simulate(Hassell(), h_env, cfg), replicates),
+        "ensemble_hit_probability": (lambda: ensemble_hit_probability(
+            Hassell(), h_env, cfg, ExtinctionNeighborhood(0.1), 10), replicates),
+        "boundary_face_runs": (lambda: persist.boundary_invasion_report(lottery, l_env, cfg),
+                               [(2, persist._BASE_FACE + (persist._face_code(s) << 20) + r)
+                                for s in faces for r in range(3)]),
+        "auxiliary_affine_chain": (lambda: auxiliary_affine_chain(
+            LogNormal(-0.3, 0.4), Constant(1.0), cfg), replicates),
+        "lyapunov_mc": (lambda: lyap.lyapunov_mc(
+            Biennial(0.5, 0.5, 1.0, 1.0), EnvSpec((Gamma(2.0, 2.0),)), cfg), replicates),
+        "affine_domination_audit": (lambda: persist.affine_domination_audit(
+            Hassell(), h_env, construction, cfg), replicates),
+    }
+    opened = []
+    real = engine.make_stream
+
+    def recording(seed, replicate_id=0):
+        opened.append((seed, replicate_id))
+        return real(seed, replicate_id)
+
+    monkeypatch.setattr(engine, "make_stream", recording)
+    for name, (run, ids) in runs.items():
+        opened.clear()
+        run()
+        assert opened == ids, name
+
+
+# ---------------------------------------------------------------------------
 # The row-wise reduction against one estimate per row
 
 
@@ -755,29 +842,29 @@ _DRAW_CHECK_CASES = {
 }
 
 
-def _bad_draw_run(monkeypatch, case, module):
+def _bad_draw_run(monkeypatch, case):
     """Model, environment, config and expected message of a 3-row run whose
     only bad draws are at step 197 of row 2 and step 199 of row 0, both in
-    the last chunk."""
+    the last chunk; every trajectory run opens its streams in ``engine``."""
     model, coords, j, message = _DRAW_CHECK_CASES[case]
     monkeypatch.setattr(engine, "_BLOCK", 64)  # 5- to 10-step chunks
     m = len(coords)
     # the random start takes k words of each stream before the first step
-    _zero_words(monkeypatch, module, {2: [model.k + 197 * m + j], 0: [model.k + 199 * m + j]})
+    _zero_words(monkeypatch, engine, {2: [model.k + 197 * m + j], 0: [model.k + 199 * m + j]})
     cfg = SimConfig(seed=5, replicates=3, burn_in=10, horizon=200)
     return model, EnvSpec(coords), cfg, re.escape(f"{message} (first at step 197)")
 
 
 @pytest.mark.parametrize("case", list(_DRAW_CHECK_CASES))
 def test_bad_draw_in_a_late_chunk_is_refused_with_its_step(monkeypatch, case):
-    model, env, cfg, message = _bad_draw_run(monkeypatch, case, engine)
+    model, env, cfg, message = _bad_draw_run(monkeypatch, case)
     with pytest.raises(ConfigurationError, match=message):
         simulate(model, env, cfg)
 
 
 @pytest.mark.parametrize("case", ["biennial", "linear_matrix"])
 def test_bad_draw_in_a_late_chunk_is_refused_by_lyapunov_mc(monkeypatch, case):
-    model, env, cfg, message = _bad_draw_run(monkeypatch, case, lyap)
+    model, env, cfg, message = _bad_draw_run(monkeypatch, case)
     with pytest.raises(ConfigurationError, match=message):
         lyap.lyapunov_mc(model, env, cfg)
 

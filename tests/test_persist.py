@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 
 from stochpop import engine, persist
-from stochpop.engine import _CHUNK, Box, LogPerCapita, SimConfig, _initial_states, simulate
+from stochpop.engine import (
+    _CHUNK,
+    Box,
+    LogPerCapita,
+    SimConfig,
+    _build_result,
+    _drive,
+    _initial_states,
+    simulate,
+)
 from stochpop.env import Constant, EnvSpec, Gamma, LogNormal, Normal, Uniform, make_stream, sample_block
 from stochpop.errors import ConfigurationError, FaceDegenerateError, NumericError
 from stochpop.models import (
@@ -265,8 +274,10 @@ def test_boundary_report_rows_match_separate_face_runs(model, env, cfg):
     functionals = tuple(LogPerCapita(i) for i in range(model.k))
     assert [row.support for row in table.rows]
     for row in table.rows:
-        face_cfg = cfg.replaced(replicate_base=_BASE_FACE + (_face_code(row.support) << 20))
-        ref = simulate(model.restrict_to_face(row.support), env, face_cfg, functionals=functionals)
+        base = _BASE_FACE + (_face_code(row.support) << 20)
+        rows = [(base + r, row.support, f"replicate {r}") for r in range(cfg.replicates)]
+        raw = _drive(model.restrict_to_face(row.support), env, cfg, functionals, (), rows=rows)
+        ref = _build_result(raw, functionals, ())
         assert bool(row.degenerate) == any(s.extinction_flag for s in ref.replicates)
         if not row.degenerate:
             assert row.rates == {
@@ -422,7 +433,7 @@ def test_dominating_chain_stays_above_model(seed):
 
 def _reference_domination_audit(model, envspec, construction, cfg):
     """The audit with every draw of the horizon held at once."""
-    streams = [make_stream(cfg.seed, cfg.replicate_base + r) for r in range(cfg.replicates)]
+    streams = [make_stream(cfg.seed, r) for r in range(cfg.replicates)]
     x = _initial_states(model, cfg, streams, [tuple(range(model.k))] * cfg.replicates)
     z = construction.v(x).copy()
     draws = np.empty((cfg.horizon, cfg.replicates, model.env_dim))
@@ -627,6 +638,7 @@ def _point_mc_cases():
 def test_bad_draw_in_a_sample_block_is_refused_with_its_index(monkeypatch, case):
     run, zeros, message, first = _point_mc_cases()[case]
     monkeypatch.setattr(engine, "_BLOCK", 64)  # 10-step audit chunks
-    _zero_words(monkeypatch, persist, zeros)
+    # the audit is a trajectory run, so its streams open in engine
+    _zero_words(monkeypatch, engine if case == "affine_domination_audit" else persist, zeros)
     with pytest.raises(ConfigurationError, match=re.escape(f"{message} (first at step {first})")):
         run()
