@@ -329,11 +329,12 @@ def _open_rows(model, envspec, cfg, rows=None):
     """The only place a trajectory run opens its streams.  ``rows`` are
     (stream id, support, label): a row draws from stream (cfg.seed, id) and
     starts on its support; by default they are replicates 0..R-1 of
-    ``model`` on its own support.  Returns ``(rows, x0, pieces)``: one start
-    per row, and ``(t, b, draws)`` for steps t..t+n-1.  Each draw chunk is
-    checked once by ``model.check_draws`` and cut at the burn-in end and at
-    every time-batch edge, so a piece lies in one chunk and one batch ``b``
-    (-1 in the burn-in); it is valid only until the next piece is drawn."""
+    ``model`` on its own support.  Returns ``(rows, x0, lengths, pieces)``:
+    one start per row, the step count of each time batch, and ``(t, b,
+    draws)`` for steps t..t+n-1.  Each draw chunk is checked once by
+    ``model.check_draws`` and cut at the burn-in end and at every time-batch
+    edge, so a piece lies in one chunk and one batch ``b`` (-1 in the
+    burn-in); it is valid only until the next piece is drawn."""
     model.check_env(envspec)
     if rows is None:
         support = getattr(model, "support", tuple(range(model.k)))
@@ -357,7 +358,7 @@ def _open_rows(model, envspec, cfg, rows=None):
                 yield t, b, draws[t - t0:stop - t0]
                 t = stop
 
-    return rows, x0, pieces()
+    return rows, x0, lengths, pieces()
 
 
 def _drive(model, envspec, cfg, functionals, sets, rows=None):
@@ -369,10 +370,9 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
         if isinstance(f, (Coordinate, LogPerCapita)) and not 0 <= f.i < model.k:
             raise ConfigurationError(f"species index {f.i} of {f.name} out of range "
                                      f"for {model.name}")
-    rows, x, pieces = _open_rows(model, envspec, cfg, rows)
+    rows, x, lengths, pieces = _open_rows(model, envspec, cfg, rows)
     k = model.k
     n_steps = cfg.horizon - cfg.burn_in
-    n_batches = min(N_BATCHES, n_steps)
     rg = len(rows)
 
     mode = model.sim_mode
@@ -399,14 +399,14 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
     norm = bool(lognorms)
     acc = np.zeros((len(cols), rg))
     acc_b = 0
-    edges = np.cumsum([0] + [len(group) for group in groups]).tolist()
-    acc_coord, acc_ind, acc_lpc, acc_norm = (acc[lo:hi] for lo, hi in zip(edges, edges[1:]))
+    bounds = np.cumsum([0] + [len(group) for group in groups]).tolist()
+    acc_coord, acc_ind, acc_lpc, acc_norm = (acc[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
     coord_idx = np.array([f.i for f in coords], dtype=np.intp)
     lpc_idx = np.array([f.i for f in lpcs], dtype=np.intp)
     ind_rows = [(acc_ind[n], f.set_descriptor) for n, f in enumerate(indicators)]
 
     occ_counts = np.zeros((rg, len(sets)), dtype=np.int64)
-    fsums = np.zeros((rg, len(functionals), n_batches))
+    fsums = np.zeros((rg, len(functionals), len(lengths)))
     floored = np.zeros(rg, dtype=bool)
     frozen = np.zeros(rg, dtype=bool)
     # simplex mode: each coordinate's smallest value within the piece
@@ -517,7 +517,7 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
         "terminal": x,
         "labels": [label for _, _, label in rows],
         "n_steps": n_steps,
-        "n_batches": n_batches,
+        "n_batches": len(lengths),
     }
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .engine import N_BATCHES, RateEstimate, SimConfig, _batch_estimate, _batch_lengths, _open_rows
+from .engine import RateEstimate, SimConfig, _batch_estimate, _open_rows
 from .errors import ConfigurationError, NumericError, QuadratureError
 
 __all__ = [
@@ -109,9 +109,10 @@ def _stepwise(mats, v, norm, t0):
     return logsum, v
 
 
-def _mc_batch_sums(model, envspec, cfg, norm, rows=None):
-    """``(rows, n_batches)`` sums of the one-step log growths per time batch,
-    over the rows of ``_open_rows`` (replicates 0..R-1 by default).
+def _mc_batch_sums(model, envspec, cfg, norm):
+    """``(rows, n_batches)`` sums of the one-step log growths per time batch
+    over the replicates 0..R-1 of ``_open_rows``, and the step count of each
+    batch.
 
     The sum over a run of steps telescopes to ``log||P v||``, with ``P`` the
     product of the run's matrices and ``v`` the normalized vector at its
@@ -120,12 +121,11 @@ def _mc_batch_sums(model, envspec, cfg, norm, rows=None):
     nonnegative, so the vector vanishes inside a piece exactly when ``P v``
     does.
     """
-    rows, v, pieces = _open_rows(model, envspec, cfg, rows)
+    rows, v, lengths, pieces = _open_rows(model, envspec, cfg)
     if np.any(v <= 0):
         raise ConfigurationError("initial vector must be strictly positive")
     v = v / _norm(v, norm)[:, None]
-    n_steps = cfg.horizon - cfg.burn_in
-    gsums = np.zeros((len(rows), min(N_BATCHES, n_steps)))
+    gsums = np.zeros((len(rows), len(lengths)))
     for t, b, draws in pieces:
         mats = model.linearization_at_zero(draws)
         prod, logscale = _product(mats)
@@ -139,7 +139,7 @@ def _mc_batch_sums(model, envspec, cfg, norm, rows=None):
             v = grown / tot[:, None]
         if b >= 0:
             gsums[:, b] += logsum
-    return gsums
+    return gsums, lengths
 
 
 def lyapunov_mc(model, envspec, cfg: SimConfig, norm: str = "l1") -> RateEstimate:
@@ -150,9 +150,8 @@ def lyapunov_mc(model, envspec, cfg: SimConfig, norm: str = "l1") -> RateEstimat
     """
     if not model.structured:
         raise ConfigurationError(f"{model.name} has no linearization at the origin")
-    gsums = _mc_batch_sums(model, envspec, cfg, norm)
-    n_steps = cfg.horizon - cfg.burn_in
-    return _batch_estimate(gsums, gsums / _batch_lengths(n_steps, gsums.shape[1]), n_steps)
+    gsums, lengths = _mc_batch_sums(model, envspec, cfg, norm)
+    return _batch_estimate(gsums, gsums / lengths, cfg.horizon - cfg.burn_in)
 
 
 # ---------------------------------------------------------------------------

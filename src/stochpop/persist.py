@@ -97,9 +97,13 @@ class InvasionTable:
 
 
 def _iid_estimate(values: np.ndarray) -> RateEstimate:
+    """Mean and standard error of iid draws.  Fewer than two draws have no
+    standard error, so they are refused rather than read as exact."""
     n = values.size
+    if n < 2:
+        raise ConfigurationError("need at least 2 draws")
     mean = float(values.mean())
-    if n < 2 or np.ptp(values) == 0.0:
+    if np.ptp(values) == 0.0:
         return RateEstimate(mean, 0.0, n, n)
     return RateEstimate(mean, float(values.std(ddof=1) / np.sqrt(n)), n, n)
 
@@ -109,15 +113,14 @@ def mean_percapita_growth_at(model, envspec, x, i: int, n: int, seed: int = 0) -
     model.check_env(envspec)
     if not (0 <= i < model.k):
         raise ConfigurationError(f"species index {i} out of range")
-    if n < 2:
-        raise ConfigurationError("need at least 2 draws")
     w = _point_draws(model, envspec, make_stream(seed, _BASE_POINT_MC), n)
     return _growth_on(model, x, i, w)
 
 
 def _point_draws(model, envspec, stream, n: int) -> np.ndarray:
-    """The next n draws of ``stream``, one per row, checked by ``model``."""
-    w = sample_block(envspec, stream, n)
+    """The next n draws of ``stream``, one per row, checked by ``model``.
+    A size below 2 draws at most one row, which ``_iid_estimate`` refuses."""
+    w = sample_block(envspec, stream, max(n, 0))
     model.check_draws(w)
     return w
 
@@ -576,7 +579,7 @@ def affine_domination_audit(model, envspec, construction: DriftConstruction, cfg
     Z_{t+1} = alpha(w) Z_t + beta(w) started from Z_0 = V(X_0) must stay at
     or above V(X_t) pathwise; returns the minimum slack observed.
     """
-    _, x, pieces = _open_rows(model, envspec, cfg)
+    _, x, _, pieces = _open_rows(model, envspec, cfg)
     z = construction.v(x).copy()
     min_slack = np.inf
     for _, _, draws in pieces:
@@ -598,7 +601,8 @@ def drift_ergodic_check(model, envspec, v, set_c, beta: float, n_states: int,
     if not (0.0 < beta < 1.0):
         raise ConfigurationError("beta must lie in (0, 1)")
     model.check_env(envspec)
-    if envspec.is_deterministic():
+    exact = envspec.is_deterministic()
+    if exact:
         inner = 1
     stream = make_stream(seed, _BASE_AUDIT + 1)
     x = _log_uniform_states(stream, n_states, model.k, lo=1e-3, hi=1e4, zero_fraction=0.0)
@@ -607,7 +611,7 @@ def drift_ergodic_check(model, envspec, v, set_c, beta: float, n_states: int,
     for s in range(n_states):
         w = _point_draws(model, envspec, stream, inner)
         vx1 = v(model.step(np.tile(x[s], (inner, 1)), w))
-        est = _iid_estimate(vx1)
+        est = RateEstimate(float(vx1[0]), 0.0, 1, 1) if exact else _iid_estimate(vx1)
         indicator = 1.0 if bool(set_c.contains(x[s], model)) else 0.0
         rhs = (1.0 - beta) * float(v(x[s][None, :])[0]) + indicator
         slack = rhs - est.mean
@@ -639,8 +643,6 @@ def rps_condition(envspec, d: float, n: int, seed: int = 0) -> dict:
     if envspec.dim != 3:
         raise ConfigurationError("environment must supply (alpha, beta, gamma) draws")
     model = RpsLottery(d)  # checks the death fraction
-    if n < 2:
-        raise ConfigurationError("need at least 2 draws")
     w = _point_draws(model, envspec, make_stream(seed, _BASE_POINT_MC + 1), n)
     a, b, g = w[:, 0], w[:, 1], w[:, 2]
     exact = np.log1p(d * (a / b - 1.0)) + np.log1p(d * (g / b - 1.0))

@@ -638,11 +638,13 @@ def test_pieces_tile_the_horizon_within_chunks_and_batches(monkeypatch, case):
     model.check_draws = lambda w, t=0: checked.append((t, len(w)))
     cfg = SimConfig(seed=3, replicates=3, burn_in=burn_in, horizon=horizon)
     env = EnvSpec((LogNormal(0.3, 0.3), Uniform(0.5, 1.5)))
-    _, _, pieces = engine._open_rows(model, env, cfg)
+    _, _, lengths, pieces = engine._open_rows(model, env, cfg)
     n_steps = horizon - burn_in
     n_batches = min(20, n_steps)
     step, cells = 0, set()
+    counts = np.zeros(n_batches + 1, dtype=int)  # the burn-in counted last
     for t, b, draws in pieces:
+        counts[b] += len(draws)
         c, chunk = chunks[-1]
         assert t == step and 0 < len(draws) and c <= t and t + len(draws) <= c + len(chunk)
         assert np.array_equal(draws, chunk[t - c:t - c + len(draws)])
@@ -651,6 +653,7 @@ def test_pieces_tile_the_horizon_within_chunks_and_batches(monkeypatch, case):
         cells.add((c, b))
         step += len(draws)
     assert step == horizon
+    assert counts[-1] == burn_in and np.array_equal(counts[:-1], lengths)
     # one piece per chunk and batch it meets: no cut other than the edges
     assert len(cells) == len({(s - s % len(chunks[0][1]),
                                -1 if s < burn_in else ((s - burn_in) * n_batches) // n_steps)

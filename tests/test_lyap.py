@@ -8,6 +8,7 @@ import pytest
 import scipy.integrate
 import scipy.special
 
+from stochpop import engine, lyap
 from stochpop.engine import _CHUNK, SimConfig, _batch_lengths
 from stochpop.env import Constant, Discrete, EnvSpec, Gamma, Normal, Uniform, make_stream
 from stochpop.errors import ConfigurationError, NumericError, QuadratureError
@@ -183,7 +184,8 @@ def test_blocked_batch_means_match_stepwise_reference(case, model_env, cfg, norm
     model, env = model_env
     n_steps = cfg.horizon - cfg.burn_in
     lengths = _batch_lengths(n_steps, min(20, n_steps))
-    blocked = _mc_batch_sums(model, env, cfg, norm) / lengths
+    sums, _ = _mc_batch_sums(model, env, cfg, norm)
+    blocked = sums / lengths
     ref = _reference_batch_sums(model, env, cfg, norm) / lengths
     assert blocked.shape == ref.shape == (cfg.replicates, len(lengths))
     np.testing.assert_allclose(blocked, ref, rtol=1e-12, atol=0.0)
@@ -203,13 +205,16 @@ def test_negative_seed_draws_are_refused():
         lyapunov_mc(m, env, SimConfig(seed=1, horizon=100))
 
 
-def test_batch_sums_do_not_depend_on_grouping():
+def test_batch_sums_do_not_depend_on_grouping(monkeypatch):
     m = Biennial(p=0.4, a=0.5, b1=1.0, b2=1.0)
     env = EnvSpec((Gamma(1.0, 2.0),))
     cfg = SimConfig(seed=23, replicates=6, burn_in=100, horizon=5100)
-    group = _mc_batch_sums(m, env, cfg, "l1")
+    group, _ = _mc_batch_sums(m, env, cfg, "l1")
     for r in range(cfg.replicates):
-        alone = _mc_batch_sums(m, env, cfg, "l1", rows=[(r, (0, 1), f"replicate {r}")])
+        # replicate r run as the only row
+        monkeypatch.setattr(lyap, "_open_rows", lambda model, envspec, cfg, r=r: engine._open_rows(
+            model, envspec, cfg, [(r, (0, 1), f"replicate {r}")]))
+        alone, _ = _mc_batch_sums(m, env, cfg, "l1")
         assert np.array_equal(group[r], alone[0]), r
 
 

@@ -78,6 +78,26 @@ def test_constant_environment_growth_is_exact():
     assert est.std_error == 0.0
 
 
+# Fewer than two draws give no standard error; before they were refused, a
+# one-sample Taylor rate and a one-draw inner drift expectation came back
+# with standard error 0.0, which the 3-SE rule reads as exact
+_ONE_DRAW_ESTIMATES = {
+    "mean_percapita_growth_at": lambda: mean_percapita_growth_at(
+        Hassell(), EnvSpec((LogNormal(0.2, 0.3), Uniform(0.5, 1.5))), [1.0], 0, 1, seed=1),
+    "lottery_taylor_rate": lambda: lottery_taylor_rate(
+        EnvSpec((LogNormal(1.0, 0.3),) * 3), 0.05, np.eye(3)[:1], 1, seed=1),
+    "drift_ergodic_check": lambda: drift_ergodic_check(
+        AffineChain(), EnvSpec((Constant(0.5), Uniform(0.0, 1.0))), lambda x: x[..., 0],
+        Box(((0.0, 10.0),)), beta=0.4, n_states=3, inner=1, seed=21),
+}
+
+
+@pytest.mark.parametrize("case", list(_ONE_DRAW_ESTIMATES))
+def test_estimate_from_fewer_than_two_draws_is_refused(case):
+    with pytest.raises(ConfigurationError, match="need at least 2 draws"):
+        _ONE_DRAW_ESTIMATES[case]()
+
+
 # ---------------------------------------------------------------------------
 # invasion rates
 
