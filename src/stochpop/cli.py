@@ -21,6 +21,8 @@ import hashlib
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +68,9 @@ _SIM_INTS = ("seed", "replicates", "burn_in", "horizon")
 
 
 def _jsonable(obj):
-    """Convert results to JSON-safe values with deterministic formatting."""
+    """Convert results to JSON-safe values with deterministic formatting:
+    plain str, int, float, bool and None in dicts with str keys and lists,
+    the only values ``_write_json`` writes."""
     if isinstance(obj, float):  # numpy's float64 included
         if math.isfinite(obj):
             return float(obj)
@@ -80,6 +84,99 @@ def _jsonable(obj):
     if isinstance(obj, (np.ndarray, np.generic)):
         return _jsonable(obj.tolist())
     return obj
+
+
+def _container(value):
+    return None
+
+
+def _not_json(value):
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+# json.dump's text of a leaf of each type the reports hold, made by C
+# functions, so the writer makes no Python call per leaf; a container has no
+# text, and any other type (a numpy scalar, say) is refused.
+_LEAF_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: float.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+    dict: _container,
+    list: _container,
+    tuple: _container,
+}
+# the float texts that JSON spells differently
+_FLOAT_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_FLUSH_PARTS = 4096  # parts held before they are written out
+
+
+def _write_json(fh, obj):
+    """Write ``obj`` to ``fh`` with the bytes of ``json.dump(obj, fh,
+    sort_keys=True, indent=2)``, a few thousand parts at a time, so the
+    document is never held whole.  Keys must be strings.  The stdlib encodes
+    an indented document with a generator per container and a write per
+    part; here each leaf is written inline."""
+    parts = []
+    append = parts.append
+    leaf_text = _LEAF_TEXT.get
+    special = _FLOAT_SPECIAL.get
+
+    def encode(node, newline):
+        inner = newline + "  "
+        if isinstance(node, dict):
+            if not node:
+                append("{}")
+                return
+            sep = "{" + inner
+            for key, value in sorted(node.items()):
+                key = encode_basestring_ascii(key)  # a key that is not a str raises TypeError
+                text = leaf_text(value.__class__, _not_json)(value)
+                if text is None:
+                    append(sep + key + ": ")
+                    encode(value, inner)
+                else:
+                    append(sep + key + ": " + special(text, text))
+                sep = "," + inner
+            append(newline + "}")
+        else:
+            if not node:
+                append("[]")
+                return
+            sep = "[" + inner
+            for value in node:
+                text = leaf_text(value.__class__, _not_json)(value)
+                if text is None:
+                    append(sep)
+                    encode(value, inner)
+                else:
+                    append(sep + special(text, text))
+                sep = "," + inner
+            append(newline + "]")
+        if len(parts) >= _FLUSH_PARTS:
+            fh.write("".join(parts))
+            parts.clear()
+
+    text = leaf_text(obj.__class__, _not_json)(obj)
+    if text is None:
+        encode(obj, "\n")
+    else:
+        append(special(text, text))
+    fh.write("".join(parts))
+
+
+def _write_csv(fh, fields, rows):
+    """Write a header and one line per row dict, with the bytes of
+    ``csv.DictWriter``.  Every row holds every field; a key outside
+    ``fields`` raises ``ValueError`` before anything is written."""
+    extra = set().union(*rows).difference(fields)
+    if extra:
+        raise ValueError("dict contains fields not in fieldnames: "
+                         + ", ".join(map(repr, extra)))
+    writer = csv.writer(fh)
+    writer.writerow(fields)
+    writer.writerows(map(itemgetter(*fields), rows))
 
 
 def _validate_top(cfg: dict):
@@ -465,17 +562,14 @@ def run_config(cfg: dict, out_dir=None, seed=None, threads: int = 1, explore: bo
     try:
         json_path = target / "results.json"
         written.append(json_path)
-        # streamed: the whole document is never held as one string
         with json_path.open("w") as fh:
-            json.dump(report, fh, sort_keys=True, indent=2)
+            _write_json(fh, report)
             fh.write("\n")
         for name, file_rows in {"results.csv": report["estimates"], **extra_files}.items():
             path = target / name
             written.append(path)
             with path.open("w", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=_CSV_FIELDS[name])
-                writer.writeheader()
-                writer.writerows(file_rows)
+                _write_csv(fh, _CSV_FIELDS[name], file_rows)
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)

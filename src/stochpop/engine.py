@@ -253,16 +253,19 @@ def _initial_states(model: Model, cfg: SimConfig, streams, supports) -> np.ndarr
     if isinstance(cfg.initial_state, str):
         if cfg.initial_state != "random_interior":
             raise ConfigurationError(f"unknown initial_state {cfg.initial_state!r}")
+        # every start's k uniforms in one buffer, opened in one pass
+        u = np.empty((r, k))
+        for row, stream in zip(u, streams):
+            stream.uniforms(k, out=row)
+        open_unit(u)
         x0 = np.zeros((r, k))
-        for i, (stream, support) in enumerate(zip(streams, supports)):
-            u = stream.uniforms(k)
+        for support in set(supports):  # the rows of each support at once
+            at = np.ix_([i for i, s in enumerate(supports) if s == support], list(support))
             if isinstance(model.state_space, Simplex):
-                e = -np.log(u[list(support)])
-                frac = e / e.sum()
-                ks = len(support)
-                x0[i, list(support)] = 0.01 + (1.0 - 0.01 * ks) * frac
+                e = -np.log(u[at])
+                x0[at] = 0.01 + (1.0 - 0.01 * len(support)) * (e / e.sum(axis=1, keepdims=True))
             else:
-                x0[i, list(support)] = 0.1 + 0.9 * u[list(support)]
+                x0[at] = 0.1 + 0.9 * u[at]
         return x0
     x = np.asarray(cfg.initial_state, dtype=float)
     if x.shape != (k,):
@@ -325,7 +328,7 @@ def _draw_chunks(envspec, streams, t_total):
         yield t, draws
 
 
-def _open_rows(model, envspec, cfg, rows=None):
+def _open_rows(model, envspec, cfg, rows=None, estimates=False):
     """The only place a trajectory run opens its streams.  ``rows`` are
     (stream id, support, label): a row draws from stream (cfg.seed, id) and
     starts on its support; by default they are replicates 0..R-1 of
@@ -334,14 +337,21 @@ def _open_rows(model, envspec, cfg, rows=None):
     draws)`` for steps t..t+n-1.  Each draw chunk is checked once by
     ``model.check_draws`` and cut at the burn-in end and at every time-batch
     edge, so a piece lies in one chunk and one batch ``b`` (-1 in the
-    burn-in); it is valid only until the next piece is drawn."""
+    burn-in); it is valid only until the next piece is drawn.
+
+    A run that makes time-batch ``estimates`` needs at least 2 measured
+    steps: one step is one batch, whose standard error would read 0.  Fewer
+    are refused here, before any stream opens."""
     model.check_env(envspec)
+    n_steps = cfg.horizon - cfg.burn_in
+    if estimates and n_steps < 2:
+        raise ConfigurationError(f"a time-batch estimate needs at least 2 measured steps "
+                                 f"(horizon - burn_in), got {n_steps}")
     if rows is None:
         support = getattr(model, "support", tuple(range(model.k)))
         rows = [(r, support, f"replicate {r}") for r in range(cfg.replicates)]
     streams = [make_stream(cfg.seed, sid) for sid, _, _ in rows]
     x0 = _initial_states(model, cfg, streams, [support for _, support, _ in rows])
-    n_steps = cfg.horizon - cfg.burn_in
     # batch b covers steps edges[b] .. edges[b + 1] - 1; burn-in ends at edges[0]
     lengths = _batch_lengths(n_steps, min(N_BATCHES, n_steps))
     edges = (cfg.burn_in + np.concatenate(([0], np.cumsum(lengths)))).tolist()
@@ -370,7 +380,8 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
         if isinstance(f, (Coordinate, LogPerCapita)) and not 0 <= f.i < model.k:
             raise ConfigurationError(f"species index {f.i} of {f.name} out of range "
                                      f"for {model.name}")
-    rows, x, lengths, pieces = _open_rows(model, envspec, cfg, rows)
+    rows, x, lengths, pieces = _open_rows(model, envspec, cfg, rows,
+                                          estimates=bool(functionals))
     k = model.k
     n_steps = cfg.horizon - cfg.burn_in
     rg = len(rows)
@@ -517,7 +528,7 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
         "terminal": x,
         "labels": [label for _, _, label in rows],
         "n_steps": n_steps,
-        "n_batches": len(lengths),
+        "lengths": lengths,
     }
 
 
@@ -532,12 +543,13 @@ def _row_slice(raw, a, b):
 
 def _batch_estimate(sums: np.ndarray, bmeans: np.ndarray, n_steps: int) -> RateEstimate:
     """Time average over rows of ``(..., n_batches)`` batch sums of n_steps
-    steps each; the SE weights the rows' batch means ``bmeans`` equally."""
+    steps each; the SE weights the rows' batch means ``bmeans`` equally.
+    ``_open_rows`` refuses a run with fewer than 2 batches."""
     b = bmeans.size
     n = n_steps * (sums.size // sums.shape[-1])
     mean = float(sums.sum() / n)
     flat = bmeans.ravel()
-    if b < 2 or np.ptp(flat) == 0.0:
+    if np.ptp(flat) == 0.0:
         # identical batches come from deterministic inputs; report SE 0
         # rather than the rounding residue of the variance formula
         return RateEstimate(mean, 0.0, b, n)
@@ -554,8 +566,8 @@ def _check_finite(averages: dict, label):
 
 def _build_result(raw, functionals, sets) -> SimulationResult:
     n_steps = raw["n_steps"]
-    b = raw["n_batches"]
-    lengths = _batch_lengths(n_steps, b)
+    lengths = raw["lengths"]
+    b = len(lengths)
     occ = raw["occ_counts"] / n_steps
     # fsums holds batch sums; per-batch means weight each batch equally
     bmeans = raw["fsums"] / lengths[None, None, :]
@@ -624,8 +636,6 @@ def simulate(model, envspec, cfg, functionals=()) -> SimulationResult:
 
 def ergodic_average(model, envspec, cfg, functional) -> RateEstimate:
     """Time average of one functional over the post-burn-in window."""
-    if cfg.horizon - cfg.burn_in < 2:
-        raise ConfigurationError("horizon too short for at least 2 batches")
     result = simulate(model, envspec, cfg, functionals=(functional,))
     return result.pooled.functional_averages[functional.name]
 

@@ -121,7 +121,7 @@ def _mc_batch_sums(model, envspec, cfg, norm):
     nonnegative, so the vector vanishes inside a piece exactly when ``P v``
     does.
     """
-    rows, v, lengths, pieces = _open_rows(model, envspec, cfg)
+    rows, v, lengths, pieces = _open_rows(model, envspec, cfg, estimates=True)
     if np.any(v <= 0):
         raise ConfigurationError("initial vector must be strictly positive")
     v = v / _norm(v, norm)[:, None]

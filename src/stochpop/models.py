@@ -82,7 +82,9 @@ def _refuse(bad, message, t):
     """Raise ``message`` if any flag of ``bad`` is set.  ``bad`` has the
     leading axes of a step-major draw block, so the first offending step is
     the first flagged index on axis 0, counted from ``t``.  A model with a
-    bound per draw column builds ``bad`` only when a column minimum fails it."""
+    bound per draw column builds ``bad`` only when a minimum fails it: first
+    one minimum over the whole block, which is contiguous, then, for
+    different bounds, one per column."""
     if bad.any():
         first = int(np.argmax(bad.reshape(len(bad), -1).any(axis=1))) if bad.ndim else 0
         raise ConfigurationError(f"{message} (first at step {t + first})")
@@ -158,7 +160,7 @@ class Hassell(Model):
 
     def check_draws(self, w, t=0):
         lam, b = w[..., 0], w[..., 1]
-        if not (lam.min() > 0 and b.min() >= 0):
+        if not (w.min() > 0 or lam.min() > 0 and b.min() >= 0):
             _refuse((lam <= 0) | (b < 0), "hassell needs lam > 0 and b >= 0", t)
 
     def log_percapita(self, x, w):
@@ -215,7 +217,7 @@ class BevertonHolt(Model):
 
     def check_draws(self, w, t=0):
         lam, a = w[..., 0], w[..., 1]
-        if not (lam.min() > 0 and a.min() >= 0):
+        if not (w.min() > 0 or lam.min() > 0 and a.min() >= 0):
             _refuse((lam <= 0) | (a < 0), "beverton_holt needs lam > 0 and a >= 0", t)
 
     def log_percapita(self, x, w):
@@ -433,8 +435,8 @@ class AffineChain(Model):
         self.extinction = Origin(1)
 
     def check_draws(self, w, t=0):
-        alpha, beta = w[..., 0], w[..., 1]
-        if not (alpha.min() >= 0 and beta.min() >= 0):
+        if not w.min() >= 0:  # alpha and beta are both nonnegative
+            alpha, beta = w[..., 0], w[..., 1]
             _refuse((alpha < 0) | (beta < 0), "affine chain draws must be nonnegative", t)
 
     def step(self, x, w):

@@ -701,3 +701,118 @@ def test_jsonable_matches_the_reference_on_every_leaf_type():
     assert leaf_types(got) == {float, int, str, bool, type(None)}
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
     assert json.dumps(got, sort_keys=True, indent=2) == json.dumps(want, sort_keys=True, indent=2)
+
+
+# ---------------------------------------------------------------------------
+# The package's JSON and CSV writers against the stdlib's
+
+
+# each value written alone and inside containers, as the stdlib writes it
+_JSON_VALUES = {
+    "empty_containers_at_depth": {"a": {}, "b": [], "c": [{}, [], [[], {"d": {}}]], "e": ({},)},
+    "non_ascii": {"Ωmega": "naïve ☃ \U0001f600", "日本": ["ü", " "]},
+    "control_characters": ["\x00\x01\x1f\x7f", "tab\tnew\nline\r", 'quote " back \\ slash'],
+    "floats": [0.1, -0.0, 0.0, 5e-324, 1e308, -1e308, 1e16, 1e-7, 2.5, 1 / 3],
+    "non_finite": {"nan": math.nan, "inf": math.inf, "ninf": -math.inf},
+    "ints": [0, -1, 2**64, -(10**300), 10**4000],
+    "bools_and_none": {"t": True, "f": False, "n": None, "l": [True, False, None]},
+    "tuples": (1, (2.5, ("x", ())), [(), (None,)]),
+    "leaf": "top-level ü",
+    "float_leaf": math.inf,
+    "nested_report": {"b": [{"z": 1, "a": [1.5, {"y": None}]}], "a": {"c": {"d": [[0.5]]}}},
+}
+
+
+@pytest.mark.parametrize("case", list(_JSON_VALUES))
+def test_json_writer_matches_the_stdlib_on_every_leaf(case):
+    value = _JSON_VALUES[case]
+    for doc in (value, [value], {"wrapped": value, "x": [value, {"y": value}]}):
+        fh = io.StringIO()
+        cli._write_json(fh, doc)
+        assert fh.getvalue() == json.dumps(doc, sort_keys=True, indent=2)
+
+
+def test_json_writer_flushes_a_long_document_in_parts(monkeypatch):
+    monkeypatch.setattr(cli, "_FLUSH_PARTS", 16)
+    doc = {"rows": [{"i": i, "x": [i / 7, {"s": str(i)}]} for i in range(500)]}
+    writes = []
+
+    class Sink(io.StringIO):
+        def write(self, text):
+            writes.append(len(text))
+            return super().write(text)
+
+    fh = Sink()
+    cli._write_json(fh, doc)
+    assert fh.getvalue() == json.dumps(doc, sort_keys=True, indent=2)
+    assert len(writes) > 100 and max(writes) < len(fh.getvalue()) / 50
+
+
+# the stdlib refuses the first four and writes the rest; reports hold none
+# of them, since _jsonable makes every value a plain one and every key a str
+@pytest.mark.parametrize("bad", [object(), {1, 2}, b"bytes", np.int64(3), np.float64(0.5),
+                                 np.bool_(True), {1: "int key"}, {None: "null key"}])
+def test_json_writer_refuses_a_value_reports_do_not_hold(bad):
+    for doc in (bad, {"x": [bad]}, [{"y": bad}]):
+        with pytest.raises(TypeError):
+            cli._write_json(io.StringIO(), doc)
+
+
+def test_a_leaf_that_is_not_json_leaves_no_outputs(tmp_path, monkeypatch):
+    task_simulate = cli._RUNNERS["simulate"]
+
+    def bad_results(*args):
+        results, rows, extra = task_simulate(*args)
+        results["replicates"][-1]["note"] = object()  # past the first flushed parts
+        return results, rows, extra
+
+    monkeypatch.setitem(cli._RUNNERS, "simulate", bad_results)
+    monkeypatch.setattr(cli, "_FLUSH_PARTS", 8)
+    out = tmp_path / "out"
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        run_config(_simulate_cfg(), out_dir=out)
+    assert list(out.iterdir()) == []
+
+
+def test_csv_writer_matches_dict_writer():
+    fields = cli._CSV_FIELDS["results.csv"]
+    two = [dict(zip(fields, ("t", "q", 1, "0+1", 0.1, -0.0, 10**20, "a,\"b\"\n"))),
+           dict(zip(fields, ("", "", "", "", 5e-324, math.nan, None, True)))]
+    for rows in ([], two, two * 3):
+        want = io.StringIO(newline="")
+        writer = csv.DictWriter(want, fieldnames=fields)
+        writer.writeheader()
+        writer.writerows(rows)
+        got = io.StringIO(newline="")
+        cli._write_csv(got, fields, rows)
+        assert got.getvalue() == want.getvalue()
+    got = io.StringIO()
+    with pytest.raises(ValueError, match="'unexpected'"):
+        cli._write_csv(got, fields, two + [dict(two[0], unexpected=1)])
+    assert got.getvalue() == ""
+
+
+# (config, expected stderr): one measured step is one time batch, whose SE
+# read 0.0; before it was refused, lottery permanence with burn_in 100 and
+# horizon 101 exited 0 with every rate at std_error 0.0
+def _one_step(cfg, burn_in=100):
+    return dict(cfg, sim=dict(cfg["sim"], burn_in=burn_in, horizon=burn_in + 1))
+
+
+_ONE_MEASURED_STEP = {
+    "permanence": _one_step(_permanence_cfg()),
+    "invade": _one_step(_invade_lottery_cfg()),
+    "simulate": _one_step(_simulate_cfg()),
+    "gamma": _one_step(_gamma_cfg(), burn_in=0),
+    "lyapunov": dict(_one_step(_gamma_cfg()), task="lyapunov"),
+}
+
+
+@pytest.mark.parametrize("case", list(_ONE_MEASURED_STEP))
+def test_one_measured_step_exits_2_without_outputs(tmp_path, capsys, case):
+    out = tmp_path / "out"
+    cfg_path = _write(tmp_path, _ONE_MEASURED_STEP[case])
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "at least 2 measured steps" in err, err
+    assert not out.exists()

@@ -696,6 +696,73 @@ def test_every_trajectory_run_opens_its_streams_through_open_rows(monkeypatch):
         assert opened == ids, name
 
 
+def test_fewer_than_two_measured_steps_are_refused_before_any_stream_opens(monkeypatch):
+    # one measured step is one time batch, whose SE would read 0.0
+    h_env = EnvSpec((LogNormal(0.3, 0.3), Constant(1.0)))
+    lottery, l_env = Lottery(3, 0.3), EnvSpec((LogNormal(1.0, 0.3),) * 3)
+    biennial, b_env = Biennial(0.5, 0.5, 1.0, 1.0), EnvSpec((Gamma(2.0, 2.0),))
+    estimates = {
+        "simulate": lambda cfg: simulate(Hassell(), h_env, cfg, (Coordinate(0),)),
+        "ergodic_average": lambda cfg: ergodic_average(Hassell(), h_env, cfg, LogPerCapita(0)),
+        "invasion_rate": lambda cfg: persist.invasion_rate(lottery, l_env, cfg, 2, (0, 1)),
+        "boundary_invasion_report": lambda cfg: persist.boundary_invasion_report(
+            lottery, l_env, cfg),
+        "auxiliary_affine_chain": lambda cfg: auxiliary_affine_chain(
+            LogNormal(-0.3, 0.4), Constant(1.0), cfg),
+        "lyapunov_mc": lambda cfg: lyap.lyapunov_mc(biennial, b_env, cfg),
+    }
+
+    def no_stream(*args):
+        raise AssertionError("a stream was opened")
+
+    with monkeypatch.context() as m:
+        m.setattr(engine, "make_stream", no_stream)
+        for run in estimates.values():
+            for burn_in, horizon in ((100, 101), (0, 1)):
+                cfg = SimConfig(seed=2, replicates=2, burn_in=burn_in, horizon=horizon)
+                with pytest.raises(ConfigurationError, match="at least 2 measured steps"):
+                    run(cfg)
+    # two measured steps give two one-step batches per replicate; runs
+    # without a time-batch estimate keep their one step
+    est = simulate(Hassell(), h_env, SimConfig(seed=2, replicates=2, burn_in=99, horizon=101),
+                   (Coordinate(0),)).pooled.functional_averages["coord_0"]
+    assert (est.batches, est.n) == (4, 4) and est.std_error > 0
+    one = SimConfig(seed=2, replicates=2, burn_in=0, horizon=1, eta_grid=(0.5,))
+    assert simulate(Hassell(), h_env, one).pooled.occupation["S_eta=0.5"] in (0.0, 0.5, 1.0)
+    hit = ensemble_hit_probability(Hassell(), h_env, one, ExtinctionNeighborhood(10.0), 1)
+    assert (hit.mean, hit.n) == (1.0, 2)
+    construction = persist.drift_construction(Hassell(), h_env, seed=2)
+    assert persist.affine_domination_audit(Hassell(), h_env, construction, one)["steps"] == 1
+
+
+def _reference_starts(model, cfg, streams, supports):
+    """Random interior starts drawn and placed one row at a time."""
+    x0 = np.zeros((len(streams), model.k))
+    for i, (stream, support) in enumerate(zip(streams, supports)):
+        u = stream.uniforms(model.k)[list(support)]
+        if isinstance(model, Lottery):
+            e = -np.log(u)
+            x0[i, list(support)] = 0.01 + (1.0 - 0.01 * len(support)) * (e / e.sum())
+        else:
+            x0[i, list(support)] = 0.1 + 0.9 * u
+    return x0
+
+
+@pytest.mark.parametrize("model", [Hassell(), RickerCompetition(0.6, 0.5), Lottery(3, 0.2),
+                                   Lottery(9, 0.2)], ids=["hassell", "ricker", "lottery3",
+                                                          "lottery9"])
+def test_random_interior_starts_match_one_row_at_a_time(model):
+    # rows of every support interleaved; nine species take numpy's pairwise
+    # sum past its 8-term unrolled block
+    faces = [s for size in range(1, model.k + 1)
+             for s in itertools.combinations(range(model.k), size)][-6:]
+    supports = [faces[i % len(faces)] for i in range(40)]
+    cfg = SimConfig(seed=5, replicates=len(supports), horizon=10)
+    got = _initial_states(model, cfg, [make_stream(5, i) for i in range(40)], supports)
+    want = _reference_starts(model, cfg, [make_stream(5, i) for i in range(40)], supports)
+    assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # The row-wise reduction against one estimate per row
 
@@ -714,8 +781,7 @@ def _reference_estimate(sums, bmeans, n_steps):
 def _reference_rows(raw, functionals):
     """Each row's estimates one call at a time, and the first non-finite one
     in row order, named as the error names it."""
-    lengths = engine._batch_lengths(raw["n_steps"], raw["n_batches"])
-    bmeans = raw["fsums"] / lengths
+    bmeans = raw["fsums"] / raw["lengths"]
     out, first_bad = [], None
     with np.errstate(all="ignore"):
         for r, label in enumerate(raw["labels"]):
@@ -738,7 +804,7 @@ def _raw(fsums, n_steps):
         "terminal": np.ones((rows, 1)),
         "labels": [f"replicate {r}" for r in range(rows)],
         "n_steps": n_steps,
-        "n_batches": fsums.shape[-1],
+        "lengths": engine._batch_lengths(n_steps, fsums.shape[-1]),
     }
 
 
@@ -761,10 +827,10 @@ def test_row_wise_reduction_matches_per_row_estimates():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("horizon", [1, 2, 301])
+@pytest.mark.parametrize("horizon", [2, 301])
 def test_row_wise_reduction_matches_per_row_estimates_on_a_run(horizon):
-    # horizon 1 leaves one batch of one step; Indicator of an empty box has
-    # zero spread in every row
+    # horizon 2 leaves two batches of one step; Indicator of an empty box
+    # has zero spread in every row
     cfg = SimConfig(seed=4, replicates=5, burn_in=0, horizon=horizon)
     env = EnvSpec((LogNormal(0.3, 0.3), Constant(1.0)))
     functionals = (Coordinate(0), LogPerCapita(0), Indicator(Box(((-2.0, -1.0),))), LogNorm())
@@ -775,9 +841,6 @@ def test_row_wise_reduction_matches_per_row_estimates_on_a_run(horizon):
     for r, s in enumerate(got.replicates):
         assert np.shares_memory(s.terminal_state, raw["terminal"])
         assert np.array_equal(s.terminal_state, raw["terminal"][r])
-    if horizon == 1:
-        assert all(est.batches == 1 and est.std_error == 0.0
-                   for fa in want for est in fa.values())
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -886,3 +949,24 @@ def test_check_draws_names_the_first_step_of_any_block_shape():
     w[3, 1, 2] = 0.0
     with pytest.raises(ConfigurationError, match=r"positive \(first at step 3\)$"):
         Lottery(3, 0.2).restrict_to_face((0, 1)).check_draws(w)
+
+
+@pytest.mark.parametrize("model, bad_col, bad_value, message", [
+    (Hassell(), 0, 0.0, "hassell needs lam > 0"),
+    (Hassell(), 1, -1.0, "hassell needs lam > 0"),
+    (BevertonHolt(), 0, -2.0, "beverton_holt needs lam > 0"),
+    (BevertonHolt(), 1, -0.5, "beverton_holt needs lam > 0"),
+    (AffineChain(), 0, -1.0, "affine chain draws must be nonnegative"),
+    (AffineChain(), 1, -1.0, "affine chain draws must be nonnegative"),
+], ids=["hassell-lam", "hassell-b", "bh-lam", "bh-a", "affine-alpha", "affine-beta"])
+def test_a_zero_draw_the_model_allows_passes_and_a_bad_one_is_named(model, bad_col, bad_value,
+                                                                    message):
+    # the second column may be 0 (b, a or beta), so the whole block's
+    # minimum fails and the per-column minima decide
+    w = np.full((6, 4, 2), 2.0)
+    w[:, :, 1] = 0.0
+    model.check_draws(w, 10)
+    w[3, 2, bad_col] = bad_value
+    w[5, 0, bad_col] = bad_value
+    with pytest.raises(ConfigurationError, match=rf"{message}.*\(first at step 13\)$"):
+        model.check_draws(w, 10)

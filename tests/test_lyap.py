@@ -212,8 +212,8 @@ def test_batch_sums_do_not_depend_on_grouping(monkeypatch):
     group, _ = _mc_batch_sums(m, env, cfg, "l1")
     for r in range(cfg.replicates):
         # replicate r run as the only row
-        monkeypatch.setattr(lyap, "_open_rows", lambda model, envspec, cfg, r=r: engine._open_rows(
-            model, envspec, cfg, [(r, (0, 1), f"replicate {r}")]))
+        monkeypatch.setattr(lyap, "_open_rows", lambda model, envspec, cfg, r=r, **kw: (
+            engine._open_rows(model, envspec, cfg, [(r, (0, 1), f"replicate {r}")], **kw)))
         alone, _ = _mc_batch_sums(m, env, cfg, "l1")
         assert np.array_equal(group[r], alone[0]), r
 
