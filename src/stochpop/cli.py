@@ -18,14 +18,12 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
-import math
 import sys
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__, engine, persist
 from .engine import Coordinate, LogNorm, LogPerCapita, RateEstimate, SimConfig
@@ -67,25 +65,6 @@ _SIM_KEYS = {
 _SIM_INTS = ("seed", "replicates", "burn_in", "horizon")
 
 
-def _jsonable(obj):
-    """Convert results to JSON-safe values with deterministic formatting:
-    plain str, int, float, bool and None in dicts with str keys and lists,
-    the only values ``_write_json`` writes."""
-    if isinstance(obj, float):  # numpy's float64 included
-        if math.isfinite(obj):
-            return float(obj)
-        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, RateEstimate):
-        return _jsonable(obj.to_dict())
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return _jsonable(obj.tolist())
-    return obj
-
-
 def _container(value):
     return None
 
@@ -94,9 +73,10 @@ def _not_json(value):
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
-# json.dump's text of a leaf of each type the reports hold, made by C
-# functions, so the writer makes no Python call per leaf; a container has no
-# text, and any other type (a numpy scalar, say) is refused.
+# The one place that decides how a report value is written: the text of a
+# leaf of each type the reports hold, made by C functions, so the writer makes
+# no Python call per leaf; a container has no text, and any other type (a
+# numpy scalar, say) is refused.
 _LEAF_TEXT = {
     str: encode_basestring_ascii,
     int: int.__repr__,
@@ -106,18 +86,21 @@ _LEAF_TEXT = {
     dict: _container,
     list: _container,
     tuple: _container,
+    RateEstimate: _container,
 }
-# the float texts that JSON spells differently
-_FLOAT_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# a non-finite float is written as a string, which any JSON reader accepts
+_FLOAT_SPECIAL = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
 _FLUSH_PARTS = 4096  # parts held before they are written out
 
 
 def _write_json(fh, obj):
     """Write ``obj`` to ``fh`` with the bytes of ``json.dump(obj, fh,
     sort_keys=True, indent=2)``, a few thousand parts at a time, so the
-    document is never held whole.  Keys must be strings.  The stdlib encodes
-    an indented document with a generator per container and a write per
-    part; here each leaf is written inline."""
+    document is never held whole.  Keys must be strings; a RateEstimate is
+    written as the dict of its fields, and a non-finite float as the string
+    "nan", "inf" or "-inf".  The stdlib encodes an indented document with a
+    generator per container and a write per part; here each leaf is written
+    inline."""
     parts = []
     append = parts.append
     leaf_text = _LEAF_TEXT.get
@@ -125,6 +108,8 @@ def _write_json(fh, obj):
 
     def encode(node, newline):
         inner = newline + "  "
+        if isinstance(node, RateEstimate):
+            node = vars(node)
         if isinstance(node, dict):
             if not node:
                 append("{}")
@@ -237,8 +222,8 @@ def _face_label(support) -> str:
 
 
 def _row(task, quantity, species="", face="", mean="", std_error="", n="", verdict=""):
-    """One results.csv row, converted to plain JSON values here, once."""
-    return _jsonable({
+    """One results.csv row; its values are plain Python scalars."""
+    return {
         "task": task,
         "quantity": quantity,
         "species": species,
@@ -247,50 +232,62 @@ def _row(task, quantity, species="", face="", mean="", std_error="", n="", verdi
         "std_error": std_error,
         "n": n,
         "verdict": verdict,
-    })
+    }
 
 
 def _est_row(task, quantity, est: RateEstimate, species="", face="", verdict=""):
     return _row(task, quantity, species, face, est.mean, est.std_error, est.n, verdict)
 
 
+def _replicate_rows(tag, occupation, averages, extinct):
+    """The replicates.csv rows of one replicate, or of the pool: one per set,
+    then one per functional."""
+    rows = [{"replicate": tag, "set_name": name, "occupation": value, "functional": "",
+             "mean": "", "std_error": "", "extinct": extinct}
+            for name, value in occupation.items()]
+    rows += [{"replicate": tag, "set_name": "", "occupation": "", "functional": name,
+              "mean": est.mean, "std_error": est.std_error, "extinct": extinct}
+             for name, est in averages.items()]
+    return rows
+
+
 # ---------------------------------------------------------------------------
-# Task runners: each returns (results_dict, estimate_rows, extra_files); the
-# rows of both CSV files hold plain values and are written as they are
+# Task runners: each returns (results_dict, estimate_rows, extra_files) as the
+# library gives them, which the writers take as they are
 
 
 def _task_simulate(model, envspec, sim, params):
     functionals = _parse_functionals(params.get("functionals", []))
     result = engine.simulate(model, envspec, sim, functionals=functionals)
+    pooled = result.pooled
     rows = [
         _row("simulate", f"occupation[{name}]", mean=val, n=sim.horizon - sim.burn_in)
-        for name, val in result.pooled.occupation.items()
+        for name, val in pooled.occupation.items()
     ]
-    rows += [
-        _est_row("simulate", name, est)
-        for name, est in result.pooled.functional_averages.items()
-    ]
-    rows.append(
-        _row("simulate", "extinct_fraction", mean=result.pooled.extinct_fraction, n=sim.replicates)
-    )
+    rows += [_est_row("simulate", name, est) for name, est in pooled.functional_averages.items()]
+    rows.append(_row("simulate", "extinct_fraction", mean=pooled.extinct_fraction,
+                     n=sim.replicates))
+    replicates, csv_rows = [], []
+    for r, s in enumerate(result.replicates):
+        replicates.append({
+            "occupation": s.occupation,
+            "functional_averages": s.functional_averages,
+            "terminal_state": s.terminal_state.tolist(),
+            "extinct": s.extinction_flag,
+        })
+        csv_rows += _replicate_rows(str(r), s.occupation, s.functional_averages,
+                                    int(s.extinction_flag))
+    csv_rows += _replicate_rows("pooled", pooled.occupation, pooled.functional_averages,
+                                pooled.extinct_fraction)
     results = {
         "pooled": {
-            "occupation": result.pooled.occupation,
-            "functional_averages": result.pooled.functional_averages,
-            "extinct_fraction": result.pooled.extinct_fraction,
+            "occupation": pooled.occupation,
+            "functional_averages": pooled.functional_averages,
+            "extinct_fraction": pooled.extinct_fraction,
         },
-        "replicates": [
-            {
-                "occupation": s.occupation,
-                "functional_averages": s.functional_averages,
-                "terminal_state": s.terminal_state,
-                "extinct": s.extinction_flag,
-            }
-            for s in result.replicates
-        ],
+        "replicates": replicates,
     }
-    extra = {"replicates.csv": engine.summary_rows(result)}
-    return results, rows, extra
+    return results, rows, {"replicates.csv": csv_rows}
 
 
 def _task_classify(model, envspec, sim, params):
@@ -338,13 +335,13 @@ def _task_permanence(model, envspec, sim, params):
     if weights is None:
         rows.append(_row("permanence", "weights", verdict="infeasible"))
     else:
-        for i, w in enumerate(weights):
-            rows.append(_row("permanence", "weight", species=i, mean=float(w), verdict="feasible"))
+        for i, w in enumerate(weights.tolist()):
+            rows.append(_row("permanence", "weight", species=i, mean=w, verdict="feasible"))
     results = {
         "verdict": verdict.kind,
         "not_permanent": table.not_permanent,
         "decision_margin": verdict.decision_margin,
-        "weights": None if weights is None else list(weights),
+        "weights": None if weights is None else weights.tolist(),
         "faces": [
             {
                 "support": list(r.support),
@@ -445,7 +442,7 @@ def _task_gamma(model, envspec, sim, params):
         _est_row("gamma", "gamma_mc", mc),
         _row("gamma", "abs_difference", mean=results["abs_difference"]),
     ]
-    print(json.dumps(_jsonable(results), sort_keys=True))
+    print(json.dumps(results, sort_keys=True))
     return results, rows, {}
 
 
@@ -518,10 +515,10 @@ def run_config(cfg: dict, out_dir=None, seed=None, threads: int = 1, explore: bo
     if extra:
         raise ConfigurationError(f"unknown {cfg['task']} task_params {sorted(extra)}")
 
-    resolved = dict(cfg)
-    resolved["env"] = env_to_config(envspec)
-    resolved_json = json.dumps(_jsonable(resolved), sort_keys=True, indent=2)
-    digest = hashlib.sha256(resolved_json.encode()).hexdigest()
+    resolved = dict(cfg, env=env_to_config(envspec))
+    text = io.StringIO()
+    _write_json(text, resolved)  # a value no report holds is refused before the task runs
+    digest = hashlib.sha256(text.getvalue().encode()).hexdigest()
 
     results, rows, extra_files = _RUNNERS[cfg["task"]](model, envspec, sim, params)
     if explore:
@@ -551,8 +548,8 @@ def run_config(cfg: dict, out_dir=None, seed=None, threads: int = 1, explore: bo
             "config_sha256": digest,
             "explore": bool(explore),
         },
-        "config": json.loads(resolved_json),
-        "results": _jsonable(results),
+        "config": resolved,
+        "results": results,
         "estimates": rows,
     }
 

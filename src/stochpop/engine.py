@@ -57,7 +57,6 @@ __all__ = [
     "ergodic_average",
     "ensemble_hit_probability",
     "auxiliary_affine_chain",
-    "summary_rows",
 ]
 
 N_BATCHES = 20
@@ -208,14 +207,6 @@ class RateEstimate:
     std_error: float
     batches: int
     n: int
-
-    def to_dict(self):
-        return {
-            "mean": self.mean,
-            "std_error": self.std_error,
-            "batches": self.batches,
-            "n": self.n,
-        }
 
 
 @dataclass
@@ -684,52 +675,3 @@ def auxiliary_affine_chain(alpha_dist, beta_dist, cfg, extra_sets=()) -> Simulat
     )
     return result
 
-
-def summary_rows(result: SimulationResult) -> list:
-    """Flatten a simulation result for delimited output.
-
-    Columns: replicate, set_name, occupation, functional, mean, std_error,
-    extinct.  The pooled row uses replicate = "pooled".
-    """
-    rows = []
-
-    def emit(tag, occupation, averages, extinct):
-        for name in occupation:
-            rows.append(
-                {
-                    "replicate": tag,
-                    "set_name": name,
-                    "occupation": occupation[name],
-                    "functional": "",
-                    "mean": "",
-                    "std_error": "",
-                    "extinct": extinct,
-                }
-            )
-        for name, est in averages.items():
-            rows.append(
-                {
-                    "replicate": tag,
-                    "set_name": "",
-                    "occupation": "",
-                    "functional": name,
-                    "mean": est.mean,
-                    "std_error": est.std_error,
-                    "extinct": extinct,
-                }
-            )
-
-    for r, summary in enumerate(result.replicates):
-        emit(
-            str(r),
-            summary.occupation,
-            summary.functional_averages,
-            int(summary.extinction_flag),
-        )
-    emit(
-        "pooled",
-        result.pooled.occupation,
-        result.pooled.functional_averages,
-        result.pooled.extinct_fraction,
-    )
-    return rows

@@ -14,8 +14,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .engine import LogPerCapita, RateEstimate, SimConfig, simulate
-from .engine import _build_result, _drive, _open_rows, _row_slice
+from .engine import ExtinctionNeighborhood, Indicator, LogPerCapita, RateEstimate, SimConfig
+from .engine import _build_result, _drive, _open_rows, _row_slice, simulate
 from .env import EnvSpec, make_stream, sample_block
 from .errors import ConfigurationError, FaceDegenerateError
 from .models import (
@@ -48,12 +48,17 @@ __all__ = [
 ]
 
 # Stream namespaces, so nested estimators never share a replicate stream
-# with the trajectory simulations (which use small replicate ids).
+# with the trajectory simulations (which use small replicate ids).  Every
+# stream is keyed by the run's own seed; no seed is offset.
 _BASE_POINT_MC = 1 << 32
 _BASE_FACE = 1 << 33
 _BASE_AUDIT = 1 << 34
 _BASE_MOMENTS = 1 << 35
+_BASE_VERTEX = 1 << 36  # the rps vertex j draws from _BASE_VERTEX + j
 _FACE_FIELD = 1 << 20  # replicate ids per face in the _BASE_FACE namespace
+# _BASE_POINT_MC + 1 and + 2 are rps_condition's and lottery_taylor_rate's
+_LIMIT_MC = _BASE_POINT_MC + 3  # scalar_classify's sampled large-density limit
+_SCALE_MC = _BASE_POINT_MC + 4  # drift's contraction scale
 
 _SIGMAS = 3.0
 
@@ -188,16 +193,17 @@ def invasion_rate(model, envspec, cfg: SimConfig, invader: int, resident_support
 def _vertex_rows(model: RpsLottery, envspec, cfg: SimConfig) -> list:
     """Boundary rows for the cyclic lottery: face dynamics collapse to the
     vertices, so the only ergodic boundary measures are the vertex point
-    masses and each row is evaluated there directly."""
+    masses and each row is evaluated there directly, every species' rate
+    from one checked block of draws per vertex."""
+    model.check_env(envspec)
     n = int(min(max(cfg.horizon - cfg.burn_in, 1000), 100_000))
     rows = []
     for j in range(model.k):
-        x = np.zeros(model.k)
-        x[j] = 1.0
-        rates = {
-            i: mean_percapita_growth_at(model, envspec, x, i, n, seed=cfg.seed + 7 * j)
-            for i in range(model.k)
-        }
+        x = np.zeros((n, model.k))
+        x[:, j] = 1.0
+        w = _point_draws(model, envspec, make_stream(cfg.seed, _BASE_VERTEX + j), n)
+        logf = model.log_percapita(x, w)
+        rates = {i: _iid_estimate(logf[:, i]) for i in range(model.k)}
         rows.append(FaceRow(support=(j,), measure="analytic_vertex", rates=rates))
     return rows
 
@@ -371,9 +377,8 @@ def scalar_classify(model, envspec, cfg: SimConfig) -> Verdict:
             lam_inf = value
     else:
         warnings.warn("no analytic large-density limit; sampling at x = 1e6")
-        lam_inf = mean_percapita_growth_at(
-            model, envspec, np.full(1, 1e6), 0, n, seed=cfg.seed + 1
-        )
+        w = _point_draws(model, envspec, make_stream(cfg.seed, _LIMIT_MC), n)
+        lam_inf = _growth_on(model, np.full(1, 1e6), 0, w)
 
     if _decisive_neg(lam0):
         kind = "extinction"
@@ -389,7 +394,10 @@ def scalar_classify(model, envspec, cfg: SimConfig) -> Verdict:
         margins = [_margin(lam0), _margin(lam_inf)]
 
     sim_cfg = cfg if cfg.eta_grid else cfg.replaced(eta_grid=(0.01,))
-    result = simulate(model, envspec, sim_cfg)
+    near = Indicator(ExtinctionNeighborhood(min(sim_cfg.eta_grid)))
+    # one replicate shows no spread between replicates, so its occupation
+    # takes its SE from its own time batches
+    result = simulate(model, envspec, sim_cfg, functionals=(near,) if cfg.replicates == 1 else ())
     r_total = len(result.replicates)
     ext = result.pooled.extinct_fraction
     evidence = {
@@ -399,15 +407,13 @@ def scalar_classify(model, envspec, cfg: SimConfig) -> Verdict:
             ext, float(np.sqrt(max(ext * (1 - ext), 0.0) / r_total)), 1, r_total
         ),
     }
-    eta = min(sim_cfg.eta_grid)
-    name = f"S_eta={eta:g}"
-    occs = np.array([s.occupation[name] for s in result.replicates])
-    evidence[f"occupation[{name}]"] = RateEstimate(
-        float(occs.mean()),
-        0.0 if r_total < 2 else float(occs.std(ddof=1) / np.sqrt(r_total)),
-        1,
-        r_total,
-    )
+    name = near.set_descriptor.name
+    if r_total == 1:
+        evidence[f"occupation[{name}]"] = result.pooled.functional_averages[near.name]
+    else:
+        occs = np.array([s.occupation[name] for s in result.replicates])
+        evidence[f"occupation[{name}]"] = RateEstimate(
+            float(occs.mean()), float(occs.std(ddof=1) / np.sqrt(r_total)), 1, r_total)
     return Verdict(kind=kind, evidence=evidence, decision_margin=float(min(margins)))
 
 
@@ -444,7 +450,7 @@ class DriftReport:
 def _scalar_contraction_scale(model, envspec, seed, margin) -> float:
     """Smallest doubling scale M with E[log f(M)] clearly below -margin;
     every scale is tested on the same draws."""
-    w = _point_draws(model, envspec, make_stream(seed + 17, _BASE_POINT_MC), 4000)
+    w = _point_draws(model, envspec, make_stream(seed, _SCALE_MC), 4000)
     m_val = 1.0
     for _ in range(60):
         est = _growth_on(model, np.full(1, m_val), 0, w)

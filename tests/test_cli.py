@@ -1,6 +1,7 @@
 """CLI contract: schema validation, exit codes, deterministic outputs."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import stochpop
-from stochpop import cli, engine
+from stochpop import cli, engine, persist
 from stochpop.cli import main, run_config
 from stochpop.engine import RateEstimate
 from stochpop.env import env_to_config
@@ -292,14 +293,14 @@ def test_simulate_with_nothing_to_measure_writes_header_only(tmp_path):
 
 
 def test_write_failure_part_way_leaves_no_outputs(tmp_path, monkeypatch):
-    summary_rows = engine.summary_rows
+    task_simulate = cli._RUNNERS["simulate"]
 
-    def bad_rows(result):
-        rows = summary_rows(result)
-        rows[1]["unexpected"] = 1
-        return rows
+    def bad_rows(*args):
+        results, rows, extra = task_simulate(*args)
+        extra["replicates.csv"][1]["unexpected"] = 1
+        return results, rows, extra
 
-    monkeypatch.setattr(engine, "summary_rows", bad_rows)
+    monkeypatch.setitem(cli._RUNNERS, "simulate", bad_rows)
     out = tmp_path / "out"
     with pytest.raises(ValueError):
         run_config(_simulate_cfg(), out_dir=out)
@@ -595,7 +596,7 @@ def test_non_finite_number_exits_2_through_the_module(tmp_path, case):
 
 def _reference_jsonable(obj):
     if isinstance(obj, RateEstimate):
-        return _reference_jsonable(obj.to_dict())
+        return _reference_jsonable(dataclasses.asdict(obj))
     if isinstance(obj, dict):
         return {str(k): _reference_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -616,17 +617,33 @@ def _reference_jsonable(obj):
     return obj
 
 
-def _reference_outputs(cfg, monkeypatch) -> dict:
-    """The bytes of each output file when the report and every CSV field go
-    through ``_reference_jsonable`` as they are written."""
-    monkeypatch.setattr(cli, "_jsonable", _reference_jsonable)
+def _reference_outputs(cfg, explore=False) -> dict:
+    """The bytes of each output file when the runner's results and rows go
+    through ``_reference_jsonable`` and the stdlib's writers.  Under
+    ``explore`` the report gains the ensemble hit probability of each eta at
+    the horizon, and every verdict reads "exploratory"."""
     model, envspec = parse_model(cfg["model"])
     sim = cli._parse_sim(cfg["sim"])
     resolved = dict(cfg, env=env_to_config(envspec))
     resolved_json = json.dumps(_reference_jsonable(resolved), sort_keys=True, indent=2)
     results, rows, extra = cli._RUNNERS[cfg["task"]](model, envspec, sim,
                                                      cfg.get("task_params", {}))
-    monkeypatch.undo()
+    if explore:
+        hits = {}
+        for eta in sim.eta_grid:
+            name = f"S_eta={eta:g}"
+            hits[name] = est = engine.ensemble_hit_probability(
+                model, envspec, sim, engine.ExtinctionNeighborhood(eta), sim.horizon)
+            rows.append(dict(task=cfg["task"], quantity=f"ensemble_hit[{name}]@t={sim.horizon}",
+                             species="", face="", mean=est.mean, std_error=est.std_error,
+                             n=est.n, verdict=""))
+        results = dict(results, exploratory={
+            "ensemble_hit_at_horizon": hits,
+            "note": "raw statistics only; nothing here is adjudicated",
+        })
+        for node in [results] + rows:
+            if node.get("verdict"):
+                node["verdict"] = "exploratory"
     report = {
         "task": cfg["task"],
         "provenance": {
@@ -634,7 +651,7 @@ def _reference_outputs(cfg, monkeypatch) -> dict:
             "version": stochpop.__version__,
             "seed": sim.seed,
             "config_sha256": hashlib.sha256(resolved_json.encode()).hexdigest(),
-            "explore": False,
+            "explore": explore,
         },
         "config": json.loads(resolved_json),
         "results": _reference_jsonable(results),
@@ -668,39 +685,40 @@ def _simulate_all_cfg():
     return cfg
 
 
-@pytest.mark.parametrize("make_cfg", [_simulate_all_cfg, _permanence_cfg, _classify_cfg,
-                                      _gamma_cfg])
-def test_output_bytes_match_the_per_field_writer(tmp_path, monkeypatch, make_cfg):
+def _drift_domination_cfg():
+    return dict(_drift_cfg(), task_params={"n_pairs": 5000, "domination_steps": 50})
+
+
+def _lyapunov_cfg():
+    return dict(_gamma_cfg(), task="lyapunov")
+
+
+# (config, explore): every task, and the two whose --explore run adds rows
+_BYTE_CASES = {
+    "simulate": (_simulate_all_cfg, False),
+    "classify": (_classify_cfg, False),
+    "invade": (_invade_lottery_cfg, False),
+    "permanence": (_permanence_cfg, False),
+    "drift": (_drift_domination_cfg, False),
+    "rps": (_rps_cfg, False),
+    "gamma": (_gamma_cfg, False),
+    "lyapunov": (_lyapunov_cfg, False),
+    "simulate_explore": (_simulate_cfg, True),
+    "classify_explore": (_classify_cfg, True),
+}
+
+
+@pytest.mark.parametrize("case", list(_BYTE_CASES))
+def test_output_bytes_match_the_per_field_writer(tmp_path, case):
+    # the runners hand their values over unconverted, so a numpy leaf left in
+    # any of them fails here
+    make_cfg, explore = _BYTE_CASES[case]
     out = tmp_path / "out"
-    run_config(make_cfg(), out_dir=out)
-    want = _reference_outputs(make_cfg(), monkeypatch)
+    run_config(make_cfg(), out_dir=out, explore=explore)
+    want = _reference_outputs(make_cfg(), explore)
     assert sorted(p.name for p in out.iterdir()) == sorted(want)
     for name, blob in want.items():
         assert (out / name).read_bytes() == blob, name
-
-
-def test_jsonable_matches_the_reference_on_every_leaf_type():
-    values = {
-        "floats": [0.1, -0.0, 1e308, float("nan"), float("inf"), float("-inf")],
-        "numpy": [np.float64(0.1), np.float64("nan"), np.float32(0.1), np.float32("-inf"),
-                  np.int64(-3), np.bool_(True), np.str_("s")],
-        "array": np.array([[0.5, np.nan], [np.inf, -1.0]]),
-        "ints": np.arange(3),
-        "nested": ({1: RateEstimate(0.5, float("inf"), 20, 100)}, [True, None, "x", 7]),
-    }
-    got, want = cli._jsonable(values), _reference_jsonable(values)
-
-    def leaf_types(node):
-        if isinstance(node, dict):
-            return set().union(*map(leaf_types, node.values()))
-        if isinstance(node, list):
-            return set().union(*map(leaf_types, node))
-        return {type(node)}
-
-    # plain leaves: the CSV writer formats numpy scalars differently
-    assert leaf_types(got) == {float, int, str, bool, type(None)}
-    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
-    assert json.dumps(got, sort_keys=True, indent=2) == json.dumps(want, sort_keys=True, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +747,21 @@ def test_json_writer_matches_the_stdlib_on_every_leaf(case):
     for doc in (value, [value], {"wrapped": value, "x": [value, {"y": value}]}):
         fh = io.StringIO()
         cli._write_json(fh, doc)
-        assert fh.getvalue() == json.dumps(doc, sort_keys=True, indent=2)
+        # a non-finite float is written as the string the reports have always
+        # held, not as json's NaN or Infinity
+        want = _reference_jsonable(doc) if case in ("non_finite", "float_leaf") else doc
+        assert fh.getvalue() == json.dumps(want, sort_keys=True, indent=2)
+
+
+def test_json_writer_writes_a_rate_estimate_as_its_fields():
+    est = RateEstimate(-0.25, 1e-3, 20, 4000)
+    fields = dataclasses.asdict(est)
+    for doc, want in (({"rate": est, "a": [est]}, {"rate": fields, "a": [fields]}),
+                      ([{"x": est}, est], [{"x": fields}, fields]),
+                      (est, fields)):
+        fh = io.StringIO()
+        cli._write_json(fh, doc)
+        assert fh.getvalue() == json.dumps(want, sort_keys=True, indent=2)
 
 
 def test_json_writer_flushes_a_long_document_in_parts(monkeypatch):
@@ -749,7 +781,7 @@ def test_json_writer_flushes_a_long_document_in_parts(monkeypatch):
 
 
 # the stdlib refuses the first four and writes the rest; reports hold none
-# of them, since _jsonable makes every value a plain one and every key a str
+# of them, since every runner hands over plain values with str keys
 @pytest.mark.parametrize("bad", [object(), {1, 2}, b"bytes", np.int64(3), np.float64(0.5),
                                  np.bool_(True), {1: "int key"}, {None: "null key"}])
 def test_json_writer_refuses_a_value_reports_do_not_hold(bad):
@@ -772,6 +804,18 @@ def test_a_leaf_that_is_not_json_leaves_no_outputs(tmp_path, monkeypatch):
     with pytest.raises(TypeError, match="not JSON serializable"):
         run_config(_simulate_cfg(), out_dir=out)
     assert list(out.iterdir()) == []
+
+
+def test_a_config_value_no_report_holds_is_refused_before_the_task_runs(tmp_path, monkeypatch):
+    # a Python caller's numpy float passes the config's number checks, but
+    # the writer refuses it, so it is refused before the run, not after
+    ran = []
+    monkeypatch.setitem(cli._RUNNERS, "simulate", lambda *args: ran.append(args))
+    cfg = _simulate_cfg()
+    cfg["sim"]["bound_radius"] = np.float64(5.0)
+    with pytest.raises(TypeError, match="float64 is not JSON serializable"):
+        run_config(cfg, out_dir=tmp_path / "out")
+    assert not ran and not (tmp_path / "out").exists()
 
 
 def test_csv_writer_matches_dict_writer():
@@ -816,3 +860,53 @@ def test_one_measured_step_exits_2_without_outputs(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert "configuration error" in err and "at least 2 measured steps" in err, err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# Stream keys: every stream is keyed by the run's own seed
+
+
+def _rps_permanence_cfg():
+    return {
+        "model": {"model": "rps_lottery", "d": 0.1, "alpha": 3.2, "beta": 2.0, "gamma": 1.0},
+        "env": {"coords": [{"dist": "uniform", "lo": 3.0, "hi": 3.5},
+                           {"dist": "uniform", "lo": 1.5, "hi": 2.5},
+                           {"dist": "uniform", "lo": 0.5, "hi": 1.2}]},
+        "sim": {"seed": 3, "burn_in": 10, "horizon": 1010},
+        "task": "permanence",
+    }
+
+
+# one config of each task; permanence on a lottery runs faces, on the
+# cyclic lottery it evaluates the vertices
+_KEY_CASES = dict(
+    {case: make_cfg for case, (make_cfg, explore) in _BYTE_CASES.items() if not explore},
+    permanence_rps=_rps_permanence_cfg,
+)
+
+
+def _opened_keys(tmp_path, monkeypatch, cfg, seed) -> list:
+    """The (seed, replicate id) of every stream that one run opens."""
+    opened = []
+    for module in (engine, persist):  # the modules that open streams
+        def recording(seed, replicate_id=0, real=module.make_stream):
+            opened.append((seed, replicate_id))
+            return real(seed, replicate_id)
+
+        monkeypatch.setattr(module, "make_stream", recording)
+    run_config(cfg, out_dir=tmp_path / f"out{seed}", seed=seed)
+    monkeypatch.undo()
+    return opened
+
+
+@pytest.mark.parametrize("case", list(_KEY_CASES))
+def test_no_stream_key_is_opened_twice_or_shared_with_a_nearby_seed(tmp_path, monkeypatch, case):
+    # the cyclic lottery's vertex j once drew from seed + 7j, so a run at
+    # seed s + 7 reused the draws of vertex 1 at seed s, and each vertex's
+    # stream was opened once per species
+    make_cfg = _KEY_CASES[case]
+    seed = make_cfg()["sim"]["seed"]
+    keys = {s: _opened_keys(tmp_path, monkeypatch, make_cfg(), s)
+            for s in (seed, seed + 1, seed + 7)}
+    assert keys[seed] and len(set(keys[seed])) == len(keys[seed]), keys[seed]
+    assert not set(keys[seed]) & (set(keys[seed + 1]) | set(keys[seed + 7]))

@@ -10,11 +10,14 @@ from stochpop import engine, persist
 from stochpop.engine import (
     _CHUNK,
     Box,
+    ExtinctionNeighborhood,
+    Indicator,
     LogPerCapita,
     SimConfig,
     _build_result,
     _drive,
     _initial_states,
+    ergodic_average,
     simulate,
 )
 from stochpop.env import Constant, EnvSpec, Gamma, LogNormal, Normal, Uniform, make_stream, sample_block
@@ -198,6 +201,18 @@ def test_classify_inconclusive_at_boundary():
     assert v.kind == "inconclusive"
 
 
+def test_one_replicate_classify_takes_its_occupation_se_from_time_batches():
+    # one replicate has no spread between replicates; its occupation evidence
+    # used to read SE 0.0 with n 1
+    env = _hassell_env(-0.2)
+    cfg = SimConfig(seed=42, replicates=1, burn_in=0, horizon=3000, eta_grid=(0.01,))
+    got = scalar_classify(Hassell(), env, cfg).evidence["occupation[S_eta=0.01]"]
+    near = ExtinctionNeighborhood(0.01)
+    assert got == ergodic_average(Hassell(), env, cfg, Indicator(near))
+    assert got.mean == simulate(Hassell(), env, cfg).replicates[0].occupation[near.name]
+    assert (got.batches, got.n) == (20, 3000) and got.std_error > 0.0
+
+
 def test_classify_rejects_non_scalar():
     env = EnvSpec((Normal(1.0, 0.3), Normal(0.8, 0.3)))
     with pytest.raises(ConfigurationError):
@@ -379,10 +394,11 @@ def test_contraction_scale_draws_its_block_once(monkeypatch):
     # E[log f(M)] = 3 - log(1 + M) first clears -0.1 at M = 32, after six
     # scales; each used to redraw the same block from a reopened stream
     env = EnvSpec((LogNormal(3.0, 0.3), Constant(1.0)))
+    w = sample_block(env, make_stream(5, persist._SCALE_MC), 4000)
     want = 1.0
     while True:
-        est = mean_percapita_growth_at(Hassell(), env, [want], 0, 4000, seed=5 + 17)
-        if est.mean + 3 * est.std_error <= -0.1:
+        logf = Hassell().log_percapita(np.full((4000, 1), want), w)[:, 0]
+        if logf.mean() + 3 * logf.std(ddof=1) / np.sqrt(4000) <= -0.1:
             break
         want *= 2.0
     opened = []
@@ -394,7 +410,7 @@ def test_contraction_scale_draws_its_block_once(monkeypatch):
     monkeypatch.setattr(persist, "make_stream", counting)
     con = drift_construction(Hassell(), env, seed=5, margin=0.1)
     assert con.params["M"] == want == 32.0
-    assert opened == [(5 + 17, persist._BASE_POINT_MC)]
+    assert opened == [(5, persist._SCALE_MC)]
 
 
 def test_competition_drift_construction_passes_audit():
