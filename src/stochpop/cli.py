@@ -25,6 +25,8 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, engine, persist
 from .engine import Coordinate, LogNorm, LogPerCapita, RateEstimate, SimConfig
 from .env import config_int, config_list, config_number, env_to_config, is_int, parse_env_spec
@@ -522,12 +524,15 @@ def run_config(cfg: dict, out_dir=None, seed=None, threads: int = 1, explore: bo
 
     results, rows, extra_files = _RUNNERS[cfg["task"]](model, envspec, sim, params)
     if explore:
+        if cfg["task"] == "simulate":
+            # the run's own terminal states: a probe would redo its steps
+            states = np.array([rep["terminal_state"] for rep in results["replicates"]])
+        else:
+            states = engine.terminal_states(model, envspec, sim, sim.horizon)
         raw = {}
         for eta in sim.eta_grid:
             name = f"S_eta={eta:g}"
-            est = engine.ensemble_hit_probability(
-                model, envspec, sim, engine.ExtinctionNeighborhood(eta), sim.horizon
-            )
+            est = engine.hit_fraction(model, states, engine.ExtinctionNeighborhood(eta))
             raw[name] = est
             rows.append(_est_row(cfg["task"], f"ensemble_hit[{name}]@t={sim.horizon}", est))
         results = dict(results)

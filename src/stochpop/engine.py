@@ -55,7 +55,9 @@ __all__ = [
     "LogNorm",
     "simulate",
     "ergodic_average",
+    "terminal_states",
     "ensemble_hit_probability",
+    "hit_fraction",
     "auxiliary_affine_chain",
 ]
 
@@ -631,13 +633,23 @@ def ergodic_average(model, envspec, cfg, functional) -> RateEstimate:
     return result.pooled.functional_averages[functional.name]
 
 
-def ensemble_hit_probability(model, envspec, cfg, set_descriptor, t: int):
-    """Fraction of replicates with X_t in the set, with binomial SE."""
+def terminal_states(model, envspec, cfg, t: int) -> np.ndarray:
+    """Each replicate's X_t, one row each, from a run that measures nothing.
+    A run of horizon t from the same config ends in the same states."""
     if not (1 <= t <= cfg.horizon):
         raise ConfigurationError("time index must satisfy 1 <= t <= horizon")
     probe = cfg.replaced(horizon=t, burn_in=0, eta_grid=(), bound_radius=None)
-    raw = _drive(model, envspec, probe, (), ())
-    inside = set_descriptor.contains(raw["terminal"], model)
+    return _drive(model, envspec, probe, (), ())["terminal"]
+
+
+def ensemble_hit_probability(model, envspec, cfg, set_descriptor, t: int):
+    """Fraction of replicates with X_t in the set, with binomial SE."""
+    return hit_fraction(model, terminal_states(model, envspec, cfg, t), set_descriptor)
+
+
+def hit_fraction(model, states, set_descriptor) -> RateEstimate:
+    """Fraction of the rows of ``states`` in the set, with binomial SE."""
+    inside = set_descriptor.contains(states, model)
     r_total = inside.size
     p_hat = float(inside.mean())
     se = float(np.sqrt(p_hat * (1.0 - p_hat) / r_total))

@@ -10,6 +10,11 @@ scalar distribution in an :class:`EnvSpec`.  Determinism contract:
   (normal via ``ndtri``, gamma via ``gammaincinv``), so the value of draw
   ``i`` depends only on ``(seed, replicate_id, i)``, however the draws are
   cut into calls or grouped with other streams' draws.
+* :meth:`EnvSpec.transform` may cut a block of draws into slices and run
+  each slice's inverse CDF on its own CPU (see ``_split_ppf``).  Each value
+  is still computed from its own uniform by the same ppf, so the bits do not
+  depend on how many CPUs the process may use.  Only a ppf that sets
+  ``split_ppf`` is split: gamma's ``gammaincinv``.
 
 Every ``ppf(u, out=None)`` computes in place: it writes its result into
 ``out`` (any strides, u's shape) and returns it, or into a new array when
@@ -22,6 +27,8 @@ IEEE multiplication and addition commute, so the bits are the same.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -48,6 +55,12 @@ __all__ = [
 _PROB_TOL = 1e-12
 # Most entries in the transform's scratch: 512 KiB, which stays in cache
 _SCRATCH = 1 << 16
+# Fewest values in a slice of a split ppf: a block under twice this runs inline
+_SPLIT = 8192
+# (pid, executor) of the threads that run split ppf slices: made on the first
+# split, and again in a forked child, whose copy has no threads
+_pool = None
+_pool_lock = threading.Lock()
 
 
 def _result(u, out):
@@ -132,6 +145,15 @@ class Gamma:
             out *= self.scale
         return out
 
+    @property
+    def split_ppf(self) -> bool:
+        """Whether the transform splits this ppf across CPUs.  gammaincinv
+        takes about 600 ns a value, so a slice of a block far outlasts its
+        hand-off to a thread; the other ppfs, the exponential's included,
+        take 10-20 ns a value, and a slice of theirs ran slower split than
+        inline on a shared 2-vCPU host."""
+        return self.shape != 1.0
+
     def mean(self):
         return self.shape * self.scale
 
@@ -210,7 +232,8 @@ class EnvSpec:
         entry), and each block is then copied into the column: an inverse
         CDF runs faster into contiguous memory than into a strided column,
         and a cache-sized block copies into a step-major column faster than
-        a whole one."""
+        a whole one.  ``_split_ppf`` runs the ppf and copy of a large block
+        of a split ppf in slices on the usable CPUs."""
         if out is None:
             out = np.empty_like(u, dtype=float)
         # one vector: its leading axis is the coordinates, so add one
@@ -225,8 +248,60 @@ class EnvSpec:
                 scratch = np.empty((min(step, len(uu)),) + uu.shape[1:-1])
             for a in range(0, len(uu), step):
                 block = uu[a:a + step, ..., j]
-                oo[a:a + step, ..., j] = c.ppf(block, out=scratch[:len(block)])
+                _split_ppf(c, block, scratch[:len(block)], oo[a:a + step, ..., j])
         return out
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _executor():
+    """This process's executor for split ppf slices.  It starts a thread only
+    when a slice finds none idle, up to one per CPU."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != os.getpid():
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = (os.getpid(), ThreadPoolExecutor(os.cpu_count() or 1, "stochpop-ppf"))
+        return _pool[1]
+
+
+def _split_ppf(dist, u, scratch, out):
+    """``out[...] = dist.ppf(u)`` through ``scratch`` (u's shape, contiguous).
+
+    For a distribution that sets ``split_ppf``, the leading axis is cut into
+    one contiguous slice per usable CPU, each of at least _SPLIT values; any
+    other runs inline.  A slice runs the ppf into its own rows of the
+    scratch and copies them into its own rows of ``out``.  The first slice
+    runs here and the others on the executor's threads; gammaincinv releases
+    the interpreter lock, so they run at once.  A slice runs only the ppf and
+    the copy.  Every slice has returned before this does, also when one
+    raises; the first error, in slice order, is then raised."""
+
+    def run(lo, hi):
+        out[lo:hi] = dist.ppf(u[lo:hi], out=scratch[lo:hi])
+
+    n = min(len(u), u.size // _SPLIT) if getattr(dist, "split_ppf", False) else 1
+    if n > 1:
+        n = min(n, _usable_cpus())
+    if n < 2:
+        run(0, len(u))
+        return
+    cuts = [len(u) * i // n for i in range(n + 1)]
+    pool = _executor()
+    futures = [pool.submit(run, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+    try:
+        run(cuts[0], cuts[1])
+    finally:
+        errors = [f.exception() for f in futures]  # waits for every slice
+    for error in errors:
+        if error is not None:
+            raise error
 
 
 def open_unit(u: np.ndarray) -> np.ndarray:

@@ -877,15 +877,18 @@ def _rps_permanence_cfg():
     }
 
 
-# one config of each task; permanence on a lottery runs faces, on the
-# cyclic lottery it evaluates the vertices
+# (config, explore): one config of each task; permanence on a lottery runs
+# faces, on the cyclic lottery it evaluates the vertices; simulate --explore
+# reads its hit fractions from the run's own terminal states
 _KEY_CASES = dict(
-    {case: make_cfg for case, (make_cfg, explore) in _BYTE_CASES.items() if not explore},
-    permanence_rps=_rps_permanence_cfg,
+    {case: (make_cfg, False) for case, (make_cfg, explore) in _BYTE_CASES.items()
+     if not explore},
+    permanence_rps=(_rps_permanence_cfg, False),
+    simulate_explore=(_simulate_cfg, True),
 )
 
 
-def _opened_keys(tmp_path, monkeypatch, cfg, seed) -> list:
+def _opened_keys(tmp_path, monkeypatch, cfg, seed, explore) -> list:
     """The (seed, replicate id) of every stream that one run opens."""
     opened = []
     for module in (engine, persist):  # the modules that open streams
@@ -894,7 +897,7 @@ def _opened_keys(tmp_path, monkeypatch, cfg, seed) -> list:
             return real(seed, replicate_id)
 
         monkeypatch.setattr(module, "make_stream", recording)
-    run_config(cfg, out_dir=tmp_path / f"out{seed}", seed=seed)
+    run_config(cfg, out_dir=tmp_path / f"out{seed}", seed=seed, explore=explore)
     monkeypatch.undo()
     return opened
 
@@ -904,9 +907,9 @@ def test_no_stream_key_is_opened_twice_or_shared_with_a_nearby_seed(tmp_path, mo
     # the cyclic lottery's vertex j once drew from seed + 7j, so a run at
     # seed s + 7 reused the draws of vertex 1 at seed s, and each vertex's
     # stream was opened once per species
-    make_cfg = _KEY_CASES[case]
+    make_cfg, explore = _KEY_CASES[case]
     seed = make_cfg()["sim"]["seed"]
-    keys = {s: _opened_keys(tmp_path, monkeypatch, make_cfg(), s)
+    keys = {s: _opened_keys(tmp_path, monkeypatch, make_cfg(), s, explore)
             for s in (seed, seed + 1, seed + 7)}
     assert keys[seed] and len(set(keys[seed])) == len(keys[seed]), keys[seed]
     assert not set(keys[seed]) & (set(keys[seed + 1]) | set(keys[seed + 7]))

@@ -1,13 +1,19 @@
 """Environment distributions and stream determinism."""
 
 import math
+import multiprocessing
+import os
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import gammaincinv, ndtri
 
-from stochpop import env
+from stochpop import engine, env
 from stochpop.env import (
     Constant,
     Discrete,
@@ -285,3 +291,168 @@ def test_transform_in_scratch_blocks_matches_each_coordinate(shape):
     got = spec.transform(u)
     for j, dist in enumerate(spec.coords):
         assert np.array_equal(got[..., j], _oracle_ppf(dist, u[..., j])), j
+
+
+# ---------------------------------------------------------------------------
+# The transform split across CPUs: the worker count never changes a bit
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(env, "_usable_cpus", lambda: n)
+
+
+# (leading entries, entries per leading entry): one block just under and one
+# just over the split size, a block of three slices, a block whose rows are
+# fewer than the forced workers (6 rows per 60,000-value block) with a
+# one-row tail, and a step-major lockstep block with a short tail
+_SPLIT_SHAPES = [
+    (2 * env._SPLIT - 1, ()),
+    (2 * env._SPLIT, ()),
+    (3 * env._SPLIT + 5, ()),
+    (13, (10_000,)),
+    (37, (2048,)),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 64])
+@pytest.mark.parametrize("shape", _SPLIT_SHAPES, ids=str)
+def test_transform_gives_the_oracle_bits_for_any_worker_count(monkeypatch, workers, shape):
+    _cpus(monkeypatch, workers)
+    spec = EnvSpec(tuple(_ALL_DISTS))
+    lead, inner = shape
+    u = _edge_uniforms(lead * math.prod(inner) * spec.dim).reshape((lead,) + inner + (spec.dim,))
+    draws = np.full(inner + (lead, spec.dim), np.nan)
+    spec.transform(u, out=np.moveaxis(draws, -2, 0))
+    for j, dist in enumerate(spec.coords):
+        want = _oracle_ppf(dist, u[..., j]).view(np.int64)
+        got = np.ascontiguousarray(np.moveaxis(draws[..., j], -1, 0)).view(np.int64)
+        assert np.array_equal(got, want), (j, dist)
+
+
+class _Recording:
+    """A split distribution that records the thread and size of every ppf
+    call and returns Uniform(0, 1)'s values."""
+
+    split_ppf = True
+
+    def __init__(self):
+        self.calls = []
+
+    def validate(self):
+        pass
+
+    def ppf(self, u, out=None):
+        self.calls.append((threading.get_ident(), u.size))
+        out[...] = u
+        return out
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_block_splits_into_one_slice_per_cpu_only_above_twice_the_split_size(
+        monkeypatch, workers):
+    _cpus(monkeypatch, workers)
+    main = threading.get_ident()
+    for n, slices in [(2 * env._SPLIT - 1, 1), (2 * env._SPLIT, min(2, workers)),
+                      (3 * env._SPLIT, min(3, workers))]:
+        dist = _Recording()
+        u = _edge_uniforms(n)
+        assert np.array_equal(EnvSpec((dist,)).transform(u[:, None])[:, 0], u)
+        assert len(dist.calls) == slices, n
+        assert sum(size for _, size in dist.calls) == n
+        assert min(size for _, size in dist.calls) >= min(n, env._SPLIT)
+        # the first slice runs on the calling thread, the others on the pool's
+        assert sum(ident == main for ident, _ in dist.calls) == 1
+
+
+@pytest.mark.parametrize("dist", _ALL_DISTS, ids=repr)
+def test_only_gammaincinv_is_split(monkeypatch, dist):
+    # the other ppfs take 10-20 ns a value: a thread hand-off costs more
+    # than a slice of theirs saves
+    _cpus(monkeypatch, 2)
+    used = []
+    real = env._executor
+    monkeypatch.setattr(env, "_executor", lambda: used.append(1) or real())
+    u = _edge_uniforms(env._SCRATCH)
+    assert np.array_equal(EnvSpec((dist,)).transform(u[:, None])[:, 0], _oracle_ppf(dist, u))
+    assert bool(used) == (isinstance(dist, Gamma) and dist.shape != 1.0)
+
+
+def test_draw_chunks_give_the_same_draws_with_one_worker_and_with_two(monkeypatch):
+    # hassell-wide's first chunk (blocks of 128 rows x 512 steps), a gamma
+    # coordinate in blocks of that shape, and biennial-gamma's first chunk
+    # (one block of 20 rows x 2048 steps)
+    cases = [
+        (EnvSpec((LogNormal(0.3, 0.3),)), 4096, 512),
+        (EnvSpec((Gamma(2.0, 2.0),)), 256, 512),
+        (EnvSpec((Gamma(2.0, 2.0),)), 20, 2048),
+    ]
+    for spec, rows, steps in cases:
+        got = []
+        for workers in (1, 2):
+            _cpus(monkeypatch, workers)
+            streams = [make_stream(0, r) for r in range(rows)]
+            (t, draws), = engine._draw_chunks(spec, streams, steps)
+            got.append(draws.copy())
+        assert got[0].shape == (steps, rows, 1)
+        assert np.array_equal(got[0].view(np.int64), got[1].view(np.int64))
+
+
+class _Slow:
+    """A split distribution whose ppf raises on the slice starting at
+    uniform ``bad`` and sleeps on every other, recording when each slice
+    ends."""
+
+    split_ppf = True
+
+    def __init__(self, bad):
+        self.bad = bad
+        self.ended = []
+
+    def validate(self):
+        pass
+
+    def ppf(self, u, out=None):
+        if u[0] == self.bad:
+            raise ValueError("bad slice")
+        time.sleep(0.2)
+        out[...] = u
+        self.ended.append(time.monotonic())
+        return out
+
+
+@pytest.mark.parametrize("bad_slice", [0, 1])
+def test_a_failing_slice_surfaces_after_every_other_slice_has_returned(monkeypatch, bad_slice):
+    # slice 0 runs on the calling thread, slice 1 on the pool's
+    _cpus(monkeypatch, 3)
+    u = np.linspace(0.01, 0.99, 3 * env._SPLIT)
+    dist = _Slow(bad=u[bad_slice * env._SPLIT])
+    with pytest.raises(ValueError, match="bad slice"):
+        EnvSpec((dist,)).transform(u[:, None])
+    raised = time.monotonic()
+    assert len(dist.ended) == 2 and max(dist.ended) <= raised
+
+
+def _child_transform(spec, u, want):
+    got = spec.transform(u)
+    sys.exit(0 if np.array_equal(got.view(np.int64), want.view(np.int64)) else 1)
+
+
+def test_a_forked_child_transforms_after_the_parent_made_the_pool(monkeypatch):
+    # the child's copy of the pool has no threads; a submit to it never runs
+    _cpus(monkeypatch, 2)
+    spec = EnvSpec((Gamma(2.0, 2.0),))
+    u = _edge_uniforms(4 * env._SPLIT).reshape(-1, 1)
+    want = spec.transform(u)
+    assert env._pool is not None and env._pool[0] == os.getpid()
+    with warnings.catch_warnings():
+        # Python 3.12 warns that forking a process with threads may deadlock
+        warnings.simplefilter("ignore", DeprecationWarning)
+        child = multiprocessing.get_context("fork").Process(
+            target=_child_transform, args=(spec, u, want))
+        child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("the forked child hung in the transform")
+    assert child.exitcode == 0
