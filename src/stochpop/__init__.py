@@ -21,7 +21,6 @@ from .engine import (
     RateEstimate,
     SimConfig,
     SimulationResult,
-    auxiliary_affine_chain,
     ensemble_hit_probability,
     ergodic_average,
     simulate,
@@ -55,7 +54,6 @@ from .lyap import (
     lyapunov_mc,
 )
 from .models import (
-    AffineChain,
     BevertonHolt,
     Biennial,
     FaceModel,

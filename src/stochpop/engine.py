@@ -29,14 +29,14 @@ uniforms of a block of rows, the transform's scratch and the state block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .env import _SCRATCH, EnvSpec, make_stream, open_unit
+from .env import _SCRATCH, make_stream, open_unit
 from .errors import ConfigurationError, NumericError
-from .models import LOG_CAP, LOG_FLOOR, AffineChain, Model, Simplex
+from .models import LOG_CAP, LOG_FLOOR, Model, Simplex
 
 __all__ = [
     "N_BATCHES",
@@ -58,7 +58,6 @@ __all__ = [
     "terminal_states",
     "ensemble_hit_probability",
     "hit_fraction",
-    "auxiliary_affine_chain",
 ]
 
 N_BATCHES = 20
@@ -217,7 +216,6 @@ class EmpiricalSummary:
     functional_averages: dict
     terminal_state: np.ndarray
     extinction_flag: bool
-    divergence_flag: bool = False
 
 
 @dataclass
@@ -225,14 +223,12 @@ class PooledSummary:
     occupation: dict
     functional_averages: dict
     extinct_fraction: float
-    divergence_fraction: float = 0.0
 
 
 @dataclass
 class SimulationResult:
     replicates: list
     pooled: PooledSummary
-    batch_means: dict = field(default_factory=dict, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +369,9 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
         if isinstance(f, (Coordinate, LogPerCapita)) and not 0 <= f.i < model.k:
             raise ConfigurationError(f"species index {f.i} of {f.name} out of range "
                                      f"for {model.name}")
+        # the linear step has no per-capita factors to sum
+        if isinstance(f, LogPerCapita) and model.sim_mode == "linear":
+            raise ConfigurationError(f"{model.name} has no per-capita growth factors")
     rows, x, lengths, pieces = _open_rows(model, envspec, cfg, rows,
                                           estimates=bool(functionals))
     k = model.k
@@ -380,8 +379,8 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
     rg = len(rows)
 
     mode = model.sim_mode
-    # log_mult and affine carry the log state ell; x is its capped view
-    log_state = mode in ("log_mult", "affine")
+    # log_mult carries the log state ell; x is its capped view
+    log_state = mode == "log_mult"
     alive0 = x > 0  # structural zeros are faces, never floor crossings
     if log_state:
         with np.errstate(divide="ignore"):
@@ -397,8 +396,6 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
     cols = [j for kind in _KINDS for j, f in enumerate(functionals) if isinstance(f, kind)]
     groups = [[f for f in functionals if isinstance(f, kind)] for kind in _KINDS]
     coords, indicators, lpcs, lognorms = groups
-    if lpcs and mode in ("linear", "affine") and not model.multiplicative:
-        raise ConfigurationError(f"{model.name} has no per-capita growth factors")
     # the log growth of the total is computed only when it is measured
     norm = bool(lognorms)
     acc = np.zeros((len(cols), rg))
@@ -463,10 +460,6 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
                 x /= x.sum(axis=-1, keepdims=True)
                 np.minimum(xmin, x, out=xmin)
                 growth = 0.0  # the total stays 1
-            elif mode == "affine":
-                ell_new = np.logaddexp(np.log(w[:, :1]) + ell, np.log(w[:, 1:]))
-                growth = ell_new[:, 0] - ell[:, 0]
-                ell = ell_new
             else:
                 x_new = model.step(x, w)
                 crossed = (np.max(x_new, axis=-1) <= _LINEAR_FLOOR) & ~frozen
@@ -596,11 +589,7 @@ def _build_result(raw, functionals, sets) -> SimulationResult:
         functional_averages=pooled_fa,
         extinct_fraction=float(raw["floored"].mean()),
     )
-    return SimulationResult(
-        replicates=reps,
-        pooled=pooled,
-        batch_means={f.name: bmeans[:, j, :].copy() for j, f in enumerate(functionals)},
-    )
+    return SimulationResult(replicates=reps, pooled=pooled)
 
 
 # ---------------------------------------------------------------------------
@@ -649,41 +638,14 @@ def ensemble_hit_probability(model, envspec, cfg, set_descriptor, t: int):
 
 def hit_fraction(model, states, set_descriptor) -> RateEstimate:
     """Fraction of the rows of ``states`` in the set, with binomial SE."""
-    inside = set_descriptor.contains(states, model)
-    r_total = inside.size
-    p_hat = float(inside.mean())
+    return _binomial_estimate(set_descriptor.contains(states, model))
+
+
+def _binomial_estimate(hits) -> RateEstimate:
+    """Fraction of true entries of the boolean row array ``hits``, with
+    binomial SE; the one place a binomial SE is computed."""
+    r_total = hits.size
+    p_hat = float(hits.mean())
     se = float(np.sqrt(p_hat * (1.0 - p_hat) / r_total))
     return RateEstimate(p_hat, se, 1, r_total)
-
-
-def auxiliary_affine_chain(alpha_dist, beta_dist, cfg, extra_sets=()) -> SimulationResult:
-    """Simulate the dominating chain z' = alpha*z + beta in log space.
-
-    The chain bounds any dynamics satisfying the corresponding drift
-    inequality, so its occupation tail bounds the model's.  A replicate is
-    flagged divergent when its running log-state batch means increase over
-    10 or more consecutive windows.
-    """
-    envspec = EnvSpec((alpha_dist, beta_dist))
-    model = AffineChain()
-    sets = default_sets(cfg) + list(extra_sets)
-    functionals = (LogNorm(),)
-    raw = _drive(model, envspec, cfg, functionals, sets)
-    result = _build_result(raw, functionals, sets)
-    # Each batch mean of the growth increments telescopes to a difference of
-    # log z at batch boundaries, so 10 consecutive positive batches mean the
-    # running log state increased over 10 windows.  The tolerance ignores
-    # the shrinking tail of a monotone approach to a fixed point.
-    growth = result.batch_means["log_norm_growth"]
-    for r, summary in enumerate(result.replicates):
-        inc = growth[r] > 1e-12
-        run = best = 0
-        for flag in inc:
-            run = run + 1 if flag else 0
-            best = max(best, run)
-        summary.divergence_flag = bool(best >= 10)
-    result.pooled.divergence_fraction = float(
-        np.mean([s.divergence_flag for s in result.replicates])
-    )
-    return result
 

@@ -35,7 +35,6 @@ __all__ = [
     "RpsLottery",
     "Biennial",
     "LinearMatrix",
-    "AffineChain",
     "FaceModel",
     "MODEL_NAMES",
     "parse_model",
@@ -416,33 +415,6 @@ class LinearMatrix(Model):
 
     def linearization_at_zero(self, w):
         return self._matrix(w)
-
-
-class AffineChain(Model):
-    """Scalar dominating chain z' = alpha * z + beta.
-
-    Used to bound multiplicative dynamics from above in drift reports; not
-    part of the experiment-config catalog.
-    """
-
-    name = "affine_chain"
-    k = 1
-    env_dim = 2
-    sim_mode = "affine"
-
-    def __init__(self):
-        self.state_space = Orthant(1)
-        self.extinction = Origin(1)
-
-    def check_draws(self, w, t=0):
-        if not w.min() >= 0:  # alpha and beta are both nonnegative
-            alpha, beta = w[..., 0], w[..., 1]
-            _refuse((alpha < 0) | (beta < 0), "affine chain draws must be nonnegative", t)
-
-    def step(self, x, w):
-        x = np.asarray(x, dtype=float)
-        alpha, beta = w[..., 0], w[..., 1]
-        return (alpha * x[..., 0] + beta)[..., None]
 
 
 class FaceModel(Model):

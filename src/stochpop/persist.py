@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .engine import ExtinctionNeighborhood, Indicator, LogPerCapita, RateEstimate, SimConfig
-from .engine import _build_result, _drive, _open_rows, _row_slice, simulate
+from .engine import _binomial_estimate, _build_result, _drive, _open_rows, _row_slice, simulate
 from .env import EnvSpec, make_stream, sample_block
 from .errors import ConfigurationError, FaceDegenerateError
 from .models import (
@@ -399,13 +399,11 @@ def scalar_classify(model, envspec, cfg: SimConfig) -> Verdict:
     # takes its SE from its own time batches
     result = simulate(model, envspec, sim_cfg, functionals=(near,) if cfg.replicates == 1 else ())
     r_total = len(result.replicates)
-    ext = result.pooled.extinct_fraction
     evidence = {
         "lambda_0": lam0,
         "lambda_inf": lam_inf,
-        "extinct_fraction": RateEstimate(
-            ext, float(np.sqrt(max(ext * (1 - ext), 0.0) / r_total)), 1, r_total
-        ),
+        "extinct_fraction": _binomial_estimate(
+            np.array([s.extinction_flag for s in result.replicates])),
     }
     name = near.set_descriptor.name
     if r_total == 1:

@@ -24,7 +24,6 @@ from stochpop.engine import (
     _draw_chunks,
     _drive,
     _initial_states,
-    auxiliary_affine_chain,
     default_sets,
     ensemble_hit_probability,
     ergodic_average,
@@ -45,16 +44,38 @@ from stochpop.errors import ConfigurationError, NumericError
 from stochpop.models import (
     LOG_CAP,
     LOG_FLOOR,
-    AffineChain,
     BevertonHolt,
     Biennial,
     Hassell,
     LinearMatrix,
     Lottery,
+    Model,
+    Origin,
+    Orthant,
     RickerCompetition,
     RickerScalar,
     RpsLottery,
+    _refuse,
 )
+
+
+class AffineChain(Model):
+    """Scalar chain z' = alpha * z + beta: a user-defined model that the
+    engine runs as plain state-space iteration."""
+
+    name = "affine_chain"
+    k = 1
+    env_dim = 2
+
+    def __init__(self):
+        self.state_space = Orthant(1)
+        self.extinction = Origin(1)
+
+    def check_draws(self, w, t=0):
+        _refuse((w < 0).any(axis=-1), "affine chain draws must be nonnegative", t)
+
+    def step(self, x, w):
+        return w[..., :1] * x + w[..., 1:]
 
 
 def _bh_env():
@@ -230,33 +251,34 @@ def test_ensemble_hit_probability_tracks_extinction():
 
 def test_affine_chain_contracts_to_geometric_limit():
     cfg = SimConfig(seed=12, replicates=3, burn_in=200, horizon=1200, bound_radius=5.0)
-    result = auxiliary_affine_chain(
-        Constant(0.5), Constant(1.0), cfg, extra_sets=(Box(((1.9, 2.1),)),)
-    )
+    env = EnvSpec((Constant(0.5), Constant(1.0)))
+    result = simulate(AffineChain(), env, cfg, (Indicator(Box(((1.9, 2.1),))),))
     for s in result.replicates:
-        assert s.occupation["box([1.9,2.1])"] == 1.0
-        assert not s.divergence_flag
+        assert s.functional_averages["indicator[box([1.9,2.1])]"].mean == 1.0
+        assert s.occupation["outside_ball=5"] == 0.0
+        assert not s.extinction_flag
 
 
-def test_affine_chain_flags_divergence():
-    cfg = SimConfig(seed=13, replicates=2, burn_in=100, horizon=2100)
-    result = auxiliary_affine_chain(Constant(1.1), Constant(1.0), cfg)
-    assert result.pooled.divergence_fraction == 1.0
+def test_affine_chain_divergence_leaves_every_ball():
+    # z_t >= 1.1**t, so every measured state lies beyond 1.1**100 > 1e4
+    cfg = SimConfig(seed=13, replicates=2, burn_in=100, horizon=2100, bound_radius=1e4)
+    result = simulate(AffineChain(), EnvSpec((Constant(1.1), Constant(1.0))), cfg)
+    assert result.pooled.occupation["outside_ball=10000"] == 1.0
+    assert np.all(np.isfinite([s.terminal_state for s in result.replicates]))
 
 
 def test_affine_chain_tail_occupation_decreases_with_radius():
     # contracting chain: time outside [0, a] shrinks as a grows and is
     # eventually below 5 percent
     cfg = SimConfig(seed=14, replicates=2, burn_in=1000, horizon=21000)
+    env = EnvSpec((LogNormal(-0.3, 0.4), Constant(1.0)))
     occs = []
     for radius in (2.0, 4.0, 8.0, 16.0, 32.0):
-        result = auxiliary_affine_chain(
-            LogNormal(-0.3, 0.4), Constant(1.0), cfg.replaced(bound_radius=radius)
-        )
+        result = simulate(AffineChain(), env, cfg.replaced(bound_radius=radius))
         occs.append(result.pooled.occupation[f"outside_ball={radius:g}"])
     assert all(b <= a + 1e-12 for a, b in zip(occs, occs[1:]))
     assert occs[-1] < 0.05
-    assert result.pooled.divergence_fraction == 0.0
+    assert result.pooled.extinct_fraction == 0.0
 
 
 def test_sim_config_validation():
@@ -313,9 +335,6 @@ def _reference_drive(model, envspec, cfg, functionals, sets):
     if mode == "log_mult":
         with np.errstate(divide="ignore"):
             ell = np.log(x)
-    elif mode == "affine":
-        with np.errstate(divide="ignore"):
-            ell = np.log(x[:, 0])
 
     state_fns = [f for f in functionals if isinstance(f, (Coordinate, Indicator))]
     pair_fns = [f for f in functionals if not isinstance(f, (Coordinate, Indicator))]
@@ -330,8 +349,6 @@ def _reference_drive(model, envspec, cfg, functionals, sets):
             step_t = t + s
             if mode == "log_mult":
                 x = np.exp(np.minimum(ell, LOG_CAP))
-            elif mode == "affine":
-                x = np.exp(np.minimum(ell, LOG_CAP))[:, None]
 
             measuring = step_t >= burn
             if measuring:
@@ -374,13 +391,6 @@ def _reference_drive(model, envspec, cfg, functionals, sets):
                             val = np.zeros(rg)
                         fsums[:, f_index[f.name], b] += val
                 x = x_new
-            elif mode == "affine":
-                la, lb = np.log(w[:, 0]), np.log(w[:, 1])
-                ell_new = np.logaddexp(la + ell, lb)
-                if measuring and pair_fns:
-                    for f in pair_fns:
-                        fsums[:, f_index[f.name], b] += ell_new - ell
-                ell = ell_new
             else:
                 x_new = model.step(x, w)
                 crossed = (np.max(x_new, axis=-1) <= _LINEAR_FLOOR) & ~frozen
@@ -399,8 +409,6 @@ def _reference_drive(model, envspec, cfg, functionals, sets):
 
     if mode == "log_mult":
         x = np.exp(np.minimum(ell, LOG_CAP))
-    elif mode == "affine":
-        x = np.exp(np.minimum(ell, LOG_CAP))[:, None]
     return {"occ_counts": occ_counts, "fsums": fsums, "floored": floored, "terminal": x}
 
 
@@ -528,6 +536,17 @@ def test_functional_index_out_of_range_opens_no_stream(monkeypatch):
     for bad in (Coordinate(-1), Coordinate(1), LogPerCapita(3), LogPerCapita(-2)):
         with pytest.raises(ConfigurationError, match="species index"):
             simulate(Hassell(), env, cfg, (Coordinate(0), bad))
+
+
+def test_per_capita_functional_of_a_linear_model_is_refused_before_any_stream_opens(monkeypatch):
+    def no_stream(*args):
+        raise AssertionError("a stream was opened")
+
+    monkeypatch.setattr(engine, "make_stream", no_stream)
+    cfg = SimConfig(seed=1, replicates=2, horizon=50)
+    env = EnvSpec((Gamma(2.0, 2.0),))
+    with pytest.raises(ConfigurationError, match="biennial has no per-capita growth factors"):
+        simulate(Biennial(0.5, 0.5, 1.0, 1.0), env, cfg, (LogPerCapita(0),))
 
 
 # ---------------------------------------------------------------------------
@@ -675,8 +694,6 @@ def test_every_trajectory_run_opens_its_streams_through_open_rows(monkeypatch):
         "boundary_face_runs": (lambda: persist.boundary_invasion_report(lottery, l_env, cfg),
                                [(2, persist._BASE_FACE + (persist._face_code(s) << 20) + r)
                                 for s in faces for r in range(3)]),
-        "auxiliary_affine_chain": (lambda: auxiliary_affine_chain(
-            LogNormal(-0.3, 0.4), Constant(1.0), cfg), replicates),
         "lyapunov_mc": (lambda: lyap.lyapunov_mc(
             Biennial(0.5, 0.5, 1.0, 1.0), EnvSpec((Gamma(2.0, 2.0),)), cfg), replicates),
         "affine_domination_audit": (lambda: persist.affine_domination_audit(
@@ -707,8 +724,6 @@ def test_fewer_than_two_measured_steps_are_refused_before_any_stream_opens(monke
         "invasion_rate": lambda cfg: persist.invasion_rate(lottery, l_env, cfg, 2, (0, 1)),
         "boundary_invasion_report": lambda cfg: persist.boundary_invasion_report(
             lottery, l_env, cfg),
-        "auxiliary_affine_chain": lambda cfg: auxiliary_affine_chain(
-            LogNormal(-0.3, 0.4), Constant(1.0), cfg),
         "lyapunov_mc": lambda cfg: lyap.lyapunov_mc(biennial, b_env, cfg),
     }
 
@@ -956,12 +971,10 @@ def test_check_draws_names_the_first_step_of_any_block_shape():
     (Hassell(), 1, -1.0, "hassell needs lam > 0"),
     (BevertonHolt(), 0, -2.0, "beverton_holt needs lam > 0"),
     (BevertonHolt(), 1, -0.5, "beverton_holt needs lam > 0"),
-    (AffineChain(), 0, -1.0, "affine chain draws must be nonnegative"),
-    (AffineChain(), 1, -1.0, "affine chain draws must be nonnegative"),
-], ids=["hassell-lam", "hassell-b", "bh-lam", "bh-a", "affine-alpha", "affine-beta"])
+], ids=["hassell-lam", "hassell-b", "bh-lam", "bh-a"])
 def test_a_zero_draw_the_model_allows_passes_and_a_bad_one_is_named(model, bad_col, bad_value,
                                                                     message):
-    # the second column may be 0 (b, a or beta), so the whole block's
+    # the second column may be 0 (b or a), so the whole block's
     # minimum fails and the per-column minima decide
     w = np.full((6, 4, 2), 2.0)
     w[:, :, 1] = 0.0
@@ -969,4 +982,19 @@ def test_a_zero_draw_the_model_allows_passes_and_a_bad_one_is_named(model, bad_c
     w[3, 2, bad_col] = bad_value
     w[5, 0, bad_col] = bad_value
     with pytest.raises(ConfigurationError, match=rf"{message}.*\(first at step 13\)$"):
+        model.check_draws(w, 10)
+
+
+@pytest.mark.parametrize("model, message", [
+    (Biennial(0.5, 0.5, 1.0, 1.0), "biennial seed draws must be nonnegative"),
+    (LinearMatrix(2), "matrix entries must be nonnegative"),
+], ids=["biennial-seed", "lm-entry"])
+def test_a_zero_draw_passes_where_only_negative_draws_are_refused(model, message):
+    # a zero seed draw or matrix entry is in the domain; a negative one is not
+    w = np.full((6, 4, model.env_dim), 2.0)
+    w[:, :, 0] = 0.0
+    model.check_draws(w, 10)
+    w[3, 2, -1] = -1.0
+    w[5, 0, -1] = -1.0
+    with pytest.raises(ConfigurationError, match=rf"{message} \(first at step 13\)$"):
         model.check_draws(w, 10)

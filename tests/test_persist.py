@@ -23,7 +23,6 @@ from stochpop.engine import (
 from stochpop.env import Constant, EnvSpec, Gamma, LogNormal, Normal, Uniform, make_stream, sample_block
 from stochpop.errors import ConfigurationError, FaceDegenerateError, NumericError
 from stochpop.models import (
-    AffineChain,
     BevertonHolt,
     Biennial,
     Hassell,
@@ -48,7 +47,7 @@ from stochpop.persist import (
     rps_condition,
     scalar_classify,
 )
-from test_engine import _bad_at_zero_word, _zero_words
+from test_engine import AffineChain, _bad_at_zero_word, _zero_words
 
 
 # ---------------------------------------------------------------------------
