@@ -527,45 +527,37 @@ def _row_slice(raw, a, b):
     return {key: (val[a:b] if key in _ROW_KEYS else val) for key, val in raw.items()}
 
 
-def _batch_estimate(sums: np.ndarray, bmeans: np.ndarray, n_steps: int) -> RateEstimate:
-    """Time average over rows of ``(..., n_batches)`` batch sums of n_steps
-    steps each; the SE weights the rows' batch means ``bmeans`` equally.
-    ``_open_rows`` refuses a run with fewer than 2 batches."""
-    b = bmeans.size
-    n = n_steps * (sums.size // sums.shape[-1])
-    mean = float(sums.sum() / n)
-    flat = bmeans.ravel()
-    if np.ptp(flat) == 0.0:
-        # identical batches come from deterministic inputs; report SE 0
-        # rather than the rounding residue of the variance formula
-        return RateEstimate(mean, 0.0, b, n)
-    return RateEstimate(mean, float(np.sqrt(flat.var(ddof=1) / b)), b, n)
-
-
-def _check_finite(averages: dict, label):
-    """A non-finite mean or SE is an error, never a reported estimate."""
-    for name, est in averages.items():
-        if not (np.isfinite(est.mean) and np.isfinite(est.std_error)):
-            raise NumericError(f"non-finite estimate of {name} for {label}: "
-                               f"mean {est.mean}, std_error {est.std_error}")
+def _batch_estimates(sums, lengths, n, labels, names):
+    """Means and batch-means SEs over the last axis of ``(rows, F, batches)``
+    time-batch sums of ``lengths`` steps, ``n`` in all: the only place a
+    time-batch estimate is made.  Identical batch means come from
+    deterministic inputs and give SE 0.0, not the variance's rounding
+    residue.  The first non-finite mean or SE in row order raises, named by
+    ``labels[row]`` and ``names[j]``.  One batch has no SE; ``_open_rows``
+    allows it only in a run that measures no functional."""
+    means = sums.sum(axis=-1) / n
+    ses = np.zeros_like(means)
+    if len(lengths) >= 2:
+        bmeans = sums / lengths
+        ses = np.sqrt(bmeans.var(axis=-1, ddof=1) / len(lengths))
+        ses[np.ptp(bmeans, axis=-1) == 0.0] = 0.0
+    bad = ~(np.isfinite(means) & np.isfinite(ses))
+    if bad.any():
+        r, j = (int(i) for i in np.argwhere(bad)[0])
+        raise NumericError(f"non-finite estimate of {names[j]} for {labels[r]}: "
+                           f"mean {float(means[r, j])}, std_error {float(ses[r, j])}")
+    return means, ses
 
 
 def _build_result(raw, functionals, sets) -> SimulationResult:
     n_steps = raw["n_steps"]
     lengths = raw["lengths"]
-    b = len(lengths)
+    fsums = raw["fsums"]
+    rows, n_f, b = fsums.shape
     occ = raw["occ_counts"] / n_steps
-    # fsums holds batch sums; per-batch means weight each batch equally
-    bmeans = raw["fsums"] / lengths[None, None, :]
-    # every row's _batch_estimate at once: the same sums, variances and
-    # zero-spread test, over the last axis
-    means = raw["fsums"].sum(axis=-1) / n_steps
-    ses = np.zeros_like(means)
-    if b >= 2:
-        ses = np.sqrt(bmeans.var(axis=-1, ddof=1) / b)
-        ses[np.ptp(bmeans, axis=-1) == 0.0] = 0.0
     names = [f.name for f in functionals]
     set_names = [sd.name for sd in sets]
+    means, ses = _batch_estimates(fsums, lengths, n_steps, raw["labels"], names)
     reps = [
         EmpiricalSummary(
             occupation=dict(zip(set_names, occ_r)),
@@ -577,16 +569,14 @@ def _build_result(raw, functionals, sets) -> SimulationResult:
         for occ_r, means_r, ses_r, terminal, floored in zip(
             occ.tolist(), means.tolist(), ses.tolist(), raw["terminal"], raw["floored"].tolist())
     ]
-    bad = ~(np.isfinite(means) & np.isfinite(ses)).all(axis=-1)
-    if bad.any():
-        r = int(np.argmax(bad))
-        _check_finite(reps[r].functional_averages, raw["labels"][r])
-    pooled_fa = {f.name: _batch_estimate(raw["fsums"][:, j, :], bmeans[:, j, :], n_steps)
-                 for j, f in enumerate(functionals)}
-    _check_finite(pooled_fa, "the pooled replicates")
+    # the pool is one row of every replicate's batches, replicate-major
+    pooled_sums = np.ascontiguousarray(fsums.transpose(1, 0, 2)).reshape(1, n_f, rows * b)
+    means, ses = _batch_estimates(pooled_sums, np.tile(lengths, rows), rows * n_steps,
+                                  ["the pooled replicates"], names)
     pooled = PooledSummary(
         occupation={sd.name: float(occ[:, j].mean()) for j, sd in enumerate(sets)},
-        functional_averages=pooled_fa,
+        functional_averages={name: RateEstimate(mean, se, rows * b, rows * n_steps)
+                             for name, mean, se in zip(names, means[0].tolist(), ses[0].tolist())},
         extinct_fraction=float(raw["floored"].mean()),
     )
     return SimulationResult(replicates=reps, pooled=pooled)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .engine import RateEstimate, SimConfig, _batch_estimate, _open_rows
+from .engine import RateEstimate, SimConfig, _batch_estimates, _open_rows
 from .errors import ConfigurationError, NumericError, QuadratureError
 
 __all__ = [
@@ -151,7 +151,11 @@ def lyapunov_mc(model, envspec, cfg: SimConfig, norm: str = "l1") -> RateEstimat
     if not model.structured:
         raise ConfigurationError(f"{model.name} has no linearization at the origin")
     gsums, lengths = _mc_batch_sums(model, envspec, cfg, norm)
-    return _batch_estimate(gsums, gsums / lengths, cfg.horizon - cfg.burn_in)
+    rows, b = gsums.shape
+    n = rows * (cfg.horizon - cfg.burn_in)
+    means, ses = _batch_estimates(gsums.reshape(1, 1, -1), np.tile(lengths, rows), n,
+                                  ["the pooled replicates"], ["gamma_mc"])
+    return RateEstimate(means.item(), ses.item(), rows * b, n)
 
 
 # ---------------------------------------------------------------------------

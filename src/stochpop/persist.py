@@ -16,13 +16,12 @@ import numpy as np
 
 from .engine import ExtinctionNeighborhood, Indicator, LogPerCapita, RateEstimate, SimConfig
 from .engine import _binomial_estimate, _build_result, _drive, _open_rows, _row_slice, simulate
-from .env import EnvSpec, make_stream, sample_block
+from .env import make_stream, sample_block
 from .errors import ConfigurationError, FaceDegenerateError
 from .models import (
     BevertonHolt,
     Hassell,
     Lottery,
-    Model,
     RickerCompetition,
     RickerScalar,
     RpsLottery,
@@ -63,11 +62,12 @@ _SCALE_MC = _BASE_POINT_MC + 4  # drift's contraction scale
 _SIGMAS = 3.0
 
 
-def _decisive_pos(est: RateEstimate) -> bool:
-    return est.mean - _SIGMAS * est.std_error > 0
-
-def _decisive_neg(est: RateEstimate) -> bool:
-    return est.mean + _SIGMAS * est.std_error < 0
+def _call(est: RateEstimate, at: float = 0.0) -> int:
+    """The 3-SE rule on one estimate, which decides every verdict: 1 when
+    it clears ``at`` from above, -1 from below, 0 when it is too close."""
+    if est.mean - _SIGMAS * est.std_error > at:
+        return 1
+    return -1 if est.mean + _SIGMAS * est.std_error < at else 0
 
 def _margin(est: RateEstimate) -> float:
     if est.std_error == 0.0:
@@ -252,9 +252,9 @@ def boundary_invasion_report(model, envspec, cfg: SimConfig):
             continue
         ests = [row.rates[i] for i in outside]
         best = max(ests, key=lambda e: e.mean)
-        if _decisive_pos(best):
+        if _call(best) > 0:
             margins.append(_margin(best))
-        elif all(_decisive_neg(e) for e in ests):
+        elif all(_call(e) < 0 for e in ests):
             table.not_permanent = True
             all_faces_invasible = False
             margins.append(min(_margin(e) for e in ests))
@@ -263,7 +263,7 @@ def boundary_invasion_report(model, envspec, cfg: SimConfig):
             any_unclear = True
             margins.append(_margin(best))
         for i in row.support:
-            if row.rates[i].std_error > 0 and _margin(row.rates[i]) > _SIGMAS:
+            if row.rates[i].std_error > 0 and _call(row.rates[i]) != 0:
                 table.annotations.append(
                     f"face {row.support}: supported species {i} has nonzero average "
                     f"log growth {row.rates[i].mean:.3g}; the face run may not have "
@@ -380,13 +380,13 @@ def scalar_classify(model, envspec, cfg: SimConfig) -> Verdict:
         w = _point_draws(model, envspec, make_stream(cfg.seed, _LIMIT_MC), n)
         lam_inf = _growth_on(model, np.full(1, 1e6), 0, w)
 
-    if _decisive_neg(lam0):
+    if _call(lam0) < 0:
         kind = "extinction"
         margins = [_margin(lam0)]
-    elif _decisive_pos(lam_inf):
+    elif _call(lam_inf) > 0:
         kind = "explosion"
         margins = [_margin(lam_inf)]
-    elif _decisive_pos(lam0) and _decisive_neg(lam_inf):
+    elif _call(lam0) > 0 and _call(lam_inf) < 0:
         kind = "persistent"
         margins = [_margin(lam0), _margin(lam_inf)]
     else:
@@ -452,7 +452,7 @@ def _scalar_contraction_scale(model, envspec, seed, margin) -> float:
     m_val = 1.0
     for _ in range(60):
         est = _growth_on(model, np.full(1, m_val), 0, w)
-        if est.mean + _SIGMAS * est.std_error <= -margin:
+        if _call(est, -margin) < 0:
             return m_val
         m_val *= 2.0
     raise ConfigurationError(
@@ -572,7 +572,7 @@ def drift_bounded_check(model, envspec, construction: DriftConstruction, n: int,
         e_log_alpha=e_log_alpha,
         e_logplus_alpha=_iid_estimate(logp_alpha),
         e_logplus_beta=_iid_estimate(logp_beta),
-        hypotheses_hold=bool(violations == 0 and _decisive_neg(e_log_alpha)),
+        hypotheses_hold=violations == 0 and _call(e_log_alpha) < 0,
     )
     return report
 
@@ -621,7 +621,7 @@ def drift_ergodic_check(model, envspec, v, set_c, beta: float, n_states: int,
         slack = rhs - est.mean
         if slack < worst["slack"]:
             worst = {"slack": slack, "x": x[s].tolist(), "inner_se": est.std_error}
-        if slack < -_SIGMAS * est.std_error:
+        if _call(est, rhs) > 0:
             holds = False
     return {
         "holds": holds,
@@ -653,19 +653,12 @@ def rps_condition(envspec, d: float, n: int, seed: int = 0) -> dict:
     small = a / b + g / b - 2.0
     exact_est = _iid_estimate(exact)
     small_est = _iid_estimate(small)
-
-    def call(est):
-        if _decisive_pos(est):
-            return "persists"
-        if _decisive_neg(est):
-            return "fails"
-        return "inconclusive"
-
+    verdicts = ("fails", "inconclusive", "persists")
     return {
         "exact_lhs": exact_est,
         "small_d_lhs": small_est,
-        "exact_verdict": call(exact_est),
-        "small_d_verdict": call(small_est),
+        "exact_verdict": verdicts[_call(exact_est) + 1],
+        "small_d_verdict": verdicts[_call(small_est) + 1],
     }
 
 

@@ -170,6 +170,22 @@ def test_numeric_error_exits_3(tmp_path):
     assert not (out / "results.json").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_exponent_exits_3_without_outputs(tmp_path, capsys):
+    # lognormal draws that overflow to inf make gamma_mc nan
+    cfg = {
+        "model": {"model": "linear_matrix",
+                  "entries": [[{"dist": "lognormal", "log_mean": 0.0, "log_sd": 300.0}]]},
+        "sim": {"seed": 0, "replicates": 2, "burn_in": 0, "horizon": 5000},
+        "task": "lyapunov",
+    }
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 3
+    assert not (out / "results.json").exists()
+    assert not (out / "results.csv").exists()
+    assert "non-finite estimate of gamma_mc for the pooled replicates" in capsys.readouterr().err
+
+
 def test_set_overrides_and_seed_flag(tmp_path):
     cfg_path = _write(tmp_path, _classify_cfg())
     out = tmp_path / "out"

@@ -1,7 +1,6 @@
 """Simulation engine: occupation statistics, averages, reproducibility."""
 
 import itertools
-import math
 import re
 import tracemalloc
 
@@ -13,7 +12,6 @@ from scipy.special import logsumexp
 from stochpop import engine, lyap, persist
 from stochpop.engine import (
     Box,
-    Complement,
     Coordinate,
     ExtinctionNeighborhood,
     Indicator,
@@ -810,6 +808,16 @@ def _reference_rows(raw, functionals):
     return out, first_bad
 
 
+def _reference_pool(raw, functionals):
+    """The pooled estimates, each from a contiguous copy of its functional's
+    (replicates, batches) sums."""
+    out = {}
+    for j, f in enumerate(functionals):
+        sums = np.ascontiguousarray(raw["fsums"][:, j])
+        out[f.name] = _reference_estimate(sums, sums / raw["lengths"], raw["n_steps"])
+    return out
+
+
 def _raw(fsums, n_steps):
     rows = len(fsums)
     return {
@@ -837,6 +845,7 @@ def test_row_wise_reduction_matches_per_row_estimates():
     assert first_bad is None
     got = engine._build_result(_raw(fsums, n_steps), functionals, ())
     assert [s.functional_averages for s in got.replicates] == want
+    assert got.pooled.functional_averages == _reference_pool(_raw(fsums, n_steps), functionals)
     assert want[2]["log_norm_growth"].std_error == 0.0
     assert want[4]["coord_0"].std_error == 0.0
 
@@ -853,9 +862,21 @@ def test_row_wise_reduction_matches_per_row_estimates_on_a_run(horizon):
     want, _ = _reference_rows(raw, functionals)
     got = engine._build_result(raw, functionals, ())
     assert [s.functional_averages for s in got.replicates] == want
+    assert got.pooled.functional_averages == _reference_pool(raw, functionals)
     for r, s in enumerate(got.replicates):
         assert np.shares_memory(s.terminal_state, raw["terminal"])
         assert np.array_equal(s.terminal_state, raw["terminal"][r])
+
+
+def test_lyapunov_mc_matches_the_reference_estimate():
+    # 993 measured steps: batches of 49 and 50 steps
+    m = Biennial(p=0.4, a=0.5, b1=1.0, b2=1.0)
+    env = EnvSpec((Gamma(2.0, 2.0),))
+    cfg = SimConfig(seed=3, replicates=3, burn_in=10, horizon=1003)
+    gsums, lengths = lyap._mc_batch_sums(m, env, cfg, "l1")
+    want = _reference_estimate(gsums, gsums / lengths, cfg.horizon - cfg.burn_in)
+    assert lyap.lyapunov_mc(m, env, cfg) == want
+    assert (want.batches, want.n) == (60, 3 * 993)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -10,7 +10,7 @@ import scipy.special
 
 from stochpop import engine, lyap
 from stochpop.engine import _CHUNK, SimConfig, _batch_lengths
-from stochpop.env import Constant, Discrete, EnvSpec, Gamma, Normal, Uniform, make_stream
+from stochpop.env import Constant, Discrete, EnvSpec, Gamma, LogNormal, Normal, Uniform, make_stream
 from stochpop.errors import ConfigurationError, NumericError, QuadratureError
 from stochpop.lyap import (
     GammaClosedFormInput,
@@ -233,6 +233,28 @@ def test_vanishing_vector_raises_at_its_first_step():
         assert info.value.step == first_zero, seed
         steps.append(first_zero)
     assert max(steps) >= 4  # some zeros lie well inside the first piece
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_exponent_is_refused():
+    # lognormal draws overflow to inf, which check_draws lets through: the
+    # pooled estimate is nan and is refused, never reported
+    env = EnvSpec((LogNormal(0.0, 300.0),))
+    cfg = SimConfig(seed=0, replicates=2, burn_in=0, horizon=5000)
+    with pytest.raises(NumericError, match="non-finite estimate of gamma_mc for the pooled "
+                                           "replicates: mean nan, std_error nan"):
+        lyapunov_mc(LinearMatrix(1), env, cfg)
+    # at log_sd 100 nothing overflows, and a 1x1 product's exponent is the
+    # mean log draw
+    env = EnvSpec((LogNormal(0.0, 100.0),))
+    logs = []
+    for r in range(cfg.replicates):
+        stream = make_stream(0, r)
+        stream.uniforms(1)  # the random initial vector
+        logs.append(np.log(env.transform(stream.uniforms(5000)[:, None])[:, 0]))
+    est = lyapunov_mc(LinearMatrix(1), env, cfg)
+    assert est.mean == pytest.approx(np.mean(logs), rel=1e-9)
+    assert est.mean == pytest.approx(-0.91613, abs=1e-5)
 
 
 # ---------------------------------------------------------------------------

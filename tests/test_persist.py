@@ -34,6 +34,7 @@ from stochpop.models import (
 from stochpop.persist import (
     _BASE_FACE,
     DriftConstruction,
+    _call,
     _face_code,
     affine_domination_audit,
     boundary_invasion_report,
@@ -552,6 +553,31 @@ def test_rps_small_d_boundary_is_inconclusive():
     rep = rps_condition(env, 0.1, 100)
     assert rep["small_d_lhs"].mean == pytest.approx(0.0, abs=1e-12)
     assert rep["small_d_verdict"] == "inconclusive"
+
+
+@pytest.mark.parametrize("mean, se, at, want", [
+    (1e-300, 0.0, 0.0, 1),  # SE 0: any positive mean clears zero
+    (-1e-300, 0.0, 0.0, -1),
+    (0.0, 0.0, 0.0, 0),
+    (1.5, 0.5, 0.0, 0),  # exactly 3 SE above zero does not clear it
+    (-1.5, 0.5, 0.0, 0),
+    (1.0, 0.25, 0.125, 1),
+    (1.0, 0.25, 0.25, 0),  # mean - 3 SE == at
+    (1.0, 0.25, 1.75, 0),  # mean + 3 SE == at
+    (1.0, 0.25, 2.0, -1),
+    (-1.0, 0.25, -2.0, 1),
+])
+def test_call_is_the_strict_3se_rule(mean, se, at, want):
+    assert _call(engine.RateEstimate(mean, se, 2, 2), at) == want
+
+
+@pytest.mark.parametrize("fecundities, d, verdicts", [
+    ((3.2, 2.0, 1.0), 0.1, ("persists", "persists")),
+    ((3.0, 2.0, 1.0), 0.5, ("fails", "inconclusive")),
+])
+def test_rps_verdicts_name_the_call(fecundities, d, verdicts):
+    rep = rps_condition(EnvSpec(tuple(Constant(v) for v in fecundities)), d, 100)
+    assert (rep["exact_verdict"], rep["small_d_verdict"]) == verdicts
 
 
 def test_rps_condition_validates_ordering():
