@@ -56,7 +56,6 @@ from .lyap import (
 from .models import (
     BevertonHolt,
     Biennial,
-    FaceModel,
     Hassell,
     LinearMatrix,
     Lottery,

@@ -36,7 +36,7 @@ from scipy.special import logsumexp
 
 from .env import _SCRATCH, make_stream, open_unit
 from .errors import ConfigurationError, NumericError
-from .models import LOG_CAP, LOG_FLOOR, Model, Simplex
+from .models import LOG_CAP, LOG_FLOOR, Model
 
 __all__ = [
     "N_BATCHES",
@@ -250,7 +250,7 @@ def _initial_states(model: Model, cfg: SimConfig, streams, supports) -> np.ndarr
         x0 = np.zeros((r, k))
         for support in set(supports):  # the rows of each support at once
             at = np.ix_([i for i, s in enumerate(supports) if s == support], list(support))
-            if isinstance(model.state_space, Simplex):
+            if model.sim_mode == "simplex":
                 e = -np.log(u[at])
                 x0[at] = 0.01 + (1.0 - 0.01 * len(support)) * (e / e.sum(axis=1, keepdims=True))
             else:
@@ -261,7 +261,7 @@ def _initial_states(model: Model, cfg: SimConfig, streams, supports) -> np.ndarr
         raise ConfigurationError(f"initial_state must have {k} coordinates")
     if np.any(x < 0):
         raise ConfigurationError("initial_state must be nonnegative")
-    if isinstance(model.state_space, Simplex):
+    if model.sim_mode == "simplex":
         if abs(x.sum() - 1.0) > 1e-9:
             raise ConfigurationError("simplex initial_state must sum to 1")
         x = x / x.sum()
@@ -321,7 +321,7 @@ def _open_rows(model, envspec, cfg, rows=None, estimates=False):
     """The only place a trajectory run opens its streams.  ``rows`` are
     (stream id, support, label): a row draws from stream (cfg.seed, id) and
     starts on its support; by default they are replicates 0..R-1 of
-    ``model`` on its own support.  Returns ``(rows, x0, lengths, pieces)``:
+    ``model`` on every species.  Returns ``(rows, x0, lengths, pieces)``:
     one start per row, the step count of each time batch, and ``(t, b,
     draws)`` for steps t..t+n-1.  Each draw chunk is checked once by
     ``model.check_draws`` and cut at the burn-in end and at every time-batch
@@ -337,8 +337,7 @@ def _open_rows(model, envspec, cfg, rows=None, estimates=False):
         raise ConfigurationError(f"a time-batch estimate needs at least 2 measured steps "
                                  f"(horizon - burn_in), got {n_steps}")
     if rows is None:
-        support = getattr(model, "support", tuple(range(model.k)))
-        rows = [(r, support, f"replicate {r}") for r in range(cfg.replicates)]
+        rows = [(r, tuple(range(model.k)), f"replicate {r}") for r in range(cfg.replicates)]
     streams = [make_stream(cfg.seed, sid) for sid, _, _ in rows]
     x0 = _initial_states(model, cfg, streams, [support for _, support, _ in rows])
     # batch b covers steps edges[b] .. edges[b + 1] - 1; burn-in ends at edges[0]
@@ -409,7 +408,6 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
     occ_counts = np.zeros((rg, len(sets)), dtype=np.int64)
     fsums = np.zeros((rg, len(functionals), len(lengths)))
     floored = np.zeros(rg, dtype=bool)
-    frozen = np.zeros(rg, dtype=bool)
     # simplex mode: each coordinate's smallest value within the piece
     xmin = np.full((rg, k), np.inf)
     # measured states, counted into occ_counts each time the block is full
@@ -462,11 +460,10 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
                 growth = 0.0  # the total stays 1
             else:
                 x_new = model.step(x, w)
-                crossed = (np.max(x_new, axis=-1) <= _LINEAR_FLOOR) & ~frozen
+                crossed = (np.max(x_new, axis=-1) <= _LINEAR_FLOOR) & ~floored
                 if crossed.any():
                     floored |= crossed
-                    frozen |= crossed
-                    x_new[frozen] = x[frozen]
+                    x_new[floored] = x[floored]
                 if measuring and norm:
                     with np.errstate(divide="ignore", invalid="ignore"):
                         growth = np.log(x_new.sum(axis=-1)) - np.log(x.sum(axis=-1))

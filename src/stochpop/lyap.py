@@ -119,7 +119,8 @@ def _mc_batch_sums(model, envspec, cfg, norm):
     start; every piece of ``_open_rows`` lies in one time batch (or the
     burn-in), so each piece costs one blocked product.  The matrices are
     nonnegative, so the vector vanishes inside a piece exactly when ``P v``
-    does.
+    does.  A piece whose log growth is not finite (a draw that overflowed)
+    raises ``NumericError`` at once, naming its row and steps.
     """
     rows, v, lengths, pieces = _open_rows(model, envspec, cfg, estimates=True)
     if np.any(v <= 0):
@@ -137,6 +138,11 @@ def _mc_batch_sums(model, envspec, cfg, norm):
         else:
             logsum = np.log(tot) + logscale
             v = grown / tot[:, None]
+        bad = ~np.isfinite(logsum)
+        if bad.any():
+            last = t + len(draws) - 1
+            raise NumericError(f"non-finite log growth for {rows[int(np.argmax(bad))][2]} "
+                               f"within steps {t}..{last}", step=last)
         if b >= 0:
             gsums[:, b] += logsum
     return gsums, lengths
@@ -148,7 +154,7 @@ def lyapunov_mc(model, envspec, cfg: SimConfig, norm: str = "l1") -> RateEstimat
     The limit is norm independent; the ``norm`` argument only selects the
     renormalization used by the estimator.
     """
-    if not model.structured:
+    if model.sim_mode != "linear":
         raise ConfigurationError(f"{model.name} has no linearization at the origin")
     gsums, lengths = _mc_batch_sums(model, envspec, cfg, norm)
     rows, b = gsums.shape

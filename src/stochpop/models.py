@@ -23,8 +23,6 @@ from .env import EnvSpec
 from .errors import ConfigurationError
 
 __all__ = [
-    "Orthant",
-    "Simplex",
     "Origin",
     "CoordinateUnion",
     "Hassell",
@@ -35,7 +33,6 @@ __all__ = [
     "RpsLottery",
     "Biennial",
     "LinearMatrix",
-    "FaceModel",
     "MODEL_NAMES",
     "parse_model",
     "model_info",
@@ -45,16 +42,6 @@ __all__ = [
 LOG_FLOOR = -700.0
 # Linear-space views of exploding log states saturate here to stay finite.
 LOG_CAP = 709.0
-
-
-@dataclass(frozen=True)
-class Orthant:
-    k: int
-
-
-@dataclass(frozen=True)
-class Simplex:
-    k: int
 
 
 @dataclass(frozen=True)
@@ -95,10 +82,11 @@ class Model:
     name = ""
     k = 0
     env_dim = 0
-    multiplicative = False
-    structured = False
+    # The model's one kind flag.  "log_mult" and "simplex" models are
+    # per-capita (``log_percapita``); "linear" models are the structured
+    # ones, with no per-capita form (``linearization_at_zero``).
     # "log_mult": orthant multiplicative dynamics simulated in log state;
-    # "simplex": frequency dynamics renormalized each step;
+    # "simplex": frequency dynamics renormalized each step, states on the simplex;
     # "linear": plain state-space iteration.
     sim_mode = "linear"
 
@@ -112,7 +100,7 @@ class Model:
         # per-capita models: x_i' = x_i * f_i(x, w), renormalized on a simplex
         x = np.asarray(x, dtype=float)
         out = x * np.exp(self.log_percapita(x, w))
-        if isinstance(self.state_space, Simplex):
+        if self.sim_mode == "simplex":
             out /= out.sum(axis=-1, keepdims=True)
         return out
 
@@ -127,16 +115,6 @@ class Model:
     def linearization_at_zero(self, w):
         raise ConfigurationError(f"{self.name} is not a structured model")
 
-    def restrict_to_face(self, support):
-        support = tuple(sorted(set(int(i) for i in support)))
-        if not support:
-            raise ConfigurationError("face support must be nonempty")
-        if any(i < 0 or i >= self.k for i in support):
-            raise ConfigurationError(f"face support {support} out of range for {self.name}")
-        if len(support) == self.k:
-            return self
-        return FaceModel(self, support)
-
     def check_env(self, env: EnvSpec):
         if env.dim != self.env_dim:
             raise ConfigurationError(
@@ -150,12 +128,8 @@ class Hassell(Model):
     name = "hassell"
     k = 1
     env_dim = 2
-    multiplicative = True
     sim_mode = "log_mult"
-
-    def __init__(self):
-        self.state_space = Orthant(1)
-        self.extinction = Origin(1)
+    extinction = Origin(1)
 
     def check_draws(self, w, t=0):
         lam, b = w[..., 0], w[..., 1]
@@ -180,12 +154,8 @@ class RickerScalar(Model):
     name = "ricker"
     k = 1
     env_dim = 2
-    multiplicative = True
     sim_mode = "log_mult"
-
-    def __init__(self):
-        self.state_space = Orthant(1)
-        self.extinction = Origin(1)
+    extinction = Origin(1)
 
     def log_percapita(self, x, w):
         r, a = w[..., 0], w[..., 1]
@@ -204,14 +174,12 @@ class BevertonHolt(Model):
     name = "beverton_holt"
     k = 1
     env_dim = 2
-    multiplicative = True
     sim_mode = "log_mult"
 
     def __init__(self, s: float = 0.0):
         if not (0.0 <= s < 1.0):
             raise ConfigurationError("beverton_holt survivorship must lie in [0, 1)")
         self.s = float(s)
-        self.state_space = Orthant(1)
         self.extinction = Origin(1)
 
     def check_draws(self, w, t=0):
@@ -242,14 +210,12 @@ class RickerCompetition(Model):
     name = "ricker_competition"
     k = 2
     env_dim = 2
-    multiplicative = True
     sim_mode = "log_mult"
 
     def __init__(self, alpha1: float, alpha2: float):
         if not (alpha1 > 0 and alpha2 > 0):
             raise ConfigurationError("competition coefficients must be positive")
         self.alpha = (float(alpha1), float(alpha2))
-        self.state_space = Orthant(2)
         self.extinction = CoordinateUnion((0, 1))
 
     def log_percapita(self, x, w):
@@ -268,7 +234,6 @@ class Lottery(Model):
     """
 
     name = "lottery"
-    multiplicative = True
     sim_mode = "simplex"
 
     def __init__(self, k: int, d: float):
@@ -279,7 +244,6 @@ class Lottery(Model):
         self.k = int(k)
         self.d = float(d)
         self.env_dim = self.k
-        self.state_space = Simplex(self.k)
         self.extinction = CoordinateUnion(tuple(range(self.k)))
 
     def check_draws(self, w, t=0):
@@ -303,14 +267,12 @@ class RpsLottery(Model):
     name = "rps_lottery"
     k = 3
     env_dim = 3
-    multiplicative = True
     sim_mode = "simplex"
 
     def __init__(self, d: float):
         if not (0.0 < d <= 1.0):
             raise ConfigurationError("death fraction must lie in (0, 1]")
         self.d = float(d)
-        self.state_space = Simplex(3)
         self.extinction = CoordinateUnion((0, 1, 2))
 
     def check_draws(self, w, t=0):
@@ -347,7 +309,6 @@ class Biennial(Model):
     name = "biennial"
     k = 2
     env_dim = 1
-    structured = True
     sim_mode = "linear"
 
     def __init__(self, p: float, a: float, b1: float, b2: float):
@@ -358,7 +319,6 @@ class Biennial(Model):
         if not (b1 > 0 and b2 > 0):
             raise ConfigurationError("competition strengths b1, b2 must be positive")
         self.p, self.a, self.b1, self.b2 = float(p), float(a), float(b1), float(b2)
-        self.state_space = Orthant(2)
         self.extinction = Origin(2)
 
     def check_draws(self, w, t=0):
@@ -391,7 +351,6 @@ class LinearMatrix(Model):
     """
 
     name = "linear_matrix"
-    structured = True
     sim_mode = "linear"
 
     def __init__(self, k: int):
@@ -399,7 +358,6 @@ class LinearMatrix(Model):
             raise ConfigurationError("matrix dimension must be at least 1")
         self.k = int(k)
         self.env_dim = self.k * self.k
-        self.state_space = Orthant(self.k)
         self.extinction = Origin(self.k)
 
     def check_draws(self, w, t=0):
@@ -415,51 +373,6 @@ class LinearMatrix(Model):
 
     def linearization_at_zero(self, w):
         return self._matrix(w)
-
-
-class FaceModel(Model):
-    """A model with every species outside ``support`` pinned to exactly zero.
-
-    Dynamics agree with the base model on the face.  The pinned coordinates
-    are forced back to zero each step because a face need not be invariant
-    under the base step: the biennial face (0,) holds only stage 1, which
-    the base step sends into stage 2.  Faces of per-capita models are
-    invariant, so boundary reports run them as rows of the base model.
-    """
-
-    def __init__(self, base: Model, support: tuple):
-        self.base = base
-        self.support = tuple(sorted(support))
-        self.outside = tuple(i for i in range(base.k) if i not in self.support)
-        self.name = f"{base.name}[face {'+'.join(str(i + 1) for i in self.support)}]"
-        self.k = base.k
-        self.env_dim = base.env_dim
-        self.multiplicative = base.multiplicative
-        self.structured = base.structured
-        self.sim_mode = base.sim_mode
-        self.state_space = base.state_space
-        self.extinction = CoordinateUnion(self.support)
-
-    def check_draws(self, w, t=0):
-        self.base.check_draws(w, t)
-
-    def step(self, x, w):
-        out = self.base.step(x, w)
-        if self.outside:
-            out[..., list(self.outside)] = 0.0
-        return out
-
-    def log_percapita(self, x, w):
-        return self.base.log_percapita(x, w)
-
-    def linearization_at_zero(self, w):
-        return self.base.linearization_at_zero(w)
-
-    def restrict_to_face(self, support):
-        support = tuple(sorted(set(int(i) for i in support)))
-        if not set(support) <= set(self.support):
-            raise ConfigurationError("sub-face support must lie inside the current face")
-        return self.base.restrict_to_face(support)
 
 
 MODEL_NAMES = (

@@ -178,7 +178,10 @@ def invasion_rate(model, envspec, cfg: SimConfig, invader: int, resident_support
         raise ConfigurationError("invader must not belong to the resident support")
     if not (0 <= invader < model.k):
         raise ConfigurationError(f"species index {invader} out of range")
-    model.restrict_to_face(resident_support)  # validates the support
+    if not resident_support:
+        raise ConfigurationError("face support must be nonempty")
+    if any(i < 0 or i >= model.k for i in resident_support):
+        raise ConfigurationError(f"face support {resident_support} out of range for {model.name}")
     functional = LogPerCapita(invader)
     (result,) = _face_runs(model, envspec, cfg, [resident_support], (functional,))
     extinct = _extinct_replicates(result)
@@ -239,13 +242,11 @@ def boundary_invasion_report(model, envspec, cfg: SimConfig):
     table = InvasionTable(rows=rows)
     margins = []
     all_faces_invasible = True
-    any_unclear = False
     for row in rows:
         if row.degenerate:
             # an unexamined measure blocks any permanence claim
             table.annotations.append(f"face {row.support}: {row.degenerate}")
             all_faces_invasible = False
-            any_unclear = True
             continue
         outside = [i for i in range(k) if i not in row.support]
         if not outside:
@@ -260,7 +261,6 @@ def boundary_invasion_report(model, envspec, cfg: SimConfig):
             margins.append(min(_margin(e) for e in ests))
         else:
             all_faces_invasible = False
-            any_unclear = True
             margins.append(_margin(best))
         for i in row.support:
             if row.rates[i].std_error > 0 and _call(row.rates[i]) != 0:
@@ -269,14 +269,12 @@ def boundary_invasion_report(model, envspec, cfg: SimConfig):
                     f"log growth {row.rates[i].mean:.3g}; the face run may not have "
                     "settled on an ergodic measure"
                 )
-    kind = "persistent" if (all_faces_invasible and not table.not_permanent) else "inconclusive"
+    kind = "persistent" if all_faces_invasible else "inconclusive"
     evidence = {}
     for row in rows:
         for i, est in row.rates.items():
             evidence[f"lambda_{i}|face={row.support}"] = est
     verdict = Verdict(kind=kind, evidence=evidence, decision_margin=min(margins, default=0.0))
-    if any_unclear:
-        verdict.kind = "inconclusive"
     return table, verdict
 
 
@@ -360,7 +358,7 @@ def scalar_classify(model, envspec, cfg: SimConfig) -> Verdict:
     (the catalog supplies analytic limits; both estimates obey the 3-SE
     rule), then attaches the confirming long-run simulation as evidence.
     """
-    if model.k != 1 or not model.multiplicative:
+    if model.k != 1 or model.sim_mode == "linear":
         raise ConfigurationError("classification applies to scalar per-capita models")
     model.check_env(envspec)
     n = int(min(max(cfg.horizon, 1000), 100_000))

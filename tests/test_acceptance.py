@@ -119,8 +119,8 @@ def test_criterion_4_lottery_coexistence():
         exact = invasion_rate(small, env, cfg_d, invader=1, resident_support=(0,))
         # the terminal states of 3000 runs on the resident face (0,), each the
         # vertex (1, 0, 0)
-        face = simulate(small.restrict_to_face((0,)), env,
-                        SimConfig(seed=403, replicates=3000, horizon=100))
+        face = simulate(small, env, SimConfig(seed=403, replicates=3000, horizon=100,
+                                              initial_state=(1.0, 0.0, 0.0)))
         samples = np.stack([s.terminal_state for s in face.replicates])
         taylor = lottery_taylor_rate(env, d, samples, 1, seed=404)
         tol = max(SIGMAS * math.hypot(exact.std_error, taylor.std_error), 0.25 * d * d)

@@ -172,7 +172,7 @@ def test_numeric_error_exits_3(tmp_path):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_exponent_exits_3_without_outputs(tmp_path, capsys):
-    # lognormal draws that overflow to inf make gamma_mc nan
+    # lognormal draws that overflow to inf stop the run in its first piece
     cfg = {
         "model": {"model": "linear_matrix",
                   "entries": [[{"dist": "lognormal", "log_mean": 0.0, "log_sd": 300.0}]]},
@@ -183,7 +183,7 @@ def test_non_finite_exponent_exits_3_without_outputs(tmp_path, capsys):
     assert main(["run", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 3
     assert not (out / "results.json").exists()
     assert not (out / "results.csv").exists()
-    assert "non-finite estimate of gamma_mc for the pooled replicates" in capsys.readouterr().err
+    assert "non-finite log growth for replicate 0 within steps 0..249" in capsys.readouterr().err
 
 
 def test_set_overrides_and_seed_flag(tmp_path):
@@ -437,6 +437,14 @@ def _invade_lottery_cfg():
         "task": "invade",
         "task_params": {"invader": 1, "resident_support": [0]},
     }
+
+
+def test_empty_resident_support_exits_2_without_outputs(tmp_path, capsys):
+    cfg = dict(_invade_lottery_cfg(), task_params={"invader": 1, "resident_support": []})
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 2
+    assert "configuration error: face support must be nonempty" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _set_log_sd(cfg, value):

@@ -49,7 +49,6 @@ from stochpop.models import (
     Lottery,
     Model,
     Origin,
-    Orthant,
     RickerCompetition,
     RickerScalar,
     RpsLottery,
@@ -64,10 +63,7 @@ class AffineChain(Model):
     name = "affine_chain"
     k = 1
     env_dim = 2
-
-    def __init__(self):
-        self.state_space = Orthant(1)
-        self.extinction = Origin(1)
+    extinction = Origin(1)
 
     def check_draws(self, w, t=0):
         _refuse((w < 0).any(axis=-1), "affine chain draws must be nonnegative", t)
@@ -980,11 +976,6 @@ def test_check_draws_names_the_first_step_of_any_block_shape():
         with pytest.raises(ConfigurationError, match=rf"\(first at step {step}\)$"):
             m.check_draws(w, t)
     m.check_draws(np.ones((6, 4, 2)))
-    # a face model checks as its base does, the absent species' draws included
-    w = np.full((5, 2, 3), 2.0)
-    w[3, 1, 2] = 0.0
-    with pytest.raises(ConfigurationError, match=r"positive \(first at step 3\)$"):
-        Lottery(3, 0.2).restrict_to_face((0, 1)).check_draws(w)
 
 
 @pytest.mark.parametrize("model, bad_col, bad_value, message", [

@@ -238,12 +238,13 @@ def test_vanishing_vector_raises_at_its_first_step():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_exponent_is_refused():
     # lognormal draws overflow to inf, which check_draws lets through: the
-    # pooled estimate is nan and is refused, never reported
+    # first piece's log growth is not finite, and the run stops there
     env = EnvSpec((LogNormal(0.0, 300.0),))
     cfg = SimConfig(seed=0, replicates=2, burn_in=0, horizon=5000)
-    with pytest.raises(NumericError, match="non-finite estimate of gamma_mc for the pooled "
-                                           "replicates: mean nan, std_error nan"):
+    with pytest.raises(NumericError, match=r"^non-finite log growth for replicate 0 within "
+                                           r"steps 0\.\.249$") as info:
         lyapunov_mc(LinearMatrix(1), env, cfg)
+    assert info.value.step == 249
     # at log_sd 100 nothing overflows, and a 1x1 product's exponent is the
     # mean log draw
     env = EnvSpec((LogNormal(0.0, 100.0),))

@@ -1,4 +1,4 @@
-"""Model catalog: step maps, invariance, and face restrictions."""
+"""Model catalog: step maps, invariance, and the dynamics on faces."""
 
 import math
 
@@ -11,7 +11,6 @@ from stochpop.errors import ConfigurationError
 from stochpop.models import (
     BevertonHolt,
     Biennial,
-    FaceModel,
     Hassell,
     LinearMatrix,
     Lottery,
@@ -212,10 +211,10 @@ def test_rps_pairwise_dominance_ratio_decreases():
     assert strict_steps > 3000
 
 
-def test_restrict_to_face_matches_scalar_reduction():
-    # competition restricted to species 1 steps exactly like the scalar
+def test_competition_face_matches_scalar_reduction():
+    # competition on the face of species 1 steps exactly like the scalar
     # ricker map with unit self-limitation
-    comp = RickerCompetition(0.6, 0.5).restrict_to_face((0,))
+    comp = RickerCompetition(0.6, 0.5)
     scalar = RickerScalar()
     for x0, r in [(0.5, 1.0), (2.0, 0.3), (0.05, 1.7)]:
         full = comp.step(np.array([x0, 0.0]), np.array([r, 0.0]))
@@ -224,8 +223,8 @@ def test_restrict_to_face_matches_scalar_reduction():
         assert full[0] == pytest.approx(red[0], rel=1e-14)
 
 
-def test_restrict_to_face_drops_lottery_species():
-    face = Lottery(3, 0.4).restrict_to_face((0, 1))
+def test_lottery_face_matches_the_two_species_lottery():
+    face = Lottery(3, 0.4)
     two = Lottery(2, 0.4)
     x3 = np.array([0.6, 0.4, 0.0])
     w3 = np.array([2.0, 3.0, 9.9])
@@ -233,28 +232,6 @@ def test_restrict_to_face_drops_lottery_species():
     out2 = two.step(np.array([0.6, 0.4]), np.array([2.0, 3.0]))
     assert out3[2] == 0.0
     assert np.allclose(out3[:2], out2, atol=1e-15)
-
-
-def test_face_model_pins_a_face_the_base_step_leaves():
-    # stage 1 alone is not invariant: the biennial step sends it into stage
-    # 2, so the face model must force coordinate 1 back to zero
-    m = Biennial(0.5, 0.5, 1.0, 1.0)
-    x, w = np.array([1.0, 0.0]), np.array([2.0])
-    assert m.step(x, w)[1] > 0.0
-    assert m.restrict_to_face((0,)).step(x, w)[1] == 0.0
-
-
-def test_restrict_to_face_validation():
-    m = RickerCompetition(0.6, 0.5)
-    with pytest.raises(ConfigurationError):
-        m.restrict_to_face(())
-    with pytest.raises(ConfigurationError):
-        m.restrict_to_face((0, 5))
-    assert m.restrict_to_face((0, 1)) is m
-    sub = Lottery(3, 0.2).restrict_to_face((0, 1))
-    assert isinstance(sub, FaceModel)
-    with pytest.raises(ConfigurationError):
-        sub.restrict_to_face((2,))
 
 
 def test_step_rejects_wrong_wiring():

@@ -136,6 +136,24 @@ def test_invasion_rate_validates_support():
         invasion_rate(m, env, cfg, invader=3, resident_support=(1,))
 
 
+@pytest.mark.parametrize("support, message", [
+    ((), "face support must be nonempty"),
+    ((-1,), r"face support \(-1,\) out of range for ricker_competition"),
+    ((0, 2), r"face support \(0, 2\) out of range for ricker_competition"),
+], ids=["empty", "negative", "out_of_range"])
+def test_invasion_rate_refuses_a_bad_support_before_any_stream_opens(monkeypatch, support,
+                                                                     message):
+    def no_stream(*args):
+        raise AssertionError("a stream was opened")
+
+    monkeypatch.setattr(engine, "make_stream", no_stream)
+    monkeypatch.setattr(persist, "make_stream", no_stream)
+    env = EnvSpec((Normal(1.0, 0.3), Normal(0.8, 0.3)))
+    cfg = SimConfig(seed=1, horizon=100)
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        invasion_rate(RickerCompetition(0.6, 0.5), env, cfg, invader=1, resident_support=support)
+
+
 def test_degenerate_face_raises():
     # the cyclic two-species face collapses to a vertex, so its resident
     # community loses a member and the invasion rate is ill-posed
@@ -304,14 +322,14 @@ def test_degenerate_face_blocks_permanence_claim():
 )
 def test_boundary_report_rows_match_separate_face_runs(model, env, cfg):
     # the report runs all faces as rows of one batch of the base model; each
-    # face must reproduce a run of its face model on the face's own streams
+    # face must reproduce a batch of its own rows alone, on its own streams
     table, _ = boundary_invasion_report(model, env, cfg)
     functionals = tuple(LogPerCapita(i) for i in range(model.k))
     assert [row.support for row in table.rows]
     for row in table.rows:
         base = _BASE_FACE + (_face_code(row.support) << 20)
         rows = [(base + r, row.support, f"replicate {r}") for r in range(cfg.replicates)]
-        raw = _drive(model.restrict_to_face(row.support), env, cfg, functionals, (), rows=rows)
+        raw = _drive(model, env, cfg, functionals, (), rows=rows)
         ref = _build_result(raw, functionals, ())
         assert bool(row.degenerate) == any(s.extinction_flag for s in ref.replicates)
         if not row.degenerate:
@@ -618,7 +636,8 @@ def test_taylor_rate_agrees_with_exact_invasion_rate(d):
     exact = invasion_rate(m, env, cfg, invader=1, resident_support=(0,))
     # the terminal states of 3000 runs on the resident face (0,), each the
     # vertex (1, 0, 0)
-    face = simulate(m.restrict_to_face((0,)), env, SimConfig(seed=25, replicates=3000, horizon=100))
+    face = simulate(m, env, SimConfig(seed=25, replicates=3000, horizon=100,
+                                      initial_state=(1.0, 0.0, 0.0)))
     samples = np.stack([s.terminal_state for s in face.replicates])
     taylor = lottery_taylor_rate(env, d, samples, 1, seed=25)
     tol = max(3 * math.hypot(exact.std_error, taylor.std_error), 0.25 * d * d)
