@@ -35,7 +35,6 @@ from .env import (
     Stream,
     Uniform,
     make_stream,
-    sample,
     sample_block,
 )
 from .errors import (
@@ -47,7 +46,6 @@ from .errors import (
 )
 from .lyap import (
     GammaClosedFormInput,
-    digamma,
     flowering_limit_report,
     gamma_closed_form,
     gamma_closed_form_detailed,

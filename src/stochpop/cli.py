@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -44,8 +45,8 @@ _TASK_PARAMS = {
     "permanence": set(),
     "drift": {"n_pairs", "margin", "domination_steps"},
     "rps": {"n", "d"},
-    "gamma": {"rel_tol", "norm"},
-    "lyapunov": {"norm"},
+    "gamma": {"rel_tol"},
+    "lyapunov": set(),
 }
 _TASKS = tuple(_TASK_PARAMS)
 # The header of each CSV output, in column order.
@@ -54,15 +55,7 @@ _CSV_FIELDS = {
     "replicates.csv": ("replicate", "set_name", "occupation", "functional", "mean", "std_error",
                        "extinct"),
 }
-_SIM_KEYS = {
-    "seed",
-    "replicates",
-    "burn_in",
-    "horizon",
-    "initial_state",
-    "eta_grid",
-    "bound_radius",
-}
+_SIM_KEYS = {f.name for f in dataclasses.fields(SimConfig)}
 # sim keys that must be JSON integers
 _SIM_INTS = ("seed", "replicates", "burn_in", "horizon")
 
@@ -362,6 +355,8 @@ def _task_drift(model, envspec, sim, params):
     n_pairs = config_int(params.get("n_pairs", 100_000), "task_params n_pairs")
     margin = config_number(params.get("margin", 0.1), "task_params margin")
     steps = config_int(params.get("domination_steps", 0), "task_params domination_steps")
+    if steps < 0:
+        raise ConfigurationError(f"task_params domination_steps must be nonnegative, got {steps}")
     construction = persist.drift_construction(model, envspec, seed=sim.seed, margin=margin)
     report = persist.drift_bounded_check(model, envspec, construction, n_pairs, seed=sim.seed)
     results = {
@@ -430,7 +425,7 @@ def _task_gamma(model, envspec, sim, params):
         rel_tol=config_number(params.get("rel_tol", 1e-9), "task_params rel_tol"),
     )
     detail = gamma_closed_form_detailed(inp)
-    mc = lyapunov_mc(model, envspec, sim, norm=params.get("norm", "l1"))
+    mc = lyapunov_mc(model, envspec, sim)
     results = {
         "gamma_closed_form": detail["value"],
         "quadrature_error_bound": detail["error_bound"],
@@ -449,7 +444,7 @@ def _task_gamma(model, envspec, sim, params):
 
 
 def _task_lyapunov(model, envspec, sim, params):
-    mc = lyapunov_mc(model, envspec, sim, norm=params.get("norm", "l1"))
+    mc = lyapunov_mc(model, envspec, sim)
     return {"gamma_mc": mc}, [_est_row("lyapunov", "gamma_mc", mc)], {}
 
 

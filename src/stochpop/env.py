@@ -46,7 +46,6 @@ __all__ = [
     "EnvSpec",
     "Stream",
     "make_stream",
-    "sample",
     "sample_block",
     "parse_dist",
     "parse_env_spec",
@@ -223,7 +222,7 @@ class EnvSpec:
         return all(isinstance(c, Constant) for c in self.coords)
 
     def transform(self, u: np.ndarray, out=None) -> np.ndarray:
-        """Map uniforms of shape ``(..., dim)`` to environment vectors, in
+        """Map uniforms of shape ``(n, ..., dim)`` to environment vectors, in
         ``out`` (of u's shape, any strides) when given.
 
         A constant is written straight into its column.  Every other
@@ -236,19 +235,17 @@ class EnvSpec:
         of a split ppf in slices on the usable CPUs."""
         if out is None:
             out = np.empty_like(u, dtype=float)
-        # one vector: its leading axis is the coordinates, so add one
-        uu, oo = (u, out) if u.ndim > 1 else (u[None], out[None])
-        step = max(1, _SCRATCH // math.prod(uu.shape[1:-1]))
+        step = max(1, _SCRATCH // math.prod(u.shape[1:-1]))
         scratch = None
         for j, c in enumerate(self.coords):
             if isinstance(c, Constant):
-                c.ppf(uu[..., j], out=oo[..., j])
+                c.ppf(u[..., j], out=out[..., j])
                 continue
             if scratch is None:
-                scratch = np.empty((min(step, len(uu)),) + uu.shape[1:-1])
-            for a in range(0, len(uu), step):
-                block = uu[a:a + step, ..., j]
-                _split_ppf(c, block, scratch[:len(block)], oo[a:a + step, ..., j])
+                scratch = np.empty((min(step, len(u)),) + u.shape[1:-1])
+            for a in range(0, len(u), step):
+                block = u[a:a + step, ..., j]
+                _split_ppf(c, block, scratch[:len(block)], out[a:a + step, ..., j])
         return out
 
 
@@ -319,10 +316,11 @@ class Stream:
     """
 
     def __init__(self, seed: int, replicate_id: int):
-        if replicate_id < 0:
-            raise ConfigurationError("replicate_id must be nonnegative")
         self.seed = int(seed)
         self.replicate_id = int(replicate_id)
+        for what, value in (("seed", self.seed), ("replicate_id", self.replicate_id)):
+            if not 0 <= value < 1 << 64:  # the Philox key holds two 64-bit words
+                raise ConfigurationError(f"{what} must lie in [0, 2**64), got {value}")
         key = np.array([self.seed, self.replicate_id], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
@@ -343,12 +341,6 @@ class Stream:
 def make_stream(seed: int, replicate_id: int = 0) -> Stream:
     """Fresh stream; draws depend only on (seed, replicate_id, draw index)."""
     return Stream(seed, replicate_id)
-
-
-def sample(spec: EnvSpec, stream: Stream) -> np.ndarray:
-    """One environment vector, advancing the stream by ``spec.dim`` draws."""
-    u = stream.uniforms(spec.dim)
-    return spec.transform(u)
 
 
 def sample_block(spec: EnvSpec, stream: Stream, n: int) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Dominant growth exponent of linearized dynamics.
 
-Monte Carlo route: time-average the one-step log growth of the norm of
+Monte Carlo route: time-average the one-step log growth of the l1 norm of
 ``v <- A(0, w) v``, renormalized.  The growth summed over a run of steps
 telescopes to ``log||P v||`` with ``P`` the run's matrix product, so each
 time batch is computed from blocked products: a pairwise tree over the
@@ -48,23 +48,15 @@ __all__ = [
     "gamma_closed_form",
     "gamma_closed_form_detailed",
     "flowering_limit_report",
-    "digamma",
     "adaptive_simpson",
 ]
 
 _P_CAP = 1.0 - 1e-6
+_MAX_DEPTH = 60  # halvings of a panel before adaptive_simpson gives up
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo exponent
-
-
-def _norm(v, kind):
-    if kind == "l1":
-        return v.sum(axis=-1)
-    if kind == "max":
-        return v.max(axis=-1)
-    raise ConfigurationError(f"unknown norm {kind!r}")
 
 
 def _product(mats):
@@ -90,14 +82,14 @@ def _product(mats):
     return mats[0], logs[0]
 
 
-def _stepwise(mats, v, norm, t0):
+def _stepwise(mats, v, t0):
     """One step at a time through a stack that starts at step ``t0``: the
     summed log growths and the final vector.  Raises at the first step at
     which a vector vanishes."""
     logsum = np.zeros(len(v))
     for s, a_mat in enumerate(mats):
         grown = np.einsum("rij,rj->ri", a_mat, v)
-        tot = _norm(grown, norm)
+        tot = grown.sum(axis=-1)
         if np.any(tot <= 0.0):
             raise NumericError(
                 "zero vector under the linearized dynamics: "
@@ -109,7 +101,7 @@ def _stepwise(mats, v, norm, t0):
     return logsum, v
 
 
-def _mc_batch_sums(model, envspec, cfg, norm):
+def _mc_batch_sums(model, envspec, cfg):
     """``(rows, n_batches)`` sums of the one-step log growths per time batch
     over the replicates 0..R-1 of ``_open_rows``, and the step count of each
     batch.
@@ -125,16 +117,16 @@ def _mc_batch_sums(model, envspec, cfg, norm):
     rows, v, lengths, pieces = _open_rows(model, envspec, cfg, estimates=True)
     if np.any(v <= 0):
         raise ConfigurationError("initial vector must be strictly positive")
-    v = v / _norm(v, norm)[:, None]
+    v = v / v.sum(axis=-1)[:, None]
     gsums = np.zeros((len(rows), len(lengths)))
     for t, b, draws in pieces:
         mats = model.linearization_at_zero(draws)
         prod, logscale = _product(mats)
         grown = np.einsum("rij,rj->ri", prod, v)
-        tot = _norm(grown, norm)
+        tot = grown.sum(axis=-1)
         if np.any(tot <= 0.0):
             # find the step at which the vector vanished
-            logsum, v = _stepwise(mats, v, norm, t)
+            logsum, v = _stepwise(mats, v, t)
         else:
             logsum = np.log(tot) + logscale
             v = grown / tot[:, None]
@@ -148,15 +140,12 @@ def _mc_batch_sums(model, envspec, cfg, norm):
     return gsums, lengths
 
 
-def lyapunov_mc(model, envspec, cfg: SimConfig, norm: str = "l1") -> RateEstimate:
-    """Time-averaged one-step log growth of the renormalized iteration.
-
-    The limit is norm independent; the ``norm`` argument only selects the
-    renormalization used by the estimator.
-    """
+def lyapunov_mc(model, envspec, cfg: SimConfig) -> RateEstimate:
+    """Time-averaged one-step log growth of the iteration renormalized in
+    the l1 norm (the limit is the same in every norm)."""
     if model.sim_mode != "linear":
         raise ConfigurationError(f"{model.name} has no linearization at the origin")
-    gsums, lengths = _mc_batch_sums(model, envspec, cfg, norm)
+    gsums, lengths = _mc_batch_sums(model, envspec, cfg)
     rows, b = gsums.shape
     n = rows * (cfg.horizon - cfg.burn_in)
     means, ses = _batch_estimates(gsums.reshape(1, 1, -1), np.tile(lengths, rows), n,
@@ -172,14 +161,15 @@ def _simpson(a, b, fa, fm, fb):
     return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
 
-def adaptive_simpson(f, a, b, rel_tol=1e-9, abs_tol=0.0, max_depth=60, initial_edges=None):
-    """Integrate ``f`` on [a, b]; returns (value, error_bound, evaluations).
+def adaptive_simpson(f, edges, rel_tol):
+    """Integrate ``f`` from ``edges[0]`` to ``edges[-1]``; returns (value,
+    error_bound, evaluations).
 
+    ``edges``, ascending and distinct, are the initial panels; grade them
+    when the integrand lives on a scale a uniform grid would step over.
     Each panel is accepted when the Richardson estimate |S2 - S1|/15 meets
-    its share of the tolerance; accepted panels contribute the extrapolated
-    value S2 + (S2 - S1)/15.  ``initial_edges`` seeds the panel grid; pass a
-    graded grid when the integrand lives on a scale the uniform default
-    would step over.
+    its share of the tolerance ``rel_tol`` times the rough integral;
+    accepted panels contribute the extrapolated value S2 + (S2 - S1)/15.
     """
     neval = 0
 
@@ -191,10 +181,6 @@ def adaptive_simpson(f, a, b, rel_tol=1e-9, abs_tol=0.0, max_depth=60, initial_e
             raise QuadratureError(f"integrand not finite at {x!r}", state=x)
         return y
 
-    if initial_edges is None:
-        edges = [a + (b - a) * i / 8 for i in range(9)]
-    else:
-        edges = sorted(set([a, b] + [x for x in initial_edges if a < x < b]))
     initial_panels = len(edges) - 1
     fvals = [eval_f(x) for x in edges]
     panels = []
@@ -205,14 +191,12 @@ def adaptive_simpson(f, a, b, rel_tol=1e-9, abs_tol=0.0, max_depth=60, initial_e
         s = _simpson(lo, hi, fvals[i], fm, fvals[i + 1])
         panels.append((lo, hi, fvals[i], fm, fvals[i + 1], s))
         rough += s
-    tol = max(abs_tol, rel_tol * abs(rough))
-    if tol == 0.0:
-        tol = rel_tol if rel_tol > 0 else 1e-12
+    tol = rel_tol * abs(rough) or rel_tol
 
     total = 0.0
     err_total = 0.0
     # (panel, share of tolerance, remaining depth)
-    stack = [(p, tol / initial_panels, max_depth) for p in panels]
+    stack = [(p, tol / initial_panels, _MAX_DEPTH) for p in panels]
     while stack:
         (lo, hi, fa_, fm_, fb_, s), share, depth = stack.pop()
         mid = 0.5 * (lo + hi)
@@ -227,7 +211,7 @@ def adaptive_simpson(f, a, b, rel_tol=1e-9, abs_tol=0.0, max_depth=60, initial_e
             continue
         if depth <= 0:
             raise QuadratureError(
-                f"no convergence on [{lo!r}, {hi!r}] after {max_depth} refinements "
+                f"no convergence on [{lo!r}, {hi!r}] after {_MAX_DEPTH} refinements "
                 f"(local error {abs(err):g} > {share:g})"
             )
         stack.append(((lo, mid, fa_, flm, fm_, left), share / 2.0, depth - 1))
@@ -298,26 +282,19 @@ def _endpoint_integral(z: float, k: float, c: int, rel_tol: float):
     while v < 0.5:
         edges.append((1.0 - v) ** (1.0 / q))
         v *= 2.0
-    edges = [x for x in edges if 0.0 < x < 1.0]
-    return adaptive_simpson(integrand, 0.0, 1.0, rel_tol=rel_tol, abs_tol=0.0, initial_edges=edges)
+    return adaptive_simpson(integrand, sorted({x for x in edges if 0.0 <= x <= 1.0}), rel_tol)
 
 
 def gamma_closed_form_detailed(inp: GammaClosedFormInput) -> dict:
-    """Closed-form exponent with quadrature diagnostics.
+    """Closed-form exponent with its quadrature error bound and count of
+    integrand evaluations.
 
     The endpoints take dedicated branches: p = 0 gives ln(a) exactly, and
     p = 1 is evaluated at the cap 1 - 1e-6 because z -> 0 makes both
     integrals diverge slowly (see :func:`flowering_limit_report`).
     """
     if inp.p == 0.0:
-        return {
-            "value": math.log(inp.a),
-            "error_bound": 0.0,
-            "K": None,
-            "I1": None,
-            "evaluations": 0,
-            "p_effective": 0.0,
-        }
+        return {"value": math.log(inp.a), "error_bound": 0.0, "evaluations": 0}
     p_eff = min(inp.p, _P_CAP)
     z = inp.a * (1.0 - p_eff) ** 2 / (inp.theta * p_eff)
     i1, e1, n1 = _endpoint_integral(z, inp.k, 1, inp.rel_tol)
@@ -326,14 +303,7 @@ def gamma_closed_form_detailed(inp: GammaClosedFormInput) -> dict:
         raise QuadratureError("normalizing integral came out nonpositive", state=k0)
     value = math.log(inp.a * (1.0 - p_eff)) + i1 / k0
     err = e1 / k0 + abs(i1) * e0 / (k0 * k0)
-    return {
-        "value": value,
-        "error_bound": err,
-        "K": k0,
-        "I1": i1,
-        "evaluations": n1 + n0,
-        "p_effective": p_eff,
-    }
+    return {"value": value, "error_bound": err, "evaluations": n1 + n0}
 
 
 def gamma_closed_form(inp: GammaClosedFormInput) -> float:
@@ -349,8 +319,9 @@ def flowering_limit_report(a: float, theta: float, k: float, rel_tol: float = 1e
     discrepancies and deliberately picks neither.
     """
     limit = gamma_closed_form(GammaClosedFormInput(p=1.0, a=a, theta=theta, k=k, rel_tol=rel_tol))
-    cand_surv = 0.5 * (math.log(a * theta) + digamma(a))
-    cand_shape = 0.5 * (math.log(a * theta) + digamma(k))
+    # both digamma arguments are positive: the input check above passed
+    cand_surv, cand_shape = (0.5 * (math.log(a * theta) + float(special.digamma(q)))
+                             for q in (a, k))
     return {
         "quadrature_limit": limit,
         "candidate_digamma_of_survivorship": cand_surv,
@@ -358,13 +329,3 @@ def flowering_limit_report(a: float, theta: float, k: float, rel_tol: float = 1e
         "abs_diff_survivorship": abs(limit - cand_surv),
         "abs_diff_shape": abs(limit - cand_shape),
     }
-
-
-# ---------------------------------------------------------------------------
-# Digamma
-
-def digamma(x: float) -> float:
-    """Logarithmic derivative of the gamma function for x > 0."""
-    if not (x > 0):
-        raise ConfigurationError("digamma requires a positive argument")
-    return float(special.digamma(x))

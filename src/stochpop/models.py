@@ -1,11 +1,13 @@
 """Catalog of stochastic difference-equation population models.
 
 Each model advances a nonnegative state by ``x' = step(x, w)`` where ``w``
-is one environment vector (see :mod:`stochpop.env`).  Zero coordinates stay
-exactly zero and positive coordinates stay positive, so the extinction set
-and its complement are both invariant.  ``step`` and the per-capita factors
-are pure functions and broadcast over leading axes: ``x`` may be ``(k,)`` or
-``(R, k)`` with ``w`` of matching leading shape.
+is one environment vector (see :mod:`stochpop.env`).  In the per-capita
+models ("log_mult" and "simplex") a zero coordinate stays exactly zero and a
+positive one stays positive, so every face is invariant.  A "linear" model
+keeps only the origin: ``Biennial`` sends (1, 0) to (0, s2).
+``step`` and the per-capita factors are pure functions and broadcast over
+leading axes: ``x`` may be ``(k,)`` or ``(R, k)`` with ``w`` of matching
+leading shape.
 
 ``step``, ``log_percapita`` and ``linearization_at_zero`` are unchecked
 kernels: they assume draws the model is defined on.  ``check_draws`` refuses
@@ -47,8 +49,6 @@ LOG_CAP = 709.0
 @dataclass(frozen=True)
 class Origin:
     """Extinction set {0}: every population absent."""
-
-    k: int
 
     def distance(self, x):
         return np.max(x, axis=-1)
@@ -107,10 +107,10 @@ class Model:
     def log_percapita(self, x, w):
         raise ConfigurationError(f"{self.name} has no per-capita form")
 
-    def percapita(self, x, w, i):
-        if not (0 <= i < self.k):
-            raise ConfigurationError(f"species index {i} out of range for {self.name}")
-        return np.exp(self.log_percapita(x, w)[..., i])
+    def log_growth_limit_at_infinity(self, env: EnvSpec):
+        """The limit of E[log f(x, w)] as the scalar density x grows without
+        bound: a float (-inf included), or None when it is the rate at zero."""
+        raise ConfigurationError(f"{self.name} states no large-density limit")
 
     def linearization_at_zero(self, w):
         raise ConfigurationError(f"{self.name} is not a structured model")
@@ -129,7 +129,7 @@ class Hassell(Model):
     k = 1
     env_dim = 2
     sim_mode = "log_mult"
-    extinction = Origin(1)
+    extinction = Origin()
 
     def check_draws(self, w, t=0):
         lam, b = w[..., 0], w[..., 1]
@@ -141,11 +141,9 @@ class Hassell(Model):
         lf = np.log(lam) - b * np.log1p(x[..., 0])
         return lf[..., None]
 
-    def log_growth_limit_at_infinity(self, env, lambda0):
+    def log_growth_limit_at_infinity(self, env):
         # E[log f(x)] = E[log lam] - E[b] log(1+x): diverges unless b is 0.
-        if env.coords[1].mean() > 0:
-            return "neg_inf", None
-        return "same_as_zero", lambda0
+        return -np.inf if env.coords[1].mean() > 0 else None
 
 
 class RickerScalar(Model):
@@ -155,17 +153,15 @@ class RickerScalar(Model):
     k = 1
     env_dim = 2
     sim_mode = "log_mult"
-    extinction = Origin(1)
+    extinction = Origin()
 
     def log_percapita(self, x, w):
         r, a = w[..., 0], w[..., 1]
         lf = r - a * x[..., 0]
         return lf[..., None]
 
-    def log_growth_limit_at_infinity(self, env, lambda0):
-        if env.coords[1].mean() > 0:
-            return "neg_inf", None
-        return "same_as_zero", lambda0
+    def log_growth_limit_at_infinity(self, env):
+        return -np.inf if env.coords[1].mean() > 0 else None
 
 
 class BevertonHolt(Model):
@@ -175,12 +171,12 @@ class BevertonHolt(Model):
     k = 1
     env_dim = 2
     sim_mode = "log_mult"
+    extinction = Origin()
 
     def __init__(self, s: float = 0.0):
         if not (0.0 <= s < 1.0):
             raise ConfigurationError("beverton_holt survivorship must lie in [0, 1)")
         self.s = float(s)
-        self.extinction = Origin(1)
 
     def check_draws(self, w, t=0):
         lam, a = w[..., 0], w[..., 1]
@@ -192,12 +188,11 @@ class BevertonHolt(Model):
         lf = np.log(lam / (1.0 + a * x[..., 0]) + self.s)
         return lf[..., None]
 
-    def log_growth_limit_at_infinity(self, env, lambda0):
+    def log_growth_limit_at_infinity(self, env):
+        # lam/(1 + a x) vanishes, leaving the survivors s
         if env.coords[1].mean() > 0:
-            if self.s == 0.0:
-                return "neg_inf", None
-            return "exact", float(np.log(self.s))
-        return "same_as_zero", lambda0
+            return float(np.log(self.s)) if self.s > 0.0 else -np.inf
+        return None
 
 
 class RickerCompetition(Model):
@@ -310,6 +305,7 @@ class Biennial(Model):
     k = 2
     env_dim = 1
     sim_mode = "linear"
+    extinction = Origin()
 
     def __init__(self, p: float, a: float, b1: float, b2: float):
         if not (0.0 <= p <= 1.0):
@@ -319,7 +315,6 @@ class Biennial(Model):
         if not (b1 > 0 and b2 > 0):
             raise ConfigurationError("competition strengths b1, b2 must be positive")
         self.p, self.a, self.b1, self.b2 = float(p), float(a), float(b1), float(b2)
-        self.extinction = Origin(2)
 
     def check_draws(self, w, t=0):
         _refuse(w[..., 0] < 0, "biennial seed draws must be nonnegative", t)
@@ -352,13 +347,13 @@ class LinearMatrix(Model):
 
     name = "linear_matrix"
     sim_mode = "linear"
+    extinction = Origin()
 
     def __init__(self, k: int):
         if k < 1:
             raise ConfigurationError("matrix dimension must be at least 1")
         self.k = int(k)
         self.env_dim = self.k * self.k
-        self.extinction = Origin(self.k)
 
     def check_draws(self, w, t=0):
         _refuse((w < 0).any(axis=-1), "matrix entries must be nonnegative", t)
@@ -375,16 +370,21 @@ class LinearMatrix(Model):
         return self._matrix(w)
 
 
-MODEL_NAMES = (
-    "beverton_holt",
-    "biennial",
-    "hassell",
-    "linear_matrix",
-    "lottery",
-    "ricker",
-    "ricker_competition",
-    "rps_lottery",
-)
+# Each catalog model, by name in sorted order: its parameters and its
+# environment coordinates, as ``stochpop list-models`` prints them.
+_MODEL_DOC = {
+    "beverton_holt": ("lam: dist, a: dist, s: float in [0,1)", "lam, a"),
+    "biennial": ("p: float in [0,1], a: float in (0,1), b1: float > 0, b2: float > 0, xi: dist",
+                 "xi"),
+    "hassell": ("lam: dist, b: dist", "lam, b"),
+    "linear_matrix": ("entries: k x k matrix of dists", "a11..akk (row-major)"),
+    "lottery": ("k: int >= 2, d: float in (0,1], fecundity: list of k dists", "xi1..xik"),
+    "ricker": ("r: dist, a: dist", "r, a"),
+    "ricker_competition": ("r: [dist, dist], alpha: [float > 0, float > 0]", "xi1, xi2"),
+    "rps_lottery": ("d: float in (0,1], alpha: dist, beta: dist, gamma: dist",
+                    "alpha, beta, gamma (requires alpha > beta > gamma > 0)"),
+}
+MODEL_NAMES = tuple(_MODEL_DOC)
 
 
 def _require_keys(cfg: dict, allowed: set, required: set):
@@ -464,32 +464,7 @@ def parse_model(cfg: dict):
     return model, EnvSpec(coords)
 
 
-_MODEL_PARAM_DOC = {
-    "beverton_holt": "lam: dist, a: dist, s: float in [0,1)",
-    "biennial": "p: float in [0,1], a: float in (0,1), b1: float > 0, b2: float > 0, xi: dist",
-    "hassell": "lam: dist, b: dist",
-    "linear_matrix": "entries: k x k matrix of dists",
-    "lottery": "k: int >= 2, d: float in (0,1], fecundity: list of k dists",
-    "ricker": "r: dist, a: dist",
-    "ricker_competition": "r: [dist, dist], alpha: [float > 0, float > 0]",
-    "rps_lottery": "d: float in (0,1], alpha: dist, beta: dist, gamma: dist",
-}
-
-_MODEL_ENV_DOC = {
-    "beverton_holt": "lam, a",
-    "biennial": "xi",
-    "hassell": "lam, b",
-    "linear_matrix": "a11..akk (row-major)",
-    "lottery": "xi1..xik",
-    "ricker": "r, a",
-    "ricker_competition": "xi1, xi2",
-    "rps_lottery": "alpha, beta, gamma (requires alpha > beta > gamma > 0)",
-}
-
-
 def model_info() -> list:
     """Stable, sorted catalog listing for the CLI."""
-    return [
-        {"name": name, "params": _MODEL_PARAM_DOC[name], "env_coords": _MODEL_ENV_DOC[name]}
-        for name in MODEL_NAMES
-    ]
+    return [{"name": name, "params": params, "env_coords": env}
+            for name, (params, env) in _MODEL_DOC.items()]

@@ -56,7 +56,6 @@ _BASE_MOMENTS = 1 << 35
 _BASE_VERTEX = 1 << 36  # the rps vertex j draws from _BASE_VERTEX + j
 _FACE_FIELD = 1 << 20  # replicate ids per face in the _BASE_FACE namespace
 # _BASE_POINT_MC + 1 and + 2 are rps_condition's and lottery_taylor_rate's
-_LIMIT_MC = _BASE_POINT_MC + 3  # scalar_classify's sampled large-density limit
 _SCALE_MC = _BASE_POINT_MC + 4  # drift's contraction scale
 
 _SIGMAS = 3.0
@@ -354,29 +353,18 @@ def find_persistence_weights(table: InvasionTable):
 def scalar_classify(model, envspec, cfg: SimConfig) -> Verdict:
     """Classify a scalar model as extinction, explosion, or persistent.
 
-    Decides on the average log growth at zero and its large-density limit
-    (the catalog supplies analytic limits; both estimates obey the 3-SE
-    rule), then attaches the confirming long-run simulation as evidence.
+    Decides on the average log growth at zero and its large-density limit,
+    which the model states in closed form (a model that states none is
+    refused; the estimate at zero obeys the 3-SE rule), then attaches the
+    confirming long-run simulation as evidence.
     """
     if model.k != 1 or model.sim_mode == "linear":
         raise ConfigurationError("classification applies to scalar per-capita models")
     model.check_env(envspec)
+    limit = model.log_growth_limit_at_infinity(envspec)
     n = int(min(max(cfg.horizon, 1000), 100_000))
     lam0 = mean_percapita_growth_at(model, envspec, np.zeros(1), 0, n, seed=cfg.seed)
-
-    limit_hook = getattr(model, "log_growth_limit_at_infinity", None)
-    if limit_hook is not None:
-        kind, value = limit_hook(envspec, lam0)
-        if kind == "neg_inf":
-            lam_inf = RateEstimate(-np.inf, 0.0, 0, 0)
-        elif kind == "exact":
-            lam_inf = RateEstimate(value, 0.0, 0, 0)
-        else:
-            lam_inf = value
-    else:
-        warnings.warn("no analytic large-density limit; sampling at x = 1e6")
-        w = _point_draws(model, envspec, make_stream(cfg.seed, _LIMIT_MC), n)
-        lam_inf = _growth_on(model, np.full(1, 1e6), 0, w)
+    lam_inf = lam0 if limit is None else RateEstimate(limit, 0.0, 0, 0)
 
     if _call(lam0) < 0:
         kind = "extinction"
@@ -422,7 +410,6 @@ class DriftConstruction:
     """Certificate (V, alpha, beta) for V(F(x,w)) <= alpha(w) V(x) + beta(w)."""
 
     name: str
-    v_name: str
     v: object
     alpha: object
     beta: object
@@ -485,7 +472,6 @@ def drift_construction(model, envspec, seed: int = 0, margin: float = 0.1) -> Dr
 
         return DriftConstruction(
             name=f"{model.name}_scale_bound",
-            v_name="identity",
             v=v,
             alpha=alpha,
             beta=beta,
@@ -504,7 +490,6 @@ def drift_construction(model, envspec, seed: int = 0, margin: float = 0.1) -> Dr
 
         return DriftConstruction(
             name="competition_total_density",
-            v_name="total_density",
             v=v,
             alpha=alpha,
             beta=beta,

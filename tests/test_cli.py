@@ -570,14 +570,46 @@ _TOO_FEW_SAMPLES = {
 }
 
 
-@pytest.mark.parametrize("case", list(_MISTYPED_PARAMS_MORE) + list(_TOO_FEW_SAMPLES))
+# (config, expected stderr): integers out of range; before they were
+# refused, a seed outside [0, 2**64) ended in numpy's OverflowError (exit 1,
+# with a traceback), and a negative domination_steps exited 0 as if it were 0
+_OUT_OF_RANGE = {
+    "negative_seed": (dict(_simulate_cfg(), sim=dict(_simulate_cfg()["sim"], seed=-1)),
+                      "seed must lie in [0, 2**64), got -1"),
+    "seed_2_64": (dict(_simulate_cfg(), sim=dict(_simulate_cfg()["sim"], seed=2**64)),
+                  f"seed must lie in [0, 2**64), got {2**64}"),
+    "negative_domination_steps": (dict(_drift_cfg(), task_params={"domination_steps": -5}),
+                                  "task_params domination_steps must be nonnegative, got -5"),
+}
+# (config, expected stderr): the exponent is renormalized in the l1 norm
+# only, so the key that chose the norm is read by no task
+_RETIRED_PARAMS = {
+    "gamma_norm": (dict(_gamma_task_cfg(), task_params={"norm": "l1"}),
+                   "unknown gamma task_params ['norm']"),
+    "lyapunov_norm": (dict(_gamma_task_cfg(), task="lyapunov", task_params={"norm": "l1"}),
+                      "unknown lyapunov task_params ['norm']"),
+}
+_REFUSED_PARAMS = {**_MISTYPED_PARAMS_MORE, **_TOO_FEW_SAMPLES, **_OUT_OF_RANGE,
+                   **_RETIRED_PARAMS}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED_PARAMS))
 def test_mistyped_model_or_task_param_exits_2_without_outputs(tmp_path, capsys, case):
-    cfg, message = {**_MISTYPED_PARAMS_MORE, **_TOO_FEW_SAMPLES}[case]
+    cfg, message = _REFUSED_PARAMS[case]
     out = tmp_path / "out"
     assert main(["run", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and message in err
     assert not out.exists()
+
+
+def test_seed_flag_outside_64_bits_exits_2_without_outputs(tmp_path, capsys):
+    for seed in (-5, 2**64):
+        out = tmp_path / f"out{seed}"
+        args = ["--out", str(out), "--seed", str(seed)]
+        assert main(["run", "--config", _write(tmp_path, _simulate_cfg()), *args]) == 2
+        assert f"seed must lie in [0, 2**64), got {seed}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _ricker_cfg(**normal):

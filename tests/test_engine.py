@@ -63,7 +63,7 @@ class AffineChain(Model):
     name = "affine_chain"
     k = 1
     env_dim = 2
-    extinction = Origin(1)
+    extinction = Origin()
 
     def check_draws(self, w, t=0):
         _refuse((w < 0).any(axis=-1), "affine chain draws must be nonnegative", t)
@@ -869,7 +869,7 @@ def test_lyapunov_mc_matches_the_reference_estimate():
     m = Biennial(p=0.4, a=0.5, b1=1.0, b2=1.0)
     env = EnvSpec((Gamma(2.0, 2.0),))
     cfg = SimConfig(seed=3, replicates=3, burn_in=10, horizon=1003)
-    gsums, lengths = lyap._mc_batch_sums(m, env, cfg, "l1")
+    gsums, lengths = lyap._mc_batch_sums(m, env, cfg)
     want = _reference_estimate(gsums, gsums / lengths, cfg.horizon - cfg.burn_in)
     assert lyap.lyapunov_mc(m, env, cfg) == want
     assert (want.batches, want.n) == (60, 3 * 993)

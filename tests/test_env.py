@@ -25,7 +25,6 @@ from stochpop.env import (
     make_stream,
     parse_dist,
     parse_env_spec,
-    sample,
     sample_block,
 )
 from stochpop.errors import ConfigurationError
@@ -57,11 +56,19 @@ def test_batching_does_not_change_the_stream():
     assert np.array_equal(chunks, s2.uniforms(100))
 
 
+def test_stream_key_outside_64_bits_is_refused():
+    # the Philox key is two 64-bit words; numpy raised OverflowError
+    for key in ((-1,), (2**64,), (0, 2**64), (0, -1)):
+        with pytest.raises(ConfigurationError, match=r"must lie in \[0, 2\*\*64\)"):
+            make_stream(*key)
+    assert make_stream(2**64 - 1, 2**64 - 1).uniforms(1).shape == (1,)
+
+
 def test_sample_advances_stream_one_draw_per_coordinate():
     spec = EnvSpec((Constant(2.0), Uniform(0.0, 1.0)))
     s1 = make_stream(1, 0)
-    v1 = sample(spec, s1)
-    v2 = sample(spec, s1)
+    v1 = sample_block(spec, s1, 1)[0]
+    v2 = sample_block(spec, s1, 1)[0]
     assert v1[0] == 2.0 and v2[0] == 2.0
     block = sample_block(spec, make_stream(1, 0), 2)
     assert np.array_equal(block, np.stack([v1, v2]))
@@ -282,10 +289,10 @@ def test_transform_allocates_one_scratch_and_no_ppf_temporary():
         assert _peak_bytes(lambda: dist.ppf(u[..., 0], out=draws[:, :, 0].T)) < 0.25 * column
 
 
-@pytest.mark.parametrize("shape", [(3,), (70_000, 3), (5, 70_000, 3), (2, 3, 40_000, 3)])
+@pytest.mark.parametrize("shape", [(70_000, 3), (5, 70_000, 3), (2, 3, 40_000, 3)])
 def test_transform_in_scratch_blocks_matches_each_coordinate(shape):
-    # blocks of the leading axis: a vector, one block with a short tail,
-    # one row per block, and a block of 2-d entries
+    # blocks of the leading axis: one block with a short tail, one row per
+    # block, and a block of 2-d entries
     spec = EnvSpec((LogNormal(0.3, 0.3), Constant(1.0), Normal(0.5, 2.0)))
     u = _edge_uniforms(math.prod(shape)).reshape(shape)
     got = spec.transform(u)

@@ -32,13 +32,13 @@ def test_hassell_direct_evaluation():
     m = Hassell()
     out = m.step(np.ones(1), np.array([2.0, 1.0]))
     assert out[0] == pytest.approx(1.0, abs=1e-15)
-    assert m.percapita(np.ones(1), np.array([2.0, 1.0]), 0) == pytest.approx(1.0)
+    assert np.exp(m.log_percapita(np.ones(1), np.array([2.0, 1.0])))[0] == pytest.approx(1.0)
 
 
 def test_competition_percapita_at_origin():
     # with no competitors present the growth factor is just e^{draw}
     m = RickerCompetition(0.5, 0.5)
-    f1 = m.percapita(np.zeros(2), np.array([1.0, 0.3]), 0)
+    f1 = np.exp(m.log_percapita(np.zeros(2), np.array([1.0, 0.3])))[0]
     assert f1 == pytest.approx(math.e, rel=1e-15)
 
 
@@ -62,11 +62,10 @@ def test_rps_vertex_rates():
     m = RpsLottery(0.1)
     x = np.array([1.0, 0.0, 0.0])
     w = np.array([3.0, 2.0, 1.0])  # alpha, beta, gamma
-    f2 = m.percapita(x, w, 1)
-    f3 = m.percapita(x, w, 2)
+    f1, f2, f3 = np.exp(m.log_percapita(x, w))
     assert f3 == pytest.approx(1 - 0.1 + 0.1 * 3.0 / 2.0, abs=1e-14)
     assert f2 == pytest.approx(1 - 0.1 + 0.1 * 1.0 / 2.0, abs=1e-14)
-    assert m.percapita(x, w, 0) == pytest.approx(1.0, abs=1e-14)
+    assert f1 == pytest.approx(1.0, abs=1e-14)
 
 
 def test_rps_rejects_unordered_draws():
@@ -261,4 +260,4 @@ def test_parse_model_round_trip_and_validation():
 def test_percapita_unavailable_for_structured():
     m = Biennial(0.4, 0.5, 1.0, 1.0)
     with pytest.raises(ConfigurationError):
-        m.percapita(np.array([1.0, 1.0]), np.array([2.0]), 0)
+        m.log_percapita(np.array([1.0, 1.0]), np.array([2.0]))

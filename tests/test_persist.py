@@ -27,6 +27,7 @@ from stochpop.models import (
     Biennial,
     Hassell,
     Lottery,
+    Model,
     RickerCompetition,
     RickerScalar,
     RpsLottery,
@@ -235,6 +236,50 @@ def test_classify_rejects_non_scalar():
     env = EnvSpec((Normal(1.0, 0.3), Normal(0.8, 0.3)))
     with pytest.raises(ConfigurationError):
         scalar_classify(RickerCompetition(0.6, 0.5), env, SimConfig(seed=1, horizon=100))
+
+
+class _NoStatedLimit(Model):
+    """A scalar per-capita model, x' = x exp(r - x), that states no
+    large-density limit."""
+
+    name = "no_stated_limit"
+    k = 1
+    env_dim = 1
+    sim_mode = "log_mult"
+    extinction = RickerScalar.extinction
+
+    def log_percapita(self, x, w):
+        return w[..., :1] - x
+
+
+_RANDOM_B = Uniform(0.5, 1.5)
+
+
+@pytest.mark.parametrize(
+    "model,envspec,want",
+    [
+        (Hassell(), EnvSpec((LogNormal(0.3, 0.3), _RANDOM_B)), -np.inf),
+        (RickerScalar(), EnvSpec((Normal(0.5, 0.3), _RANDOM_B)), -np.inf),
+        (Hassell(), EnvSpec((LogNormal(0.3, 0.3), Constant(0.0))), "lambda_0"),
+        (BevertonHolt(s=0.3), EnvSpec((LogNormal(0.4, 0.2), _RANDOM_B)), np.log(0.3)),
+        (BevertonHolt(s=0.0), EnvSpec((LogNormal(0.4, 0.2), _RANDOM_B)), -np.inf),
+        (_NoStatedLimit(), EnvSpec((Normal(0.5, 0.3),)), None),
+    ],
+    ids=["hassell", "ricker", "hassell-b0", "bh-survivors", "bh-no-survivors", "no-stated-limit"],
+)
+def test_classifier_reads_the_large_density_limit_each_model_states(model, envspec, want):
+    cfg = SimConfig(seed=13, replicates=2, burn_in=0, horizon=200)
+    if want is None:
+        # no sampled stand-in for the limit: the model is refused
+        with pytest.raises(ConfigurationError, match="no_stated_limit states no large-density limit"):
+            scalar_classify(model, envspec, cfg)
+        return
+    evidence = scalar_classify(model, envspec, cfg).evidence
+    if want == "lambda_0":
+        assert evidence["lambda_inf"] == evidence["lambda_0"]
+    else:
+        assert evidence["lambda_inf"].mean == want
+        assert evidence["lambda_inf"].std_error == 0.0
 
 
 @pytest.mark.parametrize(
@@ -446,7 +491,6 @@ def test_drift_verdict_fails_for_unit_alpha():
     con = drift_construction(m, env, seed=19)
     rigged = DriftConstruction(
         name="unit_alpha",
-        v_name="identity",
         v=con.v,
         alpha=lambda w: np.ones(w.shape[:-1]),
         beta=con.beta,
@@ -463,7 +507,6 @@ def test_drift_audit_reports_counterexample():
     con = drift_construction(m, env, seed=20)
     broken = DriftConstruction(
         name="no_beta",
-        v_name="identity",
         v=con.v,
         alpha=con.alpha,
         beta=lambda w: np.zeros(w.shape[:-1]),
@@ -508,7 +551,7 @@ def test_chunked_domination_audit_matches_all_at_once_reference():
     con = drift_construction(m, env, seed=18)
     # a chain that loses 1e-3 a step has its smallest slack at the last
     # step, so every draw of the horizon moves min_slack
-    sinking = DriftConstruction(name="sinking", v_name="total_density", v=con.v,
+    sinking = DriftConstruction(name="sinking", v=con.v,
                                 alpha=lambda w: np.ones(w.shape[:-1]),
                                 beta=lambda w: np.full(w.shape[:-1], -1e-3), params={})
     cfg = SimConfig(seed=18, replicates=3, horizon=5000)
