@@ -8,12 +8,10 @@ linearized dynamics (Monte Carlo and closed form).
 """
 
 from .engine import (
-    Box,
     Complement,
     Coordinate,
     EmpiricalSummary,
     ExtinctionNeighborhood,
-    Indicator,
     LogNorm,
     LogPerCapita,
     OutsideBall,
@@ -46,7 +44,6 @@ from .errors import (
 )
 from .lyap import (
     GammaClosedFormInput,
-    flowering_limit_report,
     gamma_closed_form,
     gamma_closed_form_detailed,
     lyapunov_mc,
@@ -70,7 +67,6 @@ from .persist import (
     boundary_invasion_report,
     drift_bounded_check,
     drift_construction,
-    drift_ergodic_check,
     find_persistence_weights,
     invasion_rate,
     lottery_taylor_rate,

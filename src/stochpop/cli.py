@@ -380,7 +380,7 @@ def _task_drift(model, envspec, sim, params):
     ]
     if steps > 0:
         audit = persist.affine_domination_audit(
-            model, envspec, construction, sim.replaced(horizon=steps, burn_in=0)
+            model, envspec, construction, dataclasses.replace(sim, horizon=steps, burn_in=0)
         )
         results["domination"] = audit
         rows.append(

@@ -4,27 +4,32 @@ The driver advances all replicates in lockstep (vectorized over the
 replicate axis) while every replicate consumes draws only from its own
 stream, so results are bit-identical across runs and across any grouping
 of rows into one batch.  Occupation fractions and functional
-time-averages are accumulated streaming over the post-burn-in window;
-standard errors come from 20 equal time batches per replicate, which keeps
-them honest under autocorrelation.  No sample path is stored: a run keeps
-only these sums and each replicate's terminal state, so its memory does not
-grow with the horizon.
+time-averages are counted and summed per time batch over the post-burn-in
+window; standard errors come from 20 equal time batches per replicate,
+which keeps them honest under autocorrelation.  No sample path is kept: a
+run keeps only these counts and sums and each replicate's terminal state,
+so its memory does not grow with the horizon.
 
 Every trajectory run, here and in lyap and persist, opens its rows through
 ``_open_rows``: one stream and one start per row, and the draws in checked
 pieces that each lie in one time batch.
 
-The step loop only advances the state and measures it.  The functionals of
-a piece's time batch are summed into one per-batch accumulator, the
-simplex floor flag is taken once per piece from a running minimum, and
-occupation is counted once per full state block: each measured state is
-stored in a ``(steps, rows, k)`` block of at most ``env._SCRATCH`` values,
-and every set tests the block when it is full and once after the last
-chunk.  Each gives the same bits as a per-step update.
+The step loop only advances the state and stores each measured row: the
+state into a ``(steps, rows, k)`` block, ``log f`` into a block of the same
+shape when a ``LogPerCapita`` is measured, and the log growth of the total
+into a ``(steps, rows)`` block when ``LogNorm`` is.  A block stores at most
+``env._SCRATCH`` values (or one step) after its row 0.  One call,
+``measure``, reads the blocks when they are full and at every piece end, so
+each call lies in one time batch: every set counts the stored states into
+its ``(rows, sets, batches)`` counts, and each summed block adds its rows to
+its batch's running sum, kept as the block's row 0, in step order.  That
+gives the bits of per-step ``acc += x``.  The simplex floor flag is taken
+once per piece from a running minimum.
 
 A run's memory is one draw block, reused by every chunk of the run (a chunk
 is valid only until the next is drawn), plus cache-sized buffers: the
-uniforms of a block of rows, the transform's scratch and the state block.
+uniforms of a block of rows, the transform's scratch and the measured
+blocks.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ __all__ = [
     "SimConfig",
     "ExtinctionNeighborhood",
     "OutsideBall",
-    "Box",
     "Complement",
     "RateEstimate",
     "EmpiricalSummary",
@@ -51,7 +55,6 @@ __all__ = [
     "SimulationResult",
     "Coordinate",
     "LogPerCapita",
-    "Indicator",
     "LogNorm",
     "simulate",
     "ergodic_average",
@@ -89,9 +92,6 @@ class SimConfig:
         if self.bound_radius is not None and not self.bound_radius > 0:
             raise ConfigurationError("bound_radius must be positive")
 
-    def replaced(self, **kw) -> "SimConfig":
-        return replace(self, **kw)
-
 
 # ---------------------------------------------------------------------------
 # Set descriptors
@@ -126,24 +126,6 @@ class OutsideBall:
 
 
 @dataclass(frozen=True)
-class Box:
-    """Product of closed per-coordinate intervals."""
-
-    intervals: tuple
-
-    @property
-    def name(self):
-        parts = ",".join(f"[{lo:g},{hi:g}]" for lo, hi in self.intervals)
-        return f"box({parts})"
-
-    def contains(self, x, model):
-        ok = np.ones(x.shape[:-1], dtype=bool)
-        for j, (lo, hi) in enumerate(self.intervals):
-            ok &= (x[..., j] >= lo) & (x[..., j] <= hi)
-        return ok
-
-
-@dataclass(frozen=True)
 class Complement:
     inner: object
 
@@ -169,15 +151,6 @@ class Coordinate:
 
 
 @dataclass(frozen=True)
-class Indicator:
-    set_descriptor: object
-
-    @property
-    def name(self):
-        return f"indicator[{self.set_descriptor.name}]"
-
-
-@dataclass(frozen=True)
 class LogPerCapita:
     i: int
 
@@ -191,11 +164,6 @@ class LogNorm:
     @property
     def name(self):
         return "log_norm_growth"
-
-
-# The functional kinds `_drive` measures, in the column order of its
-# per-batch accumulator
-_KINDS = (Coordinate, Indicator, LogPerCapita, LogNorm)
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +327,23 @@ def _open_rows(model, envspec, cfg, rows=None, estimates=False):
     return rows, x0, lengths, pieces()
 
 
-def _drive(model, envspec, cfg, functionals, sets, rows=None):
+def _step_sum(block):
+    """The sum of ``block``'s rows, added in step order: the bits of adding
+    them one at a time.  numpy sums a row of one value pairwise, so that one
+    is accumulated instead."""
+    if block[0].size == 1:
+        return np.add.accumulate(block, axis=0)[-1]
+    return np.add.reduce(block, axis=0)
+
+
+def _drive(model, envspec, cfg, functionals, sets, rows=None, estimates=False):
     """Advance a block of rows (see ``_open_rows``) in lockstep and measure
-    them over the post-burn-in window."""
+    them over the post-burn-in window: ``occ_counts[row, j, b]`` counts the
+    steps of time batch b in ``sets[j]``, and ``fsums[row, j, b]`` sums
+    ``functionals[j]`` over them.  A run with functionals, or one that asks
+    for ``estimates`` from its counts, needs at least 2 measured steps."""
     for f in functionals:
-        if not isinstance(f, _KINDS):
+        if not isinstance(f, (Coordinate, LogPerCapita, LogNorm)):
             raise ConfigurationError(f"unsupported functional {f!r}")
         if isinstance(f, (Coordinate, LogPerCapita)) and not 0 <= f.i < model.k:
             raise ConfigurationError(f"species index {f.i} of {f.name} out of range "
@@ -372,7 +352,7 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
         if isinstance(f, LogPerCapita) and model.sim_mode == "linear":
             raise ConfigurationError(f"{model.name} has no per-capita growth factors")
     rows, x, lengths, pieces = _open_rows(model, envspec, cfg, rows,
-                                          estimates=bool(functionals))
+                                          estimates=estimates or bool(functionals))
     k = model.k
     n_steps = cfg.horizon - cfg.burn_in
     rg = len(rows)
@@ -387,59 +367,49 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
     # a structural zero's log state is -inf, which never lies below -inf
     log_floor = np.where(alive0, LOG_FLOOR, -np.inf)
 
-    # Each functional's sum over the current time batch is kept in a row of
-    # acc, the rows grouped by kind, so each add runs over contiguous
-    # memory; acc is reset when a piece starts a new batch and stored into
-    # fsums[:, cols, b] at every piece end.  Each sum still starts at 0.0 and
-    # adds the same terms in the same order.
-    cols = [j for kind in _KINDS for j, f in enumerate(functionals) if isinstance(f, kind)]
-    groups = [[f for f in functionals if isinstance(f, kind)] for kind in _KINDS]
-    coords, indicators, lpcs, lognorms = groups
-    # the log growth of the total is computed only when it is measured
-    norm = bool(lognorms)
-    acc = np.zeros((len(cols), rg))
-    acc_b = 0
-    bounds = np.cumsum([0] + [len(group) for group in groups]).tolist()
-    acc_coord, acc_ind, acc_lpc, acc_norm = (acc[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
-    coord_idx = np.array([f.i for f in coords], dtype=np.intp)
-    lpc_idx = np.array([f.i for f in lpcs], dtype=np.intp)
-    ind_rows = [(acc_ind[n], f.set_descriptor) for n, f in enumerate(indicators)]
+    # Measured steps are stored in rows 1..held of each block: the states
+    # when a set or a Coordinate reads them, log f when a LogPerCapita does,
+    # and the log growth of the total when LogNorm does.  Row 0 of a summed
+    # block is its running sum over the current time batch, so each
+    # functional's batch sum is a view of a row 0.
+    kinds = {type(f) for f in functionals}
+    span = max(1, min(n_steps, _SCRATCH // (rg * k)))
+    xs = np.empty((span + 1, rg, k)) if sets or Coordinate in kinds else None
+    lf = np.empty((span + 1, rg, k)) if LogPerCapita in kinds else None
+    norm = LogNorm in kinds  # the growth of the total is computed only then
+    gr = np.empty((span + 1, rg)) if norm else None
+    summed = [block for block, kind in ((xs, Coordinate), (lf, LogPerCapita), (gr, LogNorm))
+              if kind in kinds]
+    views = [gr[0] if isinstance(f, LogNorm) else
+             (xs if isinstance(f, Coordinate) else lf)[0, :, f.i] for f in functionals]
+    held = 0
+    batch = -1  # the time batch of the running sums, set to 0.0 when it starts
 
-    occ_counts = np.zeros((rg, len(sets)), dtype=np.int64)
+    counts = np.zeros((rg, len(sets), len(lengths)), dtype=np.int32)
     fsums = np.zeros((rg, len(functionals), len(lengths)))
     floored = np.zeros(rg, dtype=bool)
     # simplex mode: each coordinate's smallest value within the piece
     xmin = np.full((rg, k), np.inf)
-    # measured states, counted into occ_counts each time the block is full
-    # and once after the last chunk; the block holds at most _SCRATCH values
-    # (or one step), so it and each set's test stay in cache
-    xs = np.empty((max(1, min(n_steps, _SCRATCH // (rg * k))), rg, k)) if sets else None
-    held = 0
 
-    def count_occupation(states):
+    def measure(b, n):
+        """Count the n stored states into each set's batch-b counts and add
+        each summed block's n stored rows to its running sum."""
         for j, sd in enumerate(sets):
-            occ_counts[:, j] += sd.contains(states, model).sum(axis=0)
+            counts[:, j, b] += sd.contains(xs[1:n + 1], model).sum(axis=0)
+        for block in summed:
+            block[0] = _step_sum(block[:n + 1])
 
     for t, b, draws in pieces:
         measuring = b >= 0
-        if b > acc_b:
-            acc.fill(0.0)
-            acc_b = b
+        if b > batch:
+            for block in summed:
+                block[0] = 0.0
+            batch = b
         for w in draws:
             if log_state:
                 x = np.exp(np.minimum(ell, LOG_CAP))
-
-            if measuring:
-                if sets:
-                    xs[held] = x
-                    held += 1
-                    if held == len(xs):
-                        count_occupation(xs)
-                        held = 0
-                if coords:
-                    acc_coord += x.T.take(coord_idx, axis=0)
-                for row, sd in ind_rows:
-                    row += sd.contains(x, model)
+            if measuring and xs is not None:
+                xs[held + 1] = x
 
             # advance one step; each mode sets logf and, if measured, growth
             if mode == "log_mult":
@@ -470,10 +440,14 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
                 x = x_new
 
             if measuring:
-                if lpcs:
-                    acc_lpc += logf.T.take(lpc_idx, axis=0)
+                if lf is not None:
+                    lf[held + 1] = logf
                 if norm:
-                    acc_norm += growth
+                    gr[held + 1] = growth
+                held += 1
+                if held == span:
+                    measure(b, held)
+                    held = 0
 
         last = t + len(draws) - 1
         if mode == "simplex":
@@ -488,8 +462,11 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
                 step=last,
             )
         if measuring:
+            measure(b, held)
+            held = 0
+            for j, view in enumerate(views):
+                fsums[:, j, b] = view
             # earlier batches were checked when they were stored
-            fsums[:, cols, b] = acc.T
             bad_sum = ~np.isfinite(fsums[:, :, b])
             if bad_sum.any():
                 row, j = (int(i) for i in np.argwhere(bad_sum)[0])
@@ -499,13 +476,11 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None):
                     step=last,
                 )
 
-    if held:
-        count_occupation(xs[:held])
     if log_state:
         x = np.exp(np.minimum(ell, LOG_CAP))
 
     return {
-        "occ_counts": occ_counts,
+        "occ_counts": counts,
         "fsums": fsums,
         "floored": floored,
         "terminal": x,
@@ -551,7 +526,7 @@ def _build_result(raw, functionals, sets) -> SimulationResult:
     lengths = raw["lengths"]
     fsums = raw["fsums"]
     rows, n_f, b = fsums.shape
-    occ = raw["occ_counts"] / n_steps
+    occ = raw["occ_counts"].sum(axis=-1) / n_steps
     names = [f.name for f in functionals]
     set_names = [sd.name for sd in sets]
     means, ses = _batch_estimates(fsums, lengths, n_steps, raw["labels"], names)
@@ -614,7 +589,7 @@ def terminal_states(model, envspec, cfg, t: int) -> np.ndarray:
     A run of horizon t from the same config ends in the same states."""
     if not (1 <= t <= cfg.horizon):
         raise ConfigurationError("time index must satisfy 1 <= t <= horizon")
-    probe = cfg.replaced(horizon=t, burn_in=0, eta_grid=(), bound_radius=None)
+    probe = replace(cfg, horizon=t, burn_in=0, eta_grid=(), bound_radius=None)
     return _drive(model, envspec, probe, (), ())["terminal"]
 
 

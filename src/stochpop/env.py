@@ -218,9 +218,6 @@ class EnvSpec:
     def dim(self) -> int:
         return len(self.coords)
 
-    def is_deterministic(self) -> bool:
-        return all(isinstance(c, Constant) for c in self.coords)
-
     def transform(self, u: np.ndarray, out=None) -> np.ndarray:
         """Map uniforms of shape ``(n, ..., dim)`` to environment vectors, in
         ``out`` (of u's shape, any strides) when given.

@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .engine import RateEstimate, SimConfig, _batch_estimates, _open_rows
 from .errors import ConfigurationError, NumericError, QuadratureError
@@ -47,7 +46,6 @@ __all__ = [
     "lyapunov_mc",
     "gamma_closed_form",
     "gamma_closed_form_detailed",
-    "flowering_limit_report",
     "adaptive_simpson",
 ]
 
@@ -291,7 +289,7 @@ def gamma_closed_form_detailed(inp: GammaClosedFormInput) -> dict:
 
     The endpoints take dedicated branches: p = 0 gives ln(a) exactly, and
     p = 1 is evaluated at the cap 1 - 1e-6 because z -> 0 makes both
-    integrals diverge slowly (see :func:`flowering_limit_report`).
+    integrals diverge slowly.
     """
     if inp.p == 0.0:
         return {"value": math.log(inp.a), "error_bound": 0.0, "evaluations": 0}
@@ -308,24 +306,3 @@ def gamma_closed_form_detailed(inp: GammaClosedFormInput) -> dict:
 
 def gamma_closed_form(inp: GammaClosedFormInput) -> float:
     return gamma_closed_form_detailed(inp)["value"]
-
-
-def flowering_limit_report(a: float, theta: float, k: float, rel_tol: float = 1e-7) -> dict:
-    """Compare the p -> 1 quadrature limit against both closed-form candidates.
-
-    The always-flowering endpoint admits the form (ln(a*theta) + psi(q))/2
-    with the digamma argument q either the survivorship a or the gamma shape
-    k; the two readings disagree whenever a != k.  This report states both
-    discrepancies and deliberately picks neither.
-    """
-    limit = gamma_closed_form(GammaClosedFormInput(p=1.0, a=a, theta=theta, k=k, rel_tol=rel_tol))
-    # both digamma arguments are positive: the input check above passed
-    cand_surv, cand_shape = (0.5 * (math.log(a * theta) + float(special.digamma(q)))
-                             for q in (a, k))
-    return {
-        "quadrature_limit": limit,
-        "candidate_digamma_of_survivorship": cand_surv,
-        "candidate_digamma_of_shape": cand_shape,
-        "abs_diff_survivorship": abs(limit - cand_surv),
-        "abs_diff_shape": abs(limit - cand_shape),
-    }

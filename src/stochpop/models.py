@@ -155,6 +155,11 @@ class RickerScalar(Model):
     sim_mode = "log_mult"
     extinction = Origin()
 
+    def check_draws(self, w, t=0):
+        a = w[..., 1]
+        if not a.min() >= 0:
+            _refuse(a < 0, "ricker needs a >= 0", t)
+
     def log_percapita(self, x, w):
         r, a = w[..., 0], w[..., 1]
         lf = r - a * x[..., 0]

@@ -14,8 +14,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .engine import ExtinctionNeighborhood, Indicator, LogPerCapita, RateEstimate, SimConfig
-from .engine import _binomial_estimate, _build_result, _drive, _open_rows, _row_slice, simulate
+from .engine import ExtinctionNeighborhood, LogPerCapita, RateEstimate, SimConfig, _batch_estimates
+from .engine import _binomial_estimate, _build_result, _drive, _open_rows, _row_slice
 from .env import make_stream, sample_block
 from .errors import ConfigurationError, FaceDegenerateError
 from .models import (
@@ -41,7 +41,6 @@ __all__ = [
     "drift_construction",
     "drift_bounded_check",
     "affine_domination_audit",
-    "drift_ergodic_check",
     "rps_condition",
     "lottery_taylor_rate",
 ]
@@ -379,24 +378,24 @@ def scalar_classify(model, envspec, cfg: SimConfig) -> Verdict:
         kind = "inconclusive"
         margins = [_margin(lam0), _margin(lam_inf)]
 
-    sim_cfg = cfg if cfg.eta_grid else cfg.replaced(eta_grid=(0.01,))
-    near = Indicator(ExtinctionNeighborhood(min(sim_cfg.eta_grid)))
+    near = ExtinctionNeighborhood(min(cfg.eta_grid, default=0.01))
+    r_total = cfg.replicates
     # one replicate shows no spread between replicates, so its occupation
     # takes its SE from its own time batches
-    result = simulate(model, envspec, sim_cfg, functionals=(near,) if cfg.replicates == 1 else ())
-    r_total = len(result.replicates)
+    raw = _drive(model, envspec, cfg, (), (near,), estimates=r_total == 1)
+    name = f"occupation[{near.name}]"
     evidence = {
         "lambda_0": lam0,
         "lambda_inf": lam_inf,
-        "extinct_fraction": _binomial_estimate(
-            np.array([s.extinction_flag for s in result.replicates])),
+        "extinct_fraction": _binomial_estimate(raw["floored"]),
     }
-    name = near.set_descriptor.name
+    n_steps, lengths = raw["n_steps"], raw["lengths"]
     if r_total == 1:
-        evidence[f"occupation[{name}]"] = result.pooled.functional_averages[near.name]
+        means, ses = _batch_estimates(raw["occ_counts"], lengths, n_steps, raw["labels"], [name])
+        evidence[name] = RateEstimate(float(means[0, 0]), float(ses[0, 0]), len(lengths), n_steps)
     else:
-        occs = np.array([s.occupation[name] for s in result.replicates])
-        evidence[f"occupation[{name}]"] = RateEstimate(
+        occs = raw["occ_counts"][:, 0].sum(axis=-1) / n_steps
+        evidence[name] = RateEstimate(
             float(occs.mean()), float(occs.std(ddof=1) / np.sqrt(r_total)), 1, r_total)
     return Verdict(kind=kind, evidence=evidence, decision_margin=float(min(margins)))
 
@@ -498,12 +497,13 @@ def drift_construction(model, envspec, seed: int = 0, margin: float = 0.1) -> Dr
     raise ConfigurationError(f"no shipped drift construction for {model.name}")
 
 
-def _log_uniform_states(stream, n, k, lo=1e-6, hi=1e6, zero_fraction=0.05):
-    """Audit states spread over decades, with a sprinkling of exact zeros so
-    the extinction boundary is exercised."""
+def _log_uniform_states(stream, n, k):
+    """Audit states spread over the decades from 1e-6 to 1e6, with a
+    sprinkling of exact zeros so the extinction boundary is exercised."""
+    lo, hi = 1e-6, 1e6
     u = stream.uniforms(n * k).reshape(n, k)
     x = 10.0 ** (np.log10(lo) + (np.log10(hi) - np.log10(lo)) * u)
-    mask = stream.uniforms(n * k).reshape(n, k) < zero_fraction
+    mask = stream.uniforms(n * k).reshape(n, k) < 0.05
     x[mask] = 0.0
     return x
 
@@ -575,45 +575,6 @@ def affine_domination_audit(model, envspec, construction: DriftConstruction, cfg
             z = construction.alpha(w) * z + construction.beta(w)
             min_slack = min(min_slack, float((z - construction.v(x)).min()))
     return {"ok": min_slack >= 0.0, "min_slack": min_slack, "steps": cfg.horizon}
-
-
-def drift_ergodic_check(model, envspec, v, set_c, beta: float, n_states: int,
-                        inner: int = 1000, seed: int = 0):
-    """Sampled audit of E[V(X_1) | X_0 = x] <= (1 - beta) V(x) + 1_C(x).
-
-    Advisory only: the inner expectation is estimated by Monte Carlo at
-    each sampled state (exactly, for deterministic environments) and the
-    worst slack is reported with its state.
-    """
-    if not (0.0 < beta < 1.0):
-        raise ConfigurationError("beta must lie in (0, 1)")
-    model.check_env(envspec)
-    exact = envspec.is_deterministic()
-    if exact:
-        inner = 1
-    stream = make_stream(seed, _BASE_AUDIT + 1)
-    x = _log_uniform_states(stream, n_states, model.k, lo=1e-3, hi=1e4, zero_fraction=0.0)
-    worst = {"slack": np.inf, "x": None, "inner_se": 0.0}
-    holds = True
-    for s in range(n_states):
-        w = _point_draws(model, envspec, stream, inner)
-        vx1 = v(model.step(np.tile(x[s], (inner, 1)), w))
-        est = RateEstimate(float(vx1[0]), 0.0, 1, 1) if exact else _iid_estimate(vx1)
-        indicator = 1.0 if bool(set_c.contains(x[s], model)) else 0.0
-        rhs = (1.0 - beta) * float(v(x[s][None, :])[0]) + indicator
-        slack = rhs - est.mean
-        if slack < worst["slack"]:
-            worst = {"slack": slack, "x": x[s].tolist(), "inner_se": est.std_error}
-        if _call(est, rhs) > 0:
-            holds = False
-    return {
-        "holds": holds,
-        "worst_slack": float(worst["slack"]),
-        "worst_x": worst["x"],
-        "inner_se_at_worst": float(worst["inner_se"]),
-        "n_states": n_states,
-        "inner": inner,
-    }
 
 
 # ---------------------------------------------------------------------------

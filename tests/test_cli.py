@@ -589,8 +589,17 @@ _RETIRED_PARAMS = {
     "lyapunov_norm": (dict(_gamma_task_cfg(), task="lyapunov", task_params={"norm": "l1"}),
                       "unknown lyapunov task_params ['norm']"),
 }
+# (config, expected stderr): a draw outside the model's domain; before it
+# was refused, ricker with a negative density coefficient took its verdict
+# on the rate at zero as the large-density limit, then exited 3 on a
+# non-finite state in the confirming run
+_OUT_OF_DOMAIN = {
+    "ricker_negative_a": (dict(_classify_cfg(), model={
+        "model": "ricker", "a": -0.5, "r": {"dist": "normal", "mean": 0.0, "sd": 0.3}}),
+        "ricker needs a >= 0 (first at step 0)"),
+}
 _REFUSED_PARAMS = {**_MISTYPED_PARAMS_MORE, **_TOO_FEW_SAMPLES, **_OUT_OF_RANGE,
-                   **_RETIRED_PARAMS}
+                   **_RETIRED_PARAMS, **_OUT_OF_DOMAIN}
 
 
 @pytest.mark.parametrize("case", list(_REFUSED_PARAMS))
@@ -905,6 +914,9 @@ _ONE_MEASURED_STEP = {
     "simulate": _one_step(_simulate_cfg()),
     "gamma": _one_step(_gamma_cfg(), burn_in=0),
     "lyapunov": dict(_one_step(_gamma_cfg()), task="lyapunov"),
+    # one replicate's occupation SE comes from its time batches
+    "classify_one_replicate": _one_step(dict(_classify_cfg(),
+                                             sim=dict(_classify_cfg()["sim"], replicates=1))),
 }
 
 

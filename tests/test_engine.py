@@ -3,6 +3,7 @@
 import itertools
 import re
 import tracemalloc
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -11,10 +12,8 @@ from scipy.special import logsumexp
 
 from stochpop import engine, lyap, persist
 from stochpop.engine import (
-    Box,
     Coordinate,
     ExtinctionNeighborhood,
-    Indicator,
     LogNorm,
     LogPerCapita,
     OutsideBall,
@@ -72,6 +71,30 @@ class AffineChain(Model):
         return w[..., :1] * x + w[..., 1:]
 
 
+@dataclass(frozen=True)
+class Box:
+    """A set the tests build: the product of closed per-coordinate intervals."""
+
+    intervals: tuple
+
+    @property
+    def name(self):
+        parts = ",".join(f"[{lo:g},{hi:g}]" for lo, hi in self.intervals)
+        return f"box({parts})"
+
+    def contains(self, x, model):
+        ok = np.ones(x.shape[:-1], dtype=bool)
+        for j, (lo, hi) in enumerate(self.intervals):
+            ok &= (x[..., j] >= lo) & (x[..., j] <= hi)
+        return ok
+
+
+def _with_sets(model, envspec, cfg, functionals, sets):
+    """``simulate``'s result, measuring ``sets`` instead of the default ones."""
+    raw = _drive(model, envspec, cfg, functionals, sets)
+    return engine._build_result(raw, functionals, sets)
+
+
 def _bh_env():
     return EnvSpec((Constant(2.0), Constant(1.0)))
 
@@ -84,13 +107,9 @@ def test_deterministic_beverton_holt_settles_at_fixed_point():
     assert x == pytest.approx(1.0, abs=1e-12)
 
     cfg = SimConfig(seed=1, replicates=3, burn_in=200, horizon=1200)
-    result = simulate(
-        BevertonHolt(s=0.0),
-        _bh_env(),
-        cfg,
-        functionals=(Indicator(Box(((0.99, 1.01),))), Coordinate(0)),
-    )
-    assert result.pooled.functional_averages["indicator[box([0.99,1.01])]"].mean == 1.0
+    result = _with_sets(BevertonHolt(s=0.0), _bh_env(), cfg, (Coordinate(0),),
+                        (Box(((0.99, 1.01),)),))
+    assert result.pooled.occupation["box([0.99,1.01])"] == 1.0
     est = result.pooled.functional_averages["coord_0"]
     assert est.mean == pytest.approx(1.0, abs=1e-9)
 
@@ -98,7 +117,7 @@ def test_deterministic_beverton_holt_settles_at_fixed_point():
     pinned = simulate(
         BevertonHolt(s=0.0),
         _bh_env(),
-        cfg.replaced(initial_state=(1.0,)),
+        replace(cfg, initial_state=(1.0,)),
         functionals=(Coordinate(0),),
     )
     at_fp = pinned.pooled.functional_averages["coord_0"]
@@ -246,9 +265,9 @@ def test_ensemble_hit_probability_tracks_extinction():
 def test_affine_chain_contracts_to_geometric_limit():
     cfg = SimConfig(seed=12, replicates=3, burn_in=200, horizon=1200, bound_radius=5.0)
     env = EnvSpec((Constant(0.5), Constant(1.0)))
-    result = simulate(AffineChain(), env, cfg, (Indicator(Box(((1.9, 2.1),))),))
+    result = _with_sets(AffineChain(), env, cfg, (), (*default_sets(cfg), Box(((1.9, 2.1),))))
     for s in result.replicates:
-        assert s.functional_averages["indicator[box([1.9,2.1])]"].mean == 1.0
+        assert s.occupation["box([1.9,2.1])"] == 1.0
         assert s.occupation["outside_ball=5"] == 0.0
         assert not s.extinction_flag
 
@@ -268,7 +287,7 @@ def test_affine_chain_tail_occupation_decreases_with_radius():
     env = EnvSpec((LogNormal(-0.3, 0.4), Constant(1.0)))
     occs = []
     for radius in (2.0, 4.0, 8.0, 16.0, 32.0):
-        result = simulate(AffineChain(), env, cfg.replaced(bound_radius=radius))
+        result = simulate(AffineChain(), env, replace(cfg, bound_radius=radius))
         occs.append(result.pooled.occupation[f"outside_ball={radius:g}"])
     assert all(b <= a + 1e-12 for a, b in zip(occs, occs[1:]))
     assert occs[-1] < 0.05
@@ -312,8 +331,9 @@ _LINEAR_FLOOR = float(np.exp(LOG_FLOOR))
 
 
 def _reference_drive(model, envspec, cfg, functionals, sets):
-    """The driver with its pair functionals accumulated separately in each
-    sim_mode branch, one replicate per row."""
+    """The driver measuring every step as it goes: each set counted and
+    each functional added into its time batch one step at a time, the pair
+    functionals in each sim_mode branch, one replicate per row."""
     support = tuple(range(model.k))
     rows = [(r, support, f"replicate {r}") for r in range(cfg.replicates)]
     t_total = cfg.horizon
@@ -330,10 +350,10 @@ def _reference_drive(model, envspec, cfg, functionals, sets):
         with np.errstate(divide="ignore"):
             ell = np.log(x)
 
-    state_fns = [f for f in functionals if isinstance(f, (Coordinate, Indicator))]
-    pair_fns = [f for f in functionals if not isinstance(f, (Coordinate, Indicator))]
+    state_fns = [f for f in functionals if isinstance(f, Coordinate)]
+    pair_fns = [f for f in functionals if not isinstance(f, Coordinate)]
     f_index = {f.name: i for i, f in enumerate(functionals)}
-    occ_counts = np.zeros((rg, len(sets)), dtype=np.int64)
+    occ_counts = np.zeros((rg, len(sets), n_batches), dtype=np.int64)
     fsums = np.zeros((rg, len(functionals), n_batches))
     floored = np.zeros(rg, dtype=bool)
     frozen = np.zeros(rg, dtype=bool)
@@ -349,13 +369,9 @@ def _reference_drive(model, envspec, cfg, functionals, sets):
                 rel = step_t - burn
                 b = (rel * n_batches) // n_steps
                 for j, sd in enumerate(sets):
-                    occ_counts[:, j] += sd.contains(x, model)
+                    occ_counts[:, j, b] += sd.contains(x, model)
                 for f in state_fns:
-                    if isinstance(f, Coordinate):
-                        val = x[:, f.i]
-                    else:
-                        val = f.set_descriptor.contains(x, model).astype(float)
-                    fsums[:, f_index[f.name], b] += val
+                    fsums[:, f_index[f.name], b] += x[:, f.i]
 
             if mode == "log_mult":
                 logf = model.log_percapita(x, w)
@@ -403,7 +419,9 @@ def _reference_drive(model, envspec, cfg, functionals, sets):
 
     if mode == "log_mult":
         x = np.exp(np.minimum(ell, LOG_CAP))
-    return {"occ_counts": occ_counts, "fsums": fsums, "floored": floored, "terminal": x}
+    return {"occ_counts": occ_counts, "fsums": fsums, "floored": floored, "terminal": x,
+            "labels": [label for _, _, label in rows], "n_steps": n_steps,
+            "lengths": engine._batch_lengths(n_steps, n_batches)}
 
 
 # (model, env, pair functionals); p = 1 makes a zero seed draw on a
@@ -429,26 +447,64 @@ _DRIVE_CASES = {
 _DRIVE_CFG = {"lottery-floor": {"initial_state": (1.0, 1e-303)}}
 
 
+@pytest.mark.parametrize("replicates", [1, 2, 3, 64])
 @pytest.mark.parametrize("case", list(_DRIVE_CASES))
-def test_drive_matches_per_mode_reference(monkeypatch, case):
-    # 7- to 21-step chunks at _BLOCK = 64, so burn_in 25 ends inside a chunk
+def test_drive_matches_per_mode_reference(monkeypatch, case, replicates):
+    # 7- to 21-step chunks at _BLOCK = 64 and 3 rows, so burn_in 25 ends
+    # inside a chunk; 64 rows draw one-step chunks
     monkeypatch.setattr(engine, "_BLOCK", 64)
     model, env, pair_fns = _DRIVE_CASES[case]
-    cfg = SimConfig(seed=16, replicates=3, burn_in=25, horizon=400,
-                    eta_grid=(0.05,), bound_radius=2.0).replaced(**_DRIVE_CFG.get(case, {}))
+    cfg = replace(SimConfig(seed=16, replicates=replicates, burn_in=25, horizon=400,
+                            eta_grid=(0.05,), bound_radius=2.0), **_DRIVE_CFG.get(case, {}))
     # two coordinates where k > 1 (the reference names each column once)
-    functionals = (Coordinate(model.k - 1), Indicator(Box(((0.2, 1.5),) * model.k)),
-                   *[Coordinate(0)][:model.k - 1], *pair_fns)
-    sets = default_sets(cfg)
-    got = _drive(model, env, cfg, functionals, sets)
+    functionals = (Coordinate(model.k - 1), *[Coordinate(0)][:model.k - 1], *pair_fns)
+    sets = (*default_sets(cfg), Box(((0.2, 1.5),) * model.k))
     want = _reference_drive(model, env, cfg, functionals, sets)
+    if not np.isfinite(want["fsums"]).all():
+        # a linear row that crossed the floor keeps stepping and can reach a
+        # zero total (biennial at 64 rows); the driver refuses the sum
+        with pytest.raises(NumericError, match="non-finite estimate of log_norm_growth"):
+            _drive(model, env, cfg, functionals, sets)
+        return
+    got = _drive(model, env, cfg, functionals, sets)
     for key in ("occ_counts", "fsums", "floored", "terminal"):
         assert np.array_equal(got[key], want[key]), key
-    if case == "biennial":
+    assert got["occ_counts"].shape == (replicates, len(sets), 20)
+    if case == "biennial" and replicates >= 3:
         assert 0 < got["floored"].sum() < cfg.replicates
     if case == "lottery-floor":
         assert got["floored"].any()
         assert np.all(got["terminal"][got["floored"]] > _LINEAR_FLOOR)  # a dip, not an absorption
+
+
+def test_step_sum_adds_rows_in_step_order():
+    # terms spread over 24 decades: numpy's reduce sums a one-value column
+    # pairwise, which differs here from adding the terms one at a time
+    rng = np.random.default_rng(5)
+    terms = rng.normal(size=2001) * 10.0 ** rng.integers(-12, 12, size=2001)
+    for shape in ((1,), (1, 1), (2,), (2, 1), (1, 3), (64, 1)):
+        scale = (1.0 + np.arange(np.prod(shape))).reshape(shape)  # columns differ
+        block = terms.reshape(-1, *[1] * len(shape)) * scale
+        want = np.zeros(shape)
+        for row in block:
+            want = want + row
+        assert np.array_equal(engine._step_sum(block), want), shape
+    one = terms.reshape(-1, 1)
+    assert not np.array_equal(np.add.reduce(one, axis=0), engine._step_sum(one))
+
+
+def test_one_row_functional_of_widely_varying_terms_matches_the_reference():
+    # E[log alpha] = 0: log z wanders with sd 3 a step, so the coordinate's
+    # terms within a batch span many decades, and a pairwise sum of a
+    # one-row block changes their last bits
+    model = AffineChain()
+    env = EnvSpec((LogNormal(0.0, 3.0), Constant(1.0)))
+    cfg = SimConfig(seed=8, replicates=1, burn_in=10, horizon=1010)
+    functionals = (Coordinate(0), LogNorm())
+    got = _drive(model, env, cfg, functionals, ())
+    want = _reference_drive(model, env, cfg, functionals, ())
+    for key in ("fsums", "floored", "terminal"):
+        assert np.array_equal(got[key], want[key]), key
 
 
 def _recut_chunks(lengths):
@@ -480,14 +536,15 @@ def test_occupation_per_chunk_matches_the_reference_across_burn_in_edges(
     model, env, pair_fns = _DRIVE_CASES[case]
     cfg = SimConfig(seed=17, replicates=3, burn_in=burn_in, horizon=200,
                     eta_grid=(0.05, 0.5), bound_radius=2.0)
-    functionals = (Coordinate(0), Indicator(Box(((0.2, 1.5),) * model.k)), *pair_fns)
-    sets = default_sets(cfg)
+    functionals = (Coordinate(0), *pair_fns)
+    sets = (*default_sets(cfg), Box(((0.2, 1.5),) * model.k))
     got = _drive(model, env, cfg, functionals, sets)
     want = _reference_drive(model, env, cfg, functionals, sets)
     for key in ("occ_counts", "fsums", "floored", "terminal"):
         assert np.array_equal(got[key], want[key]), key
-    # the ball and its complement split every measured step
-    assert np.all(got["occ_counts"][:, 2] + got["occ_counts"][:, 3] == 200 - burn_in)
+    # the ball and its complement split every measured step of each batch
+    assert np.array_equal(got["occ_counts"][:, 2] + got["occ_counts"][:, 3],
+                          np.tile(got["lengths"], (cfg.replicates, 1)))
 
 
 @pytest.mark.parametrize("case", ["hassell", "lottery", "biennial", "affine"])
@@ -787,14 +844,14 @@ def _reference_estimate(sums, bmeans, n_steps):
     return engine.RateEstimate(mean, float(np.sqrt(flat.var(ddof=1) / b)), b, n)
 
 
-def _reference_rows(raw, functionals):
-    """Each row's estimates one call at a time, and the first non-finite one
-    in row order, named as the error names it."""
-    bmeans = raw["fsums"] / raw["lengths"]
+def _reference_rows(raw, functionals, key="fsums"):
+    """Each row's estimates of the sums ``raw[key]`` one call at a time, and
+    the first non-finite one in row order, named as the error names it."""
+    bmeans = raw[key] / raw["lengths"]
     out, first_bad = [], None
     with np.errstate(all="ignore"):
         for r, label in enumerate(raw["labels"]):
-            fa = {f.name: _reference_estimate(raw["fsums"][r, j], bmeans[r, j], raw["n_steps"])
+            fa = {f.name: _reference_estimate(raw[key][r, j], bmeans[r, j], raw["n_steps"])
                   for j, f in enumerate(functionals)}
             out.append(fa)
             for name, est in fa.items():
@@ -817,7 +874,7 @@ def _reference_pool(raw, functionals):
 def _raw(fsums, n_steps):
     rows = len(fsums)
     return {
-        "occ_counts": np.zeros((rows, 0), dtype=np.int64),
+        "occ_counts": np.zeros((rows, 0, fsums.shape[-1]), dtype=np.int32),
         "fsums": fsums,
         "floored": np.zeros(rows, dtype=bool),
         "terminal": np.ones((rows, 1)),
@@ -849,19 +906,31 @@ def test_row_wise_reduction_matches_per_row_estimates():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("horizon", [2, 301])
 def test_row_wise_reduction_matches_per_row_estimates_on_a_run(horizon):
-    # horizon 2 leaves two batches of one step; Indicator of an empty box
-    # has zero spread in every row
+    # horizon 2 leaves two batches of one step; an empty box has zero spread
+    # in every row
     cfg = SimConfig(seed=4, replicates=5, burn_in=0, horizon=horizon)
     env = EnvSpec((LogNormal(0.3, 0.3), Constant(1.0)))
-    functionals = (Coordinate(0), LogPerCapita(0), Indicator(Box(((-2.0, -1.0),))), LogNorm())
-    raw = _drive(Hassell(), env, cfg, functionals, ())
+    functionals = (Coordinate(0), LogPerCapita(0), LogNorm())
+    sets = (ExtinctionNeighborhood(0.5), Box(((-2.0, -1.0),)))
+    raw = _drive(Hassell(), env, cfg, functionals, sets)
     want, _ = _reference_rows(raw, functionals)
-    got = engine._build_result(raw, functionals, ())
+    got = engine._build_result(raw, functionals, sets)
     assert [s.functional_averages for s in got.replicates] == want
     assert got.pooled.functional_averages == _reference_pool(raw, functionals)
     for r, s in enumerate(got.replicates):
         assert np.shares_memory(s.terminal_state, raw["terminal"])
         assert np.array_equal(s.terminal_state, raw["terminal"][r])
+    # each set's per-batch counts give a time-batch estimate of its
+    # occupation, the same as one from per-step indicators
+    reference = _reference_drive(Hassell(), env, cfg, functionals, sets)
+    assert np.array_equal(raw["occ_counts"], reference["occ_counts"])
+    means, ses = engine._batch_estimates(raw["occ_counts"], raw["lengths"], raw["n_steps"],
+                                         raw["labels"], [sd.name for sd in sets])
+    want, _ = _reference_rows(reference, sets, key="occ_counts")
+    assert [[(est.mean, est.std_error) for est in row.values()] for row in want] == [
+        list(zip(m, e)) for m, e in zip(means.tolist(), ses.tolist())]
+    assert np.all(ses[:, 1] == 0.0) and np.all(means[:, 1] == 0.0)
+    assert [s.occupation["S_eta=0.5"] for s in got.replicates] == means[:, 0].tolist()
 
 
 def test_lyapunov_mc_matches_the_reference_estimate():

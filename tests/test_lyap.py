@@ -2,11 +2,11 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.integrate
-import scipy.special
 
 from stochpop import engine, lyap
 from stochpop.engine import _CHUNK, SimConfig, _batch_lengths
@@ -15,7 +15,6 @@ from stochpop.errors import ConfigurationError, NumericError, QuadratureError
 from stochpop.lyap import (
     GammaClosedFormInput,
     adaptive_simpson,
-    flowering_limit_report,
     gamma_closed_form,
     gamma_closed_form_detailed,
     _mc_batch_sums,
@@ -84,7 +83,7 @@ def test_scale_invariance_of_estimator():
     cfg = SimConfig(seed=22, replicates=2, burn_in=100, horizon=2100, initial_state=tuple(base))
     ref = lyapunov_mc(m, env, cfg)
     for c in (0.5, 2.0, 8.0):  # power-of-two scalings are float-exact
-        scaled = lyapunov_mc(m, env, cfg.replaced(initial_state=tuple(c * base)))
+        scaled = lyapunov_mc(m, env, replace(cfg, initial_state=tuple(c * base)))
         assert scaled.mean == ref.mean
         assert scaled.std_error == ref.std_error
 
@@ -296,23 +295,6 @@ def test_closed_form_matches_monte_carlo():
     mc = lyapunov_mc(m, env, cfg)
     cf = gamma_closed_form(GammaClosedFormInput(p=0.5, a=0.5, theta=2.0, k=1.0))
     assert abs(mc.mean - cf) < 3 * mc.std_error
-
-
-def test_flowering_limit_report_states_both_candidates():
-    rep = flowering_limit_report(0.5, 2.0, 1.0)
-    assert set(rep) == {
-        "quadrature_limit",
-        "candidate_digamma_of_survivorship",
-        "candidate_digamma_of_shape",
-        "abs_diff_survivorship",
-        "abs_diff_shape",
-    }
-    expected_shape = 0.5 * (math.log(0.5 * 2.0) + scipy.special.digamma(1.0))
-    assert rep["candidate_digamma_of_shape"] == pytest.approx(expected_shape, abs=1e-12)
-    # digamma is defined for positive arguments only, which the input check ensures
-    for a, k in ((0.0, 1.0), (0.5, -1.0)):
-        with pytest.raises(ConfigurationError):
-            flowering_limit_report(a, 2.0, k)
 
 
 def test_closed_form_input_validation():

@@ -9,15 +9,13 @@ import pytest
 from stochpop import engine, persist
 from stochpop.engine import (
     _CHUNK,
-    Box,
     ExtinctionNeighborhood,
-    Indicator,
     LogPerCapita,
+    RateEstimate,
     SimConfig,
     _build_result,
     _drive,
     _initial_states,
-    ergodic_average,
     simulate,
 )
 from stochpop.env import Constant, EnvSpec, Gamma, LogNormal, Normal, Uniform, make_stream, sample_block
@@ -41,7 +39,6 @@ from stochpop.persist import (
     boundary_invasion_report,
     drift_bounded_check,
     drift_construction,
-    drift_ergodic_check,
     find_persistence_weights,
     invasion_rate,
     lottery_taylor_rate,
@@ -49,7 +46,7 @@ from stochpop.persist import (
     rps_condition,
     scalar_classify,
 )
-from test_engine import AffineChain, _bad_at_zero_word, _zero_words
+from test_engine import _bad_at_zero_word, _zero_words
 
 
 # ---------------------------------------------------------------------------
@@ -83,16 +80,13 @@ def test_constant_environment_growth_is_exact():
 
 
 # Fewer than two draws give no standard error; before they were refused, a
-# one-sample Taylor rate and a one-draw inner drift expectation came back
-# with standard error 0.0, which the 3-SE rule reads as exact
+# one-sample Taylor rate came back with standard error 0.0, which the 3-SE
+# rule reads as exact
 _ONE_DRAW_ESTIMATES = {
     "mean_percapita_growth_at": lambda: mean_percapita_growth_at(
         Hassell(), EnvSpec((LogNormal(0.2, 0.3), Uniform(0.5, 1.5))), [1.0], 0, 1, seed=1),
     "lottery_taylor_rate": lambda: lottery_taylor_rate(
         EnvSpec((LogNormal(1.0, 0.3),) * 3), 0.05, np.eye(3)[:1], 1, seed=1),
-    "drift_ergodic_check": lambda: drift_ergodic_check(
-        AffineChain(), EnvSpec((Constant(0.5), Uniform(0.0, 1.0))), lambda x: x[..., 0],
-        Box(((0.0, 10.0),)), beta=0.4, n_states=3, inner=1, seed=21),
 }
 
 
@@ -227,9 +221,26 @@ def test_one_replicate_classify_takes_its_occupation_se_from_time_batches():
     cfg = SimConfig(seed=42, replicates=1, burn_in=0, horizon=3000, eta_grid=(0.01,))
     got = scalar_classify(Hassell(), env, cfg).evidence["occupation[S_eta=0.01]"]
     near = ExtinctionNeighborhood(0.01)
-    assert got == ergodic_average(Hassell(), env, cfg, Indicator(near))
     assert got.mean == simulate(Hassell(), env, cfg).replicates[0].occupation[near.name]
     assert (got.batches, got.n) == (20, 3000) and got.std_error > 0.0
+
+
+def test_one_replicate_classify_occupation_keeps_its_bits():
+    # the estimate and SE that an indicator functional's 20 time batches
+    # gave, now from the set's own per-batch counts: 613 steps make batches
+    # of 30 and 31 steps, and the smallest eta of the grid is the set
+    cfg = SimConfig(seed=7, replicates=1, burn_in=0, horizon=613, eta_grid=(0.5, 0.2))
+    got = scalar_classify(Hassell(), _hassell_env(0.05), cfg).evidence
+    assert got["occupation[S_eta=0.2]"] == RateEstimate(0.9738988580750407, 0.017146532185067436,
+                                                        20, 613)
+
+
+def test_classify_refuses_a_negative_ricker_density_coefficient():
+    # before, the stated limit was taken as the rate at zero and the
+    # confirming run exited 3 on a non-finite state at step 10..19
+    env = EnvSpec((Normal(0.0, 0.3), Constant(-0.5)))
+    with pytest.raises(ConfigurationError, match=re.escape("ricker needs a >= 0 (first at step 0)")):
+        scalar_classify(RickerScalar(), env, SimConfig(seed=1, replicates=2, horizon=200))
 
 
 def test_classify_rejects_non_scalar():
@@ -561,34 +572,6 @@ def test_chunked_domination_audit_matches_all_at_once_reference():
         assert audit == _reference_domination_audit(m, env, construction, cfg)
 
 
-def test_drift_ergodic_check_toy_contraction():
-    envspec = EnvSpec((Constant(0.5), Uniform(0.0, 1.0)))
-    chain = AffineChain()
-
-    def v(x):
-        return x[..., 0]
-
-    box = Box(((0.0, 10.0),))
-    ok = drift_ergodic_check(chain, envspec, v, box, beta=0.4, n_states=200, inner=400, seed=21)
-    assert ok["holds"]
-    bad = drift_ergodic_check(chain, envspec, v, box, beta=0.99, n_states=200, inner=400, seed=21)
-    assert not bad["holds"]
-    assert bad["worst_slack"] < 0
-
-
-def test_drift_ergodic_check_deterministic_is_exact():
-    envspec = EnvSpec((Constant(0.5), Constant(0.5)))
-    chain = AffineChain()
-
-    def v(x):
-        return x[..., 0]
-
-    rep = drift_ergodic_check(chain, envspec, v, Box(((0.0, 10.0),)), beta=0.4, n_states=100, seed=22)
-    assert rep["inner"] == 1
-    assert rep["holds"]
-    assert rep["inner_se_at_worst"] == 0.0
-
-
 # ---------------------------------------------------------------------------
 # cyclic lottery conditions
 
@@ -737,11 +720,6 @@ def _point_mc_cases():
         "drift_bounded_check_moments": (
             lambda: drift_bounded_check(hassell, env_h, construction(), 100, seed=3),
             {persist._BASE_MOMENTS: [2 * 1234]}, hassell_msg, 1234),
-        # 3 states take 6 words; state 1's inner block starts at word 106
-        "drift_ergodic_check": (
-            lambda: drift_ergodic_check(hassell, env_h, lambda x: x[..., 0], Box(((0.0, 2.0),)),
-                                        0.5, n_states=3, inner=50, seed=3),
-            {persist._BASE_AUDIT + 1: [106 + 2 * 17]}, hassell_msg, 17),
         # rows 2 and 0 of a 3-row audit, after one word of random start
         "affine_domination_audit": (
             lambda: affine_domination_audit(hassell, env_h, construction(),
