@@ -11,8 +11,8 @@ run keeps only these counts and sums and each replicate's terminal state,
 so its memory does not grow with the horizon.
 
 Every trajectory run, here and in lyap and persist, opens its rows through
-``_open_rows``: one stream and one start per row, and the draws in checked
-pieces that each lie in one time batch.
+``_open_rows``: one stream and one start per row, and the draws in pieces
+that each lie in one time batch.
 
 The step loop only advances the state and stores each measured row: the
 state into a ``(steps, rows, k)`` block, ``log f`` into a block of the same
@@ -291,10 +291,10 @@ def _open_rows(model, envspec, cfg, rows=None, estimates=False):
     starts on its support; by default they are replicates 0..R-1 of
     ``model`` on every species.  Returns ``(rows, x0, lengths, pieces)``:
     one start per row, the step count of each time batch, and ``(t, b,
-    draws)`` for steps t..t+n-1.  Each draw chunk is checked once by
-    ``model.check_draws`` and cut at the burn-in end and at every time-batch
-    edge, so a piece lies in one chunk and one batch ``b`` (-1 in the
-    burn-in); it is valid only until the next piece is drawn.
+    draws)`` for steps t..t+n-1, no draw of which is read: ``check_env``
+    decided the domain.  Each chunk is cut at the burn-in end and at every
+    time-batch edge, so a piece lies in one chunk and one batch ``b`` (-1 in
+    the burn-in); it is valid only until the next piece is drawn.
 
     A run that makes time-batch ``estimates`` needs at least 2 measured
     steps: one step is one batch, whose standard error would read 0.  Fewer
@@ -315,7 +315,6 @@ def _open_rows(model, envspec, cfg, rows=None, estimates=False):
     def pieces():
         b = -1
         for t0, draws in _draw_chunks(envspec, streams, cfg.horizon):
-            model.check_draws(draws, t0)
             t, end = t0, t0 + len(draws)
             while t < end:
                 while edges[b + 1] <= t:
@@ -429,10 +428,9 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None, estimates=False):
                 np.minimum(xmin, x, out=xmin)
                 growth = 0.0  # the total stays 1
             else:
-                x_new = model.step(x, w)
-                crossed = (np.max(x_new, axis=-1) <= _LINEAR_FLOOR) & ~floored
-                if crossed.any():
-                    floored |= crossed
+                x_new = model.step(x, w)  # a floored row keeps its last state
+                floored |= np.max(x_new, axis=-1) <= _LINEAR_FLOOR
+                if floored.any():
                     x_new[floored] = x[floored]
                 if measuring and norm:
                     with np.errstate(divide="ignore", invalid="ignore"):

@@ -9,7 +9,8 @@ scalar distribution in an :class:`EnvSpec`.  Determinism contract:
 * Every scalar draw is produced by inverse CDF from exactly one uniform
   (normal via ``ndtri``, gamma via ``gammaincinv``), so the value of draw
   ``i`` depends only on ``(seed, replicate_id, i)``, however the draws are
-  cut into calls or grouped with other streams' draws.
+  cut into calls or grouped with other streams' draws.  Every draw lies in
+  :meth:`EnvSpec.bounds`, so it is finite in any environment a model accepts.
 * :meth:`EnvSpec.transform` may cut a block of draws into slices and run
   each slice's inverse CDF on its own CPU (see ``_split_ppf``).  Each value
   is still computed from its own uniform by the same ppf, so the bits do not
@@ -217,6 +218,19 @@ class EnvSpec:
     @property
     def dim(self) -> int:
         return len(self.coords)
+
+    def bounds(self) -> np.ndarray:
+        """The ``(2, dim)`` least and greatest draw of each coordinate: a ppf
+        at the least and greatest uniform, or all values of a Discrete, whose
+        values may be unsorted and whose clip can draw a last value of p = 0."""
+        out = np.empty((2, self.dim))
+        for j, c in enumerate(self.coords):
+            if isinstance(c, Discrete):
+                out[:, j] = min(c.values), max(c.values)
+            else:  # every other ppf is nondecreasing; an overflow is an infinite bound
+                with np.errstate(over="ignore"):
+                    out[:, j] = c.ppf(np.array([2.0**-54, 1.0 - 2.0**-53]), out=np.empty(2))
+        return out
 
     def transform(self, u: np.ndarray, out=None) -> np.ndarray:
         """Map uniforms of shape ``(n, ..., dim)`` to environment vectors, in

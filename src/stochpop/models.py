@@ -10,9 +10,9 @@ leading axes: ``x`` may be ``(k,)`` or ``(R, k)`` with ``w`` of matching
 leading shape.
 
 ``step``, ``log_percapita`` and ``linearization_at_zero`` are unchecked
-kernels: they assume draws the model is defined on.  ``check_draws`` refuses
-any other draw, and every consumer of draws calls it once on each whole
-block (each chunk of a run, each Monte Carlo sample), never per step.
+kernels: they assume draws in the model's domain, stated as the least draw
+``low`` of each column.  ``check_env`` decides it once from ``EnvSpec.bounds``;
+a domain that couples columns overrides ``check_env``.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ __all__ = [
 LOG_FLOOR = -700.0
 # Linear-space views of exploding log states saturate here to stay finite.
 LOG_CAP = 709.0
+_POSITIVE = float(np.nextafter(0.0, 1.0))  # the least draw of a domain "> 0"
 
 
 @dataclass(frozen=True)
@@ -64,18 +65,6 @@ class CoordinateUnion:
         return np.min(x[..., list(self.indices)], axis=-1)
 
 
-def _refuse(bad, message, t):
-    """Raise ``message`` if any flag of ``bad`` is set.  ``bad`` has the
-    leading axes of a step-major draw block, so the first offending step is
-    the first flagged index on axis 0, counted from ``t``.  A model with a
-    bound per draw column builds ``bad`` only when a minimum fails it: first
-    one minimum over the whole block, which is contiguous, then, for
-    different bounds, one per column."""
-    if bad.any():
-        first = int(np.argmax(bad.reshape(len(bad), -1).any(axis=1))) if bad.ndim else 0
-        raise ConfigurationError(f"{message} (first at step {t + first})")
-
-
 class Model:
     """Shared interface; concrete models fill in the class attributes."""
 
@@ -89,12 +78,10 @@ class Model:
     # "simplex": frequency dynamics renormalized each step, states on the simplex;
     # "linear": plain state-space iteration.
     sim_mode = "linear"
-
-    def check_draws(self, w, t=0):
-        """Raise ``ConfigurationError`` if a draw of the step-major block
-        ``w`` lies outside the model's domain, naming the first offending
-        step: row 0 of ``w`` is step ``t`` (or sample ``t``).  ``w`` is
-        ``(n, ..., env_dim)``, or one ``(env_dim,)`` vector."""
+    # The domain: each environment column's least draw (one number: every
+    # column's), and the refusal of an environment that draws below it
+    low = -np.inf
+    domain = ""
 
     def step(self, x, w):
         # per-capita models: x_i' = x_i * f_i(x, w), renormalized on a simplex
@@ -115,11 +102,18 @@ class Model:
     def linearization_at_zero(self, w):
         raise ConfigurationError(f"{self.name} is not a structured model")
 
-    def check_env(self, env: EnvSpec):
+    def check_env(self, env: EnvSpec) -> np.ndarray:
+        """Refuse ``env`` unless every draw is finite and in the domain; returns its bounds."""
         if env.dim != self.env_dim:
             raise ConfigurationError(
                 f"{self.name} needs {self.env_dim} environment coordinates, got {env.dim}"
             )
+        bounds = env.bounds()
+        if not np.isfinite(bounds).all():
+            raise ConfigurationError(f"draws must be finite (least, greatest {bounds.tolist()})")
+        if (bounds[0] < self.low).any():
+            raise ConfigurationError(f"{self.domain} (least draws {bounds[0].tolist()})")
+        return bounds
 
 
 class Hassell(Model):
@@ -130,11 +124,8 @@ class Hassell(Model):
     env_dim = 2
     sim_mode = "log_mult"
     extinction = Origin()
-
-    def check_draws(self, w, t=0):
-        lam, b = w[..., 0], w[..., 1]
-        if not (w.min() > 0 or lam.min() > 0 and b.min() >= 0):
-            _refuse((lam <= 0) | (b < 0), "hassell needs lam > 0 and b >= 0", t)
+    low = (_POSITIVE, 0.0)
+    domain = "hassell needs lam > 0 and b >= 0"
 
     def log_percapita(self, x, w):
         lam, b = w[..., 0], w[..., 1]
@@ -154,11 +145,8 @@ class RickerScalar(Model):
     env_dim = 2
     sim_mode = "log_mult"
     extinction = Origin()
-
-    def check_draws(self, w, t=0):
-        a = w[..., 1]
-        if not a.min() >= 0:
-            _refuse(a < 0, "ricker needs a >= 0", t)
+    low = (-np.inf, 0.0)
+    domain = "ricker needs a >= 0"
 
     def log_percapita(self, x, w):
         r, a = w[..., 0], w[..., 1]
@@ -177,16 +165,13 @@ class BevertonHolt(Model):
     env_dim = 2
     sim_mode = "log_mult"
     extinction = Origin()
+    low = (_POSITIVE, 0.0)
+    domain = "beverton_holt needs lam > 0 and a >= 0"
 
     def __init__(self, s: float = 0.0):
         if not (0.0 <= s < 1.0):
             raise ConfigurationError("beverton_holt survivorship must lie in [0, 1)")
         self.s = float(s)
-
-    def check_draws(self, w, t=0):
-        lam, a = w[..., 0], w[..., 1]
-        if not (w.min() > 0 or lam.min() > 0 and a.min() >= 0):
-            _refuse((lam <= 0) | (a < 0), "beverton_holt needs lam > 0 and a >= 0", t)
 
     def log_percapita(self, x, w):
         lam, a = w[..., 0], w[..., 1]
@@ -235,6 +220,8 @@ class Lottery(Model):
 
     name = "lottery"
     sim_mode = "simplex"
+    low = _POSITIVE
+    domain = "lottery fecundities must be strictly positive"
 
     def __init__(self, k: int, d: float):
         if k < 2:
@@ -245,9 +232,6 @@ class Lottery(Model):
         self.d = float(d)
         self.env_dim = self.k
         self.extinction = CoordinateUnion(tuple(range(self.k)))
-
-    def check_draws(self, w, t=0):
-        _refuse((w <= 0).any(axis=-1), "lottery fecundities must be strictly positive", t)
 
     def log_percapita(self, x, w):
         x = np.asarray(x, dtype=float)
@@ -275,9 +259,13 @@ class RpsLottery(Model):
         self.d = float(d)
         self.extinction = CoordinateUnion((0, 1, 2))
 
-    def check_draws(self, w, t=0):
-        a, b, g = w[..., 0], w[..., 1], w[..., 2]
-        _refuse((g <= 0) | (b <= g) | (a <= b), "draws must satisfy alpha > beta > gamma > 0", t)
+    def check_env(self, env):
+        bounds = super().check_env(env)
+        (a_lo, b_lo, g_lo), (_, b_hi, g_hi) = bounds.tolist()
+        if not (g_lo > 0 and b_lo > g_hi and a_lo > b_hi):
+            raise ConfigurationError(f"draws must satisfy alpha > beta > gamma > 0 (least draws "
+                                     f"{bounds[0].tolist()}, greatest {bounds[1].tolist()})")
+        return bounds
 
     def _rates(self, x, w):
         a, b, g = w[..., 0], w[..., 1], w[..., 2]
@@ -311,6 +299,8 @@ class Biennial(Model):
     env_dim = 1
     sim_mode = "linear"
     extinction = Origin()
+    low = 0.0
+    domain = "biennial seed draws must be nonnegative"
 
     def __init__(self, p: float, a: float, b1: float, b2: float):
         if not (0.0 <= p <= 1.0):
@@ -320,9 +310,6 @@ class Biennial(Model):
         if not (b1 > 0 and b2 > 0):
             raise ConfigurationError("competition strengths b1, b2 must be positive")
         self.p, self.a, self.b1, self.b2 = float(p), float(a), float(b1), float(b2)
-
-    def check_draws(self, w, t=0):
-        _refuse(w[..., 0] < 0, "biennial seed draws must be nonnegative", t)
 
     def step(self, x, w):
         x = np.asarray(x, dtype=float)
@@ -353,15 +340,14 @@ class LinearMatrix(Model):
     name = "linear_matrix"
     sim_mode = "linear"
     extinction = Origin()
+    low = 0.0
+    domain = "matrix entries must be nonnegative"
 
     def __init__(self, k: int):
         if k < 1:
             raise ConfigurationError("matrix dimension must be at least 1")
         self.k = int(k)
         self.env_dim = self.k * self.k
-
-    def check_draws(self, w, t=0):
-        _refuse((w < 0).any(axis=-1), "matrix entries must be nonnegative", t)
 
     def _matrix(self, w):
         w = np.asarray(w, dtype=float)

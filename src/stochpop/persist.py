@@ -116,16 +116,16 @@ def mean_percapita_growth_at(model, envspec, x, i: int, n: int, seed: int = 0) -
     model.check_env(envspec)
     if not (0 <= i < model.k):
         raise ConfigurationError(f"species index {i} out of range")
-    w = _point_draws(model, envspec, make_stream(seed, _BASE_POINT_MC), n)
+    w = _point_draws(model, envspec, seed, _BASE_POINT_MC, n)
     return _growth_on(model, x, i, w)
 
 
-def _point_draws(model, envspec, stream, n: int) -> np.ndarray:
-    """The next n draws of ``stream``, one per row, checked by ``model``.
-    A size below 2 draws at most one row, which ``_iid_estimate`` refuses."""
-    w = sample_block(envspec, stream, max(n, 0))
-    model.check_draws(w)
-    return w
+def _point_draws(model, envspec, seed: int, sid: int, n: int) -> np.ndarray:
+    """The first n draws of stream (seed, sid), one per row, from an
+    environment ``model.check_env`` accepts before the stream opens.  A size
+    below 2 draws at most one row, which ``_iid_estimate`` refuses."""
+    model.check_env(envspec)
+    return sample_block(envspec, make_stream(seed, sid), max(n, 0))
 
 
 def _growth_on(model, x, i: int, w: np.ndarray) -> RateEstimate:
@@ -195,14 +195,13 @@ def _vertex_rows(model: RpsLottery, envspec, cfg: SimConfig) -> list:
     """Boundary rows for the cyclic lottery: face dynamics collapse to the
     vertices, so the only ergodic boundary measures are the vertex point
     masses and each row is evaluated there directly, every species' rate
-    from one checked block of draws per vertex."""
-    model.check_env(envspec)
+    from one block of draws per vertex."""
     n = int(min(max(cfg.horizon - cfg.burn_in, 1000), 100_000))
     rows = []
     for j in range(model.k):
         x = np.zeros((n, model.k))
         x[:, j] = 1.0
-        w = _point_draws(model, envspec, make_stream(cfg.seed, _BASE_VERTEX + j), n)
+        w = _point_draws(model, envspec, cfg.seed, _BASE_VERTEX + j, n)
         logf = model.log_percapita(x, w)
         rates = {i: _iid_estimate(logf[:, i]) for i in range(model.k)}
         rows.append(FaceRow(support=(j,), measure="analytic_vertex", rates=rates))
@@ -432,7 +431,7 @@ class DriftReport:
 def _scalar_contraction_scale(model, envspec, seed, margin) -> float:
     """Smallest doubling scale M with E[log f(M)] clearly below -margin;
     every scale is tested on the same draws."""
-    w = _point_draws(model, envspec, make_stream(seed, _SCALE_MC), 4000)
+    w = _point_draws(model, envspec, seed, _SCALE_MC, 4000)
     m_val = 1.0
     for _ in range(60):
         est = _growth_on(model, np.full(1, m_val), 0, w)
@@ -522,7 +521,7 @@ def drift_bounded_check(model, envspec, construction: DriftConstruction, n: int,
         raise ConfigurationError("need at least 1 (x, w) pair")
     stream = make_stream(seed, _BASE_AUDIT)
     x = _log_uniform_states(stream, n, model.k)
-    w = _point_draws(model, envspec, stream, n)
+    w = sample_block(envspec, stream, n)  # from the environment checked above
     lhs = construction.v(model.step(x, w))
     rhs = construction.alpha(w) * construction.v(x) + construction.beta(w)
     tol = 1e-9 * (1.0 + np.abs(rhs))
@@ -539,7 +538,7 @@ def drift_bounded_check(model, envspec, construction: DriftConstruction, n: int,
             "rhs": float(rhs[idx]),
         }
 
-    moments = _point_draws(model, envspec, make_stream(seed, _BASE_MOMENTS), max(n, 4000))
+    moments = _point_draws(model, envspec, seed, _BASE_MOMENTS, max(n, 4000))
     with np.errstate(divide="ignore"):
         log_alpha = np.log(construction.alpha(moments))
         logp_beta = np.maximum(np.log(construction.beta(moments)), 0.0)
@@ -591,7 +590,7 @@ def rps_condition(envspec, d: float, n: int, seed: int = 0) -> dict:
     if envspec.dim != 3:
         raise ConfigurationError("environment must supply (alpha, beta, gamma) draws")
     model = RpsLottery(d)  # checks the death fraction
-    w = _point_draws(model, envspec, make_stream(seed, _BASE_POINT_MC + 1), n)
+    w = _point_draws(model, envspec, seed, _BASE_POINT_MC + 1, n)
     a, b, g = w[:, 0], w[:, 1], w[:, 2]
     exact = np.log1p(d * (a / b - 1.0)) + np.log1p(d * (g / b - 1.0))
     small = a / b + g / b - 2.0
@@ -623,7 +622,7 @@ def lottery_taylor_rate(envspec, d: float, face_samples, invader: int, seed: int
     if not 0 <= invader < m:
         raise ConfigurationError(f"invader {invader} out of range for {m} species")
     n = x.shape[0]
-    w = _point_draws(Lottery(m, d), envspec, make_stream(seed, _BASE_POINT_MC + 2), n)
+    w = _point_draws(Lottery(m, d), envspec, seed, _BASE_POINT_MC + 2, n)
     ratio = w[:, invader] / np.sum(x * w, axis=-1)
     base = _iid_estimate(ratio)
     return RateEstimate(-d + d * base.mean, d * base.std_error, base.batches, n)

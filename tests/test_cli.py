@@ -21,6 +21,7 @@ from stochpop.engine import RateEstimate
 from stochpop.env import env_to_config
 from stochpop.errors import ConfigurationError
 from stochpop.models import parse_model
+from test_engine import _no_streams
 
 
 def _classify_cfg(seed=42):
@@ -172,10 +173,10 @@ def test_numeric_error_exits_3(tmp_path):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_exponent_exits_3_without_outputs(tmp_path, capsys):
-    # lognormal draws that overflow to inf stop the run in its first piece
+    # a product of 1e200s overflows and stops the run in its first piece
     cfg = {
         "model": {"model": "linear_matrix",
-                  "entries": [[{"dist": "lognormal", "log_mean": 0.0, "log_sd": 300.0}]]},
+                  "entries": [[{"dist": "constant", "value": 1e200}]]},
         "sim": {"seed": 0, "replicates": 2, "burn_in": 0, "horizon": 5000},
         "task": "lyapunov",
     }
@@ -589,14 +590,25 @@ _RETIRED_PARAMS = {
     "lyapunov_norm": (dict(_gamma_task_cfg(), task="lyapunov", task_params={"norm": "l1"}),
                       "unknown lyapunov task_params ['norm']"),
 }
-# (config, expected stderr): a draw outside the model's domain; before it
-# was refused, ricker with a negative density coefficient took its verdict
-# on the rate at zero as the large-density limit, then exited 3 on a
-# non-finite state in the confirming run
+# (config, expected stderr): an environment that can draw outside the
+# model's domain, refused from its range before any stream opens.  Before
+# draws were checked, ricker with a negative density coefficient took its
+# verdict on the rate at zero as the large-density limit, then exited 3 on a
+# non-finite state in the confirming run; before the range decided it,
+# hassell's Normal(2, 0.3) lam (least draw -0.488) ran unless a draw at or
+# below zero landed, and LogNormal(0, 300) entries overflowed to inf and
+# exited 3
 _OUT_OF_DOMAIN = {
     "ricker_negative_a": (dict(_classify_cfg(), model={
         "model": "ricker", "a": -0.5, "r": {"dist": "normal", "mean": 0.0, "sd": 0.3}}),
-        "ricker needs a >= 0 (first at step 0)"),
+        "ricker needs a >= 0 (least draws [-2.4877"),
+    "hassell_normal_lam": (dict(_simulate_cfg(), model={
+        "model": "hassell", "b": 1.0, "lam": {"dist": "normal", "mean": 2.0, "sd": 0.3}}),
+        "hassell needs lam > 0 and b >= 0 (least draws [-0.4877"),
+    "linear_matrix_lognormal_overflow": (dict(_gamma_task_cfg(), task="lyapunov", model={
+        "model": "linear_matrix",
+        "entries": [[{"dist": "lognormal", "log_mean": 0.0, "log_sd": 300.0}]]}),
+        "draws must be finite (least, greatest [[0.0], [inf]])"),
 }
 _REFUSED_PARAMS = {**_MISTYPED_PARAMS_MORE, **_TOO_FEW_SAMPLES, **_OUT_OF_RANGE,
                    **_RETIRED_PARAMS, **_OUT_OF_DOMAIN}
@@ -609,6 +621,15 @@ def test_mistyped_model_or_task_param_exits_2_without_outputs(tmp_path, capsys, 
     assert main(["run", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", list(_OUT_OF_DOMAIN))
+def test_out_of_domain_config_exits_2_before_any_stream_opens(tmp_path, monkeypatch, case):
+    _no_streams(monkeypatch)
+    cfg, _ = _OUT_OF_DOMAIN[case]
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 2
     assert not out.exists()
 
 

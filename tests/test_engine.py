@@ -50,8 +50,6 @@ from stochpop.models import (
     Origin,
     RickerCompetition,
     RickerScalar,
-    RpsLottery,
-    _refuse,
 )
 
 
@@ -63,9 +61,8 @@ class AffineChain(Model):
     k = 1
     env_dim = 2
     extinction = Origin()
-
-    def check_draws(self, w, t=0):
-        _refuse((w < 0).any(axis=-1), "affine chain draws must be nonnegative", t)
+    low = 0.0
+    domain = "affine chain draws must be nonnegative"
 
     def step(self, x, w):
         return w[..., :1] * x + w[..., 1:]
@@ -333,7 +330,8 @@ _LINEAR_FLOOR = float(np.exp(LOG_FLOOR))
 def _reference_drive(model, envspec, cfg, functionals, sets):
     """The driver measuring every step as it goes: each set counted and
     each functional added into its time batch one step at a time, the pair
-    functionals in each sim_mode branch, one replicate per row."""
+    functionals in each sim_mode branch, one replicate per row.  ``before``
+    holds each floored linear row's state in the step before it crossed."""
     support = tuple(range(model.k))
     rows = [(r, support, f"replicate {r}") for r in range(cfg.replicates)]
     t_total = cfg.horizon
@@ -356,7 +354,7 @@ def _reference_drive(model, envspec, cfg, functionals, sets):
     occ_counts = np.zeros((rg, len(sets), n_batches), dtype=np.int64)
     fsums = np.zeros((rg, len(functionals), n_batches))
     floored = np.zeros(rg, dtype=bool)
-    frozen = np.zeros(rg, dtype=bool)
+    before = np.full((rg, model.k), np.nan)
 
     for t, draws in _draw_chunks(envspec, streams, t_total):
         for s, w in enumerate(draws):
@@ -403,11 +401,10 @@ def _reference_drive(model, envspec, cfg, functionals, sets):
                 x = x_new
             else:
                 x_new = model.step(x, w)
-                crossed = (np.max(x_new, axis=-1) <= _LINEAR_FLOOR) & ~frozen
-                if crossed.any():
-                    floored |= crossed
-                    frozen |= crossed
-                    x_new[frozen] = x[frozen]
+                crossed = (np.max(x_new, axis=-1) <= _LINEAR_FLOOR) & ~floored
+                before[crossed] = x[crossed]
+                floored |= crossed
+                x_new[floored] = x[floored]
                 if measuring and pair_fns:
                     tot_old = x.sum(axis=-1)
                     tot_new = x_new.sum(axis=-1)
@@ -421,7 +418,7 @@ def _reference_drive(model, envspec, cfg, functionals, sets):
         x = np.exp(np.minimum(ell, LOG_CAP))
     return {"occ_counts": occ_counts, "fsums": fsums, "floored": floored, "terminal": x,
             "labels": [label for _, _, label in rows], "n_steps": n_steps,
-            "lengths": engine._batch_lengths(n_steps, n_batches)}
+            "lengths": engine._batch_lengths(n_steps, n_batches), "before": before}
 
 
 # (model, env, pair functionals); p = 1 makes a zero seed draw on a
@@ -460,18 +457,18 @@ def test_drive_matches_per_mode_reference(monkeypatch, case, replicates):
     functionals = (Coordinate(model.k - 1), *[Coordinate(0)][:model.k - 1], *pair_fns)
     sets = (*default_sets(cfg), Box(((0.2, 1.5),) * model.k))
     want = _reference_drive(model, env, cfg, functionals, sets)
-    if not np.isfinite(want["fsums"]).all():
-        # a linear row that crossed the floor keeps stepping and can reach a
-        # zero total (biennial at 64 rows); the driver refuses the sum
-        with pytest.raises(NumericError, match="non-finite estimate of log_norm_growth"):
-            _drive(model, env, cfg, functionals, sets)
-        return
     got = _drive(model, env, cfg, functionals, sets)
     for key in ("occ_counts", "fsums", "floored", "terminal"):
         assert np.array_equal(got[key], want[key]), key
     assert got["occ_counts"].shape == (replicates, len(sets), 20)
     if case == "biennial" and replicates >= 3:
         assert 0 < got["floored"].sum() < cfg.replicates
+        # a floored row stays where it was before it crossed; before, a row
+        # was held only in the step it crossed, and at 64 rows replicate 43
+        # stepped on from step 92 to a zero total at step 117 (exit 3)
+        held = got["floored"]
+        assert np.array_equal(got["terminal"][held], want["before"][held])
+        assert np.all(got["terminal"][held].max(axis=-1) > _LINEAR_FLOOR)
     if case == "lottery-floor":
         assert got["floored"].any()
         assert np.all(got["terminal"][got["floored"]] > _LINEAR_FLOOR)  # a dip, not an absorption
@@ -696,7 +693,7 @@ def test_pieces_tile_the_horizon_within_chunks_and_batches(monkeypatch, case):
     burn_in, horizon, block = _PIECE_CASES[case]
     if block is not None:
         monkeypatch.setattr(engine, "_BLOCK", block)
-    chunks, checked = [], []
+    chunks = []
 
     def recording(envspec, streams, t_total):
         for t, draws in _draw_chunks(envspec, streams, t_total):
@@ -704,11 +701,9 @@ def test_pieces_tile_the_horizon_within_chunks_and_batches(monkeypatch, case):
             yield t, draws
 
     monkeypatch.setattr(engine, "_draw_chunks", recording)
-    model = Hassell()
-    model.check_draws = lambda w, t=0: checked.append((t, len(w)))
     cfg = SimConfig(seed=3, replicates=3, burn_in=burn_in, horizon=horizon)
     env = EnvSpec((LogNormal(0.3, 0.3), Uniform(0.5, 1.5)))
-    _, _, lengths, pieces = engine._open_rows(model, env, cfg)
+    _, _, lengths, pieces = engine._open_rows(Hassell(), env, cfg)
     n_steps = horizon - burn_in
     n_batches = min(20, n_steps)
     step, cells = 0, set()
@@ -728,7 +723,6 @@ def test_pieces_tile_the_horizon_within_chunks_and_batches(monkeypatch, case):
     assert len(cells) == len({(s - s % len(chunks[0][1]),
                                -1 if s < burn_in else ((s - burn_in) * n_batches) // n_steps)
                               for s in range(horizon)})
-    assert checked == [(c, len(chunk)) for c, chunk in chunks]  # each chunk once
 
 
 def test_every_trajectory_run_opens_its_streams_through_open_rows(monkeypatch):
@@ -965,117 +959,73 @@ def test_row_wise_reduction_names_the_same_non_finite_row():
 
 
 # ---------------------------------------------------------------------------
-# Draw checks, once per draw block
+# Draw domains, decided once per environment from its exact range
+
+_TINY = float(np.nextafter(0.0, 1.0))  # the least draw of a domain "> 0"
 
 
-def _bad_at_zero_word(bad, good):
-    """Draws ``good``, except that an exact zero word (nudged to 2**-54)
-    draws ``bad``: no other word is below the first probability."""
-    return Discrete((bad, good), (1e-16, 1.0 - 1e-16))
+def _no_streams(monkeypatch):
+    """Fail any stream a trajectory run or a Monte Carlo sample opens."""
+    def no_stream(*args):
+        raise AssertionError("a stream was opened")
+
+    monkeypatch.setattr(engine, "make_stream", no_stream)
+    monkeypatch.setattr(persist, "make_stream", no_stream)
 
 
-def _zero_words(monkeypatch, module, zeros):
-    """Streams opened through ``module`` emit exact zeros at the given word
-    indices, keyed by replicate id."""
-    real = module.make_stream
-
-    def make(seed, replicate_id=0):
-        stream = real(seed, replicate_id)
-        if replicate_id in zeros:
-            stream._gen = _ZeroAt(stream._gen, zeros[replicate_id])
-        return stream
-
-    monkeypatch.setattr(module, "make_stream", make)
-
-
-# model, environment with one bad-at-zero coordinate j, j, today's wording
-_DRAW_CHECK_CASES = {
-    "hassell": (Hassell(), (_bad_at_zero_word(0.0, 2.0), Constant(1.0)), 0,
-                "hassell needs lam > 0 and b >= 0"),
-    "beverton_holt": (BevertonHolt(), (_bad_at_zero_word(0.0, 2.0), Constant(1.0)), 0,
-                      "beverton_holt needs lam > 0 and a >= 0"),
-    "lottery": (Lottery(3, 0.3), (LogNormal(1.0, 0.3), _bad_at_zero_word(0.0, 2.0),
-                                  LogNormal(1.0, 0.3)), 1,
+# model, coordinates whose column j draws exactly the domain's least draw,
+# j, and the refusal; an environment whose column j draws just below it is
+# refused.  Gamma(0.01, 1)'s least draw underflows to exactly 0.
+_EDGE_CASES = {
+    "hassell_lam": (Hassell(), (Constant(_TINY), Constant(1.0)), 0,
+                    "hassell needs lam > 0 and b >= 0"),
+    "hassell_b": (Hassell(), (LogNormal(0.3, 0.3), Constant(0.0)), 1,
+                  "hassell needs lam > 0 and b >= 0"),
+    "beverton_holt_lam": (BevertonHolt(), (Constant(_TINY), Constant(0.0)), 0,
+                          "beverton_holt needs lam > 0 and a >= 0"),
+    "beverton_holt_a": (BevertonHolt(), (LogNormal(0.3, 0.3), Constant(0.0)), 1,
+                        "beverton_holt needs lam > 0 and a >= 0"),
+    "ricker_a": (RickerScalar(), (Normal(0.5, 0.3), Constant(0.0)), 1, "ricker needs a >= 0"),
+    "lottery": (Lottery(3, 0.3), (LogNormal(1.0, 0.3), Constant(_TINY), LogNormal(1.0, 0.3)), 1,
                 "lottery fecundities must be strictly positive"),
-    "rps_lottery": (RpsLottery(0.2), (_bad_at_zero_word(1.5, 3.0), Constant(2.0), Constant(1.0)), 0,
-                    "draws must satisfy alpha > beta > gamma > 0"),
-    "biennial": (Biennial(0.5, 0.5, 1.0, 1.0), (_bad_at_zero_word(-1.0, 2.0),), 0,
+    "biennial": (Biennial(0.5, 0.5, 1.0, 1.0), (Gamma(0.01, 1.0),), 0,
                  "biennial seed draws must be nonnegative"),
-    "linear_matrix": (LinearMatrix(2), (Constant(0.5), _bad_at_zero_word(-1.0, 0.5),
-                                        Constant(0.5), Constant(0.5)), 1,
-                      "matrix entries must be nonnegative"),
-    "affine_chain": (AffineChain(), (_bad_at_zero_word(-1.0, 0.5), Constant(1.0)), 0,
+    "linear_matrix": (LinearMatrix(2), (Constant(0.5), Constant(0.0), Constant(0.5),
+                                        Constant(0.5)), 1, "matrix entries must be nonnegative"),
+    "affine_chain": (AffineChain(), (Constant(0.5), Constant(0.0)), 1,
                      "affine chain draws must be nonnegative"),
 }
 
 
-def _bad_draw_run(monkeypatch, case):
-    """Model, environment, config and expected message of a 3-row run whose
-    only bad draws are at step 197 of row 2 and step 199 of row 0, both in
-    the last chunk; every trajectory run opens its streams in ``engine``."""
-    model, coords, j, message = _DRAW_CHECK_CASES[case]
-    monkeypatch.setattr(engine, "_BLOCK", 64)  # 5- to 10-step chunks
-    m = len(coords)
-    # the random start takes k words of each stream before the first step
-    _zero_words(monkeypatch, engine, {2: [model.k + 197 * m + j], 0: [model.k + 199 * m + j]})
+@pytest.mark.parametrize("case", list(_EDGE_CASES))
+def test_an_environment_at_the_domain_edge_runs_and_one_just_below_it_is_refused(
+        monkeypatch, case):
+    # before, every draw block was scanned: a crossing environment ran until
+    # its first bad draw, so whether it was refused hung on seed and horizon
+    model, coords, j, message = _EDGE_CASES[case]
     cfg = SimConfig(seed=5, replicates=3, burn_in=10, horizon=200)
-    return model, EnvSpec(coords), cfg, re.escape(f"{message} (first at step 197)")
+    edge = model.check_env(EnvSpec(coords))[0, j]
+    assert edge == np.broadcast_to(model.low, model.env_dim)[j]
+    simulate(model, EnvSpec(coords), cfg)
+    below = EnvSpec(coords[:j] + (Constant(float(np.nextafter(edge, -1.0))),) + coords[j + 1:])
+    _no_streams(monkeypatch)
+    least = re.escape(f"{message} (least draws {below.bounds()[0].tolist()})")
+    with pytest.raises(ConfigurationError, match=f"^{least}$"):
+        simulate(model, below, cfg)
+    if model.sim_mode == "linear":
+        with pytest.raises(ConfigurationError, match=f"^{least}$"):
+            lyap.lyapunov_mc(model, below, cfg)
 
 
-@pytest.mark.parametrize("case", list(_DRAW_CHECK_CASES))
-def test_bad_draw_in_a_late_chunk_is_refused_with_its_step(monkeypatch, case):
-    model, env, cfg, message = _bad_draw_run(monkeypatch, case)
-    with pytest.raises(ConfigurationError, match=message):
-        simulate(model, env, cfg)
-
-
-@pytest.mark.parametrize("case", ["biennial", "linear_matrix"])
-def test_bad_draw_in_a_late_chunk_is_refused_by_lyapunov_mc(monkeypatch, case):
-    model, env, cfg, message = _bad_draw_run(monkeypatch, case)
-    with pytest.raises(ConfigurationError, match=message):
-        lyap.lyapunov_mc(model, env, cfg)
-
-
-def test_check_draws_names_the_first_step_of_any_block_shape():
-    m = Hassell()
-    bad = np.ones((6, 4, 2))
-    bad[4, 0, 0] = 0.0
-    bad[2, 3, 1] = -1.0
-    for w, t, step in ((bad, 0, 2), (bad, 100, 102), (bad[:, 0], 7, 11), (bad[4, 0], 3, 3)):
-        with pytest.raises(ConfigurationError, match=rf"\(first at step {step}\)$"):
-            m.check_draws(w, t)
-    m.check_draws(np.ones((6, 4, 2)))
-
-
-@pytest.mark.parametrize("model, bad_col, bad_value, message", [
-    (Hassell(), 0, 0.0, "hassell needs lam > 0"),
-    (Hassell(), 1, -1.0, "hassell needs lam > 0"),
-    (BevertonHolt(), 0, -2.0, "beverton_holt needs lam > 0"),
-    (BevertonHolt(), 1, -0.5, "beverton_holt needs lam > 0"),
-], ids=["hassell-lam", "hassell-b", "bh-lam", "bh-a"])
-def test_a_zero_draw_the_model_allows_passes_and_a_bad_one_is_named(model, bad_col, bad_value,
-                                                                    message):
-    # the second column may be 0 (b or a), so the whole block's
-    # minimum fails and the per-column minima decide
-    w = np.full((6, 4, 2), 2.0)
-    w[:, :, 1] = 0.0
-    model.check_draws(w, 10)
-    w[3, 2, bad_col] = bad_value
-    w[5, 0, bad_col] = bad_value
-    with pytest.raises(ConfigurationError, match=rf"{message}.*\(first at step 13\)$"):
-        model.check_draws(w, 10)
-
-
-@pytest.mark.parametrize("model, message", [
-    (Biennial(0.5, 0.5, 1.0, 1.0), "biennial seed draws must be nonnegative"),
-    (LinearMatrix(2), "matrix entries must be nonnegative"),
-], ids=["biennial-seed", "lm-entry"])
-def test_a_zero_draw_passes_where_only_negative_draws_are_refused(model, message):
-    # a zero seed draw or matrix entry is in the domain; a negative one is not
-    w = np.full((6, 4, model.env_dim), 2.0)
-    w[:, :, 0] = 0.0
-    model.check_draws(w, 10)
-    w[3, 2, -1] = -1.0
-    w[5, 0, -1] = -1.0
-    with pytest.raises(ConfigurationError, match=rf"{message} \(first at step 13\)$"):
-        model.check_draws(w, 10)
+@pytest.mark.parametrize("dist", [LogNormal(0.0, 100.0), Normal(0.0, 1e308),
+                                  Uniform(-1e308, 1e308), Discrete((1.0, np.inf), (0.5, 0.5))],
+                         ids=["lognormal_overflow", "normal_overflow", "uniform_overflow",
+                              "discrete_inf"])
+def test_an_environment_that_could_draw_a_non_finite_value_is_refused(monkeypatch, dist):
+    # RickerCompetition states no domain, so only finiteness is decided;
+    # before, exp overflowed to inf on about 0.9% of LogNormal(0, 300)'s
+    # draws and the run failed later on a non-finite state
+    _no_streams(monkeypatch)
+    env = EnvSpec((Normal(1.0, 0.3), dist))
+    with pytest.raises(ConfigurationError, match=r"^draws must be finite \(least, greatest \[\["):
+        simulate(RickerCompetition(0.6, 0.5), env, SimConfig(seed=5, horizon=200))

@@ -249,6 +249,29 @@ def test_ppf_in_place_gives_the_bits_of_the_out_of_place_form(dist):
     assert np.array_equal(fresh.view(np.int64), want)
 
 
+# every kind, and two whose bounds are not the draws at the end words
+_BOUNDED_DISTS = _ALL_DISTS + [
+    Gamma(0.01, 1.0),  # its least draw underflows to exactly 0
+    # unsorted values, and a last value of probability zero that the clip
+    # draws: the probabilities sum to 1 - 1e-13, below the greatest word
+    Discrete((3.0, -1.0, 2.0, 9.0), (0.2, 0.5, 0.3 - 1e-13, 0.0)),
+]
+
+
+@pytest.mark.parametrize("dist", _BOUNDED_DISTS, ids=repr)
+def test_bounds_are_the_draws_at_the_least_and_greatest_word(dist):
+    spec = EnvSpec((Constant(1.0), dist))
+    bounds = spec.bounds()
+    assert bounds.shape == (2, 2) and bounds[:, 0].tolist() == [1.0, 1.0]
+    ends = spec.transform(np.array([[2.0**-54] * 2, [1.0 - 2.0**-53] * 2]))
+    if dist == _BOUNDED_DISTS[-1]:
+        assert ends[:, 1].tolist() == [3.0, 9.0] and bounds[:, 1].tolist() == [-1.0, 9.0]
+    else:
+        assert np.array_equal(bounds, ends)
+    draws = sample_block(spec, make_stream(32, 0), 100_000)
+    assert np.all((bounds[0] <= draws) & (draws <= bounds[1]))
+
+
 def test_transform_into_a_step_major_block_gives_the_bits_of_each_coordinate():
     spec = EnvSpec(tuple(_ALL_DISTS))
     rows, n, m = 5, 400, spec.dim

@@ -1,6 +1,7 @@
 """Model catalog: step maps, invariance, and the dynamics on faces."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from stochpop.models import (
     RpsLottery,
     parse_model,
 )
+from test_engine import _no_streams
 
 
 def test_hassell_zero_is_absorbing():
@@ -69,16 +71,38 @@ def test_rps_vertex_rates():
 
 
 def test_rps_rejects_unordered_draws():
-    # step is an unchecked kernel; the draws are refused by check_draws,
-    # which every run calls on its draw blocks
+    # step is an unchecked kernel; check_env refuses the environment once,
+    # from its range, where before each draw block was scanned
     m = RpsLottery(0.1)
-    w = np.array([2.0, 3.0, 1.0])
-    with pytest.raises(ConfigurationError, match=r"alpha > beta > gamma > 0 \(first at step 0\)"):
-        m.check_draws(w)
-    env = EnvSpec(tuple(Constant(v) for v in w))
+    env = EnvSpec((Constant(2.0), Constant(3.0), Constant(1.0)))
+    message = "alpha > beta > gamma > 0 (least draws [2.0, 3.0, 1.0], greatest [2.0, 3.0, 1.0])"
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        m.check_env(env)
     cfg = SimConfig(seed=1, horizon=10, initial_state=(0.3, 0.3, 0.4))
-    with pytest.raises(ConfigurationError, match="alpha > beta > gamma > 0"):
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
         simulate(m, env, cfg)
+
+
+@pytest.mark.parametrize("alpha, beta, gamma, ordered", [
+    (Uniform(2.5, 3.0), Uniform(1.5, 2.0), Uniform(0.5, 1.0), True),
+    (Uniform(2.0, 3.0), Uniform(1.5, 2.5), Uniform(0.5, 1.0), False),
+    (Uniform(2.5, 3.0), Uniform(0.8, 2.0), Uniform(0.5, 1.0), False),
+    (Uniform(2.5, 3.0), Uniform(1.5, 2.0), Uniform(-0.5, 1.0), False),
+    # Uniform(1.5, 2.0)'s greatest draw rounds to 2.0, Uniform(2.0, 3.0)'s least is 2.0
+    (Uniform(2.0, 3.0), Uniform(1.5, 2.0), Uniform(0.5, 1.0), False),
+    (LogNormal(1.5, 0.1), Constant(2.0), Constant(1.0), False),
+], ids=["separated", "alpha_beta_overlap", "beta_gamma_overlap", "gamma_below_zero",
+        "touching", "unbounded_alpha"])
+def test_rps_decides_its_ordering_on_the_ranges(monkeypatch, alpha, beta, gamma, ordered):
+    env = EnvSpec((alpha, beta, gamma))
+    cfg = SimConfig(seed=1, replicates=2, horizon=50)
+    if ordered:
+        simulate(RpsLottery(0.1), env, cfg)
+        return
+    _no_streams(monkeypatch)
+    with pytest.raises(ConfigurationError,
+                       match=r"^draws must satisfy alpha > beta > gamma > 0 \(least draws \["):
+        simulate(RpsLottery(0.1), env, cfg)
 
 
 def test_biennial_linearization_at_zero():

@@ -46,7 +46,8 @@ from stochpop.persist import (
     rps_condition,
     scalar_classify,
 )
-from test_engine import _bad_at_zero_word, _zero_words
+from stochpop.lyap import lyapunov_mc
+from test_engine import _no_streams
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +240,7 @@ def test_classify_refuses_a_negative_ricker_density_coefficient():
     # before, the stated limit was taken as the rate at zero and the
     # confirming run exited 3 on a non-finite state at step 10..19
     env = EnvSpec((Normal(0.0, 0.3), Constant(-0.5)))
-    with pytest.raises(ConfigurationError, match=re.escape("ricker needs a >= 0 (first at step 0)")):
+    with pytest.raises(ConfigurationError, match=re.escape("ricker needs a >= 0 (least draws [")):
         scalar_classify(RickerScalar(), env, SimConfig(seed=1, replicates=2, horizon=200))
 
 
@@ -695,51 +696,48 @@ def test_taylor_rate_refuses_a_bad_invader_or_sample_width(monkeypatch, invader,
 
 
 # ---------------------------------------------------------------------------
-# Draw checks on each Monte Carlo sample block
+# Draw domains, decided before any stream opens
 
 
-def _point_mc_cases():
+def _refusing_runs():
+    """Each consumer of draws on an environment that can leave the model's
+    domain, and the refusal's text; before, each sample block and each chunk
+    was scanned and the text named the first bad sample or step."""
     hassell = Hassell()
-    env_h = EnvSpec((_bad_at_zero_word(0.0, 2.0), Constant(1.0)))
-    env_rps = EnvSpec((_bad_at_zero_word(1.5, 3.0), Constant(2.0), Constant(1.0)))
-    env_lot = EnvSpec((LogNormal(1.0, 0.3), _bad_at_zero_word(0.0, 2.0), LogNormal(1.0, 0.3)))
+    bad_h = EnvSpec((Normal(2.0, 0.3), Constant(1.0)))  # least lam -0.488
+    construction = drift_construction(hassell, EnvSpec((LogNormal(0.3, 0.3), Constant(1.0))),
+                                      seed=3)
+    bad_rps = EnvSpec((Uniform(1.5, 3.0), Constant(2.0), Constant(1.0)))
+    bad_lot = EnvSpec((LogNormal(1.0, 0.3), Normal(2.0, 0.3), LogNormal(1.0, 0.3)))
+    cfg = SimConfig(seed=3, replicates=3, horizon=200)
     hassell_msg = "hassell needs lam > 0 and b >= 0"
-
-    def construction():
-        return drift_construction(hassell, env_h, seed=3)
-
-    # name: (run, {replicate id: zero word indices}, wording, first bad sample)
     return {
+        "simulate": (lambda: simulate(hassell, bad_h, cfg), hassell_msg),
+        "lyapunov_mc": (lambda: lyapunov_mc(Biennial(0.5, 0.5, 1.0, 1.0),
+                                            EnvSpec((Normal(2.0, 0.3),)), cfg),
+                        "biennial seed draws must be nonnegative"),
         "mean_percapita_growth_at": (
-            lambda: mean_percapita_growth_at(hassell, env_h, [1.0], 0, 50, seed=3),
-            {persist._BASE_POINT_MC: [2 * 37]}, hassell_msg, 37),
-        # 100 states take 200 words before the 100 (x, w) pairs' draws
-        "drift_bounded_check_pairs": (
-            lambda: drift_bounded_check(hassell, env_h, construction(), 100, seed=3),
-            {persist._BASE_AUDIT: [200 + 2 * 61]}, hassell_msg, 61),
-        "drift_bounded_check_moments": (
-            lambda: drift_bounded_check(hassell, env_h, construction(), 100, seed=3),
-            {persist._BASE_MOMENTS: [2 * 1234]}, hassell_msg, 1234),
-        # rows 2 and 0 of a 3-row audit, after one word of random start
+            lambda: mean_percapita_growth_at(hassell, bad_h, [1.0], 0, 50, seed=3), hassell_msg),
+        "scalar_classify": (lambda: scalar_classify(hassell, bad_h, cfg), hassell_msg),
+        "drift_construction": (lambda: drift_construction(hassell, bad_h, seed=3), hassell_msg),
+        "drift_bounded_check": (
+            lambda: drift_bounded_check(hassell, bad_h, construction, 100, seed=3), hassell_msg),
         "affine_domination_audit": (
-            lambda: affine_domination_audit(hassell, env_h, construction(),
-                                            SimConfig(seed=3, replicates=3, horizon=200)),
-            {2: [1 + 2 * 197], 0: [1 + 2 * 199]}, hassell_msg, 197),
-        "rps_condition": (
-            lambda: rps_condition(env_rps, 0.1, 50, seed=3),
-            {persist._BASE_POINT_MC + 1: [3 * 23]}, "draws must satisfy alpha > beta > gamma > 0", 23),
+            lambda: affine_domination_audit(hassell, bad_h, construction, cfg), hassell_msg),
+        "rps_condition": (lambda: rps_condition(bad_rps, 0.1, 50, seed=3),
+                          "draws must satisfy alpha > beta > gamma > 0"),
+        "rps_vertex_rows": (lambda: boundary_invasion_report(RpsLottery(0.1), bad_rps, cfg),
+                            "draws must satisfy alpha > beta > gamma > 0"),
         "lottery_taylor_rate": (
-            lambda: lottery_taylor_rate(env_lot, 0.05, np.eye(3)[[0] * 50], 1, seed=3),
-            {persist._BASE_POINT_MC + 2: [3 * 23 + 1]},
-            "lottery fecundities must be strictly positive", 23),
+            lambda: lottery_taylor_rate(bad_lot, 0.05, np.eye(3)[[0] * 50], 1, seed=3),
+            "lottery fecundities must be strictly positive"),
     }
 
 
-@pytest.mark.parametrize("case", list(_point_mc_cases()))
-def test_bad_draw_in_a_sample_block_is_refused_with_its_index(monkeypatch, case):
-    run, zeros, message, first = _point_mc_cases()[case]
-    monkeypatch.setattr(engine, "_BLOCK", 64)  # 10-step audit chunks
-    # the audit is a trajectory run, so its streams open in engine
-    _zero_words(monkeypatch, engine if case == "affine_domination_audit" else persist, zeros)
-    with pytest.raises(ConfigurationError, match=re.escape(f"{message} (first at step {first})")):
+@pytest.mark.parametrize("case", list(_refusing_runs()))
+def test_an_environment_outside_the_domain_is_refused_before_any_stream_opens(monkeypatch,
+                                                                             case):
+    run, message = _refusing_runs()[case]
+    _no_streams(monkeypatch)
+    with pytest.raises(ConfigurationError, match="^" + re.escape(f"{message} (least draws [")):
         run()
