@@ -12,7 +12,10 @@ so its memory does not grow with the horizon.
 
 Every trajectory run, here and in lyap and persist, opens its rows through
 ``_open_rows``: one stream and one start per row, and the draws in pieces
-that each lie in one time batch.
+that each lie in one time batch.  This module is also the one place an
+estimate is made from data: ``_batch_estimates`` (per row),
+``_pooled_estimates`` (the pool of rows), ``_iid_estimate`` and
+``_binomial_estimate`` build every ``RateEstimate`` of the package.
 
 The step loop only advances the state and stores each measured row: the
 state into a ``(steps, rows, k)`` block, ``log f`` into a block of the same
@@ -488,15 +491,6 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None, estimates=False):
     }
 
 
-# Per-row entries of a driver result; rows sit on axis 0 of each.
-_ROW_KEYS = ("occ_counts", "fsums", "floored", "terminal", "labels")
-
-
-def _row_slice(raw, a, b):
-    """The driver result restricted to rows a..b-1."""
-    return {key: (val[a:b] if key in _ROW_KEYS else val) for key, val in raw.items()}
-
-
 def _batch_estimates(sums, lengths, n, labels, names):
     """Means and batch-means SEs over the last axis of ``(rows, F, batches)``
     time-batch sums of ``lengths`` steps, ``n`` in all: the only place a
@@ -519,11 +513,45 @@ def _batch_estimates(sums, lengths, n, labels, names):
     return means, ses
 
 
+def _pooled_estimates(sums, lengths, n_steps, names, label="the pooled replicates") -> dict:
+    """``{names[j]: estimate}`` over the pool of every row's time batches of
+    ``(rows, F, batches)`` sums, row-major: ``rows * batches`` batches of
+    ``rows * n_steps`` steps in all.  A pool of one row is that row's
+    estimate.  A non-finite one raises, named by ``label``."""
+    rows, n_f, b = sums.shape
+    pooled = np.ascontiguousarray(sums.transpose(1, 0, 2)).reshape(1, n_f, rows * b)
+    means, ses = _batch_estimates(pooled, np.tile(lengths, rows), rows * n_steps, [label], names)
+    return {name: RateEstimate(mean, se, rows * b, rows * n_steps)
+            for name, mean, se in zip(names, means[0].tolist(), ses[0].tolist())}
+
+
+def _iid_estimate(values: np.ndarray) -> RateEstimate:
+    """Mean and standard error of iid draws, with n batches of one draw
+    each.  Fewer than two draws have no standard error, so they are refused
+    rather than read as exact."""
+    n = values.size
+    if n < 2:
+        raise ConfigurationError("need at least 2 draws")
+    mean = float(values.mean())
+    if np.ptp(values) == 0.0:
+        return RateEstimate(mean, 0.0, n, n)
+    return RateEstimate(mean, float(values.std(ddof=1) / np.sqrt(n)), n, n)
+
+
+def _binomial_estimate(hits) -> RateEstimate:
+    """Fraction of true entries of the boolean row array ``hits``, with
+    binomial SE, as one batch of R rows."""
+    r_total = hits.size
+    p_hat = float(hits.mean())
+    se = float(np.sqrt(p_hat * (1.0 - p_hat) / r_total))
+    return RateEstimate(p_hat, se, 1, r_total)
+
+
 def _build_result(raw, functionals, sets) -> SimulationResult:
     n_steps = raw["n_steps"]
     lengths = raw["lengths"]
     fsums = raw["fsums"]
-    rows, n_f, b = fsums.shape
+    b = fsums.shape[-1]
     occ = raw["occ_counts"].sum(axis=-1) / n_steps
     names = [f.name for f in functionals]
     set_names = [sd.name for sd in sets]
@@ -539,14 +567,9 @@ def _build_result(raw, functionals, sets) -> SimulationResult:
         for occ_r, means_r, ses_r, terminal, floored in zip(
             occ.tolist(), means.tolist(), ses.tolist(), raw["terminal"], raw["floored"].tolist())
     ]
-    # the pool is one row of every replicate's batches, replicate-major
-    pooled_sums = np.ascontiguousarray(fsums.transpose(1, 0, 2)).reshape(1, n_f, rows * b)
-    means, ses = _batch_estimates(pooled_sums, np.tile(lengths, rows), rows * n_steps,
-                                  ["the pooled replicates"], names)
     pooled = PooledSummary(
         occupation={sd.name: float(occ[:, j].mean()) for j, sd in enumerate(sets)},
-        functional_averages={name: RateEstimate(mean, se, rows * b, rows * n_steps)
-                             for name, mean, se in zip(names, means[0].tolist(), ses[0].tolist())},
+        functional_averages=_pooled_estimates(fsums, lengths, n_steps, names),
         extinct_fraction=float(raw["floored"].mean()),
     )
     return SimulationResult(replicates=reps, pooled=pooled)
@@ -599,13 +622,4 @@ def ensemble_hit_probability(model, envspec, cfg, set_descriptor, t: int):
 def hit_fraction(model, states, set_descriptor) -> RateEstimate:
     """Fraction of the rows of ``states`` in the set, with binomial SE."""
     return _binomial_estimate(set_descriptor.contains(states, model))
-
-
-def _binomial_estimate(hits) -> RateEstimate:
-    """Fraction of true entries of the boolean row array ``hits``, with
-    binomial SE; the one place a binomial SE is computed."""
-    r_total = hits.size
-    p_hat = float(hits.mean())
-    se = float(np.sqrt(p_hat * (1.0 - p_hat) / r_total))
-    return RateEstimate(p_hat, se, 1, r_total)
 

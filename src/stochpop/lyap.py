@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import RateEstimate, SimConfig, _batch_estimates, _open_rows
+from .engine import RateEstimate, SimConfig, _open_rows, _pooled_estimates
 from .errors import ConfigurationError, NumericError, QuadratureError
 
 __all__ = [
@@ -144,11 +144,8 @@ def lyapunov_mc(model, envspec, cfg: SimConfig) -> RateEstimate:
     if model.sim_mode != "linear":
         raise ConfigurationError(f"{model.name} has no linearization at the origin")
     gsums, lengths = _mc_batch_sums(model, envspec, cfg)
-    rows, b = gsums.shape
-    n = rows * (cfg.horizon - cfg.burn_in)
-    means, ses = _batch_estimates(gsums.reshape(1, 1, -1), np.tile(lengths, rows), n,
-                                  ["the pooled replicates"], ["gamma_mc"])
-    return RateEstimate(means.item(), ses.item(), rows * b, n)
+    return _pooled_estimates(gsums[:, None], lengths, cfg.horizon - cfg.burn_in,
+                             ["gamma_mc"])["gamma_mc"]
 
 
 # ---------------------------------------------------------------------------

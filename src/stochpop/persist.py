@@ -14,8 +14,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .engine import ExtinctionNeighborhood, LogPerCapita, RateEstimate, SimConfig, _batch_estimates
-from .engine import _binomial_estimate, _build_result, _drive, _open_rows, _row_slice
+from .engine import ExtinctionNeighborhood, LogPerCapita, RateEstimate, SimConfig
+from .engine import _binomial_estimate, _drive, _iid_estimate, _open_rows, _pooled_estimates
 from .env import make_stream, sample_block
 from .errors import ConfigurationError, FaceDegenerateError
 from .models import (
@@ -99,18 +99,6 @@ class InvasionTable:
 # Growth rates
 
 
-def _iid_estimate(values: np.ndarray) -> RateEstimate:
-    """Mean and standard error of iid draws.  Fewer than two draws have no
-    standard error, so they are refused rather than read as exact."""
-    n = values.size
-    if n < 2:
-        raise ConfigurationError("need at least 2 draws")
-    mean = float(values.mean())
-    if np.ptp(values) == 0.0:
-        return RateEstimate(mean, 0.0, n, n)
-    return RateEstimate(mean, float(values.std(ddof=1) / np.sqrt(n)), n, n)
-
-
 def mean_percapita_growth_at(model, envspec, x, i: int, n: int, seed: int = 0) -> RateEstimate:
     """Monte Carlo mean of log f_i(x, w) over n independent draws."""
     model.check_env(envspec)
@@ -139,10 +127,10 @@ def _face_code(support) -> int:
 
 
 def _face_runs(model, envspec, cfg: SimConfig, supports, functionals) -> list:
-    """One result per face, all faces run as rows of one lockstep batch of
-    ``model``: per-capita dynamics keep zeros at zero, so a face differs only
-    in the support of its start.  Replicate r of face S keeps its stream
-    _BASE_FACE + code(S) * 2^20 + r."""
+    """``(extinct replicates, pooled estimates by name)`` per face, all faces
+    run as rows of one lockstep batch of ``model``: per-capita dynamics keep
+    zeros at zero, so a face differs only in the support of its start.
+    Replicate r of face S keeps its stream _BASE_FACE + code(S) * 2^20 + r."""
     r_total = cfg.replicates
     if r_total > _FACE_FIELD:
         raise ConfigurationError(f"a boundary run takes at most {_FACE_FIELD} replicates per "
@@ -153,14 +141,13 @@ def _face_runs(model, envspec, cfg: SimConfig, supports, functionals) -> list:
         for r in range(r_total)
     ]
     raw = _drive(model, envspec, cfg, functionals, (), rows=rows)
+    names = [f.name for f in functionals]
     return [
-        _build_result(_row_slice(raw, j * r_total, (j + 1) * r_total), functionals, ())
-        for j in range(len(supports))
+        (np.flatnonzero(raw["floored"][a:a + r_total]).tolist(),
+         _pooled_estimates(raw["fsums"][a:a + r_total], raw["lengths"], raw["n_steps"], names,
+                           f"the pooled replicates of face {s}"))
+        for s, a in zip(supports, range(0, len(rows), r_total))
     ]
-
-
-def _extinct_replicates(result) -> list:
-    return [r for r, s in enumerate(result.replicates) if s.extinction_flag]
 
 
 def invasion_rate(model, envspec, cfg: SimConfig, invader: int, resident_support) -> RateEstimate:
@@ -181,14 +168,13 @@ def invasion_rate(model, envspec, cfg: SimConfig, invader: int, resident_support
     if any(i < 0 or i >= model.k for i in resident_support):
         raise ConfigurationError(f"face support {resident_support} out of range for {model.name}")
     functional = LogPerCapita(invader)
-    (result,) = _face_runs(model, envspec, cfg, [resident_support], (functional,))
-    extinct = _extinct_replicates(result)
+    ((extinct, rates),) = _face_runs(model, envspec, cfg, [resident_support], (functional,))
     if extinct:
         raise FaceDegenerateError(
             f"resident community on face {resident_support} hit the extinction "
             f"floor in replicates {extinct}; invasion rate is ill-posed"
         )
-    return result.pooled.functional_averages[functional.name]
+    return rates[functional.name]
 
 
 def _vertex_rows(model: RpsLottery, envspec, cfg: SimConfig) -> list:
@@ -226,14 +212,14 @@ def boundary_invasion_report(model, envspec, cfg: SimConfig):
         supports = [s for size in range(1, k) for s in combinations(range(k), size)]
         functionals = tuple(LogPerCapita(i) for i in range(k))
         rows = []
-        for support, result in zip(supports, _face_runs(model, envspec, cfg, supports, functionals)):
-            extinct = _extinct_replicates(result)
+        for support, (extinct, pooled) in zip(
+                supports, _face_runs(model, envspec, cfg, supports, functionals)):
             if extinct:
                 degenerate = (f"resident community degenerated in replicates {extinct}; "
                               "its ergodic measures concentrate on smaller supports")
                 rows.append(FaceRow(support, "simulated", rates={}, degenerate=degenerate))
                 continue
-            rates = {i: result.pooled.functional_averages[f.name] for i, f in enumerate(functionals)}
+            rates = {i: pooled[f.name] for i, f in enumerate(functionals)}
             rows.append(FaceRow(support=support, measure="simulated", rates=rates))
 
     table = InvasionTable(rows=rows)
@@ -388,14 +374,11 @@ def scalar_classify(model, envspec, cfg: SimConfig) -> Verdict:
         "lambda_inf": lam_inf,
         "extinct_fraction": _binomial_estimate(raw["floored"]),
     }
-    n_steps, lengths = raw["n_steps"], raw["lengths"]
+    n_steps = raw["n_steps"]
     if r_total == 1:
-        means, ses = _batch_estimates(raw["occ_counts"], lengths, n_steps, raw["labels"], [name])
-        evidence[name] = RateEstimate(float(means[0, 0]), float(ses[0, 0]), len(lengths), n_steps)
+        evidence[name] = _pooled_estimates(raw["occ_counts"], raw["lengths"], n_steps, [name])[name]
     else:
-        occs = raw["occ_counts"][:, 0].sum(axis=-1) / n_steps
-        evidence[name] = RateEstimate(
-            float(occs.mean()), float(occs.std(ddof=1) / np.sqrt(r_total)), 1, r_total)
+        evidence[name] = _iid_estimate(raw["occ_counts"][:, 0].sum(axis=-1) / n_steps)
     return Verdict(kind=kind, evidence=evidence, decision_margin=float(min(margins)))
 
 
@@ -621,8 +604,6 @@ def lottery_taylor_rate(envspec, d: float, face_samples, invader: int, seed: int
                                  f"columns, got shape {x.shape}")
     if not 0 <= invader < m:
         raise ConfigurationError(f"invader {invader} out of range for {m} species")
-    n = x.shape[0]
-    w = _point_draws(Lottery(m, d), envspec, seed, _BASE_POINT_MC + 2, n)
+    w = _point_draws(Lottery(m, d), envspec, seed, _BASE_POINT_MC + 2, len(x))
     ratio = w[:, invader] / np.sum(x * w, axis=-1)
-    base = _iid_estimate(ratio)
-    return RateEstimate(-d + d * base.mean, d * base.std_error, base.batches, n)
+    return _iid_estimate(d * ratio - d)

@@ -933,9 +933,18 @@ def test_lyapunov_mc_matches_the_reference_estimate():
     env = EnvSpec((Gamma(2.0, 2.0),))
     cfg = SimConfig(seed=3, replicates=3, burn_in=10, horizon=1003)
     gsums, lengths = lyap._mc_batch_sums(m, env, cfg)
-    want = _reference_estimate(gsums, gsums / lengths, cfg.horizon - cfg.burn_in)
+    n_steps = cfg.horizon - cfg.burn_in
+    want = _reference_estimate(gsums, gsums / lengths, n_steps)
     assert lyap.lyapunov_mc(m, env, cfg) == want
+    assert engine._pooled_estimates(gsums[:, None], lengths, n_steps, ["g"]) == {"g": want}
     assert (want.batches, want.n) == (60, 3 * 993)
+    # a pool of one row is that row's own time-batch estimate, bit for bit:
+    # the one-replicate classifier occupation and face run
+    for r in range(cfg.replicates):
+        sums = gsums[r:r + 1, None]
+        means, ses = engine._batch_estimates(sums, lengths, n_steps, ["replicate"], ["g"])
+        assert engine._pooled_estimates(sums, lengths, n_steps, ["g"]) == {
+            "g": engine.RateEstimate(means.item(), ses.item(), 20, n_steps)}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

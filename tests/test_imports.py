@@ -1,7 +1,7 @@
 """Static scans of the package's modules: every name a module imports is
 read there or re-exported in ``__all__``, every ``__all__`` entry is bound
-in its module, and every module-level private name is read somewhere in the
-package."""
+in its module, every module-level private name is read somewhere in the
+package, and only ``engine`` makes estimates."""
 
 import ast
 from pathlib import Path
@@ -105,3 +105,42 @@ def test_the_scan_finds_an_unread_private_name_and_no_read_one():
 
 def test_every_private_module_level_name_is_read_in_the_package():
     assert _unread_privates({p.name: p.read_text() for p in _ALL_MODULES}) == []
+
+
+# the exact large-density limit scalar_classify states, which is no estimate
+_STATED_LIMIT = "RateEstimate(limit, 0.0, 0, 0)"
+
+
+def _estimates_made(source: str) -> list:
+    """The source of each call in ``source`` that builds a ``RateEstimate``
+    or takes a ``.std`` or ``.var``, other than ``_STATED_LIMIT``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "RateEstimate" or (isinstance(func, ast.Attribute) and name in ("std", "var")):
+            text = ast.get_source_segment(source, node)
+            if text != _STATED_LIMIT:
+                found.append(text)
+    return found
+
+
+def test_the_scan_finds_an_estimate_made_and_no_stated_limit():
+    source = ("from engine import RateEstimate\nimport engine, numpy as np\n"
+              "def f(x, limit) -> RateEstimate:\n    s = x.std\n    std(x)\n"
+              "    RateEstimate(limit, 0.0, 0, 0)\n    engine.RateEstimate(1.0, 0.0, 1, 1)\n"
+              "    return RateEstimate(x.mean(), x.std(ddof=1), 1, np.var(x).size)\n")
+    assert _estimates_made(source) == [
+        "engine.RateEstimate(1.0, 0.0, 1, 1)",
+        "RateEstimate(x.mean(), x.std(ddof=1), 1, np.var(x).size)",
+        "x.std(ddof=1)",
+        "np.var(x)",
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in _ALL_MODULES if p.name != "engine.py"],
+                         ids=lambda p: p.name)
+def test_only_engine_makes_an_estimate(path):
+    assert _estimates_made(path.read_text()) == []

@@ -15,10 +15,12 @@ from stochpop.engine import (
     SimConfig,
     _build_result,
     _drive,
+    _iid_estimate,
     _initial_states,
     simulate,
 )
-from stochpop.env import Constant, EnvSpec, Gamma, LogNormal, Normal, Uniform, make_stream, sample_block
+from stochpop.env import (Constant, Discrete, EnvSpec, Gamma, LogNormal, Normal, Uniform,
+                          make_stream, sample_block)
 from stochpop.errors import ConfigurationError, FaceDegenerateError, NumericError
 from stochpop.models import (
     BevertonHolt,
@@ -226,6 +228,17 @@ def test_one_replicate_classify_takes_its_occupation_se_from_time_batches():
     assert (got.batches, got.n) == (20, 3000) and got.std_error > 0.0
 
 
+def test_classify_occupation_over_replicates_is_an_iid_estimate():
+    # R replicate occupations are R iid values, so R batches of one value
+    # each; the evidence used to read batches 1
+    env = _hassell_env(0.05)
+    cfg = SimConfig(seed=42, replicates=3, burn_in=0, horizon=3000, eta_grid=(0.2,))
+    got = scalar_classify(Hassell(), env, cfg).evidence["occupation[S_eta=0.2]"]
+    occs = [s.occupation["S_eta=0.2"] for s in simulate(Hassell(), env, cfg).replicates]
+    assert got == _iid_estimate(np.array(occs))
+    assert (got.batches, got.n) == (3, 3) and got.std_error > 0.0
+
+
 def test_one_replicate_classify_occupation_keeps_its_bits():
     # the estimate and SE that an indicator functional's 20 time batches
     # gave, now from the set's own per-batch counts: 613 steps make batches
@@ -411,6 +424,20 @@ def test_face_numeric_error_names_face_and_replicate():
     env = EnvSpec((Constant(1e308), Constant(1e308)))
     cfg = SimConfig(seed=1, replicates=2, horizon=100)
     with pytest.raises(NumericError, match=r"face \(0,\) replicate 0 "):
+        boundary_invasion_report(RickerCompetition(0.3, 0.3), env, cfg)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_face_pool_whose_estimate_overflows_names_its_face():
+    # a rare draw of 1500 sends species 0 to the state cap, and the next
+    # step's log f of about -8e307 floors it: every batch sum stays finite,
+    # so no row is named, but the variance of the batch means overflows.
+    # Replicate 0 floored, so the face is degenerate, but its pool is made
+    # before the report reads that, and the run stops here
+    env = EnvSpec((Discrete((1.0, 1500.0), (0.999, 0.001)), Constant(1.0)))
+    cfg = SimConfig(seed=2, replicates=2, horizon=2000)
+    with pytest.raises(NumericError, match=r"^non-finite estimate of log_percapita_0 for the "
+                                           r"pooled replicates of face \(0,\): mean -2\.05"):
         boundary_invasion_report(RickerCompetition(0.3, 0.3), env, cfg)
 
 
