@@ -10,6 +10,9 @@ which keeps them honest under autocorrelation.  No sample path is kept: a
 run keeps only these counts and sums and each replicate's terminal state,
 so its memory does not grow with the horizon.
 
+Every stream of the package opens in ``_open_streams``, once the model has
+accepted the environment, under an id that ``_stream_id`` packs from one
+table of namespaces, so no two estimators share a stream.
 Every trajectory run, here and in lyap and persist, opens its rows through
 ``_open_rows``: one stream and one start per row, and the draws in pieces
 that each lie in one time batch.  This module is also the one place an
@@ -42,7 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import logsumexp
 
-from .env import _SCRATCH, make_stream, open_unit
+from .env import _SCRATCH, make_stream, open_unit, sample_block
 from .errors import ConfigurationError, NumericError
 from .models import LOG_CAP, LOG_FLOOR, Model
 
@@ -70,6 +73,12 @@ N_BATCHES = 20
 _CHUNK = 2048
 _BLOCK = 1 << 21  # most draws in one chunk: bounds a wide batch's memory
 _LINEAR_FLOOR = float(np.exp(LOG_FLOOR))
+# stream namespace -> (first id, bit width of each index); see _stream_id
+_STREAM_IDS = {
+    "replicate": (0, (32,)), "growth_at": (1 << 32, ()), "rps": ((1 << 32) + 1, ()),
+    "taylor": ((1 << 32) + 2, ()), "scale": ((1 << 32) + 4, ()), "face": (1 << 33, (6, 20)),
+    "audit": (1 << 34, ()), "moments": (1 << 35, ()), "vertex": (1 << 36, (2,)),
+}
 
 
 @dataclass(frozen=True)
@@ -203,7 +212,36 @@ class SimulationResult:
 
 
 # ---------------------------------------------------------------------------
-# Initial states
+# Streams and initial states
+
+
+def _stream_id(name: str, *indices: int) -> int:
+    """The id of stream ``indices`` of namespace ``name``: the namespace's
+    first id plus the indices packed into their fields, the last lowest.  A
+    face's code has bit i set for each species i of its support.  Every
+    stream is keyed by the run's own seed and such an id; no seed is offset."""
+    first, widths = _STREAM_IDS[name]
+    if len(indices) != len(widths) or not all(0 <= i < 1 << w for i, w in zip(indices, widths)):
+        raise ConfigurationError(f"the {name} stream id packs indices below "
+                                 f"{[1 << w for w in widths]}, so that no two streams share an "
+                                 f"id; got {list(indices)}")
+    sid = 0
+    for index, width in zip(indices, widths):
+        sid = (sid << width) | index
+    return first + sid
+
+
+def _open_streams(model, envspec, seed: int, ids) -> list:
+    """The only place a stream opens: stream (seed, id) for each of ``ids``,
+    once ``model.check_env`` has accepted the environment."""
+    model.check_env(envspec)
+    return [make_stream(seed, sid) for sid in ids]
+
+
+def _point_draws(model, envspec, seed: int, sid: int, n: int) -> np.ndarray:
+    """The first n draws of stream (seed, sid), one per row.  A size below
+    2 draws at most one row, which ``_iid_estimate`` refuses."""
+    return sample_block(envspec, _open_streams(model, envspec, seed, [sid])[0], max(n, 0))
 
 
 def _initial_states(model: Model, cfg: SimConfig, streams, supports) -> np.ndarray:
@@ -302,14 +340,14 @@ def _open_rows(model, envspec, cfg, rows=None, estimates=False):
     A run that makes time-batch ``estimates`` needs at least 2 measured
     steps: one step is one batch, whose standard error would read 0.  Fewer
     are refused here, before any stream opens."""
-    model.check_env(envspec)
     n_steps = cfg.horizon - cfg.burn_in
     if estimates and n_steps < 2:
         raise ConfigurationError(f"a time-batch estimate needs at least 2 measured steps "
                                  f"(horizon - burn_in), got {n_steps}")
     if rows is None:
-        rows = [(r, tuple(range(model.k)), f"replicate {r}") for r in range(cfg.replicates)]
-    streams = [make_stream(cfg.seed, sid) for sid, _, _ in rows]
+        rows = [(_stream_id("replicate", r), tuple(range(model.k)), f"replicate {r}")
+                for r in range(cfg.replicates)]
+    streams = _open_streams(model, envspec, cfg.seed, [sid for sid, _, _ in rows])
     x0 = _initial_states(model, cfg, streams, [support for _, support, _ in rows])
     # batch b covers steps edges[b] .. edges[b + 1] - 1; burn-in ends at edges[0]
     lengths = _batch_lengths(n_steps, min(N_BATCHES, n_steps))

@@ -15,8 +15,9 @@ from itertools import combinations
 import numpy as np
 
 from .engine import ExtinctionNeighborhood, LogPerCapita, RateEstimate, SimConfig
-from .engine import _binomial_estimate, _drive, _iid_estimate, _open_rows, _pooled_estimates
-from .env import make_stream, sample_block
+from .engine import (_binomial_estimate, _drive, _iid_estimate, _open_rows, _open_streams,
+                     _point_draws, _pooled_estimates, _stream_id)
+from .env import sample_block
 from .errors import ConfigurationError, FaceDegenerateError
 from .models import (
     BevertonHolt,
@@ -44,18 +45,6 @@ __all__ = [
     "rps_condition",
     "lottery_taylor_rate",
 ]
-
-# Stream namespaces, so nested estimators never share a replicate stream
-# with the trajectory simulations (which use small replicate ids).  Every
-# stream is keyed by the run's own seed; no seed is offset.
-_BASE_POINT_MC = 1 << 32
-_BASE_FACE = 1 << 33
-_BASE_AUDIT = 1 << 34
-_BASE_MOMENTS = 1 << 35
-_BASE_VERTEX = 1 << 36  # the rps vertex j draws from _BASE_VERTEX + j
-_FACE_FIELD = 1 << 20  # replicate ids per face in the _BASE_FACE namespace
-# _BASE_POINT_MC + 1 and + 2 are rps_condition's and lottery_taylor_rate's
-_SCALE_MC = _BASE_POINT_MC + 4  # drift's contraction scale
 
 _SIGMAS = 3.0
 
@@ -101,19 +90,10 @@ class InvasionTable:
 
 def mean_percapita_growth_at(model, envspec, x, i: int, n: int, seed: int = 0) -> RateEstimate:
     """Monte Carlo mean of log f_i(x, w) over n independent draws."""
-    model.check_env(envspec)
     if not (0 <= i < model.k):
         raise ConfigurationError(f"species index {i} out of range")
-    w = _point_draws(model, envspec, seed, _BASE_POINT_MC, n)
+    w = _point_draws(model, envspec, seed, _stream_id("growth_at"), n)
     return _growth_on(model, x, i, w)
-
-
-def _point_draws(model, envspec, seed: int, sid: int, n: int) -> np.ndarray:
-    """The first n draws of stream (seed, sid), one per row, from an
-    environment ``model.check_env`` accepts before the stream opens.  A size
-    below 2 draws at most one row, which ``_iid_estimate`` refuses."""
-    model.check_env(envspec)
-    return sample_block(envspec, make_stream(seed, sid), max(n, 0))
 
 
 def _growth_on(model, x, i: int, w: np.ndarray) -> RateEstimate:
@@ -122,32 +102,28 @@ def _growth_on(model, x, i: int, w: np.ndarray) -> RateEstimate:
     return _iid_estimate(model.log_percapita(np.tile(x, (len(w), 1)), w)[:, i])
 
 
-def _face_code(support) -> int:
-    return sum(1 << i for i in support)
-
-
 def _face_runs(model, envspec, cfg: SimConfig, supports, functionals) -> list:
     """``(extinct replicates, pooled estimates by name)`` per face, all faces
     run as rows of one lockstep batch of ``model``: per-capita dynamics keep
-    zeros at zero, so a face differs only in the support of its start.
-    Replicate r of face S keeps its stream _BASE_FACE + code(S) * 2^20 + r."""
+    zeros at zero, so a face differs only in the support of its start.  A
+    face with an extinct replicate is degenerate and is not pooled (None).
+    Replicate r of face S keeps its stream ``_stream_id("face", code(S), r)``."""
     r_total = cfg.replicates
-    if r_total > _FACE_FIELD:
-        raise ConfigurationError(f"a boundary run takes at most {_FACE_FIELD} replicates per "
-                                 f"face, so that faces never share streams; got {r_total}")
+    _stream_id("face", 0, r_total - 1)  # refuses too many replicates before any row is built
     rows = [
-        (_BASE_FACE + _face_code(s) * _FACE_FIELD + r, s, f"face {s} replicate {r}")
+        (_stream_id("face", sum(1 << i for i in s), r), s, f"face {s} replicate {r}")
         for s in supports
         for r in range(r_total)
     ]
     raw = _drive(model, envspec, cfg, functionals, (), rows=rows)
     names = [f.name for f in functionals]
-    return [
-        (np.flatnonzero(raw["floored"][a:a + r_total]).tolist(),
-         _pooled_estimates(raw["fsums"][a:a + r_total], raw["lengths"], raw["n_steps"], names,
-                           f"the pooled replicates of face {s}"))
-        for s, a in zip(supports, range(0, len(rows), r_total))
-    ]
+    runs = []
+    for s, a in zip(supports, range(0, len(rows), r_total)):
+        extinct = np.flatnonzero(raw["floored"][a:a + r_total]).tolist()
+        runs.append((extinct, None if extinct else _pooled_estimates(
+            raw["fsums"][a:a + r_total], raw["lengths"], raw["n_steps"], names,
+            f"the pooled replicates of face {s}")))
+    return runs
 
 
 def invasion_rate(model, envspec, cfg: SimConfig, invader: int, resident_support) -> RateEstimate:
@@ -187,7 +163,7 @@ def _vertex_rows(model: RpsLottery, envspec, cfg: SimConfig) -> list:
     for j in range(model.k):
         x = np.zeros((n, model.k))
         x[:, j] = 1.0
-        w = _point_draws(model, envspec, cfg.seed, _BASE_VERTEX + j, n)
+        w = _point_draws(model, envspec, cfg.seed, _stream_id("vertex", j), n)
         logf = model.log_percapita(x, w)
         rates = {i: _iid_estimate(logf[:, i]) for i in range(model.k)}
         rows.append(FaceRow(support=(j,), measure="analytic_vertex", rates=rates))
@@ -344,10 +320,9 @@ def scalar_classify(model, envspec, cfg: SimConfig) -> Verdict:
     """
     if model.k != 1 or model.sim_mode == "linear":
         raise ConfigurationError("classification applies to scalar per-capita models")
-    model.check_env(envspec)
-    limit = model.log_growth_limit_at_infinity(envspec)
     n = int(min(max(cfg.horizon, 1000), 100_000))
     lam0 = mean_percapita_growth_at(model, envspec, np.zeros(1), 0, n, seed=cfg.seed)
+    limit = model.log_growth_limit_at_infinity(envspec)
     lam_inf = lam0 if limit is None else RateEstimate(limit, 0.0, 0, 0)
 
     if _call(lam0) < 0:
@@ -414,7 +389,7 @@ class DriftReport:
 def _scalar_contraction_scale(model, envspec, seed, margin) -> float:
     """Smallest doubling scale M with E[log f(M)] clearly below -margin;
     every scale is tested on the same draws."""
-    w = _point_draws(model, envspec, seed, _SCALE_MC, 4000)
+    w = _point_draws(model, envspec, seed, _stream_id("scale"), 4000)
     m_val = 1.0
     for _ in range(60):
         est = _growth_on(model, np.full(1, m_val), 0, w)
@@ -499,12 +474,11 @@ def drift_bounded_check(model, envspec, construction: DriftConstruction, n: int,
     The verdict requires E[log alpha] at least three standard errors below
     zero.
     """
-    model.check_env(envspec)
     if n < 1:
         raise ConfigurationError("need at least 1 (x, w) pair")
-    stream = make_stream(seed, _BASE_AUDIT)
+    stream = _open_streams(model, envspec, seed, [_stream_id("audit")])[0]
     x = _log_uniform_states(stream, n, model.k)
-    w = sample_block(envspec, stream, n)  # from the environment checked above
+    w = sample_block(envspec, stream, n)
     lhs = construction.v(model.step(x, w))
     rhs = construction.alpha(w) * construction.v(x) + construction.beta(w)
     tol = 1e-9 * (1.0 + np.abs(rhs))
@@ -521,7 +495,7 @@ def drift_bounded_check(model, envspec, construction: DriftConstruction, n: int,
             "rhs": float(rhs[idx]),
         }
 
-    moments = _point_draws(model, envspec, seed, _BASE_MOMENTS, max(n, 4000))
+    moments = _point_draws(model, envspec, seed, _stream_id("moments"), max(n, 4000))
     with np.errstate(divide="ignore"):
         log_alpha = np.log(construction.alpha(moments))
         logp_beta = np.maximum(np.log(construction.beta(moments)), 0.0)
@@ -573,7 +547,7 @@ def rps_condition(envspec, d: float, n: int, seed: int = 0) -> dict:
     if envspec.dim != 3:
         raise ConfigurationError("environment must supply (alpha, beta, gamma) draws")
     model = RpsLottery(d)  # checks the death fraction
-    w = _point_draws(model, envspec, seed, _BASE_POINT_MC + 1, n)
+    w = _point_draws(model, envspec, seed, _stream_id("rps"), n)
     a, b, g = w[:, 0], w[:, 1], w[:, 2]
     exact = np.log1p(d * (a / b - 1.0)) + np.log1p(d * (g / b - 1.0))
     small = a / b + g / b - 2.0
@@ -604,6 +578,6 @@ def lottery_taylor_rate(envspec, d: float, face_samples, invader: int, seed: int
                                  f"columns, got shape {x.shape}")
     if not 0 <= invader < m:
         raise ConfigurationError(f"invader {invader} out of range for {m} species")
-    w = _point_draws(Lottery(m, d), envspec, seed, _BASE_POINT_MC + 2, len(x))
+    w = _point_draws(Lottery(m, d), envspec, seed, _stream_id("taylor"), len(x))
     ratio = w[:, invader] / np.sum(x * w, axis=-1)
     return _iid_estimate(d * ratio - d)

@@ -18,7 +18,7 @@ import stochpop
 from stochpop import cli, engine, persist
 from stochpop.cli import main, run_config
 from stochpop.engine import RateEstimate
-from stochpop.env import env_to_config
+from stochpop.env import env_to_config, parse_env_spec
 from stochpop.errors import ConfigurationError
 from stochpop.models import parse_model
 from test_engine import _no_streams
@@ -709,6 +709,8 @@ def _reference_outputs(cfg, explore=False) -> dict:
     ``explore`` the report gains the ensemble hit probability of each eta at
     the horizon, and every verdict reads "exploratory"."""
     model, envspec = parse_model(cfg["model"])
+    if "env" in cfg:
+        envspec = parse_env_spec(cfg["env"])
     sim = cli._parse_sim(cfg["sim"])
     resolved = dict(cfg, env=env_to_config(envspec))
     resolved_json = json.dumps(_reference_jsonable(resolved), sort_keys=True, indent=2)
@@ -779,12 +781,25 @@ def _lyapunov_cfg():
     return dict(_gamma_cfg(), task="lyapunov")
 
 
-# (config, explore): every task, and the two whose --explore run adds rows
+def _rps_permanence_cfg():
+    return {
+        "model": {"model": "rps_lottery", "d": 0.1, "alpha": 3.2, "beta": 2.0, "gamma": 1.0},
+        "env": {"coords": [{"dist": "uniform", "lo": 3.0, "hi": 3.5},
+                           {"dist": "uniform", "lo": 1.5, "hi": 2.5},
+                           {"dist": "uniform", "lo": 0.5, "hi": 1.2}]},
+        "sim": {"seed": 3, "burn_in": 10, "horizon": 1010},
+        "task": "permanence",
+    }
+
+
+# (config, explore): every task, permanence on the cyclic lottery too (it
+# evaluates the vertices), and the two whose --explore run adds rows
 _BYTE_CASES = {
     "simulate": (_simulate_all_cfg, False),
     "classify": (_classify_cfg, False),
     "invade": (_invade_lottery_cfg, False),
     "permanence": (_permanence_cfg, False),
+    "permanence_rps": (_rps_permanence_cfg, False),
     "drift": (_drift_domination_cfg, False),
     "rps": (_rps_cfg, False),
     "gamma": (_gamma_cfg, False),
@@ -955,50 +970,49 @@ def test_one_measured_step_exits_2_without_outputs(tmp_path, capsys, case):
 # Stream keys: every stream is keyed by the run's own seed
 
 
-def _rps_permanence_cfg():
-    return {
-        "model": {"model": "rps_lottery", "d": 0.1, "alpha": 3.2, "beta": 2.0, "gamma": 1.0},
-        "env": {"coords": [{"dist": "uniform", "lo": 3.0, "hi": 3.5},
-                           {"dist": "uniform", "lo": 1.5, "hi": 2.5},
-                           {"dist": "uniform", "lo": 0.5, "hi": 1.2}]},
-        "sim": {"seed": 3, "burn_in": 10, "horizon": 1010},
-        "task": "permanence",
-    }
-
-
 # (config, explore): one config of each task; permanence on a lottery runs
 # faces, on the cyclic lottery it evaluates the vertices; simulate --explore
 # reads its hit fractions from the run's own terminal states
 _KEY_CASES = dict(
     {case: (make_cfg, False) for case, (make_cfg, explore) in _BYTE_CASES.items()
      if not explore},
-    permanence_rps=(_rps_permanence_cfg, False),
     simulate_explore=(_simulate_cfg, True),
 )
 
 
-def _opened_keys(tmp_path, monkeypatch, cfg, seed, explore) -> list:
-    """The (seed, replicate id) of every stream that one run opens."""
-    opened = []
-    for module in (engine, persist):  # the modules that open streams
-        def recording(seed, replicate_id=0, real=module.make_stream):
-            opened.append((seed, replicate_id))
-            return real(seed, replicate_id)
+def _opened_keys(tmp_path, monkeypatch, cfg, seed, explore) -> tuple:
+    """The (seed, stream id) of every stream that one run opens, and the set
+    of ids that ``engine._stream_id`` packed in the run."""
+    opened, packed = [], set()
 
-        monkeypatch.setattr(module, "make_stream", recording)
+    def recording(seed, replicate_id=0, real=engine.make_stream):
+        opened.append((seed, replicate_id))
+        return real(seed, replicate_id)
+
+    def packing(name, *indices, real=engine._stream_id):
+        sid = real(name, *indices)
+        packed.add(sid)
+        return sid
+
+    monkeypatch.setattr(engine, "make_stream", recording)
+    for module in (engine, persist):  # the modules that pack stream ids
+        monkeypatch.setattr(module, "_stream_id", packing)
     run_config(cfg, out_dir=tmp_path / f"out{seed}", seed=seed, explore=explore)
     monkeypatch.undo()
-    return opened
+    return opened, packed
 
 
 @pytest.mark.parametrize("case", list(_KEY_CASES))
 def test_no_stream_key_is_opened_twice_or_shared_with_a_nearby_seed(tmp_path, monkeypatch, case):
     # the cyclic lottery's vertex j once drew from seed + 7j, so a run at
     # seed s + 7 reused the draws of vertex 1 at seed s, and each vertex's
-    # stream was opened once per species
+    # stream was opened once per species.  Every opened id must also come
+    # from the one table of stream namespaces
     make_cfg, explore = _KEY_CASES[case]
     seed = make_cfg()["sim"]["seed"]
-    keys = {s: _opened_keys(tmp_path, monkeypatch, make_cfg(), s, explore)
-            for s in (seed, seed + 1, seed + 7)}
+    keys, packed = {}, {}
+    for s in (seed, seed + 1, seed + 7):
+        keys[s], packed[s] = _opened_keys(tmp_path, monkeypatch, make_cfg(), s, explore)
+        assert {sid for _, sid in keys[s]} <= packed[s], s
     assert keys[seed] and len(set(keys[seed])) == len(keys[seed]), keys[seed]
     assert not set(keys[seed]) & (set(keys[seed + 1]) | set(keys[seed + 7]))

@@ -725,6 +725,56 @@ def test_pieces_tile_the_horizon_within_chunks_and_batches(monkeypatch, case):
                               for s in range(horizon)})
 
 
+# one pinned id per stream namespace: the ids the package has always used
+_PINNED_IDS = {
+    ("replicate", 7): 7,
+    ("growth_at",): 2**32,
+    ("rps",): 2**32 + 1,
+    ("taylor",): 2**32 + 2,
+    ("scale",): 2**32 + 4,
+    ("face", 0b101, 3): 2**33 + 0b101 * 2**20 + 3,
+    ("audit",): 2**34,
+    ("moments",): 2**35,
+    ("vertex", 2): 2**36 + 2,
+}
+
+
+def test_every_stream_namespace_keeps_its_pinned_id():
+    assert {name for name, *_ in _PINNED_IDS} == set(engine._STREAM_IDS)
+    for (name, *indices), sid in _PINNED_IDS.items():
+        assert engine._stream_id(name, *indices) == sid, name
+
+
+def test_stream_namespaces_are_disjoint_and_fit_the_key_word():
+    spans = sorted((first, first + (1 << sum(widths)))
+                   for first, widths in engine._STREAM_IDS.values())
+    assert spans[-1][1] <= 2**64
+    for (_, end), (start, _) in zip(spans, spans[1:]):
+        assert end <= start
+    # each namespace's least and greatest ids lie in its own span
+    for name, (first, widths) in engine._STREAM_IDS.items():
+        lo = engine._stream_id(name, *[0] * len(widths))
+        hi = engine._stream_id(name, *[(1 << w) - 1 for w in widths])
+        assert (lo, hi) == (first, first + (1 << sum(widths)) - 1), name
+
+
+@pytest.mark.parametrize("name, indices, bounds", [
+    ("replicate", (2**32,), [2**32]),
+    ("replicate", (-1,), [2**32]),
+    ("face", (2**6, 0), [2**6, 2**20]),
+    ("face", (1, 2**20), [2**6, 2**20]),
+    ("vertex", (4,), [4]),
+    ("face", (1,), [2**6, 2**20]),
+    ("audit", (0,), []),
+], ids=["replicate_2^32", "replicate_-1", "face_code_2^6", "face_replicate_2^20", "vertex_4",
+        "face_one_index", "audit_one_index"])
+def test_an_index_outside_its_field_or_a_wrong_index_count_is_refused(name, indices, bounds):
+    message = (f"the {name} stream id packs indices below {bounds}, so that no two streams "
+               f"share an id; got {list(indices)}")
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        engine._stream_id(name, *indices)
+
+
 def test_every_trajectory_run_opens_its_streams_through_open_rows(monkeypatch):
     cfg = SimConfig(seed=2, replicates=3, burn_in=5, horizon=60)
     replicates = [(2, r) for r in range(3)]
@@ -737,7 +787,7 @@ def test_every_trajectory_run_opens_its_streams_through_open_rows(monkeypatch):
         "ensemble_hit_probability": (lambda: ensemble_hit_probability(
             Hassell(), h_env, cfg, ExtinctionNeighborhood(0.1), 10), replicates),
         "boundary_face_runs": (lambda: persist.boundary_invasion_report(lottery, l_env, cfg),
-                               [(2, persist._BASE_FACE + (persist._face_code(s) << 20) + r)
+                               [(2, engine._stream_id("face", sum(1 << i for i in s), r))
                                 for s in faces for r in range(3)]),
         "lyapunov_mc": (lambda: lyap.lyapunov_mc(
             Biennial(0.5, 0.5, 1.0, 1.0), EnvSpec((Gamma(2.0, 2.0),)), cfg), replicates),
@@ -979,7 +1029,6 @@ def _no_streams(monkeypatch):
         raise AssertionError("a stream was opened")
 
     monkeypatch.setattr(engine, "make_stream", no_stream)
-    monkeypatch.setattr(persist, "make_stream", no_stream)
 
 
 # model, coordinates whose column j draws exactly the domain's least draw,

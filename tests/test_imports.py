@@ -1,7 +1,8 @@
 """Static scans of the package's modules: every name a module imports is
 read there or re-exported in ``__all__``, every ``__all__`` entry is bound
 in its module, every module-level private name is read somewhere in the
-package, and only ``engine`` makes estimates."""
+package, only ``engine`` makes estimates, and only ``engine._open_streams``
+opens a stream."""
 
 import ast
 from pathlib import Path
@@ -144,3 +145,39 @@ def test_the_scan_finds_an_estimate_made_and_no_stated_limit():
                          ids=lambda p: p.name)
 def test_only_engine_makes_an_estimate(path):
     assert _estimates_made(path.read_text()) == []
+
+
+def _streams_opened(source: str) -> list:
+    """``(function, line)`` of each ``make_stream(`` call in ``source``, by
+    name or as an attribute, with the innermost function it lies in (None at
+    module level)."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "make_stream":
+                    found.append((function, child.lineno))
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_the_scan_finds_every_stream_opened_and_its_function():
+    source = ("from env import make_stream\nimport env\ns = make_stream(1, 2)\n"
+              "def _open_streams(seed, ids):\n    return [make_stream(seed, i) for i in ids]\n"
+              "def f(seed):\n    def g():\n        return env.make_stream(seed, 0)\n"
+              "    return make_stream, g\n")
+    assert _streams_opened(source) == [(None, 3), ("_open_streams", 5), ("g", 8)]
+
+
+@pytest.mark.parametrize("path", _ALL_MODULES, ids=lambda p: p.name)
+def test_only_the_stream_opener_opens_a_stream(path):
+    want = ["_open_streams"] if path.name == "engine.py" else []
+    assert [function for function, _ in _streams_opened(path.read_text())] == want

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from stochpop import engine, persist
+from stochpop import engine
 from stochpop.engine import (
     _CHUNK,
     ExtinctionNeighborhood,
@@ -33,10 +33,8 @@ from stochpop.models import (
     RpsLottery,
 )
 from stochpop.persist import (
-    _BASE_FACE,
     DriftConstruction,
     _call,
-    _face_code,
     affine_domination_audit,
     boundary_invasion_report,
     drift_bounded_check,
@@ -145,7 +143,6 @@ def test_invasion_rate_refuses_a_bad_support_before_any_stream_opens(monkeypatch
         raise AssertionError("a stream was opened")
 
     monkeypatch.setattr(engine, "make_stream", no_stream)
-    monkeypatch.setattr(persist, "make_stream", no_stream)
     env = EnvSpec((Normal(1.0, 0.3), Normal(0.8, 0.3)))
     cfg = SimConfig(seed=1, horizon=100)
     with pytest.raises(ConfigurationError, match=f"^{message}$"):
@@ -168,15 +165,14 @@ def test_face_stream_field_overflow_raises_before_any_stream(monkeypatch):
         raise AssertionError("a stream was opened")
 
     monkeypatch.setattr(engine, "make_stream", no_stream)
-    monkeypatch.setattr(persist, "make_stream", no_stream)
-    # no stream id is even packed, so a missing check fails at the first row
-    monkeypatch.setattr(persist, "_face_code", no_stream)
     m = Lottery(3, 0.3)
     env = EnvSpec((LogNormal(1.0, 0.3),) * 3)
     cfg = SimConfig(seed=1, replicates=2**20 + 1, burn_in=0, horizon=10)
-    with pytest.raises(ConfigurationError, match="replicates per face"):
+    message = re.escape("the face stream id packs indices below [64, 1048576], so that no two "
+                        "streams share an id; got [0, 1048576]")
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
         boundary_invasion_report(m, env, cfg)
-    with pytest.raises(ConfigurationError, match="replicates per face"):
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
         invasion_rate(m, env, cfg, invader=2, resident_support=(0, 1))
 
 
@@ -397,8 +393,9 @@ def test_boundary_report_rows_match_separate_face_runs(model, env, cfg):
     functionals = tuple(LogPerCapita(i) for i in range(model.k))
     assert [row.support for row in table.rows]
     for row in table.rows:
-        base = _BASE_FACE + (_face_code(row.support) << 20)
-        rows = [(base + r, row.support, f"replicate {r}") for r in range(cfg.replicates)]
+        code = sum(1 << i for i in row.support)
+        rows = [(engine._stream_id("face", code, r), row.support, f"replicate {r}")
+                for r in range(cfg.replicates)]
         raw = _drive(model, env, cfg, functionals, (), rows=rows)
         ref = _build_result(raw, functionals, ())
         assert bool(row.degenerate) == any(s.extinction_flag for s in ref.replicates)
@@ -429,16 +426,32 @@ def test_face_numeric_error_names_face_and_replicate():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_face_pool_whose_estimate_overflows_names_its_face():
-    # a rare draw of 1500 sends species 0 to the state cap, and the next
-    # step's log f of about -8e307 floors it: every batch sum stays finite,
-    # so no row is named, but the variance of the batch means overflows.
-    # Replicate 0 floored, so the face is degenerate, but its pool is made
-    # before the report reads that, and the run stops here
-    env = EnvSpec((Discrete((1.0, 1500.0), (0.999, 0.001)), Constant(1.0)))
-    cfg = SimConfig(seed=2, replicates=2, horizon=2000)
-    with pytest.raises(NumericError, match=r"^non-finite estimate of log_percapita_0 for the "
-                                           r"pooled replicates of face \(0,\): mean -2\.05"):
+    # on face (0,) the invader's log f is its own draw, about 5e199 give or
+    # take 3e199: every two-step batch sum is finite, so no row is named,
+    # but the variance of the batch means overflows.  No replicate of face
+    # (0,) floors; face (1,) floors, since its resident reaches the cap
+    env = EnvSpec((Normal(1.0, 0.3), Uniform(0.0, 1e200)))
+    cfg = SimConfig(seed=0, replicates=2, horizon=40)
+    with pytest.raises(NumericError, match=r"^non-finite estimate of log_percapita_1 for the "
+                                           r"pooled replicates of face \(0,\): mean 4\.88"):
         boundary_invasion_report(RickerCompetition(0.3, 0.3), env, cfg)
+
+
+@pytest.mark.parametrize("seed, extinct", [(0, [0]), (1, [0, 1]), (2, [0]), (3, [0, 1])])
+def test_a_face_with_a_floored_replicate_is_a_degenerate_row_and_not_pooled(seed, extinct):
+    # a rare draw of 1500 sends species 0 to the state cap, and the next
+    # step's log f of about -8e307 floors it.  The variance of face (0,)'s
+    # batch means overflows, but the face is degenerate, so it is not
+    # pooled; before, its pool was made first and ended the report
+    env = EnvSpec((Discrete((1.0, 1500.0), (0.999, 0.001)), Constant(1.0)))
+    cfg = SimConfig(seed=seed, replicates=2, horizon=2000)
+    table, verdict = boundary_invasion_report(RickerCompetition(0.3, 0.3), env, cfg)
+    zero, one = table.rows
+    assert zero.support == (0,) and zero.rates == {}
+    assert zero.degenerate.startswith(f"resident community degenerated in replicates {extinct};")
+    assert one.support == (1,) and not one.degenerate
+    assert all(math.isfinite(e.mean) and math.isfinite(e.std_error) for e in one.rates.values())
+    assert verdict.kind == "inconclusive"
 
 
 def test_single_species_boundary_report_is_refused():
@@ -496,7 +509,7 @@ def test_contraction_scale_draws_its_block_once(monkeypatch):
     # E[log f(M)] = 3 - log(1 + M) first clears -0.1 at M = 32, after six
     # scales; each used to redraw the same block from a reopened stream
     env = EnvSpec((LogNormal(3.0, 0.3), Constant(1.0)))
-    w = sample_block(env, make_stream(5, persist._SCALE_MC), 4000)
+    w = sample_block(env, make_stream(5, engine._stream_id("scale")), 4000)
     want = 1.0
     while True:
         logf = Hassell().log_percapita(np.full((4000, 1), want), w)[:, 0]
@@ -509,10 +522,10 @@ def test_contraction_scale_draws_its_block_once(monkeypatch):
         opened.append((seed, replicate_id))
         return make_stream(seed, replicate_id)
 
-    monkeypatch.setattr(persist, "make_stream", counting)
+    monkeypatch.setattr(engine, "make_stream", counting)
     con = drift_construction(Hassell(), env, seed=5, margin=0.1)
     assert con.params["M"] == want == 32.0
-    assert opened == [(5, persist._SCALE_MC)]
+    assert opened == [(5, engine._stream_id("scale"))]
 
 
 def test_competition_drift_construction_passes_audit():
@@ -716,7 +729,7 @@ def test_taylor_rate_refuses_a_bad_invader_or_sample_width(monkeypatch, invader,
     def no_stream(*args):
         raise AssertionError("a stream was opened")
 
-    monkeypatch.setattr(persist, "make_stream", no_stream)
+    monkeypatch.setattr(engine, "make_stream", no_stream)
     env = EnvSpec((LogNormal(1.0, 0.3),) * 3)
     with pytest.raises(ConfigurationError, match=message):
         lottery_taylor_rate(env, 0.05, samples, invader, seed=1)
