@@ -248,10 +248,11 @@ def _replicate_rows(tag, occupation, averages, extinct):
 
 # ---------------------------------------------------------------------------
 # Task runners: each returns (results_dict, estimate_rows, extra_files) as the
-# library gives them, which the writers take as they are
+# library gives them, which the writers take as they are, and writes each claim
+# it makes (a verdict, or a flag that decides one) as ``claim(value)``
 
 
-def _task_simulate(model, envspec, sim, params):
+def _task_simulate(model, envspec, sim, params, claim):
     functionals = _parse_functionals(params.get("functionals", []))
     result = engine.simulate(model, envspec, sim, functionals=functionals)
     pooled = result.pooled
@@ -285,21 +286,22 @@ def _task_simulate(model, envspec, sim, params):
     return results, rows, {"replicates.csv": csv_rows}
 
 
-def _task_classify(model, envspec, sim, params):
+def _task_classify(model, envspec, sim, params, claim):
     verdict = persist.scalar_classify(model, envspec, sim)
+    kind = claim(verdict.kind)
     rows = [
-        _est_row("classify", name, est, verdict=verdict.kind)
+        _est_row("classify", name, est, verdict=kind)
         for name, est in verdict.evidence.items()
     ]
     results = {
-        "verdict": verdict.kind,
+        "verdict": kind,
         "decision_margin": verdict.decision_margin,
         "evidence": verdict.evidence,
     }
     return results, rows, {}
 
 
-def _task_invade(model, envspec, sim, params):
+def _task_invade(model, envspec, sim, params, claim):
     if "invader" not in params or "resident_support" not in params:
         raise ConfigurationError("invade task needs task_params invader and resident_support")
     invader = config_int(params["invader"], "task_params invader")
@@ -311,9 +313,11 @@ def _task_invade(model, envspec, sim, params):
     return {"invader": invader, "resident_support": list(support), "rate": est}, rows, {}
 
 
-def _task_permanence(model, envspec, sim, params):
+def _task_permanence(model, envspec, sim, params, claim):
     table, verdict = persist.boundary_invasion_report(model, envspec, sim)
-    weights = persist.find_persistence_weights(table)
+    kind = claim(verdict.kind)
+    usable = any(not r.degenerate for r in table.rows)
+    weights = persist.find_persistence_weights(table) if usable else None
     rows = []
     for r in table.rows:
         for i, est in sorted(r.rates.items()):
@@ -324,17 +328,19 @@ def _task_permanence(model, envspec, sim, params):
                     est,
                     species=i,
                     face=_face_label(r.support),
-                    verdict=verdict.kind,
+                    verdict=kind,
                 )
             )
     if weights is None:
-        rows.append(_row("permanence", "weights", verdict="infeasible"))
+        # with every face degenerate no row was weighed, so nothing is infeasible
+        rows.append(_row("permanence", "weights",
+                         verdict=claim("infeasible" if usable else "inconclusive")))
     else:
         for i, w in enumerate(weights.tolist()):
-            rows.append(_row("permanence", "weight", species=i, mean=w, verdict="feasible"))
+            rows.append(_row("permanence", "weight", species=i, mean=w, verdict=claim("feasible")))
     results = {
-        "verdict": verdict.kind,
-        "not_permanent": table.not_permanent,
+        "verdict": kind,
+        "not_permanent": claim(table.not_permanent),
         "decision_margin": verdict.decision_margin,
         "weights": None if weights is None else weights.tolist(),
         "faces": [
@@ -351,7 +357,7 @@ def _task_permanence(model, envspec, sim, params):
     return results, rows, {}
 
 
-def _task_drift(model, envspec, sim, params):
+def _task_drift(model, envspec, sim, params, claim):
     n_pairs = config_int(params.get("n_pairs", 100_000), "task_params n_pairs")
     margin = config_number(params.get("margin", 0.1), "task_params margin")
     steps = config_int(params.get("domination_steps", 0), "task_params domination_steps")
@@ -369,9 +375,9 @@ def _task_drift(model, envspec, sim, params):
         "E_log_alpha": report.e_log_alpha,
         "E_logplus_alpha": report.e_logplus_alpha,
         "E_logplus_beta": report.e_logplus_beta,
-        "hypotheses_hold": report.hypotheses_hold,
+        "hypotheses_hold": claim(report.hypotheses_hold),
     }
-    verdict = "hypotheses hold" if report.hypotheses_hold else "hypotheses not shown"
+    verdict = claim("hypotheses hold" if report.hypotheses_hold else "hypotheses not shown")
     rows = [
         _est_row("drift", "E_log_alpha", report.e_log_alpha, verdict=verdict),
         _est_row("drift", "E_logplus_alpha", report.e_logplus_alpha),
@@ -382,20 +388,20 @@ def _task_drift(model, envspec, sim, params):
         audit = persist.affine_domination_audit(
             model, envspec, construction, dataclasses.replace(sim, horizon=steps, burn_in=0)
         )
-        results["domination"] = audit
+        results["domination"] = dict(audit, ok=claim(audit["ok"]))
         rows.append(
             _row(
                 "drift",
                 "domination_min_slack",
                 mean=audit["min_slack"],
                 n=steps,
-                verdict="dominates" if audit["ok"] else "violated",
+                verdict=claim("dominates" if audit["ok"] else "violated"),
             )
         )
     return results, rows, {}
 
 
-def _task_rps(model, envspec, sim, params):
+def _task_rps(model, envspec, sim, params, claim):
     if "d" in params:
         d = config_number(params["d"], "task_params d")
     elif hasattr(model, "d"):
@@ -404,14 +410,15 @@ def _task_rps(model, envspec, sim, params):
         raise ConfigurationError("rps task needs a death fraction (model.d or task_params.d)")
     n = config_int(params.get("n", 10_000), "task_params n")
     rep = persist.rps_condition(envspec, d, n, seed=sim.seed)
+    exact, small_d = claim(rep["exact_verdict"]), claim(rep["small_d_verdict"])
     rows = [
-        _est_row("rps", "exact_lhs", rep["exact_lhs"], verdict=rep["exact_verdict"]),
-        _est_row("rps", "small_d_lhs", rep["small_d_lhs"], verdict=rep["small_d_verdict"]),
+        _est_row("rps", "exact_lhs", rep["exact_lhs"], verdict=exact),
+        _est_row("rps", "small_d_lhs", rep["small_d_lhs"], verdict=small_d),
     ]
-    return dict(rep, d=d), rows, {}
+    return dict(rep, d=d, exact_verdict=exact, small_d_verdict=small_d), rows, {}
 
 
-def _task_gamma(model, envspec, sim, params):
+def _task_gamma(model, envspec, sim, params, claim):
     if not isinstance(model, Biennial):
         raise ConfigurationError("gamma task needs the biennial model")
     dist = envspec.coords[0]
@@ -443,7 +450,7 @@ def _task_gamma(model, envspec, sim, params):
     return results, rows, {}
 
 
-def _task_lyapunov(model, envspec, sim, params):
+def _task_lyapunov(model, envspec, sim, params, claim):
     mc = lyapunov_mc(model, envspec, sim)
     return {"gamma_mc": mc}, [_est_row("lyapunov", "gamma_mc", mc)], {}
 
@@ -481,26 +488,13 @@ def _apply_set(cfg: dict, assignment: str):
     node[parts[-1]] = value
 
 
-def _strip_verdicts(node):
-    """Exploratory runs report raw statistics only: no claims survive."""
-    if isinstance(node, dict):
-        for key, value in node.items():
-            if key in ("verdict", "exact_verdict", "small_d_verdict", "hypotheses_hold"):
-                node[key] = "exploratory"
-            else:
-                _strip_verdicts(value)
-    elif isinstance(node, list):
-        for value in node:
-            _strip_verdicts(value)
-
-
 def run_config(cfg: dict, out_dir=None, seed=None, threads: int = 1, explore: bool = False) -> dict:
     """Validate, run one task, and write results; returns the full report.
 
     ``threads`` is accepted for compatibility and has no effect."""
     _validate_top(cfg)
-    if seed is not None:
-        cfg.setdefault("sim", {})["seed"] = int(seed)
+    if seed is not None and isinstance(cfg["sim"], dict):  # _parse_sim refuses any other sim
+        cfg["sim"]["seed"] = int(seed)
     model, default_env = parse_model(cfg["model"])
     envspec = parse_env_spec(cfg["env"]) if "env" in cfg else default_env
     model.check_env(envspec)
@@ -517,7 +511,9 @@ def run_config(cfg: dict, out_dir=None, seed=None, threads: int = 1, explore: bo
     _write_json(text, resolved)  # a value no report holds is refused before the task runs
     digest = hashlib.sha256(text.getvalue().encode()).hexdigest()
 
-    results, rows, extra_files = _RUNNERS[cfg["task"]](model, envspec, sim, params)
+    # exploratory runs report raw statistics only: every claim reads "exploratory"
+    claim = (lambda value: "exploratory") if explore else (lambda value: value)
+    results, rows, extra_files = _RUNNERS[cfg["task"]](model, envspec, sim, params, claim)
     if explore:
         if cfg["task"] == "simulate":
             # the run's own terminal states: a probe would redo its steps
@@ -535,10 +531,6 @@ def run_config(cfg: dict, out_dir=None, seed=None, threads: int = 1, explore: bo
             "ensemble_hit_at_horizon": raw,
             "note": "raw statistics only; nothing here is adjudicated",
         }
-        _strip_verdicts(results)
-        for row in rows:
-            if row.get("verdict"):
-                row["verdict"] = "exploratory"
     report = {
         "task": cfg["task"],
         "provenance": {
@@ -622,8 +614,10 @@ def main(argv=None) -> int:
     p_run.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; has no effect")
     p_run.add_argument("--explore", action="store_true",
-                       help="report raw statistics only, with no verdicts, and attach "
-                            "ensemble hit probabilities for the eta grid")
+                       help="write each claim (verdict strings, not_permanent, hypotheses_hold, "
+                            "domination.ok, rps verdicts, the CSV verdict column) as "
+                            "'exploratory', keep estimates, decision_margin, weights, slacks, "
+                            "annotations and degenerate, and attach eta-grid hit probabilities")
     p_run.set_defaults(fn=_cmd_run)
     p_list = sub.add_parser("list-models", help="print the model catalog")
     p_list.set_defaults(fn=_cmd_list_models)

@@ -274,6 +274,27 @@ def test_permanence_task(tmp_path):
     assert report["results"]["weights"] is not None
 
 
+def test_permanence_with_every_face_degenerate_is_inconclusive(tmp_path):
+    # both species die out alone, so no face row is left to weigh; this once
+    # exited 2 with "table has no usable rows" and wrote nothing
+    cfg = {
+        "model": {"model": "ricker_competition",
+                  "r": [{"dist": "normal", "mean": -2.0, "sd": 0.1}] * 2, "alpha": [0.5, 0.5]},
+        "sim": {"seed": 0, "burn_in": 100, "horizon": 1000},
+        "task": "permanence",
+    }
+    cfg_path = _write(tmp_path, cfg)
+    for flags, word in (((), "inconclusive"), (("--explore",), "exploratory")):
+        out = tmp_path / word
+        assert main(["run", "--config", cfg_path, "--out", str(out), *flags]) == 0
+        results = json.loads((out / "results.json").read_text())["results"]
+        assert results["verdict"] == word and results["weights"] is None
+        assert [face["support"] for face in results["faces"] if face["degenerate"]] == [[0], [1]]
+        assert len(results["annotations"]) == 2
+        with (out / "results.csv").open() as fh:
+            assert [(r["quantity"], r["verdict"]) for r in csv.DictReader(fh)] == [("weights", word)]
+
+
 def test_rps_task_uses_model_turnover(tmp_path):
     cfg = {
         "model": {"model": "rps_lottery", "d": 0.1, "alpha": 3.2, "beta": 2.0, "gamma": 1.0},
@@ -642,6 +663,16 @@ def test_seed_flag_outside_64_bits_exits_2_without_outputs(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_seed_flag_with_a_sim_that_is_no_object_exits_2_without_outputs(tmp_path, capsys):
+    # the seed was once written into the sim before its type was checked,
+    # which exited 1 with a TypeError
+    out = tmp_path / "out"
+    cfg_path = _write(tmp_path, dict(_simulate_cfg(), sim=[1]))
+    assert main(["run", "--config", cfg_path, "--out", str(out), "--seed", "1"]) == 2
+    assert "configuration error: sim section must be an object" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _ricker_cfg(**normal):
     return {
         "model": {"model": "ricker", "a": 1.0,
@@ -707,7 +738,8 @@ def _reference_outputs(cfg, explore=False) -> dict:
     """The bytes of each output file when the runner's results and rows go
     through ``_reference_jsonable`` and the stdlib's writers.  Under
     ``explore`` the report gains the ensemble hit probability of each eta at
-    the horizon, and every verdict reads "exploratory"."""
+    the horizon, and every verdict, ``not_permanent``, ``hypotheses_hold`` and
+    ``domination.ok`` reads "exploratory"."""
     model, envspec = parse_model(cfg["model"])
     if "env" in cfg:
         envspec = parse_env_spec(cfg["env"])
@@ -715,7 +747,7 @@ def _reference_outputs(cfg, explore=False) -> dict:
     resolved = dict(cfg, env=env_to_config(envspec))
     resolved_json = json.dumps(_reference_jsonable(resolved), sort_keys=True, indent=2)
     results, rows, extra = cli._RUNNERS[cfg["task"]](model, envspec, sim,
-                                                     cfg.get("task_params", {}))
+                                                     cfg.get("task_params", {}), lambda v: v)
     if explore:
         hits = {}
         for eta in sim.eta_grid:
@@ -729,9 +761,14 @@ def _reference_outputs(cfg, explore=False) -> dict:
             "ensemble_hit_at_horizon": hits,
             "note": "raw statistics only; nothing here is adjudicated",
         })
-        for node in [results] + rows:
-            if node.get("verdict"):
-                node["verdict"] = "exploratory"
+        for key in ("verdict", "not_permanent", "hypotheses_hold"):
+            if key in results:
+                results[key] = "exploratory"
+        if "domination" in results:
+            results["domination"] = dict(results["domination"], ok="exploratory")
+        for row in rows:
+            if row["verdict"]:
+                row["verdict"] = "exploratory"
     report = {
         "task": cfg["task"],
         "provenance": {
@@ -792,8 +829,25 @@ def _rps_permanence_cfg():
     }
 
 
+def _dominance_cfg():
+    # species 0 dominates, so face (0,) is not invaded and not_permanent is true
+    return {
+        "model": {"model": "lottery", "k": 2, "d": 0.2,
+                  "fecundity": [{"dist": "constant", "value": 3.0},
+                                {"dist": "constant", "value": 2.0}]},
+        "sim": {"seed": 14, "replicates": 1, "burn_in": 100, "horizon": 2100},
+        "task": "permanence",
+    }
+
+
+def _drift_audit_cfg():
+    return dict(_drift_cfg(), sim={"seed": 1, "horizon": 100},
+                task_params={"n_pairs": 2000, "domination_steps": 200})
+
+
 # (config, explore): every task, permanence on the cyclic lottery too (it
-# evaluates the vertices), and the two whose --explore run adds rows
+# evaluates the vertices), the two whose --explore run adds rows, and the two
+# whose not_permanent and domination.ok claims --explore once left in place
 _BYTE_CASES = {
     "simulate": (_simulate_all_cfg, False),
     "classify": (_classify_cfg, False),
@@ -806,6 +860,8 @@ _BYTE_CASES = {
     "lyapunov": (_lyapunov_cfg, False),
     "simulate_explore": (_simulate_cfg, True),
     "classify_explore": (_classify_cfg, True),
+    "permanence_explore": (_dominance_cfg, True),
+    "drift_explore": (_drift_audit_cfg, True),
 }
 
 
@@ -820,6 +876,67 @@ def test_output_bytes_match_the_per_field_writer(tmp_path, case):
     assert sorted(p.name for p in out.iterdir()) == sorted(want)
     for name, blob in want.items():
         assert (out / name).read_bytes() == blob, name
+
+
+# every word a report writes as a claim: the verdict kinds, the weights
+# rows', the drift and audit rows' and the rps verdicts
+_VERDICT_WORDS = {"extinction", "explosion", "persistent", "inconclusive", "feasible",
+                  "infeasible", "hypotheses hold", "hypotheses not shown", "dominates",
+                  "violated", "fails", "persists"}
+
+
+def _leaves(node, path=()):
+    """``{path: value}`` of every leaf of a decoded JSON document."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return {p: v for key, child in items for p, v in _leaves(child, path + (key,)).items()}
+    return {path: node}
+
+
+@pytest.mark.parametrize("case", list(_BYTE_CASES))
+def test_explore_replaces_every_claim_and_nothing_else(tmp_path, case):
+    make_cfg, _ = _BYTE_CASES[case]
+    run_config(make_cfg(), out_dir=tmp_path / "plain")
+    run_config(make_cfg(), out_dir=tmp_path / "explore", explore=True)
+    plain, explored = (json.loads((tmp_path / side / "results.json").read_text())
+                       for side in ("plain", "explore"))
+    assert plain["provenance"].pop("explore") is False
+    assert explored["provenance"].pop("explore") is True
+    hits = explored["results"].pop("exploratory")["ensemble_hit_at_horizon"]
+    hit_rows = explored["estimates"][len(plain["estimates"]):]
+    del explored["estimates"][len(plain["estimates"]):]
+    horizon = plain["config"]["sim"]["horizon"]
+    assert [r["quantity"] for r in hit_rows] == [f"ensemble_hit[{n}]@t={horizon}" for n in hits]
+    # the two reports differ only where a claim (a bool or a verdict word)
+    # reads "exploratory": estimates, margins, weights, slacks, violations
+    # and annotations all stay
+    before, after = _leaves(plain), _leaves(explored)
+    assert before.keys() == after.keys()
+    claims = {path: value for path, value in before.items() if after[path] != value}
+    assert all(after[path] == "exploratory" for path in claims), claims
+    assert all(isinstance(v, bool) or v in _VERDICT_WORDS for v in claims.values()), claims
+    assert bool(claims) == (plain["task"] in ("classify", "permanence", "drift", "rps"))
+    for path, value in after.items():
+        assert not isinstance(value, bool) or path[:2] + path[3:] == (
+            "results", "replicates", "extinct"), path
+        assert value not in _VERDICT_WORDS, path
+    with (tmp_path / "explore" / "results.csv").open() as fh:
+        assert {row["verdict"] for row in csv.DictReader(fh)} <= {"", "exploratory"}
+    for name in os.listdir(tmp_path / "plain"):
+        if name not in ("results.json", "results.csv"):
+            assert (tmp_path / "plain" / name).read_bytes() == (
+                tmp_path / "explore" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("make_cfg, path", [(_dominance_cfg, ("not_permanent",)),
+                                            (_drift_audit_cfg, ("domination", "ok"))],
+                         ids=["not_permanent", "domination_ok"])
+def test_explore_replaces_a_claim_it_once_left_in_place(tmp_path, make_cfg, path):
+    for explore, want in ((False, True), (True, "exploratory")):
+        node = run_config(make_cfg(), out_dir=tmp_path / str(explore), explore=explore)["results"]
+        for key in path:
+            node = node[key]
+        assert node == want and type(node) is type(want)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Static scans of the package's modules: every name a module imports is
 read there or re-exported in ``__all__``, every ``__all__`` entry is bound
 in its module, every module-level private name is read somewhere in the
-package, only ``engine`` makes estimates, and only ``engine._open_streams``
-opens a stream."""
+package, only ``engine`` makes estimates, only ``engine._open_streams``
+opens a stream, and only ``persist._call`` and ``persist._objective`` read
+the 3-SE rule's ``_SIGMAS``."""
 
 import ast
 from pathlib import Path
@@ -147,10 +148,9 @@ def test_only_engine_makes_an_estimate(path):
     assert _estimates_made(path.read_text()) == []
 
 
-def _streams_opened(source: str) -> list:
-    """``(function, line)`` of each ``make_stream(`` call in ``source``, by
-    name or as an attribute, with the innermost function it lies in (None at
-    module level)."""
+def _where(source: str, hit) -> list:
+    """``(function, line)`` of each node of ``source`` that ``hit`` accepts,
+    with the innermost function it lies in (None at module level)."""
     found = []
 
     def visit(node, function):
@@ -158,15 +158,25 @@ def _streams_opened(source: str) -> list:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "make_stream":
-                    found.append((function, child.lineno))
+            if hit(child):
+                found.append((function, child.lineno))
             visit(child, function)
 
     visit(ast.parse(source), None)
     return found
+
+
+def _read_name(node) -> str:
+    """The name a node reads, by name or as an attribute, or None."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _streams_opened(source: str) -> list:
+    """``(function, line)`` of each ``make_stream(`` call in ``source``, by
+    name or as an attribute."""
+    return _where(source, lambda n: isinstance(n, ast.Call) and _read_name(n.func) == "make_stream")
 
 
 def test_the_scan_finds_every_stream_opened_and_its_function():
@@ -181,3 +191,23 @@ def test_the_scan_finds_every_stream_opened_and_its_function():
 def test_only_the_stream_opener_opens_a_stream(path):
     want = ["_open_streams"] if path.name == "engine.py" else []
     assert [function for function, _ in _streams_opened(path.read_text())] == want
+
+
+def _sigmas_read(source: str) -> list:
+    """``(function, line)`` of each read of ``_SIGMAS`` in ``source``, by
+    name or as an attribute."""
+    return _where(source, lambda n: _read_name(n) == "_SIGMAS")
+
+
+def test_the_scan_finds_every_read_of_sigmas_and_its_function():
+    source = ("import persist\n_SIGMAS = 3.0\nk = _SIGMAS\ndef _call(est):\n"
+              "    return est.mean - _SIGMAS * est.se\n"
+              "def g(se):\n    _SIGMAS = 2.0\n    return persist._SIGMAS * se\n")
+    assert _sigmas_read(source) == [(None, 3), ("_call", 5), ("g", 8)]
+
+
+@pytest.mark.parametrize("path", _ALL_MODULES, ids=lambda p: p.name)
+def test_only_the_3_se_call_and_the_weights_guard_read_sigmas(path):
+    # so every verdict follows the 3-SE rule by construction
+    functions = {function for function, _ in _sigmas_read(path.read_text())}
+    assert functions == ({"_call", "_objective"} if path.name == "persist.py" else set())
