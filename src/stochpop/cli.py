@@ -201,14 +201,17 @@ def _parse_functionals(spec_list):
         if not isinstance(item, dict) or "kind" not in item:
             raise ConfigurationError(f"functional spec must be an object with 'kind': {item!r}")
         kind = item["kind"]
-        if kind in ("coordinate", "log_percapita"):
+        if kind not in ("coordinate", "log_percapita", "log_norm"):
+            raise ConfigurationError(f"unknown functional kind {kind!r}")
+        extra = set(item) - ({"kind"} if kind == "log_norm" else {"kind", "i"})
+        if extra:
+            raise ConfigurationError(f"unknown keys {sorted(extra)} for {kind!r} functional")
+        if kind == "log_norm":
+            out.append(LogNorm())
+        else:
             if not is_int(item.get("i")):
                 raise ConfigurationError(f"{kind} functional needs an integer 'i': {item!r}")
             out.append((Coordinate if kind == "coordinate" else LogPerCapita)(item["i"]))
-        elif kind == "log_norm":
-            out.append(LogNorm())
-        else:
-            raise ConfigurationError(f"unknown functional kind {kind!r}")
     return tuple(out)
 
 
@@ -522,10 +525,9 @@ def run_config(cfg: dict, out_dir=None, seed=None, threads: int = 1, explore: bo
             states = engine.terminal_states(model, envspec, sim, sim.horizon)
         raw = {}
         for eta in sim.eta_grid:
-            name = f"S_eta={eta:g}"
-            est = engine.hit_fraction(model, states, engine.ExtinctionNeighborhood(eta))
-            raw[name] = est
-            rows.append(_est_row(cfg["task"], f"ensemble_hit[{name}]@t={sim.horizon}", est))
+            near = engine.ExtinctionNeighborhood(eta)
+            raw[near.name] = est = engine.hit_fraction(model, states, near)
+            rows.append(_est_row(cfg["task"], f"ensemble_hit[{near.name}]@t={sim.horizon}", est))
         results = dict(results)
         results["exploratory"] = {
             "ensemble_hit_at_horizon": raw,

@@ -101,6 +101,9 @@ class SimConfig:
         for eta in self.eta_grid:
             if not eta > 0:
                 raise ConfigurationError("eta_grid entries must be positive")
+        names = [ExtinctionNeighborhood(eta).name for eta in self.eta_grid]
+        if len(set(names)) < len(names):  # one name would report both sets as one
+            raise ConfigurationError(f"eta_grid entries must differ in name, got {names}")
         if self.bound_radius is not None and not self.bound_radius > 0:
             raise ConfigurationError("bound_radius must be positive")
 
@@ -648,8 +651,7 @@ def terminal_states(model, envspec, cfg, t: int) -> np.ndarray:
     A run of horizon t from the same config ends in the same states."""
     if not (1 <= t <= cfg.horizon):
         raise ConfigurationError("time index must satisfy 1 <= t <= horizon")
-    probe = replace(cfg, horizon=t, burn_in=0, eta_grid=(), bound_radius=None)
-    return _drive(model, envspec, probe, (), ())["terminal"]
+    return _drive(model, envspec, replace(cfg, horizon=t, burn_in=0), (), ())["terminal"]
 
 
 def ensemble_hit_probability(model, envspec, cfg, set_descriptor, t: int):

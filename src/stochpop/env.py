@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -57,10 +56,6 @@ _PROB_TOL = 1e-12
 _SCRATCH = 1 << 16
 # Fewest values in a slice of a split ppf: a block under twice this runs inline
 _SPLIT = 8192
-# (pid, executor) of the threads that run split ppf slices: made on the first
-# split, and again in a forked child, whose copy has no threads
-_pool = None
-_pool_lock = threading.Lock()
 
 
 def _result(u, out):
@@ -268,17 +263,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _executor():
-    """This process's executor for split ppf slices.  It starts a thread only
-    when a slice finds none idle, up to one per CPU."""
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] != os.getpid():
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = (os.getpid(), ThreadPoolExecutor(os.cpu_count() or 1, "stochpop-ppf"))
-        return _pool[1]
-
-
 def _split_ppf(dist, u, scratch, out):
     """``out[...] = dist.ppf(u)`` through ``scratch`` (u's shape, contiguous).
 
@@ -286,10 +270,12 @@ def _split_ppf(dist, u, scratch, out):
     one contiguous slice per usable CPU, each of at least _SPLIT values; any
     other runs inline.  A slice runs the ppf into its own rows of the
     scratch and copies them into its own rows of ``out``.  The first slice
-    runs here and the others on the executor's threads; gammaincinv releases
-    the interpreter lock, so they run at once.  A slice runs only the ppf and
-    the copy.  Every slice has returned before this does, also when one
-    raises; the first error, in slice order, is then raised."""
+    runs here and each other on a thread started for this call and joined
+    before it returns, so no thread outlives the call and a forked child
+    inherits none; gammaincinv releases the interpreter lock, so the slices
+    run at once.  A slice runs only the ppf and the copy.  Every slice has
+    returned before this does, also when one raises; the first error, in
+    slice order, is then raised."""
 
     def run(lo, hi):
         out[lo:hi] = dist.ppf(u[lo:hi], out=scratch[lo:hi])
@@ -300,16 +286,13 @@ def _split_ppf(dist, u, scratch, out):
     if n < 2:
         run(0, len(u))
         return
+    from concurrent.futures import ThreadPoolExecutor
     cuts = [len(u) * i // n for i in range(n + 1)]
-    pool = _executor()
-    futures = [pool.submit(run, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
-    try:
+    with ThreadPoolExecutor(n - 1, "stochpop-ppf") as pool:  # its exit joins every thread
+        futures = [pool.submit(run, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
         run(cuts[0], cuts[1])
-    finally:
-        errors = [f.exception() for f in futures]  # waits for every slice
-    for error in errors:
-        if error is not None:
-            raise error
+    for future in futures:
+        future.result()
 
 
 def open_unit(u: np.ndarray) -> np.ndarray:

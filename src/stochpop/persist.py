@@ -229,11 +229,7 @@ def boundary_invasion_report(model, envspec, cfg: SimConfig):
                     "settled on an ergodic measure"
                 )
     kind = "persistent" if all_faces_invasible else "inconclusive"
-    evidence = {}
-    for row in rows:
-        for i, est in row.rates.items():
-            evidence[f"lambda_{i}|face={row.support}"] = est
-    verdict = Verdict(kind=kind, evidence=evidence, decision_margin=min(margins, default=0.0))
+    verdict = Verdict(kind=kind, evidence={}, decision_margin=min(margins, default=0.0))
     return table, verdict
 
 
@@ -274,10 +270,6 @@ def find_persistence_weights(table: InvasionTable):
     k = 1 + max(max(r.rates) for r in rows)
     lam = np.array([[r.rates[i].mean for i in range(k)] for r in rows])
     se2 = np.array([[r.rates[i].std_error ** 2 for i in range(k)] for r in rows])
-    if k == 1:
-        p = np.ones(1)
-        return p if _objective(p, lam, se2) > 0 else None
-
     res = 20 if k <= 3 else (10 if k == 4 else 6)
     best_p = np.full(k, 1.0 / k)
     best_val = _objective(best_p, lam, se2)

@@ -154,6 +154,14 @@ def test_unknown_keys_rejected(tmp_path):
     cfg5["task_params"] = {"functionls": [{"kind": "coordinate", "i": 0}]}
     assert main(["run", "--config", _write(tmp_path, cfg5, "c5.json"), "--out", str(tmp_path / "o5")]) == 2
     assert not (tmp_path / "o4").exists() and not (tmp_path / "o5").exists()
+    # a functional spec takes "kind", and "i" for a coordinate or per-capita rate
+    for n, spec in enumerate([{"kind": "log_norm", "i": 3},
+                              {"kind": "coordinate", "i": 0, "species": 1}], start=6):
+        cfg_n = _simulate_cfg()
+        cfg_n["task_params"] = {"functionals": [spec]}
+        out = tmp_path / f"o{n}"
+        assert main(["run", "--config", _write(tmp_path, cfg_n, f"c{n}.json"), "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 def test_missing_config_file_exits_2(tmp_path):
@@ -434,6 +442,17 @@ def test_mistyped_config_value_exits_2_without_outputs(tmp_path, capsys, case):
     out = tmp_path / "out"
     assert main(["run", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 2
     assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("eta_grid", [[0.5, 0.5000001], [0.01, 0.01]], ids=["same_name", "same_value"])
+def test_eta_grid_entries_of_one_name_exit_2_without_outputs(tmp_path, capsys, eta_grid):
+    # both would be reported under the one key S_eta=..., and one set lost
+    cfg = _simulate_cfg()
+    cfg["sim"]["eta_grid"] = eta_grid
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 2
+    assert "configuration error: eta_grid entries must differ in name" in capsys.readouterr().err
     assert not out.exists()
 
 

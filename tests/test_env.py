@@ -2,7 +2,6 @@
 
 import math
 import multiprocessing
-import os
 import sys
 import threading
 import time
@@ -394,17 +393,34 @@ def test_a_block_splits_into_one_slice_per_cpu_only_above_twice_the_split_size(
         assert sum(ident == main for ident, _ in dist.calls) == 1
 
 
+def _ppf_threads(monkeypatch, cls) -> list:
+    """The name of the thread of every call of ``cls.ppf`` from now on."""
+    names = []
+    real = cls.ppf
+
+    def ppf(self, u, out=None):
+        names.append(threading.current_thread().name)
+        return real(self, u, out)
+
+    monkeypatch.setattr(cls, "ppf", ppf)
+    return names
+
+
+def _ppf_threads_alive() -> list:
+    return [t.name for t in threading.enumerate() if t.name.startswith("stochpop-ppf")]
+
+
 @pytest.mark.parametrize("dist", _ALL_DISTS, ids=repr)
 def test_only_gammaincinv_is_split(monkeypatch, dist):
     # the other ppfs take 10-20 ns a value: a thread hand-off costs more
     # than a slice of theirs saves
     _cpus(monkeypatch, 2)
-    used = []
-    real = env._executor
-    monkeypatch.setattr(env, "_executor", lambda: used.append(1) or real())
+    names = _ppf_threads(monkeypatch, type(dist))
     u = _edge_uniforms(env._SCRATCH)
     assert np.array_equal(EnvSpec((dist,)).transform(u[:, None])[:, 0], _oracle_ppf(dist, u))
-    assert bool(used) == (isinstance(dist, Gamma) and dist.shape != 1.0)
+    split = isinstance(dist, Gamma) and dist.shape != 1.0
+    assert len(names) == (2 if split else 1)
+    assert any(name.startswith("stochpop-ppf") for name in names) == split
 
 
 def test_draw_chunks_give_the_same_draws_with_one_worker_and_with_two(monkeypatch):
@@ -462,18 +478,33 @@ def test_a_failing_slice_surfaces_after_every_other_slice_has_returned(monkeypat
     assert len(dist.ended) == 2 and max(dist.ended) <= raised
 
 
+def test_no_slice_thread_outlives_its_transform(monkeypatch):
+    _cpus(monkeypatch, 3)
+    u = _edge_uniforms(3 * env._SPLIT).reshape(-1, 1)
+    names = _ppf_threads(monkeypatch, Gamma)
+    EnvSpec((Gamma(2.0, 2.0),)).transform(u)
+    assert sum(name.startswith("stochpop-ppf") for name in names) == 2
+    assert _ppf_threads_alive() == []
+    bad = np.linspace(0.01, 0.99, 3 * env._SPLIT)
+    with pytest.raises(ValueError, match="bad slice"):
+        EnvSpec((_Slow(bad=bad[env._SPLIT]),)).transform(bad[:, None])
+    assert _ppf_threads_alive() == []
+
+
 def _child_transform(spec, u, want):
     got = spec.transform(u)
     sys.exit(0 if np.array_equal(got.view(np.int64), want.view(np.int64)) else 1)
 
 
 def test_a_forked_child_transforms_after_the_parent_made_the_pool(monkeypatch):
-    # the child's copy of the pool has no threads; a submit to it never runs
+    # the parent's slices ran on threads of its own; the child inherits none
+    # of them and must start its own
     _cpus(monkeypatch, 2)
     spec = EnvSpec((Gamma(2.0, 2.0),))
     u = _edge_uniforms(4 * env._SPLIT).reshape(-1, 1)
+    names = _ppf_threads(monkeypatch, Gamma)
     want = spec.transform(u)
-    assert env._pool is not None and env._pool[0] == os.getpid()
+    assert any(name.startswith("stochpop-ppf") for name in names)
     with warnings.catch_warnings():
         # Python 3.12 warns that forking a process with threads may deadlock
         warnings.simplefilter("ignore", DeprecationWarning)

@@ -2,8 +2,9 @@
 read there or re-exported in ``__all__``, every ``__all__`` entry is bound
 in its module, every module-level private name is read somewhere in the
 package, only ``engine`` makes estimates, only ``engine._open_streams``
-opens a stream, and only ``persist._call`` and ``persist._objective`` read
-the 3-SE rule's ``_SIGMAS``."""
+opens a stream, only ``persist._call`` and ``persist._objective`` read
+the 3-SE rule's ``_SIGMAS``, and no module rebinds a module-level name
+from a function with ``global``."""
 
 import ast
 from pathlib import Path
@@ -211,3 +212,22 @@ def test_only_the_3_se_call_and_the_weights_guard_read_sigmas(path):
     # so every verdict follows the 3-SE rule by construction
     functions = {function for function, _ in _sigmas_read(path.read_text())}
     assert functions == ({"_call", "_objective"} if path.name == "persist.py" else set())
+
+
+def _globals_declared(source: str) -> list:
+    """``(function, line)`` of each ``global`` statement in ``source``."""
+    return _where(source, lambda n: isinstance(n, ast.Global))
+
+
+def test_the_scan_finds_every_global_statement_and_no_nonlocal_one():
+    source = ("_pool = None\ndef f():\n    global _pool\n    _pool = 1\n"
+              "def g():\n    n = 0\n    def h():\n        nonlocal n\n        global _a, _b\n"
+              "    return h\n")
+    assert _globals_declared(source) == [("f", 3), ("h", 9)]
+
+
+@pytest.mark.parametrize("path", _ALL_MODULES, ids=lambda p: p.name)
+def test_no_module_declares_a_global(path):
+    # module-level state that a call rebinds is process-wide state: it
+    # outlives the call and is copied into a forked child
+    assert _globals_declared(path.read_text()) == []
