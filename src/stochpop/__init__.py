@@ -60,9 +60,7 @@ from .models import (
 )
 from .persist import (
     DriftConstruction,
-    DriftReport,
     InvasionTable,
-    Verdict,
     affine_domination_audit,
     boundary_invasion_report,
     drift_bounded_check,

@@ -290,18 +290,13 @@ def _task_simulate(model, envspec, sim, params, claim):
 
 
 def _task_classify(model, envspec, sim, params, claim):
-    verdict = persist.scalar_classify(model, envspec, sim)
-    kind = claim(verdict.kind)
+    report = persist.scalar_classify(model, envspec, sim)
+    kind = claim(report["verdict"])
     rows = [
         _est_row("classify", name, est, verdict=kind)
-        for name, est in verdict.evidence.items()
+        for name, est in report["evidence"].items()
     ]
-    results = {
-        "verdict": kind,
-        "decision_margin": verdict.decision_margin,
-        "evidence": verdict.evidence,
-    }
-    return results, rows, {}
+    return dict(report, verdict=kind), rows, {}
 
 
 def _task_invade(model, envspec, sim, params, claim):
@@ -317,10 +312,9 @@ def _task_invade(model, envspec, sim, params, claim):
 
 
 def _task_permanence(model, envspec, sim, params, claim):
-    table, verdict = persist.boundary_invasion_report(model, envspec, sim)
-    kind = claim(verdict.kind)
-    usable = any(not r.degenerate for r in table.rows)
-    weights = persist.find_persistence_weights(table) if usable else None
+    table = persist.boundary_invasion_report(model, envspec, sim)
+    kind = claim(table.verdict)
+    weights = persist.find_persistence_weights(table) if table.weighable else None
     rows = []
     for r in table.rows:
         for i, est in sorted(r.rates.items()):
@@ -337,14 +331,14 @@ def _task_permanence(model, envspec, sim, params, claim):
     if weights is None:
         # with every face degenerate no row was weighed, so nothing is infeasible
         rows.append(_row("permanence", "weights",
-                         verdict=claim("infeasible" if usable else "inconclusive")))
+                         verdict=claim("infeasible" if table.weighable else "inconclusive")))
     else:
         for i, w in enumerate(weights.tolist()):
             rows.append(_row("permanence", "weight", species=i, mean=w, verdict=claim("feasible")))
     results = {
         "verdict": kind,
         "not_permanent": claim(table.not_permanent),
-        "decision_margin": verdict.decision_margin,
+        "decision_margin": table.decision_margin,
         "weights": None if weights is None else weights.tolist(),
         "faces": [
             {
@@ -368,24 +362,13 @@ def _task_drift(model, envspec, sim, params, claim):
         raise ConfigurationError(f"task_params domination_steps must be nonnegative, got {steps}")
     construction = persist.drift_construction(model, envspec, seed=sim.seed, margin=margin)
     report = persist.drift_bounded_check(model, envspec, construction, n_pairs, seed=sim.seed)
-    results = {
-        "construction": report.construction,
-        "params": report.params,
-        "n_pairs": report.n_pairs,
-        "violations": report.violations,
-        "worst_slack": report.worst_slack,
-        "counterexample": report.counterexample,
-        "E_log_alpha": report.e_log_alpha,
-        "E_logplus_alpha": report.e_logplus_alpha,
-        "E_logplus_beta": report.e_logplus_beta,
-        "hypotheses_hold": claim(report.hypotheses_hold),
-    }
-    verdict = claim("hypotheses hold" if report.hypotheses_hold else "hypotheses not shown")
+    results = dict(report, hypotheses_hold=claim(report["hypotheses_hold"]))
+    verdict = claim("hypotheses hold" if report["hypotheses_hold"] else "hypotheses not shown")
     rows = [
-        _est_row("drift", "E_log_alpha", report.e_log_alpha, verdict=verdict),
-        _est_row("drift", "E_logplus_alpha", report.e_logplus_alpha),
-        _est_row("drift", "E_logplus_beta", report.e_logplus_beta),
-        _row("drift", "violations", mean=report.violations, n=report.n_pairs),
+        _est_row("drift", "E_log_alpha", report["E_log_alpha"], verdict=verdict),
+        _est_row("drift", "E_logplus_alpha", report["E_logplus_alpha"]),
+        _est_row("drift", "E_logplus_beta", report["E_logplus_beta"]),
+        _row("drift", "violations", mean=report["violations"], n=n_pairs),
     ]
     if steps > 0:
         audit = persist.affine_domination_audit(

@@ -500,7 +500,6 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None, estimates=False):
             which = int(np.argwhere(bad.any(axis=-1))[0][0])
             raise NumericError(
                 f"non-finite state for {rows[which][2]} within steps {t}..{last}",
-                state=None if log_state else x[which],
                 step=last,
             )
         if measuring:

@@ -400,7 +400,7 @@ def parse_dist(obj) -> object:
     if not isinstance(obj, dict):
         raise ConfigurationError(f"distribution must be a number or object, got {obj!r}")
     kind = obj.get("dist")
-    if kind not in _DISTS:
+    if not isinstance(kind, str) or kind not in _DISTS:
         raise ConfigurationError(f"unknown distribution kind {kind!r}")
     cls, fields = _DISTS[kind]
     extra = set(obj) - set(fields) - {"dist"}

@@ -12,13 +12,11 @@ class ConfigurationError(StochpopError):
 class NumericError(StochpopError):
     """Non-finite state, overflow, or a non-convergent numerical routine.
 
-    Carries optional diagnostics: the offending state and the step index
-    at which it appeared.
+    Carries an optional diagnostic: the step index at which it appeared.
     """
 
-    def __init__(self, message, state=None, step=None):
+    def __init__(self, message, step=None):
         super().__init__(message)
-        self.state = state
         self.step = step
 
 

@@ -173,7 +173,7 @@ def adaptive_simpson(f, edges, rel_tol):
         neval += 1
         y = f(x)
         if not math.isfinite(y):
-            raise QuadratureError(f"integrand not finite at {x!r}", state=x)
+            raise QuadratureError(f"integrand not finite at {x!r}")
         return y
 
     initial_panels = len(edges) - 1
@@ -295,7 +295,7 @@ def gamma_closed_form_detailed(inp: GammaClosedFormInput) -> dict:
     i1, e1, n1 = _endpoint_integral(z, inp.k, 1, inp.rel_tol)
     k0, e0, n0 = _endpoint_integral(z, inp.k, 0, inp.rel_tol)
     if k0 <= 0.0:
-        raise QuadratureError("normalizing integral came out nonpositive", state=k0)
+        raise QuadratureError("normalizing integral came out nonpositive")
     value = math.log(inp.a * (1.0 - p_eff)) + i1 / k0
     err = e1 / k0 + abs(i1) * e0 / (k0 * k0)
     return {"value": value, "error_bound": err, "evaluations": n1 + n0}

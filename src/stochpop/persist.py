@@ -29,11 +29,9 @@ from .models import (
 )
 
 __all__ = [
-    "Verdict",
     "FaceRow",
     "InvasionTable",
     "DriftConstruction",
-    "DriftReport",
     "mean_percapita_growth_at",
     "invasion_rate",
     "boundary_invasion_report",
@@ -63,13 +61,6 @@ def _margin(est: RateEstimate) -> float:
 
 
 @dataclass
-class Verdict:
-    kind: str  # extinction | explosion | persistent | inconclusive
-    evidence: dict
-    decision_margin: float
-
-
-@dataclass
 class FaceRow:
     support: tuple
     measure: str  # "simulated" or "analytic_vertex"
@@ -82,6 +73,13 @@ class InvasionTable:
     rows: list
     not_permanent: bool = False
     annotations: list = field(default_factory=list)
+    verdict: str = "inconclusive"  # or "persistent"
+    decision_margin: float = 0.0
+
+    @property
+    def weighable(self) -> list:
+        """The rows the weight search weighs: every face that was not degenerate."""
+        return [r for r in self.rows if not r.degenerate]
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +168,9 @@ def _vertex_rows(model: RpsLottery, envspec, cfg: SimConfig) -> list:
     return rows
 
 
-def boundary_invasion_report(model, envspec, cfg: SimConfig):
-    """Invasion rates for every boundary face plus a permanence verdict.
+def boundary_invasion_report(model, envspec, cfg: SimConfig) -> InvasionTable:
+    """Invasion rates for every boundary face plus a permanence verdict and
+    its decision margin, all in one table.
 
     One sampled ergodic measure per face, from the canonical interior-of-
     face start; rows for supported species double as stationarity checks
@@ -228,9 +227,10 @@ def boundary_invasion_report(model, envspec, cfg: SimConfig):
                     f"log growth {row.rates[i].mean:.3g}; the face run may not have "
                     "settled on an ergodic measure"
                 )
-    kind = "persistent" if all_faces_invasible else "inconclusive"
-    verdict = Verdict(kind=kind, evidence={}, decision_margin=min(margins, default=0.0))
-    return table, verdict
+    if all_faces_invasible:
+        table.verdict = "persistent"
+    table.decision_margin = min(margins, default=0.0)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +264,7 @@ def find_persistence_weights(table: InvasionTable):
     returns the best weights, or None when no positive combination clears
     the noise guard (infeasibility is a result, not an error).
     """
-    rows = [r for r in table.rows if not r.degenerate]
+    rows = table.weighable
     if not rows:
         raise ConfigurationError("table has no usable rows")
     k = 1 + max(max(r.rates) for r in rows)
@@ -302,13 +302,14 @@ def find_persistence_weights(table: InvasionTable):
 # Scalar classification
 
 
-def scalar_classify(model, envspec, cfg: SimConfig) -> Verdict:
+def scalar_classify(model, envspec, cfg: SimConfig) -> dict:
     """Classify a scalar model as extinction, explosion, or persistent.
 
     Decides on the average log growth at zero and its large-density limit,
     which the model states in closed form (a model that states none is
     refused; the estimate at zero obeys the 3-SE rule), then attaches the
-    confirming long-run simulation as evidence.
+    confirming long-run simulation as evidence.  Returns ``{"verdict",
+    "decision_margin", "evidence"}``.
     """
     if model.k != 1 or model.sim_mode == "linear":
         raise ConfigurationError("classification applies to scalar per-capita models")
@@ -346,7 +347,7 @@ def scalar_classify(model, envspec, cfg: SimConfig) -> Verdict:
         evidence[name] = _pooled_estimates(raw["occ_counts"], raw["lengths"], n_steps, [name])[name]
     else:
         evidence[name] = _iid_estimate(raw["occ_counts"][:, 0].sum(axis=-1) / n_steps)
-    return Verdict(kind=kind, evidence=evidence, decision_margin=float(min(margins)))
+    return {"verdict": kind, "decision_margin": float(min(margins)), "evidence": evidence}
 
 
 # ---------------------------------------------------------------------------
@@ -362,20 +363,6 @@ class DriftConstruction:
     alpha: object
     beta: object
     params: dict
-
-
-@dataclass
-class DriftReport:
-    construction: str
-    params: dict
-    n_pairs: int
-    violations: int
-    worst_slack: float
-    counterexample: object
-    e_log_alpha: RateEstimate
-    e_logplus_alpha: RateEstimate
-    e_logplus_beta: RateEstimate
-    hypotheses_hold: bool
 
 
 def _scalar_contraction_scale(model, envspec, seed, margin) -> float:
@@ -403,7 +390,6 @@ def drift_construction(model, envspec, seed: int = 0, margin: float = 0.1) -> Dr
     The two-species competition model uses V(x) = x1 + x2 with a constant
     alpha and beta(w) = e^{xi1 - 1} + e^{xi2 - 1}, since x e^{-x} <= 1/e.
     """
-    model.check_env(envspec)
     if isinstance(model, (Hassell, RickerScalar, BevertonHolt)):
         m_val = _scalar_contraction_scale(model, envspec, seed, margin)
         m_arr = np.full(1, m_val)
@@ -457,14 +443,14 @@ def _log_uniform_states(stream, n, k):
     return x
 
 
-def drift_bounded_check(model, envspec, construction: DriftConstruction, n: int, seed: int = 0) -> DriftReport:
+def drift_bounded_check(model, envspec, construction: DriftConstruction, n: int, seed: int = 0) -> dict:
     """Audit the drift inequality pointwise and estimate its moment
     hypotheses.
 
     The inequality is checked on n random (x, w) pairs with 1e-9 relative
     slack; any violation is a hard failure carrying the counterexample.
-    The verdict requires E[log alpha] at least three standard errors below
-    zero.
+    The verdict, ``hypotheses_hold``, requires E[log alpha] at least three
+    standard errors below zero as well.
     """
     if n < 1:
         raise ConfigurationError("need at least 1 (x, w) pair")
@@ -493,19 +479,18 @@ def drift_bounded_check(model, envspec, construction: DriftConstruction, n: int,
         logp_beta = np.maximum(np.log(construction.beta(moments)), 0.0)
     logp_alpha = np.maximum(log_alpha, 0.0)
     e_log_alpha = _iid_estimate(log_alpha)
-    report = DriftReport(
-        construction=construction.name,
-        params=dict(construction.params),
-        n_pairs=n,
-        violations=violations,
-        worst_slack=worst_slack,
-        counterexample=counterexample,
-        e_log_alpha=e_log_alpha,
-        e_logplus_alpha=_iid_estimate(logp_alpha),
-        e_logplus_beta=_iid_estimate(logp_beta),
-        hypotheses_hold=violations == 0 and _call(e_log_alpha) < 0,
-    )
-    return report
+    return {
+        "construction": construction.name,
+        "params": dict(construction.params),
+        "n_pairs": n,
+        "violations": violations,
+        "worst_slack": worst_slack,
+        "counterexample": counterexample,
+        "E_log_alpha": e_log_alpha,
+        "E_logplus_alpha": _iid_estimate(logp_alpha),
+        "E_logplus_beta": _iid_estimate(logp_beta),
+        "hypotheses_hold": violations == 0 and _call(e_log_alpha) < 0,
+    }
 
 
 def affine_domination_audit(model, envspec, construction: DriftConstruction, cfg: SimConfig):

@@ -53,16 +53,16 @@ def test_criterion_1_scalar_trichotomy():
     env_ext = EnvSpec((LogNormal(-0.2, 0.3), Constant(1.0)))
     cfg_ext = SimConfig(seed=101, replicates=50, burn_in=0, horizon=5000, eta_grid=(0.01,))
     verdict_ext = scalar_classify(Hassell(), env_ext, cfg_ext)
-    assert verdict_ext.kind == "extinction"
-    assert verdict_ext.evidence["extinct_fraction"].mean == 1.0  # 50 of 50 by T=5000
+    assert verdict_ext["verdict"] == "extinction"
+    assert verdict_ext["evidence"]["extinct_fraction"].mean == 1.0  # 50 of 50 by T=5000
 
     env_per = EnvSpec((LogNormal(0.3, 0.3), Constant(1.0)))
     cfg_per = SimConfig(
         seed=102, replicates=10, burn_in=10_000, horizon=100_000, eta_grid=(0.01,)
     )
     verdict_per = scalar_classify(Hassell(), env_per, cfg_per)
-    assert verdict_per.kind == "persistent"
-    assert verdict_per.evidence["occupation[S_eta=0.01]"].mean <= 0.05
+    assert verdict_per["verdict"] == "persistent"
+    assert verdict_per["evidence"]["occupation[S_eta=0.01]"].mean <= 0.05
 
     assert time.perf_counter() - started <= 30.0
 
@@ -99,8 +99,8 @@ def test_criterion_4_lottery_coexistence():
     env = EnvSpec((LogNormal(1.0, 0.3),) * 3)
     model = Lottery(3, 0.1)
     cfg = SimConfig(seed=401, replicates=1, burn_in=5000, horizon=55_000)
-    table, verdict = boundary_invasion_report(model, env, cfg)
-    assert verdict.kind == "persistent"
+    table = boundary_invasion_report(model, env, cfg)
+    assert table.verdict == "persistent"
     for row in table.rows:
         assert not row.degenerate
         for i, est in row.rates.items():
@@ -134,10 +134,10 @@ def test_criterion_5_rps_condition():
     assert rep_a["exact_lhs"].mean == pytest.approx(math.log(1.06) + math.log(0.95), abs=1e-12)
     assert rep_a["exact_lhs"].mean == pytest.approx(0.00698, abs=5e-6)
     assert rep_a["exact_verdict"] == "persists"
-    table_a, verdict_a = boundary_invasion_report(
+    table_a = boundary_invasion_report(
         RpsLottery(0.1), env_a, SimConfig(seed=502, replicates=1, burn_in=100, horizon=1100)
     )
-    assert verdict_a.kind == "persistent"
+    assert table_a.verdict == "persistent"
 
     env_b = EnvSpec((Constant(3.0), Constant(2.0), Constant(1.0)))
     rep_b = rps_condition(env_b, 0.5, 1000, seed=503)
@@ -153,7 +153,7 @@ def test_criterion_5_rps_condition():
             env = EnvSpec((Constant(alpha), Constant(2.0), Constant(1.0)))
             lhs = math.log(1 - d + d * alpha / 2.0) + math.log(1 - d + d / 2.0)
             assert abs(lhs) > 1e-3  # sweep stays away from the razor edge
-            table, _ = boundary_invasion_report(RpsLottery(d), env, cfg)
+            table = boundary_invasion_report(RpsLottery(d), env, cfg)
             weights = find_persistence_weights(table)
             assert (weights is not None) == (lhs > 0), (alpha, d, lhs)
             checked += 1
@@ -222,9 +222,9 @@ def test_criterion_7_drift_checks():
     model = Hassell()
     construction = drift_construction(model, env, seed=701)
     report = drift_bounded_check(model, env, construction, 100_000, seed=701)
-    assert report.violations == 0
-    assert report.e_log_alpha.mean + SIGMAS * report.e_log_alpha.std_error < 0
-    assert report.hypotheses_hold
+    assert report["violations"] == 0
+    assert report["E_log_alpha"].mean + SIGMAS * report["E_log_alpha"].std_error < 0
+    assert report["hypotheses_hold"]
 
     for seed in (702, 703, 704, 705, 706):
         audit = affine_domination_audit(

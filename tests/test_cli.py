@@ -594,6 +594,13 @@ _MISTYPED_PARAMS_MORE = {
     "huge_int_log_sd": (_model_cfg({"model": "hassell", "b": 1.0, "lam": {
         "dist": "lognormal", "log_mean": 0.3, "log_sd": 10**400}}),
                         "lognormal log_sd is out of range"),
+    # a kind that is no string; both once exited 1 with a TypeError traceback
+    "list_dist_kind": (_model_cfg({"model": "hassell", "b": 1.0, "lam": {
+        "dist": ["lognormal"], "log_mean": 0.3, "log_sd": 0.3}}),
+                       "unknown distribution kind ['lognormal']"),
+    "dict_dist_kind": (_model_cfg({"model": "hassell", "b": 1.0, "lam": {
+        "dist": {"kind": "lognormal"}, "log_mean": 0.3, "log_sd": 0.3}}),
+                       "unknown distribution kind {'kind': 'lognormal'}"),
 }
 
 # (config, expected stderr): sample sizes too small for an estimate with a
@@ -895,6 +902,32 @@ def test_output_bytes_match_the_per_field_writer(tmp_path, case):
     assert sorted(p.name for p in out.iterdir()) == sorted(want)
     for name, blob in want.items():
         assert (out / name).read_bytes() == blob, name
+
+
+# (case, the library call that makes its runner's report, the keys the runner adds)
+_LIBRARY_REPORTS = [
+    ("classify", lambda model, envspec, sim, params: persist.scalar_classify(model, envspec, sim),
+     ()),
+    ("drift", lambda model, envspec, sim, params: persist.drift_bounded_check(
+        model, envspec, persist.drift_construction(model, envspec, seed=sim.seed),
+        params["n_pairs"], seed=sim.seed), ("domination",)),
+    ("rps", lambda model, envspec, sim, params: persist.rps_condition(
+        envspec, model.d, 10_000, seed=sim.seed), ("d",)),
+]
+
+
+@pytest.mark.parametrize("case, library_call, added", _LIBRARY_REPORTS,
+                         ids=[case for case, _, _ in _LIBRARY_REPORTS])
+def test_a_runner_writes_the_library_report_as_it_returns_it(case, library_call, added):
+    # no field is copied under a new name: the results are the library's
+    # report, plus only the keys the runner adds
+    cfg = _BYTE_CASES[case][0]()
+    model, envspec = parse_model(cfg["model"])
+    sim = cli._parse_sim(cfg["sim"])
+    params = cfg.get("task_params", {})
+    results, _, _ = cli._RUNNERS[cfg["task"]](model, envspec, sim, params, lambda v: v)
+    report = library_call(model, envspec, sim, params)
+    assert results == dict(report, **{key: results[key] for key in added})
 
 
 # every word a report writes as a claim: the verdict kinds, the weights

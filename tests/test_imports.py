@@ -2,7 +2,8 @@
 read there or re-exported in ``__all__``, every ``__all__`` entry is bound
 in its module, every module-level private name is read somewhere in the
 package, only ``engine`` makes estimates, only ``engine._open_streams``
-opens a stream, only ``persist._call`` and ``persist._objective`` read
+opens a stream, only ``cli.run_config`` and ``engine._open_streams`` check
+an environment, only ``persist._call`` and ``persist._objective`` read
 the 3-SE rule's ``_SIGMAS``, and no module rebinds a module-level name
 from a function with ``global``."""
 
@@ -192,6 +193,33 @@ def test_the_scan_finds_every_stream_opened_and_its_function():
 def test_only_the_stream_opener_opens_a_stream(path):
     want = ["_open_streams"] if path.name == "engine.py" else []
     assert [function for function, _ in _streams_opened(path.read_text())] == want
+
+
+def _env_checks(source: str) -> list:
+    """``(function, line)`` of each ``check_env(`` call in ``source``, by
+    name or as an attribute."""
+    return _where(source, lambda n: isinstance(n, ast.Call) and _read_name(n.func) == "check_env")
+
+
+def test_the_scan_finds_every_env_check_and_its_function():
+    source = ("import models\nm = models.Hassell()\nm.check_env(None)\n"
+              "def run_config(model, envspec):\n    model.check_env(envspec)\n"
+              "def f(model):\n    def g(env):\n        return check_env(env)\n"
+              "    return model.check_env, g\n")
+    assert _env_checks(source) == [(None, 3), ("run_config", 5), ("g", 8)]
+
+
+# the functions of each module that call check_env: the runner checks once
+# before any task (a task may compute before its first stream opens), the
+# stream opener before every draw, and an override extends the base check
+_ENV_CHECKERS = {"cli.py": ["run_config"], "engine.py": ["_open_streams"],
+                 "models.py": ["check_env"]}
+
+
+@pytest.mark.parametrize("path", _ALL_MODULES, ids=lambda p: p.name)
+def test_only_the_runner_and_the_stream_opener_check_the_environment(path):
+    functions = [function for function, _ in _env_checks(path.read_text())]
+    assert functions == _ENV_CHECKERS.get(path.name, [])
 
 
 def _sigmas_read(source: str) -> list:

@@ -187,30 +187,30 @@ def _hassell_env(log_mean):
 def test_classify_extinction():
     cfg = SimConfig(seed=8, replicates=20, burn_in=0, horizon=5000, eta_grid=(0.01,))
     v = scalar_classify(Hassell(), _hassell_env(-0.2), cfg)
-    assert v.kind == "extinction"
-    assert v.decision_margin > 3
-    assert v.evidence["extinct_fraction"].mean == 1.0
+    assert v["verdict"] == "extinction"
+    assert v["decision_margin"] > 3
+    assert v["evidence"]["extinct_fraction"].mean == 1.0
 
 
 def test_classify_persistent():
     cfg = SimConfig(seed=9, replicates=5, burn_in=2000, horizon=22000, eta_grid=(0.01,))
     v = scalar_classify(Hassell(), _hassell_env(0.3), cfg)
-    assert v.kind == "persistent"
-    assert v.evidence["lambda_inf"].mean == -np.inf
-    assert v.evidence["occupation[S_eta=0.01]"].mean <= 0.05
+    assert v["verdict"] == "persistent"
+    assert v["evidence"]["lambda_inf"].mean == -np.inf
+    assert v["evidence"]["occupation[S_eta=0.01]"].mean <= 0.05
 
 
 def test_classify_explosion_without_density_dependence():
     env = EnvSpec((Constant(2.0), Constant(0.0)))
     cfg = SimConfig(seed=10, replicates=2, burn_in=10, horizon=200)
     v = scalar_classify(Hassell(), env, cfg)
-    assert v.kind == "explosion"
+    assert v["verdict"] == "explosion"
 
 
 def test_classify_inconclusive_at_boundary():
     cfg = SimConfig(seed=11, replicates=2, burn_in=100, horizon=2100)
     v = scalar_classify(Hassell(), _hassell_env(0.0), cfg)
-    assert v.kind == "inconclusive"
+    assert v["verdict"] == "inconclusive"
 
 
 def test_one_replicate_classify_takes_its_occupation_se_from_time_batches():
@@ -218,7 +218,7 @@ def test_one_replicate_classify_takes_its_occupation_se_from_time_batches():
     # used to read SE 0.0 with n 1
     env = _hassell_env(-0.2)
     cfg = SimConfig(seed=42, replicates=1, burn_in=0, horizon=3000, eta_grid=(0.01,))
-    got = scalar_classify(Hassell(), env, cfg).evidence["occupation[S_eta=0.01]"]
+    got = scalar_classify(Hassell(), env, cfg)["evidence"]["occupation[S_eta=0.01]"]
     near = ExtinctionNeighborhood(0.01)
     assert got.mean == simulate(Hassell(), env, cfg).replicates[0].occupation[near.name]
     assert (got.batches, got.n) == (20, 3000) and got.std_error > 0.0
@@ -229,7 +229,7 @@ def test_classify_occupation_over_replicates_is_an_iid_estimate():
     # each; the evidence used to read batches 1
     env = _hassell_env(0.05)
     cfg = SimConfig(seed=42, replicates=3, burn_in=0, horizon=3000, eta_grid=(0.2,))
-    got = scalar_classify(Hassell(), env, cfg).evidence["occupation[S_eta=0.2]"]
+    got = scalar_classify(Hassell(), env, cfg)["evidence"]["occupation[S_eta=0.2]"]
     occs = [s.occupation["S_eta=0.2"] for s in simulate(Hassell(), env, cfg).replicates]
     assert got == _iid_estimate(np.array(occs))
     assert (got.batches, got.n) == (3, 3) and got.std_error > 0.0
@@ -240,7 +240,7 @@ def test_one_replicate_classify_occupation_keeps_its_bits():
     # gave, now from the set's own per-batch counts: 613 steps make batches
     # of 30 and 31 steps, and the smallest eta of the grid is the set
     cfg = SimConfig(seed=7, replicates=1, burn_in=0, horizon=613, eta_grid=(0.5, 0.2))
-    got = scalar_classify(Hassell(), _hassell_env(0.05), cfg).evidence
+    got = scalar_classify(Hassell(), _hassell_env(0.05), cfg)["evidence"]
     assert got["occupation[S_eta=0.2]"] == RateEstimate(0.9738988580750407, 0.017146532185067436,
                                                         20, 613)
 
@@ -295,7 +295,7 @@ def test_classifier_reads_the_large_density_limit_each_model_states(model, envsp
         with pytest.raises(ConfigurationError, match="no_stated_limit states no large-density limit"):
             scalar_classify(model, envspec, cfg)
         return
-    evidence = scalar_classify(model, envspec, cfg).evidence
+    evidence = scalar_classify(model, envspec, cfg)["evidence"]
     if want == "lambda_0":
         assert evidence["lambda_inf"] == evidence["lambda_0"]
     else:
@@ -317,12 +317,12 @@ def test_classifier_reads_the_large_density_limit_each_model_states(model, envsp
 def test_classifier_agrees_with_long_run_simulation(model, envspec, expected):
     cfg = SimConfig(seed=12, replicates=10, burn_in=2000, horizon=22000, eta_grid=(0.01,))
     v = scalar_classify(model, envspec, cfg)
-    assert v.kind == expected
+    assert v["verdict"] == expected
     if expected == "extinction":
-        assert v.evidence["extinct_fraction"].mean == 1.0
+        assert v["evidence"]["extinct_fraction"].mean == 1.0
     else:
-        assert v.evidence["extinct_fraction"].mean == 0.0
-        assert v.evidence["occupation[S_eta=0.01]"].mean < 0.05
+        assert v["evidence"]["extinct_fraction"].mean == 0.0
+        assert v["evidence"]["occupation[S_eta=0.01]"].mean < 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +333,8 @@ def test_competition_boundary_report_persistent():
     env = EnvSpec((Normal(1.0, 0.3), Normal(0.8, 0.3)))
     m = RickerCompetition(0.6, 0.5)
     cfg = SimConfig(seed=13, replicates=2, burn_in=2000, horizon=32000)
-    table, verdict = boundary_invasion_report(m, env, cfg)
-    assert verdict.kind == "persistent"
+    table = boundary_invasion_report(m, env, cfg)
+    assert table.verdict == "persistent"
     assert not table.not_permanent
     rates = {row.support: row.rates for row in table.rows}
     assert abs(rates[(1,)][0].mean - 0.52) < 3 * rates[(1,)][0].std_error
@@ -351,9 +351,9 @@ def test_deterministic_lottery_dominance_flags_not_permanent():
     env = EnvSpec((Constant(3.0), Constant(2.0)))
     m = Lottery(2, 0.2)
     cfg = SimConfig(seed=14, replicates=1, burn_in=100, horizon=2100)
-    table, verdict = boundary_invasion_report(m, env, cfg)
+    table = boundary_invasion_report(m, env, cfg)
     assert table.not_permanent
-    assert verdict.kind == "inconclusive"
+    assert table.verdict == "inconclusive"
     assert find_persistence_weights(table) is None
 
 
@@ -363,10 +363,10 @@ def test_degenerate_face_blocks_permanence_claim():
     env = EnvSpec((Normal(1.0, 0.3), Normal(-0.5, 0.3)))
     m = RickerCompetition(0.3, 0.3)
     cfg = SimConfig(seed=27, replicates=1, burn_in=500, horizon=5500)
-    table, verdict = boundary_invasion_report(m, env, cfg)
+    table = boundary_invasion_report(m, env, cfg)
     degenerate = [row for row in table.rows if row.degenerate]
     assert degenerate and degenerate[0].support == (1,)
-    assert verdict.kind == "inconclusive"
+    assert table.verdict == "inconclusive"
     assert table.annotations
 
 
@@ -389,7 +389,7 @@ def test_degenerate_face_blocks_permanence_claim():
 def test_boundary_report_rows_match_separate_face_runs(model, env, cfg):
     # the report runs all faces as rows of one batch of the base model; each
     # face must reproduce a batch of its own rows alone, on its own streams
-    table, _ = boundary_invasion_report(model, env, cfg)
+    table = boundary_invasion_report(model, env, cfg)
     functionals = tuple(LogPerCapita(i) for i in range(model.k))
     assert [row.support for row in table.rows]
     for row in table.rows:
@@ -445,13 +445,13 @@ def test_a_face_with_a_floored_replicate_is_a_degenerate_row_and_not_pooled(seed
     # pooled; before, its pool was made first and ended the report
     env = EnvSpec((Discrete((1.0, 1500.0), (0.999, 0.001)), Constant(1.0)))
     cfg = SimConfig(seed=seed, replicates=2, horizon=2000)
-    table, verdict = boundary_invasion_report(RickerCompetition(0.3, 0.3), env, cfg)
+    table = boundary_invasion_report(RickerCompetition(0.3, 0.3), env, cfg)
     zero, one = table.rows
     assert zero.support == (0,) and zero.rates == {}
     assert zero.degenerate.startswith(f"resident community degenerated in replicates {extinct};")
     assert one.support == (1,) and not one.degenerate
     assert all(math.isfinite(e.mean) and math.isfinite(e.std_error) for e in one.rates.values())
-    assert verdict.kind == "inconclusive"
+    assert table.verdict == "inconclusive"
 
 
 def test_single_species_boundary_report_is_refused():
@@ -465,8 +465,8 @@ def test_rps_boundary_rows_are_analytic_vertices():
     env = EnvSpec((Constant(3.2), Constant(2.0), Constant(1.0)))
     m = RpsLottery(0.1)
     cfg = SimConfig(seed=15, replicates=1, burn_in=100, horizon=5100)
-    table, verdict = boundary_invasion_report(m, env, cfg)
-    assert verdict.kind == "persistent"
+    table = boundary_invasion_report(m, env, cfg)
+    assert table.verdict == "persistent"
     assert [row.measure for row in table.rows] == ["analytic_vertex"] * 3
     weights = find_persistence_weights(table)
     assert weights is not None
@@ -477,7 +477,7 @@ def test_weights_infeasible_when_a_face_rejects_everyone():
     env = EnvSpec((Constant(3.0), Constant(2.0), Constant(1.0)))
     m = RpsLottery(0.5)  # exact condition fails at this turnover
     cfg = SimConfig(seed=16, replicates=1, burn_in=100, horizon=2100)
-    table, verdict = boundary_invasion_report(m, env, cfg)
+    table = boundary_invasion_report(m, env, cfg)
     assert find_persistence_weights(table) is None
 
 
@@ -500,9 +500,9 @@ def test_hassell_drift_construction_passes_audit():
     m = Hassell()
     con = drift_construction(m, env, seed=17)
     report = drift_bounded_check(m, env, con, 100_000, seed=17)
-    assert report.violations == 0
-    assert report.hypotheses_hold
-    assert report.e_log_alpha.mean + 3 * report.e_log_alpha.std_error < 0
+    assert report["violations"] == 0
+    assert report["hypotheses_hold"]
+    assert report["E_log_alpha"].mean + 3 * report["E_log_alpha"].std_error < 0
 
 
 def test_contraction_scale_draws_its_block_once(monkeypatch):
@@ -533,8 +533,8 @@ def test_competition_drift_construction_passes_audit():
     m = RickerCompetition(0.6, 0.5)
     con = drift_construction(m, env, seed=18)
     report = drift_bounded_check(m, env, con, 50_000, seed=18)
-    assert report.violations == 0
-    assert report.hypotheses_hold
+    assert report["violations"] == 0
+    assert report["hypotheses_hold"]
 
 
 def test_drift_verdict_fails_for_unit_alpha():
@@ -549,8 +549,8 @@ def test_drift_verdict_fails_for_unit_alpha():
         params={},
     )
     report = drift_bounded_check(m, env, rigged, 10_000, seed=19)
-    assert report.violations == 0  # alpha = 1 only weakens the bound
-    assert not report.hypotheses_hold  # E[log alpha] = 0 is not negative
+    assert report["violations"] == 0  # alpha = 1 only weakens the bound
+    assert not report["hypotheses_hold"]  # E[log alpha] = 0 is not negative
 
 
 def test_drift_audit_reports_counterexample():
@@ -565,9 +565,9 @@ def test_drift_audit_reports_counterexample():
         params={},
     )
     report = drift_bounded_check(m, env, broken, 10_000, seed=20)
-    assert report.violations > 0
-    assert report.counterexample is not None
-    assert report.counterexample["lhs"] > report.counterexample["rhs"]
+    assert report["violations"] > 0
+    assert report["counterexample"] is not None
+    assert report["counterexample"]["lhs"] > report["counterexample"]["rhs"]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
