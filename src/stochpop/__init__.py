@@ -10,15 +10,12 @@ linearized dynamics (Monte Carlo and closed form).
 from .engine import (
     Complement,
     Coordinate,
-    EmpiricalSummary,
     ExtinctionNeighborhood,
     LogNorm,
     LogPerCapita,
     OutsideBall,
-    PooledSummary,
     RateEstimate,
     SimConfig,
-    SimulationResult,
     ensemble_hit_probability,
     ergodic_average,
     simulate,
@@ -60,7 +57,6 @@ from .models import (
 )
 from .persist import (
     DriftConstruction,
-    InvasionTable,
     affine_domination_audit,
     boundary_invasion_report,
     drift_bounded_check,

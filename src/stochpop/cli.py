@@ -188,7 +188,7 @@ def _parse_sim(obj) -> SimConfig:
         kw["eta_grid"] = config_list(kw["eta_grid"], "sim eta_grid")
     if kw.get("bound_radius") is not None:
         config_number(kw["bound_radius"], "sim bound_radius")
-    if isinstance(kw.get("initial_state"), list):
+    if not isinstance(kw.get("initial_state", ""), str):  # a start's name, or its coordinates
         kw["initial_state"] = config_list(kw["initial_state"], "sim initial_state")
     return SimConfig(**kw)
 
@@ -237,15 +237,15 @@ def _est_row(task, quantity, est: RateEstimate, species="", face="", verdict="")
     return _row(task, quantity, species, face, est.mean, est.std_error, est.n, verdict)
 
 
-def _replicate_rows(tag, occupation, averages, extinct):
-    """The replicates.csv rows of one replicate, or of the pool: one per set,
-    then one per functional."""
+def _replicate_rows(tag, summary, extinct):
+    """The replicates.csv rows of one replicate's summary, or of the pool's:
+    one per set, then one per functional."""
     rows = [{"replicate": tag, "set_name": name, "occupation": value, "functional": "",
              "mean": "", "std_error": "", "extinct": extinct}
-            for name, value in occupation.items()]
+            for name, value in summary["occupation"].items()]
     rows += [{"replicate": tag, "set_name": "", "occupation": "", "functional": name,
               "mean": est.mean, "std_error": est.std_error, "extinct": extinct}
-             for name, est in averages.items()]
+             for name, est in summary["functional_averages"].items()]
     return rows
 
 
@@ -257,35 +257,19 @@ def _replicate_rows(tag, occupation, averages, extinct):
 
 def _task_simulate(model, envspec, sim, params, claim):
     functionals = _parse_functionals(params.get("functionals", []))
-    result = engine.simulate(model, envspec, sim, functionals=functionals)
-    pooled = result.pooled
+    results = engine.simulate(model, envspec, sim, functionals=functionals)
+    pooled = results["pooled"]
     rows = [
         _row("simulate", f"occupation[{name}]", mean=val, n=sim.horizon - sim.burn_in)
-        for name, val in pooled.occupation.items()
+        for name, val in pooled["occupation"].items()
     ]
-    rows += [_est_row("simulate", name, est) for name, est in pooled.functional_averages.items()]
-    rows.append(_row("simulate", "extinct_fraction", mean=pooled.extinct_fraction,
+    rows += [_est_row("simulate", name, est)
+             for name, est in pooled["functional_averages"].items()]
+    rows.append(_row("simulate", "extinct_fraction", mean=pooled["extinct_fraction"],
                      n=sim.replicates))
-    replicates, csv_rows = [], []
-    for r, s in enumerate(result.replicates):
-        replicates.append({
-            "occupation": s.occupation,
-            "functional_averages": s.functional_averages,
-            "terminal_state": s.terminal_state.tolist(),
-            "extinct": s.extinction_flag,
-        })
-        csv_rows += _replicate_rows(str(r), s.occupation, s.functional_averages,
-                                    int(s.extinction_flag))
-    csv_rows += _replicate_rows("pooled", pooled.occupation, pooled.functional_averages,
-                                pooled.extinct_fraction)
-    results = {
-        "pooled": {
-            "occupation": pooled.occupation,
-            "functional_averages": pooled.functional_averages,
-            "extinct_fraction": pooled.extinct_fraction,
-        },
-        "replicates": replicates,
-    }
+    csv_rows = [row for r, rep in enumerate(results["replicates"])
+                for row in _replicate_rows(str(r), rep, int(rep["extinct"]))]
+    csv_rows += _replicate_rows("pooled", pooled, pooled["extinct_fraction"])
     return results, rows, {"replicates.csv": csv_rows}
 
 
@@ -312,45 +296,19 @@ def _task_invade(model, envspec, sim, params, claim):
 
 
 def _task_permanence(model, envspec, sim, params, claim):
-    table = persist.boundary_invasion_report(model, envspec, sim)
-    kind = claim(table.verdict)
-    weights = persist.find_persistence_weights(table) if table.weighable else None
-    rows = []
-    for r in table.rows:
-        for i, est in sorted(r.rates.items()):
-            rows.append(
-                _est_row(
-                    "permanence",
-                    "invasion_rate",
-                    est,
-                    species=i,
-                    face=_face_label(r.support),
-                    verdict=kind,
-                )
-            )
-    if weights is None:
-        # with every face degenerate no row was weighed, so nothing is infeasible
-        rows.append(_row("permanence", "weights",
-                         verdict=claim("infeasible" if table.weighable else "inconclusive")))
+    report = persist.boundary_invasion_report(model, envspec, sim)
+    search = persist.find_persistence_weights(report)
+    kind, weighed = claim(report["verdict"]), claim(search["verdict"])
+    rows = [_est_row("permanence", "invasion_rate", est, species=int(i),
+                     face=_face_label(face["support"]), verdict=kind)
+            for face in report["faces"] for i, est in face["rates"].items()]
+    if search["weights"] is None:
+        rows.append(_row("permanence", "weights", verdict=weighed))
     else:
-        for i, w in enumerate(weights.tolist()):
-            rows.append(_row("permanence", "weight", species=i, mean=w, verdict=claim("feasible")))
-    results = {
-        "verdict": kind,
-        "not_permanent": claim(table.not_permanent),
-        "decision_margin": table.decision_margin,
-        "weights": None if weights is None else weights.tolist(),
-        "faces": [
-            {
-                "support": list(r.support),
-                "measure": r.measure,
-                "rates": {str(i): est for i, est in sorted(r.rates.items())},
-                "degenerate": r.degenerate,
-            }
-            for r in table.rows
-        ],
-        "annotations": table.annotations,
-    }
+        rows += [_row("permanence", "weight", species=i, mean=w, verdict=weighed)
+                 for i, w in enumerate(search["weights"])]
+    results = dict(report, verdict=kind, not_permanent=claim(report["not_permanent"]),
+                   weights=search["weights"])
     return results, rows, {}
 
 

@@ -56,9 +56,6 @@ __all__ = [
     "OutsideBall",
     "Complement",
     "RateEstimate",
-    "EmpiricalSummary",
-    "PooledSummary",
-    "SimulationResult",
     "Coordinate",
     "LogPerCapita",
     "LogNorm",
@@ -191,27 +188,6 @@ class RateEstimate:
     std_error: float
     batches: int
     n: int
-
-
-@dataclass
-class EmpiricalSummary:
-    occupation: dict
-    functional_averages: dict
-    terminal_state: np.ndarray
-    extinction_flag: bool
-
-
-@dataclass
-class PooledSummary:
-    occupation: dict
-    functional_averages: dict
-    extinct_fraction: float
-
-
-@dataclass
-class SimulationResult:
-    replicates: list
-    pooled: PooledSummary
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +563,7 @@ def _binomial_estimate(hits) -> RateEstimate:
     return RateEstimate(p_hat, se, 1, r_total)
 
 
-def _build_result(raw, functionals, sets) -> SimulationResult:
+def _build_result(raw, functionals, sets) -> dict:
     n_steps = raw["n_steps"]
     lengths = raw["lengths"]
     fsums = raw["fsums"]
@@ -596,23 +572,24 @@ def _build_result(raw, functionals, sets) -> SimulationResult:
     names = [f.name for f in functionals]
     set_names = [sd.name for sd in sets]
     means, ses = _batch_estimates(fsums, lengths, n_steps, raw["labels"], names)
-    reps = [
-        EmpiricalSummary(
-            occupation=dict(zip(set_names, occ_r)),
-            functional_averages={name: RateEstimate(mean, se, b, n_steps)
-                                 for name, mean, se in zip(names, means_r, ses_r)},
-            terminal_state=terminal,
-            extinction_flag=floored,
-        )
+    replicates = [
+        {
+            "occupation": dict(zip(set_names, occ_r)),
+            "functional_averages": {name: RateEstimate(mean, se, b, n_steps)
+                                    for name, mean, se in zip(names, means_r, ses_r)},
+            "terminal_state": terminal,
+            "extinct": floored,
+        }
         for occ_r, means_r, ses_r, terminal, floored in zip(
-            occ.tolist(), means.tolist(), ses.tolist(), raw["terminal"], raw["floored"].tolist())
+            occ.tolist(), means.tolist(), ses.tolist(), raw["terminal"].tolist(),
+            raw["floored"].tolist())
     ]
-    pooled = PooledSummary(
-        occupation={sd.name: float(occ[:, j].mean()) for j, sd in enumerate(sets)},
-        functional_averages=_pooled_estimates(fsums, lengths, n_steps, names),
-        extinct_fraction=float(raw["floored"].mean()),
-    )
-    return SimulationResult(replicates=reps, pooled=pooled)
+    pooled = {
+        "occupation": {name: float(occ[:, j].mean()) for j, name in enumerate(set_names)},
+        "functional_averages": _pooled_estimates(fsums, lengths, n_steps, names),
+        "extinct_fraction": float(raw["floored"].mean()),
+    }
+    return {"pooled": pooled, "replicates": replicates}
 
 
 # ---------------------------------------------------------------------------
@@ -627,9 +604,13 @@ def default_sets(cfg: SimConfig) -> list:
     return sets
 
 
-def simulate(model, envspec, cfg, functionals=()) -> SimulationResult:
+def simulate(model, envspec, cfg, functionals=()) -> dict:
     """Run replicate trajectories; summarize occupation over steps B..T-1.
 
+    Returns ``{"pooled": {"occupation", "functional_averages",
+    "extinct_fraction"}, "replicates": [{"occupation", "functional_averages",
+    "terminal_state", "extinct"}, ...]}``: occupation fractions by set name,
+    estimates by functional name, and each replicate's X_T as a list.
     Results are a pure function of (model, env, cfg): replicate r draws only
     from stream (cfg.seed, r), and pooled statistics reduce over replicates
     in id order.
@@ -642,7 +623,7 @@ def simulate(model, envspec, cfg, functionals=()) -> SimulationResult:
 def ergodic_average(model, envspec, cfg, functional) -> RateEstimate:
     """Time average of one functional over the post-burn-in window."""
     result = simulate(model, envspec, cfg, functionals=(functional,))
-    return result.pooled.functional_averages[functional.name]
+    return result["pooled"]["functional_averages"][functional.name]
 
 
 def terminal_states(model, envspec, cfg, t: int) -> np.ndarray:

@@ -9,7 +9,7 @@ rather than over-claimed.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -29,8 +29,6 @@ from .models import (
 )
 
 __all__ = [
-    "FaceRow",
-    "InvasionTable",
     "DriftConstruction",
     "mean_percapita_growth_at",
     "invasion_rate",
@@ -58,28 +56,6 @@ def _margin(est: RateEstimate) -> float:
     if est.std_error == 0.0:
         return np.inf if est.mean != 0.0 else 0.0
     return abs(est.mean) / est.std_error
-
-
-@dataclass
-class FaceRow:
-    support: tuple
-    measure: str  # "simulated" or "analytic_vertex"
-    rates: dict
-    degenerate: str = ""
-
-
-@dataclass
-class InvasionTable:
-    rows: list
-    not_permanent: bool = False
-    annotations: list = field(default_factory=list)
-    verdict: str = "inconclusive"  # or "persistent"
-    decision_margin: float = 0.0
-
-    @property
-    def weighable(self) -> list:
-        """The rows the weight search weighs: every face that was not degenerate."""
-        return [r for r in self.rows if not r.degenerate]
 
 
 # ---------------------------------------------------------------------------
@@ -151,29 +127,37 @@ def invasion_rate(model, envspec, cfg: SimConfig, invader: int, resident_support
     return rates[functional.name]
 
 
-def _vertex_rows(model: RpsLottery, envspec, cfg: SimConfig) -> list:
-    """Boundary rows for the cyclic lottery: face dynamics collapse to the
+def _face(support, measure: str, rates, degenerate: str = "") -> dict:
+    """One face of a boundary report: ``rates`` are species 0..k-1's
+    estimates, keyed by the species' decimal index, or none on a degenerate
+    face."""
+    return {"support": list(support), "measure": measure,
+            "rates": {str(i): est for i, est in enumerate(rates)}, "degenerate": degenerate}
+
+
+def _vertex_faces(model: RpsLottery, envspec, cfg: SimConfig) -> list:
+    """Boundary faces for the cyclic lottery: face dynamics collapse to the
     vertices, so the only ergodic boundary measures are the vertex point
-    masses and each row is evaluated there directly, every species' rate
+    masses and each face is evaluated there directly, every species' rate
     from one block of draws per vertex."""
     n = int(min(max(cfg.horizon - cfg.burn_in, 1000), 100_000))
-    rows = []
+    faces = []
     for j in range(model.k):
         x = np.zeros((n, model.k))
         x[:, j] = 1.0
         w = _point_draws(model, envspec, cfg.seed, _stream_id("vertex", j), n)
         logf = model.log_percapita(x, w)
-        rates = {i: _iid_estimate(logf[:, i]) for i in range(model.k)}
-        rows.append(FaceRow(support=(j,), measure="analytic_vertex", rates=rates))
-    return rows
+        faces.append(_face((j,), "analytic_vertex", [_iid_estimate(f) for f in logf.T]))
+    return faces
 
 
-def boundary_invasion_report(model, envspec, cfg: SimConfig) -> InvasionTable:
+def boundary_invasion_report(model, envspec, cfg: SimConfig) -> dict:
     """Invasion rates for every boundary face plus a permanence verdict and
-    its decision margin, all in one table.
+    its decision margin: ``{"verdict", "not_permanent", "decision_margin",
+    "faces", "annotations"}``, each face as ``_face`` makes it.
 
     One sampled ergodic measure per face, from the canonical interior-of-
-    face start; rows for supported species double as stationarity checks
+    face start; rates for supported species double as stationarity checks
     (their average log growth should vanish).
     """
     k = model.k
@@ -182,55 +166,56 @@ def boundary_invasion_report(model, envspec, cfg: SimConfig) -> InvasionTable:
     if k > 6:
         raise ConfigurationError("face enumeration supports at most 6 species")
     if isinstance(model, RpsLottery):
-        rows = _vertex_rows(model, envspec, cfg)
+        faces = _vertex_faces(model, envspec, cfg)
     else:
         supports = [s for size in range(1, k) for s in combinations(range(k), size)]
         functionals = tuple(LogPerCapita(i) for i in range(k))
-        rows = []
+        faces = []
         for support, (extinct, pooled) in zip(
                 supports, _face_runs(model, envspec, cfg, supports, functionals)):
             if extinct:
                 degenerate = (f"resident community degenerated in replicates {extinct}; "
                               "its ergodic measures concentrate on smaller supports")
-                rows.append(FaceRow(support, "simulated", rates={}, degenerate=degenerate))
-                continue
-            rates = {i: pooled[f.name] for i, f in enumerate(functionals)}
-            rows.append(FaceRow(support=support, measure="simulated", rates=rates))
+                faces.append(_face(support, "simulated", [], degenerate))
+            else:
+                faces.append(_face(support, "simulated", [pooled[f.name] for f in functionals]))
 
-    table = InvasionTable(rows=rows)
-    margins = []
+    margins, annotations = [], []
+    not_permanent = False
     all_faces_invasible = True
-    for row in rows:
-        if row.degenerate:
+    for face in faces:
+        support = tuple(face["support"])
+        if face["degenerate"]:
             # an unexamined measure blocks any permanence claim
-            table.annotations.append(f"face {row.support}: {row.degenerate}")
+            annotations.append(f"face {support}: {face['degenerate']}")
             all_faces_invasible = False
             continue
-        outside = [i for i in range(k) if i not in row.support]
-        if not outside:
-            continue
-        ests = [row.rates[i] for i in outside]
+        rates = list(face["rates"].values())
+        ests = [rates[i] for i in range(k) if i not in support]
         best = max(ests, key=lambda e: e.mean)
         if _call(best) > 0:
             margins.append(_margin(best))
         elif all(_call(e) < 0 for e in ests):
-            table.not_permanent = True
+            not_permanent = True
             all_faces_invasible = False
             margins.append(min(_margin(e) for e in ests))
         else:
             all_faces_invasible = False
             margins.append(_margin(best))
-        for i in row.support:
-            if row.rates[i].std_error > 0 and _call(row.rates[i]) != 0:
-                table.annotations.append(
-                    f"face {row.support}: supported species {i} has nonzero average "
-                    f"log growth {row.rates[i].mean:.3g}; the face run may not have "
+        for i in support:
+            if rates[i].std_error > 0 and _call(rates[i]) != 0:
+                annotations.append(
+                    f"face {support}: supported species {i} has nonzero average "
+                    f"log growth {rates[i].mean:.3g}; the face run may not have "
                     "settled on an ergodic measure"
                 )
-    if all_faces_invasible:
-        table.verdict = "persistent"
-    table.decision_margin = min(margins, default=0.0)
-    return table
+    return {
+        "verdict": "persistent" if all_faces_invasible else "inconclusive",
+        "not_permanent": not_permanent,
+        "decision_margin": min(margins, default=0.0),
+        "faces": faces,
+        "annotations": annotations,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -256,20 +241,23 @@ def _composition_grid(k, res):
             yield np.array(combo, dtype=float) / res
 
 
-def find_persistence_weights(table: InvasionTable):
-    """Search the weight simplex for p > 0 making every boundary row's
-    weighted rate positive beyond its aggregated standard error.
+def find_persistence_weights(report: dict) -> dict:
+    """Search the weight simplex for p > 0 making every weighed face's
+    weighted rate positive beyond its aggregated standard error; the faces
+    of a ``boundary_invasion_report`` that did not degenerate are weighed.
 
-    Grid-plus-local-refinement maximin search down to resolution 1/200;
-    returns the best weights, or None when no positive combination clears
-    the noise guard (infeasibility is a result, not an error).
+    Grid-plus-local-refinement maximin search down to resolution 1/200.
+    Returns ``{"verdict", "weights"}``: "feasible" with the best weights as
+    a list, "infeasible" when no positive combination clears the noise
+    guard, and "inconclusive" when no face was left to weigh (weights None
+    for both).
     """
-    rows = table.weighable
-    if not rows:
-        raise ConfigurationError("table has no usable rows")
-    k = 1 + max(max(r.rates) for r in rows)
-    lam = np.array([[r.rates[i].mean for i in range(k)] for r in rows])
-    se2 = np.array([[r.rates[i].std_error ** 2 for i in range(k)] for r in rows])
+    rates = [list(face["rates"].values()) for face in report["faces"] if not face["degenerate"]]
+    if not rates:
+        return {"verdict": "inconclusive", "weights": None}
+    k = len(rates[0])
+    lam = np.array([[est.mean for est in row] for row in rates])
+    se2 = np.array([[est.std_error ** 2 for est in row] for row in rates])
     res = 20 if k <= 3 else (10 if k == 4 else 6)
     best_p = np.full(k, 1.0 / k)
     best_val = _objective(best_p, lam, se2)
@@ -295,7 +283,9 @@ def find_persistence_weights(table: InvasionTable):
                     v = _objective(cand, lam, se2)
                     if v > best_val + 1e-15:
                         best_val, best_p, improved = v, cand, True
-    return best_p if best_val > 0 else None
+    if best_val > 0:
+        return {"verdict": "feasible", "weights": best_p.tolist()}
+    return {"verdict": "infeasible", "weights": None}
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +545,12 @@ def lottery_taylor_rate(envspec, d: float, face_samples, invader: int, seed: int
                                  f"columns, got shape {x.shape}")
     if not 0 <= invader < m:
         raise ConfigurationError(f"invader {invader} out of range for {m} species")
+    # the tolerance of a simplex initial_state; a NaN or inf entry fails it too
+    bad = ~((x >= 0).all(axis=1) & (np.abs(x.sum(axis=1) - 1.0) <= 1e-9))
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ConfigurationError(f"face_samples must be simplex states, nonnegative and summing "
+                                 f"to 1 within 1e-9; row {row} is {x[row].tolist()}")
     w = _point_draws(Lottery(m, d), envspec, seed, _stream_id("taylor"), len(x))
     ratio = w[:, invader] / np.sum(x * w, axis=-1)
     return _iid_estimate(d * ratio - d)

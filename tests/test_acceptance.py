@@ -88,9 +88,9 @@ def test_criterion_3_ricker_competition_invasion():
     result = simulate(model, env, full, functionals=(Coordinate(0), Coordinate(1)))
     kept = sum(
         1
-        for s in result.replicates
-        if s.functional_averages["coord_0"].mean >= 0.05
-        and s.functional_averages["coord_1"].mean >= 0.05
+        for s in result["replicates"]
+        if s["functional_averages"]["coord_0"].mean >= 0.05
+        and s["functional_averages"]["coord_1"].mean >= 0.05
     )
     assert kept >= 45, kept
 
@@ -99,19 +99,19 @@ def test_criterion_4_lottery_coexistence():
     env = EnvSpec((LogNormal(1.0, 0.3),) * 3)
     model = Lottery(3, 0.1)
     cfg = SimConfig(seed=401, replicates=1, burn_in=5000, horizon=55_000)
-    table = boundary_invasion_report(model, env, cfg)
-    assert table.verdict == "persistent"
-    for row in table.rows:
-        assert not row.degenerate
-        for i, est in row.rates.items():
-            if i not in row.support:
-                assert est.mean - SIGMAS * est.std_error > 0, (row.support, i, est)
+    report = boundary_invasion_report(model, env, cfg)
+    assert report["verdict"] == "persistent"
+    for face in report["faces"]:
+        assert not face["degenerate"]
+        for i, est in face["rates"].items():
+            if int(i) not in face["support"]:
+                assert est.mean - SIGMAS * est.std_error > 0, (face["support"], i, est)
 
     interior = SimConfig(
         seed=402, replicates=5, burn_in=10_000, horizon=100_000, eta_grid=(0.001,)
     )
     result = simulate(model, env, interior)
-    assert result.pooled.occupation["S_eta=0.001"] <= 0.01
+    assert result["pooled"]["occupation"]["S_eta=0.001"] <= 0.01
 
     for d in (0.02, 0.05):
         small = Lottery(3, d)
@@ -121,7 +121,7 @@ def test_criterion_4_lottery_coexistence():
         # vertex (1, 0, 0)
         face = simulate(small, env, SimConfig(seed=403, replicates=3000, horizon=100,
                                               initial_state=(1.0, 0.0, 0.0)))
-        samples = np.stack([s.terminal_state for s in face.replicates])
+        samples = np.stack([s["terminal_state"] for s in face["replicates"]])
         taylor = lottery_taylor_rate(env, d, samples, 1, seed=404)
         tol = max(SIGMAS * math.hypot(exact.std_error, taylor.std_error), 0.25 * d * d)
         assert abs(exact.mean - taylor.mean) < tol, (d, exact, taylor)
@@ -134,10 +134,10 @@ def test_criterion_5_rps_condition():
     assert rep_a["exact_lhs"].mean == pytest.approx(math.log(1.06) + math.log(0.95), abs=1e-12)
     assert rep_a["exact_lhs"].mean == pytest.approx(0.00698, abs=5e-6)
     assert rep_a["exact_verdict"] == "persists"
-    table_a = boundary_invasion_report(
+    report_a = boundary_invasion_report(
         RpsLottery(0.1), env_a, SimConfig(seed=502, replicates=1, burn_in=100, horizon=1100)
     )
-    assert table_a.verdict == "persistent"
+    assert report_a["verdict"] == "persistent"
 
     env_b = EnvSpec((Constant(3.0), Constant(2.0), Constant(1.0)))
     rep_b = rps_condition(env_b, 0.5, 1000, seed=503)
@@ -153,8 +153,8 @@ def test_criterion_5_rps_condition():
             env = EnvSpec((Constant(alpha), Constant(2.0), Constant(1.0)))
             lhs = math.log(1 - d + d * alpha / 2.0) + math.log(1 - d + d / 2.0)
             assert abs(lhs) > 1e-3  # sweep stays away from the razor edge
-            table = boundary_invasion_report(RpsLottery(d), env, cfg)
-            weights = find_persistence_weights(table)
+            report = boundary_invasion_report(RpsLottery(d), env, cfg)
+            weights = find_persistence_weights(report)["weights"]
             assert (weights is not None) == (lhs > 0), (alpha, d, lhs)
             checked += 1
     assert checked == 20
@@ -279,6 +279,6 @@ def test_criterion_9_negative_exponent_forces_extinction():
     env = EnvSpec((Gamma(k, theta),))
     cfg = SimConfig(seed=901, replicates=50, burn_in=0, horizon=10_000)
     result = simulate(Biennial(**params), env, cfg)
-    assert result.pooled.extinct_fraction == 1.0
-    for s in result.replicates:
-        assert s.extinction_flag
+    assert result["pooled"]["extinct_fraction"] == 1.0
+    for s in result["replicates"]:
+        assert s["extinct"]

@@ -282,16 +282,20 @@ def test_permanence_task(tmp_path):
     assert report["results"]["weights"] is not None
 
 
-def test_permanence_with_every_face_degenerate_is_inconclusive(tmp_path):
-    # both species die out alone, so no face row is left to weigh; this once
-    # exited 2 with "table has no usable rows" and wrote nothing
-    cfg = {
+def _degenerate_cfg():
+    # both species die out alone, so every face degenerates
+    return {
         "model": {"model": "ricker_competition",
                   "r": [{"dist": "normal", "mean": -2.0, "sd": 0.1}] * 2, "alpha": [0.5, 0.5]},
         "sim": {"seed": 0, "burn_in": 100, "horizon": 1000},
         "task": "permanence",
     }
-    cfg_path = _write(tmp_path, cfg)
+
+
+def test_permanence_with_every_face_degenerate_is_inconclusive(tmp_path):
+    # no face row is left to weigh; this once exited 2 with "table has no
+    # usable rows" and wrote nothing
+    cfg_path = _write(tmp_path, _degenerate_cfg())
     for flags, word in (((), "inconclusive"), (("--explore",), "exploratory")):
         out = tmp_path / word
         assert main(["run", "--config", cfg_path, "--out", str(out), *flags]) == 0
@@ -429,6 +433,7 @@ _MISTYPED_MORE = {
     "scalar_eta_grid": lambda c: c["sim"].update(eta_grid=0.01),
     "string_bound_radius": lambda c: c["sim"].update(bound_radius="5"),
     "string_initial_coordinate": lambda c: c["sim"].update(initial_state=[1, "x"]),
+    "object_initial_state": lambda c: c["sim"].update(initial_state={"x": 1}),
     "bool_i": lambda c: _set_functional(c, {"kind": "log_percapita", "i": False}),
     "string_i": lambda c: _set_functional(c, {"kind": "log_percapita", "i": "0"}),
     "functionals_object": lambda c: c.update(task_params={"functionals": {"kind": "log_norm"}}),
@@ -872,14 +877,16 @@ def _drift_audit_cfg():
 
 
 # (config, explore): every task, permanence on the cyclic lottery too (it
-# evaluates the vertices), the two whose --explore run adds rows, and the two
-# whose not_permanent and domination.ok claims --explore once left in place
+# evaluates the vertices) and with every face degenerate (its weight search
+# is inconclusive), the two whose --explore run adds rows, and the two whose
+# not_permanent and domination.ok claims --explore once left in place
 _BYTE_CASES = {
     "simulate": (_simulate_all_cfg, False),
     "classify": (_classify_cfg, False),
     "invade": (_invade_lottery_cfg, False),
     "permanence": (_permanence_cfg, False),
     "permanence_rps": (_rps_permanence_cfg, False),
+    "permanence_degenerate": (_degenerate_cfg, False),
     "drift": (_drift_domination_cfg, False),
     "rps": (_rps_cfg, False),
     "gamma": (_gamma_cfg, False),
@@ -906,6 +913,10 @@ def test_output_bytes_match_the_per_field_writer(tmp_path, case):
 
 # (case, the library call that makes its runner's report, the keys the runner adds)
 _LIBRARY_REPORTS = [
+    ("simulate", lambda model, envspec, sim, params: engine.simulate(
+        model, envspec, sim, cli._parse_functionals(params["functionals"])), ()),
+    ("permanence", lambda model, envspec, sim, params: persist.boundary_invasion_report(
+        model, envspec, sim), ("weights",)),
     ("classify", lambda model, envspec, sim, params: persist.scalar_classify(model, envspec, sim),
      ()),
     ("drift", lambda model, envspec, sim, params: persist.drift_bounded_check(

@@ -106,8 +106,8 @@ def test_deterministic_beverton_holt_settles_at_fixed_point():
     cfg = SimConfig(seed=1, replicates=3, burn_in=200, horizon=1200)
     result = _with_sets(BevertonHolt(s=0.0), _bh_env(), cfg, (Coordinate(0),),
                         (Box(((0.99, 1.01),)),))
-    assert result.pooled.occupation["box([0.99,1.01])"] == 1.0
-    est = result.pooled.functional_averages["coord_0"]
+    assert result["pooled"]["occupation"]["box([0.99,1.01])"] == 1.0
+    est = result["pooled"]["functional_averages"]["coord_0"]
     assert est.mean == pytest.approx(1.0, abs=1e-9)
 
     # started exactly at the fixed point the chain is constant: SE is zero
@@ -117,15 +117,15 @@ def test_deterministic_beverton_holt_settles_at_fixed_point():
         replace(cfg, initial_state=(1.0,)),
         functionals=(Coordinate(0),),
     )
-    at_fp = pinned.pooled.functional_averages["coord_0"]
+    at_fp = pinned["pooled"]["functional_averages"]["coord_0"]
     assert at_fp.mean == 1.0 and at_fp.std_error == 0.0
 
 
 def test_occupation_additivity():
     cfg = SimConfig(seed=2, replicates=4, burn_in=100, horizon=5100, bound_radius=1.5, eta_grid=(0.05,))
     result = simulate(Hassell(), EnvSpec((LogNormal(0.3, 0.3), Constant(1.0))), cfg)
-    for s in result.replicates + [result.pooled]:
-        assert s.occupation["outside_ball=1.5"] + s.occupation["not[outside_ball=1.5]"] == pytest.approx(
+    for s in result["replicates"] + [result["pooled"]]:
+        assert s["occupation"]["outside_ball=1.5"] + s["occupation"]["not[outside_ball=1.5]"] == pytest.approx(
             1.0, abs=1e-12
         )
 
@@ -161,9 +161,9 @@ def test_extinction_flags_for_decaying_hassell():
     env = EnvSpec((LogNormal(-0.2, 0.3), Constant(1.0)))
     cfg = SimConfig(seed=4, replicates=20, burn_in=0, horizon=5000)
     result = simulate(Hassell(), env, cfg)
-    assert result.pooled.extinct_fraction == 1.0
-    for s in result.replicates:
-        assert s.extinction_flag
+    assert result["pooled"]["extinct_fraction"] == 1.0
+    for s in result["replicates"]:
+        assert s["extinct"]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -180,7 +180,7 @@ def test_non_finite_average_raises_instead_of_reporting():
 def test_terminal_state_shape():
     cfg = SimConfig(seed=5, replicates=2, burn_in=100, horizon=1100)
     result = simulate(Hassell(), EnvSpec((LogNormal(0.3, 0.3), Constant(1.0))), cfg)
-    assert result.replicates[0].terminal_state.shape == (1,)
+    assert np.shape(result["replicates"][0]["terminal_state"]) == (1,)
 
 
 def _simulate_peak_bytes(cfg):
@@ -263,18 +263,18 @@ def test_affine_chain_contracts_to_geometric_limit():
     cfg = SimConfig(seed=12, replicates=3, burn_in=200, horizon=1200, bound_radius=5.0)
     env = EnvSpec((Constant(0.5), Constant(1.0)))
     result = _with_sets(AffineChain(), env, cfg, (), (*default_sets(cfg), Box(((1.9, 2.1),))))
-    for s in result.replicates:
-        assert s.occupation["box([1.9,2.1])"] == 1.0
-        assert s.occupation["outside_ball=5"] == 0.0
-        assert not s.extinction_flag
+    for s in result["replicates"]:
+        assert s["occupation"]["box([1.9,2.1])"] == 1.0
+        assert s["occupation"]["outside_ball=5"] == 0.0
+        assert not s["extinct"]
 
 
 def test_affine_chain_divergence_leaves_every_ball():
     # z_t >= 1.1**t, so every measured state lies beyond 1.1**100 > 1e4
     cfg = SimConfig(seed=13, replicates=2, burn_in=100, horizon=2100, bound_radius=1e4)
     result = simulate(AffineChain(), EnvSpec((Constant(1.1), Constant(1.0))), cfg)
-    assert result.pooled.occupation["outside_ball=10000"] == 1.0
-    assert np.all(np.isfinite([s.terminal_state for s in result.replicates]))
+    assert result["pooled"]["occupation"]["outside_ball=10000"] == 1.0
+    assert np.all(np.isfinite([s["terminal_state"] for s in result["replicates"]]))
 
 
 def test_affine_chain_tail_occupation_decreases_with_radius():
@@ -285,10 +285,10 @@ def test_affine_chain_tail_occupation_decreases_with_radius():
     occs = []
     for radius in (2.0, 4.0, 8.0, 16.0, 32.0):
         result = simulate(AffineChain(), env, replace(cfg, bound_radius=radius))
-        occs.append(result.pooled.occupation[f"outside_ball={radius:g}"])
+        occs.append(result["pooled"]["occupation"][f"outside_ball={radius:g}"])
     assert all(b <= a + 1e-12 for a, b in zip(occs, occs[1:]))
     assert occs[-1] < 0.05
-    assert result.pooled.extinct_fraction == 0.0
+    assert result["pooled"]["extinct_fraction"] == 0.0
 
 
 def test_sim_config_validation():
@@ -571,7 +571,7 @@ def test_repeated_functional_is_not_counted_twice():
     env = EnvSpec((LogNormal(0.3, 0.3), Constant(1.0)))
     once = simulate(Hassell(), env, cfg, (Coordinate(0),))
     twice = simulate(Hassell(), env, cfg, (Coordinate(0), Coordinate(0)))
-    assert twice.pooled.functional_averages == once.pooled.functional_averages
+    assert twice["pooled"]["functional_averages"] == once["pooled"]["functional_averages"]
 
 
 def test_functional_index_out_of_range_opens_no_stream(monkeypatch):
@@ -835,10 +835,10 @@ def test_fewer_than_two_measured_steps_are_refused_before_any_stream_opens(monke
     # two measured steps give two one-step batches per replicate; runs
     # without a time-batch estimate keep their one step
     est = simulate(Hassell(), h_env, SimConfig(seed=2, replicates=2, burn_in=99, horizon=101),
-                   (Coordinate(0),)).pooled.functional_averages["coord_0"]
+                   (Coordinate(0),))["pooled"]["functional_averages"]["coord_0"]
     assert (est.batches, est.n) == (4, 4) and est.std_error > 0
     one = SimConfig(seed=2, replicates=2, burn_in=0, horizon=1, eta_grid=(0.5,))
-    assert simulate(Hassell(), h_env, one).pooled.occupation["S_eta=0.5"] in (0.0, 0.5, 1.0)
+    assert simulate(Hassell(), h_env, one)["pooled"]["occupation"]["S_eta=0.5"] in (0.0, 0.5, 1.0)
     hit = ensemble_hit_probability(Hassell(), h_env, one, ExtinctionNeighborhood(10.0), 1)
     assert (hit.mean, hit.n) == (1.0, 2)
     construction = persist.drift_construction(Hassell(), h_env, seed=2)
@@ -941,8 +941,8 @@ def test_row_wise_reduction_matches_per_row_estimates():
     want, first_bad = _reference_rows(_raw(fsums, n_steps), functionals)
     assert first_bad is None
     got = engine._build_result(_raw(fsums, n_steps), functionals, ())
-    assert [s.functional_averages for s in got.replicates] == want
-    assert got.pooled.functional_averages == _reference_pool(_raw(fsums, n_steps), functionals)
+    assert [s["functional_averages"] for s in got["replicates"]] == want
+    assert got["pooled"]["functional_averages"] == _reference_pool(_raw(fsums, n_steps), functionals)
     assert want[2]["log_norm_growth"].std_error == 0.0
     assert want[4]["coord_0"].std_error == 0.0
 
@@ -959,11 +959,10 @@ def test_row_wise_reduction_matches_per_row_estimates_on_a_run(horizon):
     raw = _drive(Hassell(), env, cfg, functionals, sets)
     want, _ = _reference_rows(raw, functionals)
     got = engine._build_result(raw, functionals, sets)
-    assert [s.functional_averages for s in got.replicates] == want
-    assert got.pooled.functional_averages == _reference_pool(raw, functionals)
-    for r, s in enumerate(got.replicates):
-        assert np.shares_memory(s.terminal_state, raw["terminal"])
-        assert np.array_equal(s.terminal_state, raw["terminal"][r])
+    assert [s["functional_averages"] for s in got["replicates"]] == want
+    assert got["pooled"]["functional_averages"] == _reference_pool(raw, functionals)
+    for r, s in enumerate(got["replicates"]):
+        assert s["terminal_state"] == raw["terminal"][r].tolist()
     # each set's per-batch counts give a time-batch estimate of its
     # occupation, the same as one from per-step indicators
     reference = _reference_drive(Hassell(), env, cfg, functionals, sets)
@@ -974,7 +973,7 @@ def test_row_wise_reduction_matches_per_row_estimates_on_a_run(horizon):
     assert [[(est.mean, est.std_error) for est in row.values()] for row in want] == [
         list(zip(m, e)) for m, e in zip(means.tolist(), ses.tolist())]
     assert np.all(ses[:, 1] == 0.0) and np.all(means[:, 1] == 0.0)
-    assert [s.occupation["S_eta=0.5"] for s in got.replicates] == means[:, 0].tolist()
+    assert [s["occupation"]["S_eta=0.5"] for s in got["replicates"]] == means[:, 0].tolist()
 
 
 def test_lyapunov_mc_matches_the_reference_estimate():

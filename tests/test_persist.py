@@ -220,7 +220,7 @@ def test_one_replicate_classify_takes_its_occupation_se_from_time_batches():
     cfg = SimConfig(seed=42, replicates=1, burn_in=0, horizon=3000, eta_grid=(0.01,))
     got = scalar_classify(Hassell(), env, cfg)["evidence"]["occupation[S_eta=0.01]"]
     near = ExtinctionNeighborhood(0.01)
-    assert got.mean == simulate(Hassell(), env, cfg).replicates[0].occupation[near.name]
+    assert got.mean == simulate(Hassell(), env, cfg)["replicates"][0]["occupation"][near.name]
     assert (got.batches, got.n) == (20, 3000) and got.std_error > 0.0
 
 
@@ -230,7 +230,7 @@ def test_classify_occupation_over_replicates_is_an_iid_estimate():
     env = _hassell_env(0.05)
     cfg = SimConfig(seed=42, replicates=3, burn_in=0, horizon=3000, eta_grid=(0.2,))
     got = scalar_classify(Hassell(), env, cfg)["evidence"]["occupation[S_eta=0.2]"]
-    occs = [s.occupation["S_eta=0.2"] for s in simulate(Hassell(), env, cfg).replicates]
+    occs = [s["occupation"]["S_eta=0.2"] for s in simulate(Hassell(), env, cfg)["replicates"]]
     assert got == _iid_estimate(np.array(occs))
     assert (got.batches, got.n) == (3, 3) and got.std_error > 0.0
 
@@ -333,28 +333,28 @@ def test_competition_boundary_report_persistent():
     env = EnvSpec((Normal(1.0, 0.3), Normal(0.8, 0.3)))
     m = RickerCompetition(0.6, 0.5)
     cfg = SimConfig(seed=13, replicates=2, burn_in=2000, horizon=32000)
-    table = boundary_invasion_report(m, env, cfg)
-    assert table.verdict == "persistent"
-    assert not table.not_permanent
-    rates = {row.support: row.rates for row in table.rows}
-    assert abs(rates[(1,)][0].mean - 0.52) < 3 * rates[(1,)][0].std_error
-    assert abs(rates[(0,)][1].mean - 0.30) < 3 * rates[(0,)][1].std_error
+    report = boundary_invasion_report(m, env, cfg)
+    assert report["verdict"] == "persistent"
+    assert not report["not_permanent"]
+    rates = {tuple(face["support"]): face["rates"] for face in report["faces"]}
+    assert abs(rates[(1,)]["0"].mean - 0.52) < 3 * rates[(1,)]["0"].std_error
+    assert abs(rates[(0,)]["1"].mean - 0.30) < 3 * rates[(0,)]["1"].std_error
     # supported species hover at zero average log growth
-    for row in table.rows:
-        for i in row.support:
-            assert abs(row.rates[i].mean) < 3 * row.rates[i].std_error
-    weights = find_persistence_weights(table)
-    assert weights is not None and np.all(weights > 0)
+    for face in report["faces"]:
+        for i in face["support"]:
+            assert abs(face["rates"][str(i)].mean) < 3 * face["rates"][str(i)].std_error
+    weights = find_persistence_weights(report)["weights"]
+    assert weights is not None and np.all(np.array(weights) > 0)
 
 
 def test_deterministic_lottery_dominance_flags_not_permanent():
     env = EnvSpec((Constant(3.0), Constant(2.0)))
     m = Lottery(2, 0.2)
     cfg = SimConfig(seed=14, replicates=1, burn_in=100, horizon=2100)
-    table = boundary_invasion_report(m, env, cfg)
-    assert table.not_permanent
-    assert table.verdict == "inconclusive"
-    assert find_persistence_weights(table) is None
+    report = boundary_invasion_report(m, env, cfg)
+    assert report["not_permanent"]
+    assert report["verdict"] == "inconclusive"
+    assert find_persistence_weights(report) == {"verdict": "infeasible", "weights": None}
 
 
 def test_degenerate_face_blocks_permanence_claim():
@@ -363,11 +363,11 @@ def test_degenerate_face_blocks_permanence_claim():
     env = EnvSpec((Normal(1.0, 0.3), Normal(-0.5, 0.3)))
     m = RickerCompetition(0.3, 0.3)
     cfg = SimConfig(seed=27, replicates=1, burn_in=500, horizon=5500)
-    table = boundary_invasion_report(m, env, cfg)
-    degenerate = [row for row in table.rows if row.degenerate]
-    assert degenerate and degenerate[0].support == (1,)
-    assert table.verdict == "inconclusive"
-    assert table.annotations
+    report = boundary_invasion_report(m, env, cfg)
+    degenerate = [face for face in report["faces"] if face["degenerate"]]
+    assert degenerate and degenerate[0]["support"] == [1]
+    assert report["verdict"] == "inconclusive"
+    assert report["annotations"]
 
 
 @pytest.mark.parametrize(
@@ -389,19 +389,21 @@ def test_degenerate_face_blocks_permanence_claim():
 def test_boundary_report_rows_match_separate_face_runs(model, env, cfg):
     # the report runs all faces as rows of one batch of the base model; each
     # face must reproduce a batch of its own rows alone, on its own streams
-    table = boundary_invasion_report(model, env, cfg)
+    report = boundary_invasion_report(model, env, cfg)
     functionals = tuple(LogPerCapita(i) for i in range(model.k))
-    assert [row.support for row in table.rows]
-    for row in table.rows:
-        code = sum(1 << i for i in row.support)
-        rows = [(engine._stream_id("face", code, r), row.support, f"replicate {r}")
+    assert [face["support"] for face in report["faces"]]
+    for face in report["faces"]:
+        support = tuple(face["support"])
+        code = sum(1 << i for i in support)
+        rows = [(engine._stream_id("face", code, r), support, f"replicate {r}")
                 for r in range(cfg.replicates)]
         raw = _drive(model, env, cfg, functionals, (), rows=rows)
         ref = _build_result(raw, functionals, ())
-        assert bool(row.degenerate) == any(s.extinction_flag for s in ref.replicates)
-        if not row.degenerate:
-            assert row.rates == {
-                i: ref.pooled.functional_averages[f.name] for i, f in enumerate(functionals)
+        assert bool(face["degenerate"]) == any(s["extinct"] for s in ref["replicates"])
+        if not face["degenerate"]:
+            assert face["rates"] == {
+                str(i): ref["pooled"]["functional_averages"][f.name]
+                for i, f in enumerate(functionals)
             }
 
 
@@ -445,13 +447,15 @@ def test_a_face_with_a_floored_replicate_is_a_degenerate_row_and_not_pooled(seed
     # pooled; before, its pool was made first and ended the report
     env = EnvSpec((Discrete((1.0, 1500.0), (0.999, 0.001)), Constant(1.0)))
     cfg = SimConfig(seed=seed, replicates=2, horizon=2000)
-    table = boundary_invasion_report(RickerCompetition(0.3, 0.3), env, cfg)
-    zero, one = table.rows
-    assert zero.support == (0,) and zero.rates == {}
-    assert zero.degenerate.startswith(f"resident community degenerated in replicates {extinct};")
-    assert one.support == (1,) and not one.degenerate
-    assert all(math.isfinite(e.mean) and math.isfinite(e.std_error) for e in one.rates.values())
-    assert table.verdict == "inconclusive"
+    report = boundary_invasion_report(RickerCompetition(0.3, 0.3), env, cfg)
+    zero, one = report["faces"]
+    assert zero["support"] == [0] and zero["rates"] == {}
+    assert zero["degenerate"].startswith(
+        f"resident community degenerated in replicates {extinct};")
+    assert one["support"] == [1] and not one["degenerate"]
+    assert all(math.isfinite(e.mean) and math.isfinite(e.std_error)
+               for e in one["rates"].values())
+    assert report["verdict"] == "inconclusive"
 
 
 def test_single_species_boundary_report_is_refused():
@@ -465,10 +469,10 @@ def test_rps_boundary_rows_are_analytic_vertices():
     env = EnvSpec((Constant(3.2), Constant(2.0), Constant(1.0)))
     m = RpsLottery(0.1)
     cfg = SimConfig(seed=15, replicates=1, burn_in=100, horizon=5100)
-    table = boundary_invasion_report(m, env, cfg)
-    assert table.verdict == "persistent"
-    assert [row.measure for row in table.rows] == ["analytic_vertex"] * 3
-    weights = find_persistence_weights(table)
+    report = boundary_invasion_report(m, env, cfg)
+    assert report["verdict"] == "persistent"
+    assert [face["measure"] for face in report["faces"]] == ["analytic_vertex"] * 3
+    weights = find_persistence_weights(report)["weights"]
     assert weights is not None
     assert np.allclose(weights, 1.0 / 3.0, atol=0.02)
 
@@ -477,18 +481,28 @@ def test_weights_infeasible_when_a_face_rejects_everyone():
     env = EnvSpec((Constant(3.0), Constant(2.0), Constant(1.0)))
     m = RpsLottery(0.5)  # exact condition fails at this turnover
     cfg = SimConfig(seed=16, replicates=1, burn_in=100, horizon=2100)
-    table = boundary_invasion_report(m, env, cfg)
-    assert find_persistence_weights(table) is None
+    report = boundary_invasion_report(m, env, cfg)
+    assert find_persistence_weights(report) == {"verdict": "infeasible", "weights": None}
+
+
+def _one_face_report(mean, degenerate=""):
+    rates = {} if degenerate else {"0": RateEstimate(mean, 0.01, 10, 100)}
+    return {"faces": [{"support": [], "measure": "analytic_vertex", "rates": rates,
+                       "degenerate": degenerate}]}
 
 
 def test_single_species_weights_trivial():
-    from stochpop.engine import RateEstimate
-    from stochpop.persist import FaceRow, InvasionTable
+    assert find_persistence_weights(_one_face_report(0.4)) == {"verdict": "feasible",
+                                                               "weights": [1.0]}
+    assert find_persistence_weights(_one_face_report(-0.4)) == {"verdict": "infeasible",
+                                                                "weights": None}
 
-    row = FaceRow(support=(), measure="analytic_vertex", rates={0: RateEstimate(0.4, 0.01, 10, 100)})
-    assert find_persistence_weights(InvasionTable(rows=[row]))[0] == 1.0
-    row_neg = FaceRow(support=(), measure="analytic_vertex", rates={0: RateEstimate(-0.4, 0.01, 10, 100)})
-    assert find_persistence_weights(InvasionTable(rows=[row_neg])) is None
+
+def test_weights_are_inconclusive_when_every_face_degenerated():
+    # no face was weighed, so nothing is infeasible; the search once raised
+    # "table has no usable rows" here
+    report = _one_face_report(0.4, degenerate="resident community degenerated")
+    assert find_persistence_weights(report) == {"verdict": "inconclusive", "weights": None}
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +719,7 @@ def test_taylor_rate_agrees_with_exact_invasion_rate(d):
     # vertex (1, 0, 0)
     face = simulate(m, env, SimConfig(seed=25, replicates=3000, horizon=100,
                                       initial_state=(1.0, 0.0, 0.0)))
-    samples = np.stack([s.terminal_state for s in face.replicates])
+    samples = np.stack([s["terminal_state"] for s in face["replicates"]])
     taylor = lottery_taylor_rate(env, d, samples, 1, seed=25)
     tol = max(3 * math.hypot(exact.std_error, taylor.std_error), 0.25 * d * d)
     assert abs(exact.mean - taylor.mean) < tol
@@ -721,11 +735,16 @@ def test_taylor_rate_warns_for_large_turnover():
     (-1, _vertex_samples(3, 0, n=50), "invader -1 out of range for 3 species"),
     (3, _vertex_samples(3, 0, n=50), "invader 3 out of range for 3 species"),
     (1, _vertex_samples(2, 0, n=50), r"with 3 columns, got shape \(50, 2\)"),
-], ids=["invader_-1", "invader_3", "two_columns"])
+    (1, [[0.5, 0.5, 0.0], [0.0, 0.0, 0.0]], r"simplex states.*row 1 is \[0\.0, 0\.0, 0\.0\]"),
+    (1, [[0.5, float("nan"), 0.5]], r"simplex states.*row 0 is \[0\.5, nan, 0\.5\]"),
+    (1, [[1.5, -0.5, 0.0]], r"simplex states.*row 0 is \[1\.5, -0\.5, 0\.0\]"),
+], ids=["invader_-1", "invader_3", "two_columns", "zero_row", "nan_entry", "negative_entry"])
 def test_taylor_rate_refuses_a_bad_invader_or_sample_width(monkeypatch, invader, samples,
                                                            message):
     # before, -1 returned species 2's rate, 3 raised IndexError and two
-    # columns a numpy broadcast ValueError
+    # columns a numpy broadcast ValueError; a zero row returned mean inf with
+    # SE nan, a NaN entry a nan mean, and a negative entry a rate at a point
+    # that is no state
     def no_stream(*args):
         raise AssertionError("a stream was opened")
 
