@@ -74,7 +74,7 @@ _LINEAR_FLOOR = float(np.exp(LOG_FLOOR))
 _STREAM_IDS = {
     "replicate": (0, (32,)), "growth_at": (1 << 32, ()), "rps": ((1 << 32) + 1, ()),
     "taylor": ((1 << 32) + 2, ()), "scale": ((1 << 32) + 4, ()), "face": (1 << 33, (6, 20)),
-    "audit": (1 << 34, ()), "moments": (1 << 35, ()), "vertex": (1 << 36, (2,)),
+    "audit": (1 << 34, ()), "moments": (1 << 35, ()), "vertex": (1 << 36, (3,)),
 }
 
 
@@ -305,6 +305,17 @@ def _draw_chunks(envspec, streams, t_total):
         yield t, draws
 
 
+def _measured_steps(cfg: SimConfig, estimates: bool) -> int:
+    """The measured steps, horizon - burn_in.  An estimate over them needs
+    at least 2: one step is one time batch, whose standard error would read
+    0.  Fewer are refused when ``estimates`` are made."""
+    n_steps = cfg.horizon - cfg.burn_in
+    if estimates and n_steps < 2:
+        raise ConfigurationError(f"an estimate needs at least 2 measured steps "
+                                 f"(horizon - burn_in), got {n_steps}")
+    return n_steps
+
+
 def _open_rows(model, envspec, cfg, rows=None, estimates=False):
     """The only place a trajectory run opens its streams.  ``rows`` are
     (stream id, support, label): a row draws from stream (cfg.seed, id) and
@@ -314,15 +325,10 @@ def _open_rows(model, envspec, cfg, rows=None, estimates=False):
     draws)`` for steps t..t+n-1, no draw of which is read: ``check_env``
     decided the domain.  Each chunk is cut at the burn-in end and at every
     time-batch edge, so a piece lies in one chunk and one batch ``b`` (-1 in
-    the burn-in); it is valid only until the next piece is drawn.
-
-    A run that makes time-batch ``estimates`` needs at least 2 measured
-    steps: one step is one batch, whose standard error would read 0.  Fewer
-    are refused here, before any stream opens."""
-    n_steps = cfg.horizon - cfg.burn_in
-    if estimates and n_steps < 2:
-        raise ConfigurationError(f"a time-batch estimate needs at least 2 measured steps "
-                                 f"(horizon - burn_in), got {n_steps}")
+    the burn-in); it is valid only until the next piece is drawn.  A run
+    that makes time-batch ``estimates`` from too few measured steps is
+    refused here (``_measured_steps``), before any stream opens."""
+    n_steps = _measured_steps(cfg, estimates)
     if rows is None:
         rows = [(_stream_id("replicate", r), tuple(range(model.k)), f"replicate {r}")
                 for r in range(cfg.replicates)]

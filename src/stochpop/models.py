@@ -82,6 +82,9 @@ class Model:
     # column's), and the refusal of an environment that draws below it
     low = -np.inf
     domain = ""
+    # True when the dynamics on every face settle at its vertices, so that a
+    # boundary report evaluates the vertices only; else every proper face
+    faces_collapse_to_vertices = False
 
     def step(self, x, w):
         # per-capita models: x_i' = x_i * f_i(x, w), renormalized on a simplex
@@ -252,6 +255,7 @@ class RpsLottery(Model):
     k = 3
     env_dim = 3
     sim_mode = "simplex"
+    faces_collapse_to_vertices = True  # each edge's cyclic dominance ends at a vertex
 
     def __init__(self, d: float):
         if not (0.0 < d <= 1.0):

@@ -15,8 +15,8 @@ from itertools import combinations
 import numpy as np
 
 from .engine import ExtinctionNeighborhood, LogPerCapita, RateEstimate, SimConfig
-from .engine import (_binomial_estimate, _drive, _iid_estimate, _open_rows, _open_streams,
-                     _point_draws, _pooled_estimates, _stream_id)
+from .engine import (_binomial_estimate, _drive, _iid_estimate, _initial_states, _measured_steps,
+                     _open_rows, _open_streams, _point_draws, _pooled_estimates, _stream_id)
 from .env import sample_block
 from .errors import ConfigurationError, FaceDegenerateError
 from .models import (
@@ -67,37 +67,55 @@ def mean_percapita_growth_at(model, envspec, x, i: int, n: int, seed: int = 0) -
     if not (0 <= i < model.k):
         raise ConfigurationError(f"species index {i} out of range")
     w = _point_draws(model, envspec, seed, _stream_id("growth_at"), n)
-    return _growth_on(model, x, i, w)
+    return _growth_on(model, x, w)[i]
 
 
-def _growth_on(model, x, i: int, w: np.ndarray) -> RateEstimate:
-    """Mean of log f_i(x, w) over the draws w, one per row."""
+def _growth_on(model, x, w: np.ndarray) -> list:
+    """Each species' mean of log f_i(x, w) over the draws w, one per row."""
     x = np.asarray(x, dtype=float)
-    return _iid_estimate(model.log_percapita(np.tile(x, (len(w), 1)), w)[:, i])
+    return [_iid_estimate(f) for f in model.log_percapita(np.tile(x, (len(w), 1)), w).T]
 
 
-def _face_runs(model, envspec, cfg: SimConfig, supports, functionals) -> list:
-    """``(extinct replicates, pooled estimates by name)`` per face, all faces
-    run as rows of one lockstep batch of ``model``: per-capita dynamics keep
-    zeros at zero, so a face differs only in the support of its start.  A
-    face with an extinct replicate is degenerate and is not pooled (None).
-    Replicate r of face S keeps its stream ``_stream_id("face", code(S), r)``."""
+def _face_runs(model, envspec, cfg: SimConfig, supports, species) -> list:
+    """One boundary face per support, ``{"support", "measure", "rates",
+    "degenerate"}``: the rates of ``species``, keyed by decimal index.  A
+    simplex model's vertex e_j is invariant in every environment, so its
+    point mass is face (j,)'s one ergodic measure: the rates there are iid
+    means over n draws of ``_stream_id("vertex", j)``, n the measured steps
+    within [1000, 100000].  Every other face is run as rows of one lockstep
+    batch of ``model``: per-capita dynamics keep zeros at zero, so a face
+    differs only in the support of its start.  A run face with an extinct
+    replicate is degenerate and is not pooled.  Replicate r of face S keeps
+    its stream ``_stream_id("face", code(S), r)``."""
+    n = int(min(max(_measured_steps(cfg, True), 1000), 100_000))
+    run = [s for s in supports if model.sim_mode != "simplex" or len(s) > 1]
+    functionals = tuple(LogPerCapita(i) for i in species)
     r_total = cfg.replicates
-    _stream_id("face", 0, r_total - 1)  # refuses too many replicates before any row is built
-    rows = [
-        (_stream_id("face", sum(1 << i for i in s), r), s, f"face {s} replicate {r}")
-        for s in supports
-        for r in range(r_total)
-    ]
-    raw = _drive(model, envspec, cfg, functionals, (), rows=rows)
-    names = [f.name for f in functionals]
-    runs = []
-    for s, a in zip(supports, range(0, len(rows), r_total)):
-        extinct = np.flatnonzero(raw["floored"][a:a + r_total]).tolist()
-        runs.append((extinct, None if extinct else _pooled_estimates(
-            raw["fsums"][a:a + r_total], raw["lengths"], raw["n_steps"], names,
-            f"the pooled replicates of face {s}")))
-    return runs
+    faces = {}
+    if run:
+        _stream_id("face", 0, r_total - 1)  # refuses too many replicates before any row is built
+        rows = [(_stream_id("face", sum(1 << i for i in s), r), s, f"face {s} replicate {r}")
+                for s in run for r in range(r_total)]
+        raw = _drive(model, envspec, cfg, functionals, (), rows=rows)
+        for s, a in zip(run, range(0, len(rows), r_total)):
+            extinct = np.flatnonzero(raw["floored"][a:a + r_total]).tolist()
+            if extinct:
+                faces[s] = ("simulated", {}, f"resident community degenerated in replicates "
+                            f"{extinct}; its ergodic measures concentrate on smaller supports")
+                continue
+            pooled = _pooled_estimates(raw["fsums"][a:a + r_total], raw["lengths"],
+                                       raw["n_steps"], [f.name for f in functionals],
+                                       f"the pooled replicates of face {s}")
+            faces[s] = ("simulated", {str(f.i): pooled[f.name] for f in functionals}, "")
+    for s in supports:
+        if s not in faces:
+            stream = _open_streams(model, envspec, cfg.seed, [_stream_id("vertex", s[0])])[0]
+            w = sample_block(envspec, stream, n)
+            # the face's start, random or given, is e_j; made after the draws, it shifts none
+            rates = _growth_on(model, _initial_states(model, cfg, [stream], [s])[0], w)
+            faces[s] = ("analytic_vertex", {str(i): rates[i] for i in species}, "")
+    return [{"support": list(s), "measure": faces[s][0], "rates": faces[s][1],
+             "degenerate": faces[s][2]} for s in supports]
 
 
 def invasion_rate(model, envspec, cfg: SimConfig, invader: int, resident_support) -> RateEstimate:
@@ -106,79 +124,45 @@ def invasion_rate(model, envspec, cfg: SimConfig, invader: int, resident_support
     The resident community is simulated on its face from a canonical
     interior start (or the start in ``cfg``); the time average of
     log f_invader then estimates the invasion rate for the sampled ergodic
-    measure of that face.
+    measure of that face.  A vertex of a simplex model is evaluated at its
+    point mass instead (see ``_face_runs``).
     """
-    resident_support = tuple(sorted(set(int(i) for i in resident_support)))
+    resident_support = tuple(sorted(int(i) for i in resident_support))
     if invader in resident_support:
         raise ConfigurationError("invader must not belong to the resident support")
     if not (0 <= invader < model.k):
         raise ConfigurationError(f"species index {invader} out of range")
     if not resident_support:
         raise ConfigurationError("face support must be nonempty")
+    if len(set(resident_support)) < len(resident_support):
+        raise ConfigurationError(f"face support {resident_support} names a species twice")
     if any(i < 0 or i >= model.k for i in resident_support):
         raise ConfigurationError(f"face support {resident_support} out of range for {model.name}")
-    functional = LogPerCapita(invader)
-    ((extinct, rates),) = _face_runs(model, envspec, cfg, [resident_support], (functional,))
-    if extinct:
-        raise FaceDegenerateError(
-            f"resident community on face {resident_support} hit the extinction "
-            f"floor in replicates {extinct}; invasion rate is ill-posed"
-        )
-    return rates[functional.name]
-
-
-def _face(support, measure: str, rates, degenerate: str = "") -> dict:
-    """One face of a boundary report: ``rates`` are species 0..k-1's
-    estimates, keyed by the species' decimal index, or none on a degenerate
-    face."""
-    return {"support": list(support), "measure": measure,
-            "rates": {str(i): est for i, est in enumerate(rates)}, "degenerate": degenerate}
-
-
-def _vertex_faces(model: RpsLottery, envspec, cfg: SimConfig) -> list:
-    """Boundary faces for the cyclic lottery: face dynamics collapse to the
-    vertices, so the only ergodic boundary measures are the vertex point
-    masses and each face is evaluated there directly, every species' rate
-    from one block of draws per vertex."""
-    n = int(min(max(cfg.horizon - cfg.burn_in, 1000), 100_000))
-    faces = []
-    for j in range(model.k):
-        x = np.zeros((n, model.k))
-        x[:, j] = 1.0
-        w = _point_draws(model, envspec, cfg.seed, _stream_id("vertex", j), n)
-        logf = model.log_percapita(x, w)
-        faces.append(_face((j,), "analytic_vertex", [_iid_estimate(f) for f in logf.T]))
-    return faces
+    (face,) = _face_runs(model, envspec, cfg, [resident_support], (invader,))
+    if face["degenerate"]:
+        raise FaceDegenerateError(f"face {resident_support}: {face['degenerate']}")
+    return face["rates"][str(invader)]
 
 
 def boundary_invasion_report(model, envspec, cfg: SimConfig) -> dict:
     """Invasion rates for every boundary face plus a permanence verdict and
     its decision margin: ``{"verdict", "not_permanent", "decision_margin",
-    "faces", "annotations"}``, each face as ``_face`` makes it.
+    "faces", "annotations"}``, each face as ``_face_runs`` makes it.
 
     One sampled ergodic measure per face, from the canonical interior-of-
-    face start; rates for supported species double as stationarity checks
-    (their average log growth should vanish).
+    face start, or the point mass at a vertex of a simplex model; rates for
+    supported species double as stationarity checks (their average log
+    growth should vanish).  A model whose faces collapse to the vertices
+    is evaluated at its vertices only.
     """
     k = model.k
     if k < 2:
         raise ConfigurationError(f"{model.name} has one species and no boundary faces to invade")
     if k > 6:
         raise ConfigurationError("face enumeration supports at most 6 species")
-    if isinstance(model, RpsLottery):
-        faces = _vertex_faces(model, envspec, cfg)
-    else:
-        supports = [s for size in range(1, k) for s in combinations(range(k), size)]
-        functionals = tuple(LogPerCapita(i) for i in range(k))
-        faces = []
-        for support, (extinct, pooled) in zip(
-                supports, _face_runs(model, envspec, cfg, supports, functionals)):
-            if extinct:
-                degenerate = (f"resident community degenerated in replicates {extinct}; "
-                              "its ergodic measures concentrate on smaller supports")
-                faces.append(_face(support, "simulated", [], degenerate))
-            else:
-                faces.append(_face(support, "simulated", [pooled[f.name] for f in functionals]))
+    sizes = (1,) if model.faces_collapse_to_vertices else range(1, k)
+    supports = [s for size in sizes for s in combinations(range(k), size)]
+    faces = _face_runs(model, envspec, cfg, supports, range(k))
 
     margins, annotations = [], []
     not_permanent = False
@@ -361,7 +345,7 @@ def _scalar_contraction_scale(model, envspec, seed, margin) -> float:
     w = _point_draws(model, envspec, seed, _stream_id("scale"), 4000)
     m_val = 1.0
     for _ in range(60):
-        est = _growth_on(model, np.full(1, m_val), 0, w)
+        (est,) = _growth_on(model, np.full(1, m_val), w)
         if _call(est, -margin) < 0:
             return m_val
         m_val *= 2.0

@@ -662,8 +662,14 @@ _OUT_OF_DOMAIN = {
         "entries": [[{"dist": "lognormal", "log_mean": 0.0, "log_sd": 300.0}]]}),
         "draws must be finite (least, greatest [[0.0], [inf]])"),
 }
+# (config, expected stderr): a resident support that repeats a species;
+# before it was refused, it exited 0 and wrote the face 0+0 for face (0,)
+_REPEATED_SPECIES = {
+    "repeated_resident": (dict(_invade_lottery_cfg(), task_params={
+        "invader": 1, "resident_support": [0, 0]}), "face support (0, 0) names a species twice"),
+}
 _REFUSED_PARAMS = {**_MISTYPED_PARAMS_MORE, **_TOO_FEW_SAMPLES, **_OUT_OF_RANGE,
-                   **_RETIRED_PARAMS, **_OUT_OF_DOMAIN}
+                   **_RETIRED_PARAMS, **_OUT_OF_DOMAIN, **_REPEATED_SPECIES}
 
 
 @pytest.mark.parametrize("case", list(_REFUSED_PARAMS))
@@ -860,6 +866,11 @@ def _rps_permanence_cfg():
     }
 
 
+def _invade_rps_cfg():
+    return dict(_rps_permanence_cfg(), task="invade",
+                task_params={"invader": 1, "resident_support": [0]})
+
+
 def _dominance_cfg():
     # species 0 dominates, so face (0,) is not invaded and not_permanent is true
     return {
@@ -876,14 +887,16 @@ def _drift_audit_cfg():
                 task_params={"n_pairs": 2000, "domination_steps": 200})
 
 
-# (config, explore): every task, permanence on the cyclic lottery too (it
-# evaluates the vertices) and with every face degenerate (its weight search
-# is inconclusive), the two whose --explore run adds rows, and the two whose
-# not_permanent and domination.ok claims --explore once left in place
+# (config, explore): every task, invade and permanence on the cyclic lottery
+# too (only its vertices are evaluated) and permanence with every face
+# degenerate (its weight search is inconclusive), the two whose --explore run
+# adds rows, and the two whose not_permanent and domination.ok claims
+# --explore once left in place
 _BYTE_CASES = {
     "simulate": (_simulate_all_cfg, False),
     "classify": (_classify_cfg, False),
     "invade": (_invade_lottery_cfg, False),
+    "invade_rps": (_invade_rps_cfg, False),
     "permanence": (_permanence_cfg, False),
     "permanence_rps": (_rps_permanence_cfg, False),
     "permanence_degenerate": (_degenerate_cfg, False),
@@ -909,6 +922,18 @@ def test_output_bytes_match_the_per_field_writer(tmp_path, case):
     assert sorted(p.name for p in out.iterdir()) == sorted(want)
     for name, blob in want.items():
         assert (out / name).read_bytes() == blob, name
+
+
+@pytest.mark.parametrize("make_cfg", [_rps_permanence_cfg, _permanence_cfg, _invade_rps_cfg],
+                         ids=["rps_permanence", "lottery_permanence", "rps_invade"])
+def test_a_start_off_a_vertex_is_refused_alike_by_every_face_task(tmp_path, make_cfg):
+    # the cyclic lottery's permanence run once ignored the start and exited 0
+    cfg = make_cfg()
+    cfg["sim"]["initial_state"] = [0.2, 0.3, 0.5]
+    with pytest.raises(ConfigurationError, match="^initial_state must vanish outside the face "
+                                                 "support$"):
+        run_config(cfg, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 # (case, the library call that makes its runner's report, the keys the runner adds)

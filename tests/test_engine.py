@@ -736,6 +736,7 @@ _PINNED_IDS = {
     ("audit",): 2**34,
     ("moments",): 2**35,
     ("vertex", 2): 2**36 + 2,
+    ("vertex", 7): 2**36 + 7,
 }
 
 
@@ -763,10 +764,10 @@ def test_stream_namespaces_are_disjoint_and_fit_the_key_word():
     ("replicate", (-1,), [2**32]),
     ("face", (2**6, 0), [2**6, 2**20]),
     ("face", (1, 2**20), [2**6, 2**20]),
-    ("vertex", (4,), [4]),
+    ("vertex", (8,), [8]),
     ("face", (1,), [2**6, 2**20]),
     ("audit", (0,), []),
-], ids=["replicate_2^32", "replicate_-1", "face_code_2^6", "face_replicate_2^20", "vertex_4",
+], ids=["replicate_2^32", "replicate_-1", "face_code_2^6", "face_replicate_2^20", "vertex_8",
         "face_one_index", "audit_one_index"])
 def test_an_index_outside_its_field_or_a_wrong_index_count_is_refused(name, indices, bounds):
     message = (f"the {name} stream id packs indices below {bounds}, so that no two streams "
@@ -780,7 +781,7 @@ def test_every_trajectory_run_opens_its_streams_through_open_rows(monkeypatch):
     replicates = [(2, r) for r in range(3)]
     h_env = EnvSpec((LogNormal(0.3, 0.3), Constant(1.0)))
     lottery, l_env = Lottery(3, 0.3), EnvSpec((LogNormal(1.0, 0.3),) * 3)
-    faces = [s for size in (1, 2) for s in itertools.combinations(range(3), size)]
+    edges = list(itertools.combinations(range(3), 2))  # a vertex is evaluated at its point
     construction = persist.drift_construction(Hassell(), h_env, seed=2)
     runs = {
         "simulate": (lambda: simulate(Hassell(), h_env, cfg), replicates),
@@ -788,7 +789,8 @@ def test_every_trajectory_run_opens_its_streams_through_open_rows(monkeypatch):
             Hassell(), h_env, cfg, ExtinctionNeighborhood(0.1), 10), replicates),
         "boundary_face_runs": (lambda: persist.boundary_invasion_report(lottery, l_env, cfg),
                                [(2, engine._stream_id("face", sum(1 << i for i in s), r))
-                                for s in faces for r in range(3)]),
+                                for s in edges for r in range(3)]
+                               + [(2, engine._stream_id("vertex", j)) for j in range(3)]),
         "lyapunov_mc": (lambda: lyap.lyapunov_mc(
             Biennial(0.5, 0.5, 1.0, 1.0), EnvSpec((Gamma(2.0, 2.0),)), cfg), replicates),
         "affine_domination_audit": (lambda: persist.affine_domination_audit(

@@ -46,7 +46,8 @@ from stochpop.persist import (
     rps_condition,
     scalar_classify,
 )
-from stochpop.lyap import lyapunov_mc
+from stochpop import persist
+from stochpop.lyap import adaptive_simpson, lyapunov_mc
 from test_engine import _no_streams
 
 
@@ -136,7 +137,9 @@ def test_invasion_rate_validates_support():
     ((), "face support must be nonempty"),
     ((-1,), r"face support \(-1,\) out of range for ricker_competition"),
     ((0, 2), r"face support \(0, 2\) out of range for ricker_competition"),
-], ids=["empty", "negative", "out_of_range"])
+    # a repeated species once ran as the face it repeats
+    ((0, 0), r"face support \(0, 0\) names a species twice"),
+], ids=["empty", "negative", "out_of_range", "repeated"])
 def test_invasion_rate_refuses_a_bad_support_before_any_stream_opens(monkeypatch, support,
                                                                      message):
     def no_stream(*args):
@@ -394,6 +397,15 @@ def test_boundary_report_rows_match_separate_face_runs(model, env, cfg):
     assert [face["support"] for face in report["faces"]]
     for face in report["faces"]:
         support = tuple(face["support"])
+        if face["measure"] == "analytic_vertex":
+            # a simplex vertex is its point mass, evaluated on its own stream
+            ((j,), n) = support, cfg.horizon - cfg.burn_in
+            w = sample_block(env, make_stream(cfg.seed, engine._stream_id("vertex", j)), n)
+            x = np.zeros((n, model.k))
+            x[:, j] = 1.0
+            assert face["rates"] == {str(i): _iid_estimate(f)
+                                     for i, f in enumerate(model.log_percapita(x, w).T)}
+            continue
         code = sum(1 << i for i in support)
         rows = [(engine._stream_id("face", code, r), support, f"replicate {r}")
                 for r in range(cfg.replicates)]
@@ -475,6 +487,60 @@ def test_rps_boundary_rows_are_analytic_vertices():
     weights = find_persistence_weights(report)["weights"]
     assert weights is not None
     assert np.allclose(weights, 1.0 / 3.0, atol=0.02)
+
+
+def test_lottery_vertex_rate_matches_its_one_dimensional_quadrature():
+    # at the vertex e_0, log f_1 = log(1 - d + d xi_1 / xi_0), and with
+    # LogNormal(mu, s) fecundities log(xi_1 / xi_0) is Normal(0, s sqrt 2)
+    mu, s, d = 1.0, 0.3, 0.1
+    env = EnvSpec((LogNormal(mu, s),) * 3)
+    cfg = SimConfig(seed=31, burn_in=0, horizon=50_000)
+    est = invasion_rate(Lottery(3, d), env, cfg, invader=1, resident_support=(0,))
+    sd = s * math.sqrt(2.0)
+
+    def integrand(z):
+        return math.log1p(d * math.expm1(z)) * math.exp(-0.5 * (z / sd) ** 2) / (
+            sd * math.sqrt(2.0 * math.pi))
+
+    exact, _, _ = adaptive_simpson(integrand, np.linspace(-12 * sd, 12 * sd, 25), 1e-12)
+    assert (est.batches, est.n) == (50_000, 50_000)
+    assert abs(est.mean - exact) < 3 * est.std_error, (est, exact)
+
+
+@pytest.mark.parametrize("model, env, cfg", [
+    (Lottery(3, 0.1), EnvSpec((LogNormal(1.0, 0.3),) * 3),
+     SimConfig(seed=28, replicates=2, burn_in=100, horizon=1100)),
+    (RpsLottery(0.1), EnvSpec((Uniform(3.0, 3.5), Uniform(1.5, 2.5), Uniform(0.5, 1.2))),
+     SimConfig(seed=3, burn_in=10, horizon=1010)),
+], ids=["lottery", "rps_lottery"])
+def test_a_vertex_invasion_rate_is_the_permanence_report_estimate(model, env, cfg):
+    # both tasks evaluate a vertex at its point mass; invade once ran it as
+    # a trajectory, and its estimate differed
+    report = boundary_invasion_report(model, env, cfg)
+    vertices = [face for face in report["faces"] if len(face["support"]) == 1]
+    assert [face["measure"] for face in vertices] == ["analytic_vertex"] * 3
+    for face in vertices:
+        for invader in set(range(3)) - set(face["support"]):
+            assert invasion_rate(model, env, cfg, invader, face["support"]) == (
+                face["rates"][str(invader)])
+
+
+def test_lottery_boundary_report_drives_only_its_edges(monkeypatch):
+    driven = []
+
+    def counting(model, envspec, cfg, functionals, sets, rows=None, estimates=False,
+                 real=persist._drive):
+        driven.extend(support for _, support, _ in rows)
+        return real(model, envspec, cfg, functionals, sets, rows=rows, estimates=estimates)
+
+    monkeypatch.setattr(persist, "_drive", counting)
+    cfg = SimConfig(seed=28, replicates=2, burn_in=100, horizon=1100)
+    model, env = Lottery(3, 0.1), EnvSpec((LogNormal(1.0, 0.3),) * 3)
+    report = boundary_invasion_report(model, env, cfg)
+    invasion_rate(model, env, cfg, invader=1, resident_support=(0,))  # drives no row either
+    assert driven == [(0, 1)] * 2 + [(0, 2)] * 2 + [(1, 2)] * 2
+    assert [face["measure"] for face in report["faces"]] == ["analytic_vertex"] * 3 + [
+        "simulated"] * 3
 
 
 def test_weights_infeasible_when_a_face_rejects_everyone():
