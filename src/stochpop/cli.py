@@ -170,6 +170,8 @@ def _validate_top(cfg: dict):
             raise ConfigurationError(f"config missing required key {key!r}")
     if cfg["task"] not in _TASKS:
         raise ConfigurationError(f"unknown task {cfg['task']!r}; choose from {_TASKS}")
+    if not isinstance(cfg.get("output_dir", ""), str):
+        raise ConfigurationError(f"output_dir must be a string, got {cfg['output_dir']!r}")
 
 
 def _parse_sim(obj) -> SimConfig:
@@ -416,6 +418,8 @@ _RUNNERS = {
 
 
 def _apply_set(cfg: dict, assignment: str):
+    """Set the value at a dotted key, creating each missing section; a key
+    whose path runs through a value that is not an object is refused."""
     if "=" not in assignment:
         raise ConfigurationError(f"--set needs key=value, got {assignment!r}")
     key, raw = assignment.split("=", 1)
@@ -425,10 +429,12 @@ def _apply_set(cfg: dict, assignment: str):
         value = raw
     node = cfg
     parts = key.split(".")
-    for part in parts[:-1]:
-        if part not in node or not isinstance(node[part], dict):
-            node[part] = {}
-        node = node[part]
+    for n, part in enumerate(parts):
+        if not isinstance(node, dict):
+            walked = ".".join(parts[:n]) or "the config"
+            raise ConfigurationError(f"--set {key}: {walked} is not an object")
+        if n < len(parts) - 1:
+            node = node.setdefault(part, {})
     node[parts[-1]] = value
 
 
@@ -437,6 +443,11 @@ def run_config(cfg: dict, out_dir=None, seed=None, threads: int = 1, explore: bo
 
     ``threads`` is accepted for compatibility and has no effect."""
     _validate_top(cfg)
+    target = Path(out_dir if out_dir is not None else cfg.get("output_dir", "."))
+    # refused before the task runs: the nearest existing ancestor must be a directory
+    existing = next(path for path in (target, *target.parents) if path.exists())
+    if not existing.is_dir():
+        raise ConfigurationError(f"output location {target}: {existing} is not a directory")
     if seed is not None and isinstance(cfg["sim"], dict):  # _parse_sim refuses any other sim
         cfg["sim"]["seed"] = int(seed)
     model, default_env = parse_model(cfg["model"])
@@ -488,7 +499,6 @@ def run_config(cfg: dict, out_dir=None, seed=None, threads: int = 1, explore: bo
         "estimates": rows,
     }
 
-    target = Path(out_dir if out_dir is not None else cfg.get("output_dir", "."))
     target.mkdir(parents=True, exist_ok=True)
     written = []
     try:

@@ -24,13 +24,15 @@ The step loop only advances the state and stores each measured row: the
 state into a ``(steps, rows, k)`` block, ``log f`` into a block of the same
 shape when a ``LogPerCapita`` is measured, and the log growth of the total
 into a ``(steps, rows)`` block when ``LogNorm`` is.  A block stores at most
-``env._SCRATCH`` values (or one step) after its row 0.  One call,
-``measure``, reads the blocks when they are full and at every piece end, so
-each call lies in one time batch: every set counts the stored states into
-its ``(rows, sets, batches)`` counts, and each summed block adds its rows to
-its batch's running sum, kept as the block's row 0, in step order.  That
-gives the bits of per-step ``acc += x``.  The simplex floor flag is taken
-once per piece from a running minimum.
+``env._SCRATCH`` values (or one step) after its row 0, so each piece is cut
+into sub-pieces of at most that many steps.  The blocks are read at every
+sub-piece end, which lies in one time batch: every set counts the stored
+states into its ``(rows, sets, batches)`` counts, and each summed block adds
+its rows to its batch's running sum, kept as the block's row 0, in step
+order.  That gives the bits of per-step ``acc += x``.  Both per-capita modes
+(``log_mult`` and ``simplex``) take the floor flag once per piece from a
+running minimum of the state; only the linear mode, which freezes a floored
+row, flags it at each step.
 
 A run's memory is one draw block, reused by every chunk of the run (a chunk
 is valid only until the next is drawn), plus cache-sized buffers: the
@@ -385,17 +387,19 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None, estimates=False):
     mode = model.sim_mode
     # log_mult carries the log state ell; x is its capped view
     log_state = mode == "log_mult"
-    alive0 = x > 0  # structural zeros are faces, never floor crossings
     if log_state:
         with np.errstate(divide="ignore"):
             ell = np.log(x)
-    # a structural zero's log state is -inf, which never lies below -inf
-    log_floor = np.where(alive0, LOG_FLOOR, -np.inf)
+    # The per-capita modes keep each coordinate's least within a piece, in the
+    # state's own scale (ell or x), and flag a row at the piece end if one lies
+    # below its floor.  A structural zero is a face: its floor is -inf.
+    floor = np.where(x > 0, LOG_FLOOR if log_state else _LINEAR_FLOOR, -np.inf)
+    least = np.full((rg, k), np.inf)
 
-    # Measured steps are stored in rows 1..held of each block: the states
-    # when a set or a Coordinate reads them, log f when a LogPerCapita does,
-    # and the log growth of the total when LogNorm does.  Row 0 of a summed
-    # block is its running sum over the current time batch, so each
+    # Measured step s of a sub-piece is stored in row s of each block: the
+    # states when a set or a Coordinate reads them, log f when a LogPerCapita
+    # does, and the log growth of the total when LogNorm does.  Row 0 of a
+    # summed block is its running sum over the current time batch, so each
     # functional's batch sum is a view of a row 0.
     kinds = {type(f) for f in functionals}
     span = max(1, min(n_steps, _SCRATCH // (rg * k)))
@@ -407,22 +411,11 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None, estimates=False):
               if kind in kinds]
     views = [gr[0] if isinstance(f, LogNorm) else
              (xs if isinstance(f, Coordinate) else lf)[0, :, f.i] for f in functionals]
-    held = 0
     batch = -1  # the time batch of the running sums, set to 0.0 when it starts
 
     counts = np.zeros((rg, len(sets), len(lengths)), dtype=np.int32)
     fsums = np.zeros((rg, len(functionals), len(lengths)))
     floored = np.zeros(rg, dtype=bool)
-    # simplex mode: each coordinate's smallest value within the piece
-    xmin = np.full((rg, k), np.inf)
-
-    def measure(b, n):
-        """Count the n stored states into each set's batch-b counts and add
-        each summed block's n stored rows to its running sum."""
-        for j, sd in enumerate(sets):
-            counts[:, j, b] += sd.contains(xs[1:n + 1], model).sum(axis=0)
-        for block in summed:
-            block[0] = _step_sum(block[:n + 1])
 
     for t, b, draws in pieces:
         measuring = b >= 0
@@ -430,53 +423,54 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None, estimates=False):
             for block in summed:
                 block[0] = 0.0
             batch = b
-        for w in draws:
-            if log_state:
-                x = np.exp(np.minimum(ell, LOG_CAP))
-            if measuring and xs is not None:
-                xs[held + 1] = x
+        # sub-pieces of at most span steps, each measured when it ends
+        for a in range(0, len(draws), span):
+            sub = draws[a:a + span]
+            for s, w in enumerate(sub, 1):
+                if log_state:
+                    x = np.exp(np.minimum(ell, LOG_CAP))
+                if measuring and xs is not None:
+                    xs[s] = x
 
-            # advance one step; each mode sets logf and, if measured, growth
-            if mode == "log_mult":
-                logf = model.log_percapita(x, w)
-                ell_new = ell + logf
-                dip = ell_new < log_floor
-                if dip.any():
-                    ell_new[dip] = LOG_FLOOR
-                    floored |= dip.any(axis=-1)
-                if measuring and norm:
-                    growth = logsumexp(ell_new, axis=-1) - logsumexp(ell, axis=-1)
-                ell = ell_new
-            elif mode == "simplex":
-                logf = model.log_percapita(x, w)
-                x = x * np.exp(logf)
-                x /= x.sum(axis=-1, keepdims=True)
-                np.minimum(xmin, x, out=xmin)
-                growth = 0.0  # the total stays 1
-            else:
-                x_new = model.step(x, w)  # a floored row keeps its last state
-                floored |= np.max(x_new, axis=-1) <= _LINEAR_FLOOR
-                if floored.any():
-                    x_new[floored] = x[floored]
-                if measuring and norm:
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        growth = np.log(x_new.sum(axis=-1)) - np.log(x.sum(axis=-1))
-                x = x_new
+                # advance one step; each mode sets logf and, if measured, growth
+                if mode == "log_mult":
+                    logf = model.log_percapita(x, w)
+                    ell_new = ell + logf
+                    least = np.minimum(least, ell_new)
+                    ell_new = np.maximum(ell_new, floor)
+                    if measuring and norm:
+                        growth = logsumexp(ell_new, axis=-1) - logsumexp(ell, axis=-1)
+                    ell = ell_new
+                elif mode == "simplex":
+                    logf = model.log_percapita(x, w)
+                    x = x * np.exp(logf)
+                    x /= x.sum(axis=-1, keepdims=True)
+                    least = np.minimum(least, x)
+                    growth = 0.0  # the total stays 1
+                else:
+                    x_new = model.step(x, w)  # a floored row keeps its last state
+                    floored |= np.max(x_new, axis=-1) <= _LINEAR_FLOOR
+                    np.copyto(x_new, x, where=floored[:, None])
+                    if measuring and norm:
+                        with np.errstate(divide="ignore", invalid="ignore"):
+                            growth = np.log(x_new.sum(axis=-1)) - np.log(x.sum(axis=-1))
+                    x = x_new
 
-            if measuring:
-                if lf is not None:
-                    lf[held + 1] = logf
-                if norm:
-                    gr[held + 1] = growth
-                held += 1
-                if held == span:
-                    measure(b, held)
-                    held = 0
+                if measuring:
+                    if lf is not None:
+                        lf[s] = logf
+                    if norm:
+                        gr[s] = growth
+            if measuring:  # count the n stored states, add the n stored rows to row 0
+                n = len(sub)
+                for j, sd in enumerate(sets):
+                    counts[:, j, b] += sd.contains(xs[1:n + 1], model).sum(axis=0)
+                for block in summed:
+                    block[0] = _step_sum(block[:n + 1])
 
         last = t + len(draws) - 1
-        if mode == "simplex":
-            floored |= np.where(alive0, xmin, np.inf).min(axis=-1) < _LINEAR_FLOOR
-            xmin.fill(np.inf)
+        floored |= (least < floor).any(axis=-1)
+        least.fill(np.inf)
         bad = (np.isnan(ell) | (ell == np.inf)) if log_state else ~np.isfinite(x)
         if bad.any():
             which = int(np.argwhere(bad.any(axis=-1))[0][0])
@@ -485,8 +479,6 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None, estimates=False):
                 step=last,
             )
         if measuring:
-            measure(b, held)
-            held = 0
             for j, view in enumerate(views):
                 fsums[:, j, b] = view
             # earlier batches were checked when they were stored

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -153,7 +153,8 @@ def boundary_invasion_report(model, envspec, cfg: SimConfig) -> dict:
     face start, or the point mass at a vertex of a simplex model; rates for
     supported species double as stationarity checks (their average log
     growth should vanish).  A model whose faces collapse to the vertices
-    is evaluated at its vertices only.
+    is evaluated at its vertices only.  "persistent" needs every face
+    invadable and weights from ``find_persistence_weights`` (Hofbauer 1981).
     """
     k = model.k
     if k < 2:
@@ -193,6 +194,10 @@ def boundary_invasion_report(model, envspec, cfg: SimConfig) -> dict:
                     f"log growth {rates[i].mean:.3g}; the face run may not have "
                     "settled on an ergodic measure"
                 )
+    if all_faces_invasible and find_persistence_weights({"faces": faces})["weights"] is None:
+        all_faces_invasible = False
+        annotations.append("every face is invadable, but no positive weights make the weighted "
+                           "invasion rates clear zero on every face: a cycle of faces may attract")
     return {
         "verdict": "persistent" if all_faces_invasible else "inconclusive",
         "not_permanent": not_permanent,
@@ -210,19 +215,6 @@ def _objective(p, lam, se2):
     comb = lam @ p
     guard = _SIGMAS * np.sqrt(se2 @ (p * p))
     return float(np.min(comb - guard))
-
-
-def _composition_grid(k, res):
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            yield prefix + [remaining]
-            return
-        for v in range(remaining + 1):
-            yield from rec(prefix + [v], remaining - v, slots - 1)
-
-    for combo in rec([], res, k):
-        if all(v > 0 for v in combo):
-            yield np.array(combo, dtype=float) / res
 
 
 def find_persistence_weights(report: dict) -> dict:
@@ -245,7 +237,8 @@ def find_persistence_weights(report: dict) -> dict:
     res = 20 if k <= 3 else (10 if k == 4 else 6)
     best_p = np.full(k, 1.0 / k)
     best_val = _objective(best_p, lam, se2)
-    for p in _composition_grid(k, res):
+    for cuts in combinations(range(1, res), k - 1):  # each positive composition of res
+        p = np.diff((0, *cuts, res)) / res
         v = _objective(p, lam, se2)
         if v > best_val:
             best_val, best_p = v, p
@@ -255,18 +248,15 @@ def find_persistence_weights(report: dict) -> dict:
         improved = True
         while improved:
             improved = False
-            for i in range(k):
-                for j in range(k):
-                    if i == j:
-                        continue
-                    cand = best_p.copy()
-                    cand[i] += h
-                    cand[j] -= h
-                    if cand[j] < floor:
-                        continue
-                    v = _objective(cand, lam, se2)
-                    if v > best_val + 1e-15:
-                        best_val, best_p, improved = v, cand, True
+            for i, j in permutations(range(k), 2):
+                cand = best_p.copy()
+                cand[i] += h
+                cand[j] -= h
+                if cand[j] < floor:
+                    continue
+                v = _objective(cand, lam, se2)
+                if v > best_val + 1e-15:
+                    best_val, best_p, improved = v, cand, True
     if best_val > 0:
         return {"verdict": "feasible", "weights": best_p.tolist()}
     return {"verdict": "infeasible", "weights": None}

@@ -143,6 +143,11 @@ def test_criterion_5_rps_condition():
     rep_b = rps_condition(env_b, 0.5, 1000, seed=503)
     assert rep_b["exact_lhs"].mean == pytest.approx(-0.06454, abs=5e-6)
     assert rep_b["exact_verdict"] == "fails"
+    # every vertex is invadable, but the cycle through the vertices attracts
+    report_b = boundary_invasion_report(
+        RpsLottery(0.5), env_b, SimConfig(seed=16, replicates=1, burn_in=100, horizon=2100)
+    )
+    assert report_b["verdict"] != "persistent"
 
     # feasibility of permanence weights tracks the sign of the exact
     # condition across a 20-point (alpha, d) sweep

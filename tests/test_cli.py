@@ -437,6 +437,8 @@ _MISTYPED_MORE = {
     "bool_i": lambda c: _set_functional(c, {"kind": "log_percapita", "i": False}),
     "string_i": lambda c: _set_functional(c, {"kind": "log_percapita", "i": "0"}),
     "functionals_object": lambda c: c.update(task_params={"functionals": {"kind": "log_norm"}}),
+    # once exited 1 with a TypeError after the task had run
+    "int_output_dir": lambda c: c.update(output_dir=5),
 }
 
 
@@ -448,6 +450,17 @@ def test_mistyped_config_value_exits_2_without_outputs(tmp_path, capsys, case):
     assert main(["run", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_out_through_a_file_exits_2_before_any_stream_opens(tmp_path, capsys, monkeypatch, out):
+    # once exited 1 with FileExistsError after the task had run
+    _no_streams(monkeypatch)
+    (tmp_path / "file").write_text("kept")
+    assert main(["run", "--config", _write(tmp_path, _simulate_cfg()),
+                 "--out", str(tmp_path / out)]) == 2
+    assert "is not a directory" in capsys.readouterr().err
+    assert (tmp_path / "file").read_text() == "kept"
 
 
 @pytest.mark.parametrize("eta_grid", [[0.5, 0.5000001], [0.01, 0.01]], ids=["same_name", "same_value"])
@@ -722,8 +735,11 @@ def _ricker_cfg(**normal):
 # (config, extra arguments, expected stderr): json.loads reads NaN, Infinity
 # and -Infinity; before numbers were checked to be finite, the first two
 # exited 3 with "non-finite state for replicate 0" and the others failed a
-# later check whose message did not name the value
-_NON_FINITE = {
+# later check whose message did not name the value.  The last two set a key
+# through a value that is not an object: the first once turned the
+# fecundity list into {"0": {...}} and exited 2 on a misleading count of
+# distributions, the second exited 1 with a TypeError
+_REFUSED_BY_THE_MODULE = {
     "nan_normal_mean": (_ricker_cfg(mean=math.nan), (), "normal mean must be finite, got nan"),
     "infinite_normal_sd": (_ricker_cfg(sd=math.inf), (), "normal sd must be finite, got inf"),
     "nan_bound_radius_by_set": (_ricker_cfg(), ("--set", "sim.bound_radius=NaN"),
@@ -732,12 +748,16 @@ _NON_FINITE = {
                    "task_params margin must be finite, got nan"),
     "negative_infinite_constant": (_ricker_cfg(), ("--set", "model.a=-Infinity"),
                                    "constant value must be finite, got -inf"),
+    "set_through_a_list": (_permanence_cfg(), ("--set", "model.fecundity.0.log_sd=0.5"),
+                           "--set model.fecundity.0.log_sd: model.fecundity is not an object"),
+    "set_on_a_list_config": ([_ricker_cfg()], ("--set", "sim.seed=1"),
+                             "--set sim.seed: the config is not an object"),
 }
 
 
-@pytest.mark.parametrize("case", list(_NON_FINITE))
-def test_non_finite_number_exits_2_through_the_module(tmp_path, case):
-    cfg, args, message = _NON_FINITE[case]
+@pytest.mark.parametrize("case", list(_REFUSED_BY_THE_MODULE))
+def test_refused_config_exits_2_through_the_module(tmp_path, case):
+    cfg, args, message = _REFUSED_BY_THE_MODULE[case]
     proc, out = _run_module(tmp_path, cfg, *args)
     assert proc.returncode == 2, proc.stderr
     assert "configuration error" in proc.stderr and message in proc.stderr
@@ -866,6 +886,16 @@ def _rps_permanence_cfg():
     }
 
 
+def _cyclic_lottery_cfg():
+    # every vertex is invadable, but the exact condition fails (-0.0645), so
+    # the cycle through the vertices attracts and no permanence weights exist
+    return {
+        "model": {"model": "rps_lottery", "d": 0.5, "alpha": 3.0, "beta": 2.0, "gamma": 1.0},
+        "sim": {"seed": 16, "burn_in": 100, "horizon": 2100},
+        "task": "permanence",
+    }
+
+
 def _invade_rps_cfg():
     return dict(_rps_permanence_cfg(), task="invade",
                 task_params={"invader": 1, "resident_support": [0]})
@@ -899,6 +929,7 @@ _BYTE_CASES = {
     "invade_rps": (_invade_rps_cfg, False),
     "permanence": (_permanence_cfg, False),
     "permanence_rps": (_rps_permanence_cfg, False),
+    "permanence_cyclic": (_cyclic_lottery_cfg, False),
     "permanence_degenerate": (_degenerate_cfg, False),
     "drift": (_drift_domination_cfg, False),
     "rps": (_rps_cfg, False),

@@ -440,8 +440,15 @@ _DRIVE_CASES = {
     # step 4, inside the first chunk
     "lottery-floor": (Lottery(2, 0.5), EnvSpec((Constant(1.0), Discrete((1e-6, 1e6), (0.8, 0.2)))),
                       (LogPerCapita(1), LogNorm())),
+    # species 1 is absent and species 0 starts at log state -699.5, just
+    # above the floor; its log growth xi - x has mean 0.3, so seed 16 takes
+    # replicate 0 below the floor at steps 1 and 4 and back above it, inside
+    # the first piece
+    "ricker-floor": (RickerCompetition(0.6, 0.5), EnvSpec((Normal(0.3, 1.0), Normal(0.8, 0.3))),
+                     (LogPerCapita(1), LogNorm())),
 }
-_DRIVE_CFG = {"lottery-floor": {"initial_state": (1.0, 1e-303)}}
+_DRIVE_CFG = {"lottery-floor": {"initial_state": (1.0, 1e-303)},
+              "ricker-floor": {"initial_state": (float(np.exp(-699.5)), 0.0)}}
 
 
 @pytest.mark.parametrize("replicates", [1, 2, 3, 64])
@@ -469,9 +476,11 @@ def test_drive_matches_per_mode_reference(monkeypatch, case, replicates):
         held = got["floored"]
         assert np.array_equal(got["terminal"][held], want["before"][held])
         assert np.all(got["terminal"][held].max(axis=-1) > _LINEAR_FLOOR)
-    if case == "lottery-floor":
-        assert got["floored"].any()
-        assert np.all(got["terminal"][got["floored"]] > _LINEAR_FLOOR)  # a dip, not an absorption
+    if case.endswith("-floor"):
+        assert got["floored"][0]
+        # a dip, not an absorption: every live coordinate ends above the floor
+        live = got["terminal"][got["floored"]][:, np.array(cfg.initial_state) > 0]
+        assert np.all(live > _LINEAR_FLOOR)
 
 
 def test_step_sum_adds_rows_in_step_order():
