@@ -299,19 +299,17 @@ def _task_invade(model, envspec, sim, params, claim):
 
 def _task_permanence(model, envspec, sim, params, claim):
     report = persist.boundary_invasion_report(model, envspec, sim)
-    search = persist.find_persistence_weights(report)
-    kind, weighed = claim(report["verdict"]), claim(search["verdict"])
+    kind, weighed = claim(report["verdict"]), claim(report["weights_verdict"])
     rows = [_est_row("permanence", "invasion_rate", est, species=int(i),
                      face=_face_label(face["support"]), verdict=kind)
             for face in report["faces"] for i, est in face["rates"].items()]
-    if search["weights"] is None:
+    if report["weights"] is None:
         rows.append(_row("permanence", "weights", verdict=weighed))
     else:
         rows += [_row("permanence", "weight", species=i, mean=w, verdict=weighed)
-                 for i, w in enumerate(search["weights"])]
-    results = dict(report, verdict=kind, not_permanent=claim(report["not_permanent"]),
-                   weights=search["weights"])
-    return results, rows, {}
+                 for i, w in enumerate(report["weights"])]
+    return dict(report, verdict=kind, not_permanent=claim(report["not_permanent"]),
+                weights_verdict=weighed), rows, {}
 
 
 def _task_drift(model, envspec, sim, params, claim):
@@ -567,10 +565,11 @@ def main(argv=None) -> int:
     p_run.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; has no effect")
     p_run.add_argument("--explore", action="store_true",
-                       help="write each claim (verdict strings, not_permanent, hypotheses_hold, "
-                            "domination.ok, rps verdicts, the CSV verdict column) as "
-                            "'exploratory', keep estimates, decision_margin, weights, slacks, "
-                            "annotations and degenerate, and attach eta-grid hit probabilities")
+                       help="write each claim (verdict strings, not_permanent, weights_verdict, "
+                            "hypotheses_hold, domination.ok, rps verdicts, the CSV verdict "
+                            "column) as 'exploratory', keep estimates, decision_margin, weights, "
+                            "slacks, annotations and degenerate, and attach eta-grid hit "
+                            "probabilities")
     p_run.set_defaults(fn=_cmd_run)
     p_list = sub.add_parser("list-models", help="print the model catalog")
     p_list.set_defaults(fn=_cmd_list_models)

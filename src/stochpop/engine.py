@@ -255,9 +255,12 @@ def _initial_states(model: Model, cfg: SimConfig, streams, supports) -> np.ndarr
         if abs(x.sum() - 1.0) > 1e-9:
             raise ConfigurationError("simplex initial_state must sum to 1")
         x = x / x.sum()
-    for support in set(supports):
+    for support in dict.fromkeys(supports):  # in row order: the first refused row decides
         if any(x[j] != 0.0 for j in range(k) if j not in support):
             raise ConfigurationError("initial_state must vanish outside the face support")
+        # a start that vanishes on a species of a face would run a smaller face
+        if len(support) < k and not all(x[j] > 0.0 for j in support):
+            raise ConfigurationError("initial_state must be positive on the face support")
     return np.tile(x, (r, 1))
 
 

@@ -57,12 +57,10 @@ class Origin:
 
 @dataclass(frozen=True)
 class CoordinateUnion:
-    """Extinction set: union of the faces {x_i = 0} over the listed species."""
-
-    indices: tuple
+    """Extinction set: union of the faces {x_i = 0}, where some species is absent."""
 
     def distance(self, x):
-        return np.min(x[..., list(self.indices)], axis=-1)
+        return np.min(x, axis=-1)
 
 
 class Model:
@@ -199,12 +197,12 @@ class RickerCompetition(Model):
     k = 2
     env_dim = 2
     sim_mode = "log_mult"
+    extinction = CoordinateUnion()
 
     def __init__(self, alpha1: float, alpha2: float):
         if not (alpha1 > 0 and alpha2 > 0):
             raise ConfigurationError("competition coefficients must be positive")
         self.alpha = (float(alpha1), float(alpha2))
-        self.extinction = CoordinateUnion((0, 1))
 
     def log_percapita(self, x, w):
         x = np.asarray(x, dtype=float)
@@ -223,6 +221,7 @@ class Lottery(Model):
 
     name = "lottery"
     sim_mode = "simplex"
+    extinction = CoordinateUnion()
     low = _POSITIVE
     domain = "lottery fecundities must be strictly positive"
 
@@ -234,7 +233,6 @@ class Lottery(Model):
         self.k = int(k)
         self.d = float(d)
         self.env_dim = self.k
-        self.extinction = CoordinateUnion(tuple(range(self.k)))
 
     def log_percapita(self, x, w):
         x = np.asarray(x, dtype=float)
@@ -255,13 +253,13 @@ class RpsLottery(Model):
     k = 3
     env_dim = 3
     sim_mode = "simplex"
+    extinction = CoordinateUnion()
     faces_collapse_to_vertices = True  # each edge's cyclic dominance ends at a vertex
 
     def __init__(self, d: float):
         if not (0.0 < d <= 1.0):
             raise ConfigurationError("death fraction must lie in (0, 1]")
         self.d = float(d)
-        self.extinction = CoordinateUnion((0, 1, 2))
 
     def check_env(self, env):
         bounds = super().check_env(env)

@@ -145,16 +145,20 @@ def invasion_rate(model, envspec, cfg: SimConfig, invader: int, resident_support
 
 
 def boundary_invasion_report(model, envspec, cfg: SimConfig) -> dict:
-    """Invasion rates for every boundary face plus a permanence verdict and
-    its decision margin: ``{"verdict", "not_permanent", "decision_margin",
-    "faces", "annotations"}``, each face as ``_face_runs`` makes it.
+    """Invasion rates for every boundary face plus a permanence verdict:
+    ``{"verdict", "not_permanent", "decision_margin", "faces",
+    "annotations", "weights", "weights_verdict"}``, each face as
+    ``_face_runs`` makes it.
 
     One sampled ergodic measure per face, from the canonical interior-of-
     face start, or the point mass at a vertex of a simplex model; rates for
     supported species double as stationarity checks (their average log
     growth should vanish).  A model whose faces collapse to the vertices
     is evaluated at its vertices only.  "persistent" needs every face
-    invadable and weights from ``find_persistence_weights`` (Hofbauer 1981).
+    invadable and weights from the one ``find_persistence_weights`` search
+    (Hofbauer 1981), whose weights and verdict the report returns.
+    ``decision_margin`` is the least margin of the per-face 3-SE calls; the
+    search has no margin, so ``weights_verdict`` shows when it decided.
     """
     k = model.k
     if k < 2:
@@ -194,7 +198,8 @@ def boundary_invasion_report(model, envspec, cfg: SimConfig) -> dict:
                     f"log growth {rates[i].mean:.3g}; the face run may not have "
                     "settled on an ergodic measure"
                 )
-    if all_faces_invasible and find_persistence_weights({"faces": faces})["weights"] is None:
+    search = find_persistence_weights({"faces": faces})
+    if all_faces_invasible and search["weights"] is None:
         all_faces_invasible = False
         annotations.append("every face is invadable, but no positive weights make the weighted "
                            "invasion rates clear zero on every face: a cycle of faces may attract")
@@ -204,6 +209,8 @@ def boundary_invasion_report(model, envspec, cfg: SimConfig) -> dict:
         "decision_margin": min(margins, default=0.0),
         "faces": faces,
         "annotations": annotations,
+        "weights": search["weights"],
+        "weights_verdict": search["verdict"],
     }
 
 

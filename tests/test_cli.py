@@ -795,8 +795,8 @@ def _reference_outputs(cfg, explore=False) -> dict:
     """The bytes of each output file when the runner's results and rows go
     through ``_reference_jsonable`` and the stdlib's writers.  Under
     ``explore`` the report gains the ensemble hit probability of each eta at
-    the horizon, and every verdict, ``not_permanent``, ``hypotheses_hold`` and
-    ``domination.ok`` reads "exploratory"."""
+    the horizon, and every verdict, ``not_permanent``, ``weights_verdict``,
+    ``hypotheses_hold`` and ``domination.ok`` reads "exploratory"."""
     model, envspec = parse_model(cfg["model"])
     if "env" in cfg:
         envspec = parse_env_spec(cfg["env"])
@@ -818,7 +818,7 @@ def _reference_outputs(cfg, explore=False) -> dict:
             "ensemble_hit_at_horizon": hits,
             "note": "raw statistics only; nothing here is adjudicated",
         })
-        for key in ("verdict", "not_permanent", "hypotheses_hold"):
+        for key in ("verdict", "not_permanent", "weights_verdict", "hypotheses_hold"):
             if key in results:
                 results[key] = "exploratory"
         if "domination" in results:
@@ -875,6 +875,20 @@ def _lyapunov_cfg():
     return dict(_gamma_cfg(), task="lyapunov")
 
 
+def _simulate_linear_cfg():
+    # the one structured model, so the linear step and its measurement run
+    return dict(_gamma_cfg(), sim=dict(_gamma_cfg()["sim"], eta_grid=[0.01], bound_radius=5.0),
+                task="simulate",
+                task_params={"functionals": [{"kind": "coordinate", "i": 0},
+                                             {"kind": "coordinate", "i": 1},
+                                             {"kind": "log_norm"}]})
+
+
+def _classify_one_replicate_cfg():
+    # one replicate's occupation SE comes from its time batches
+    return dict(_classify_cfg(), sim=dict(_classify_cfg()["sim"], replicates=1))
+
+
 def _rps_permanence_cfg():
     return {
         "model": {"model": "rps_lottery", "d": 0.1, "alpha": 3.2, "beta": 2.0, "gamma": 1.0},
@@ -919,12 +933,15 @@ def _drift_audit_cfg():
 
 # (config, explore): every task, invade and permanence on the cyclic lottery
 # too (only its vertices are evaluated) and permanence with every face
-# degenerate (its weight search is inconclusive), the two whose --explore run
-# adds rows, and the two whose not_permanent and domination.ok claims
-# --explore once left in place
+# degenerate (its weight search is inconclusive), simulate on the linear
+# model and classify on one replicate, the two whose --explore run adds rows,
+# and the two whose not_permanent and domination.ok claims --explore once
+# left in place
 _BYTE_CASES = {
     "simulate": (_simulate_all_cfg, False),
+    "simulate_linear": (_simulate_linear_cfg, False),
     "classify": (_classify_cfg, False),
+    "classify_one_replicate": (_classify_one_replicate_cfg, False),
     "invade": (_invade_lottery_cfg, False),
     "invade_rps": (_invade_rps_cfg, False),
     "permanence": (_permanence_cfg, False),
@@ -967,12 +984,79 @@ def test_a_start_off_a_vertex_is_refused_alike_by_every_face_task(tmp_path, make
     assert not (tmp_path / "out").exists()
 
 
+# a supplied start that vanishes on a species of the face support once ran
+# the smaller face under the face's name and exited 0:
+# permanence on the competition model ran both faces at the origin and read
+# "persistent", invade read r1's mean into an empty community, and the
+# lottery edge (0, 1) from e0 read the vertex e0's rate
+def _competition_from_origin_cfg():
+    return {
+        "model": {"model": "ricker_competition",
+                  "r": [{"dist": "normal", "mean": 1.0, "sd": 0.3}] * 2, "alpha": [0.5, 0.5]},
+        "sim": {"seed": 0, "burn_in": 200, "horizon": 2000, "initial_state": [0, 0]},
+        "task": "permanence",
+    }
+
+
+_OFF_FACE_STARTS = {
+    "competition_permanence": _competition_from_origin_cfg(),
+    "competition_invade": dict(_competition_from_origin_cfg(), task="invade",
+                               task_params={"invader": 1, "resident_support": [0]}),
+    "lottery_edge_from_a_vertex": dict(
+        _invade_lottery_cfg(),
+        sim={"seed": 0, "burn_in": 200, "horizon": 2000, "initial_state": [1, 0, 0]},
+        task_params={"invader": 2, "resident_support": [0, 1]}),
+}
+
+
+@pytest.mark.parametrize("case", list(_OFF_FACE_STARTS))
+def test_a_start_that_vanishes_on_the_face_exits_2_without_outputs(tmp_path, capsys, case):
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write(tmp_path, _OFF_FACE_STARTS[case]),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: initial_state must be positive on the face support" in err, err
+    assert not out.exists()
+
+
+_PERMANENCE_CASES = [case for case, (make_cfg, _) in _BYTE_CASES.items()
+                     if make_cfg()["task"] == "permanence"]
+
+
+@pytest.mark.parametrize("case", _PERMANENCE_CASES)
+def test_a_permanence_report_returns_the_weight_search_it_decided_with(case):
+    cfg = _BYTE_CASES[case][0]()
+    model, envspec = parse_model(cfg["model"])
+    if "env" in cfg:
+        envspec = parse_env_spec(cfg["env"])
+    report = persist.boundary_invasion_report(model, envspec, cli._parse_sim(cfg["sim"]))
+    search = persist.find_persistence_weights(report)
+    assert (report["weights"], report["weights_verdict"]) == (search["weights"],
+                                                              search["verdict"])
+
+
+@pytest.mark.parametrize("make_cfg", [_permanence_cfg, _cyclic_lottery_cfg],
+                         ids=["lottery", "cyclic_lottery"])
+def test_a_permanence_run_searches_for_weights_once(tmp_path, monkeypatch, make_cfg):
+    # the task once searched again for its weights rows when every face was
+    # invadable; each call records the module that made it
+    callers = []
+
+    def counting(report, real=persist.find_persistence_weights):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return real(report)
+
+    monkeypatch.setattr(persist, "find_persistence_weights", counting)
+    run_config(make_cfg(), out_dir=tmp_path / "out")
+    assert callers == ["stochpop.persist"]
+
+
 # (case, the library call that makes its runner's report, the keys the runner adds)
 _LIBRARY_REPORTS = [
     ("simulate", lambda model, envspec, sim, params: engine.simulate(
         model, envspec, sim, cli._parse_functionals(params["functionals"])), ()),
     ("permanence", lambda model, envspec, sim, params: persist.boundary_invasion_report(
-        model, envspec, sim), ("weights",)),
+        model, envspec, sim), ()),
     ("classify", lambda model, envspec, sim, params: persist.scalar_classify(model, envspec, sim),
      ()),
     ("drift", lambda model, envspec, sim, params: persist.drift_bounded_check(
@@ -1186,9 +1270,7 @@ _ONE_MEASURED_STEP = {
     "simulate": _one_step(_simulate_cfg()),
     "gamma": _one_step(_gamma_cfg(), burn_in=0),
     "lyapunov": dict(_one_step(_gamma_cfg()), task="lyapunov"),
-    # one replicate's occupation SE comes from its time batches
-    "classify_one_replicate": _one_step(dict(_classify_cfg(),
-                                             sim=dict(_classify_cfg()["sim"], replicates=1))),
+    "classify_one_replicate": _one_step(_classify_one_replicate_cfg()),
 }
 
 
