@@ -294,7 +294,7 @@ def _task_invade(model, envspec, sim, params, claim):
     rows = [
         _est_row("invade", "invasion_rate", est, species=invader, face=_face_label(support))
     ]
-    return {"invader": invader, "resident_support": list(support), "rate": est}, rows, {}
+    return {"invader": invader, "resident_support": sorted(support), "rate": est}, rows, {}
 
 
 def _task_permanence(model, envspec, sim, params, claim):

@@ -27,6 +27,7 @@ from .errors import ConfigurationError
 __all__ = [
     "Origin",
     "CoordinateUnion",
+    "ScalarPerCapita",
     "Hassell",
     "RickerScalar",
     "BevertonHolt",
@@ -35,7 +36,6 @@ __all__ = [
     "RpsLottery",
     "Biennial",
     "LinearMatrix",
-    "MODEL_NAMES",
     "parse_model",
     "model_info",
 ]
@@ -117,14 +117,26 @@ class Model:
         return bounds
 
 
-class Hassell(Model):
-    """Scalar overcompensating model: x' = x * lam / (1 + x)**b."""
+class ScalarPerCapita(Model):
+    """One species whose per-capita growth f(x, w) takes two environment
+    coordinates, the second a density-dependence strength.  When that
+    strength has a positive mean, log f at large densities falls to
+    ``log_survival``, the log of the survivors' share: -inf when none survive."""
 
-    name = "hassell"
     k = 1
     env_dim = 2
     sim_mode = "log_mult"
     extinction = Origin()
+    log_survival = -np.inf
+
+    def log_growth_limit_at_infinity(self, env):
+        return self.log_survival if env.coords[1].mean() > 0 else None
+
+
+class Hassell(ScalarPerCapita):
+    """Scalar overcompensating model: x' = x * lam / (1 + x)**b."""
+
+    name = "hassell"
     low = (_POSITIVE, 0.0)
     domain = "hassell needs lam > 0 and b >= 0"
 
@@ -133,19 +145,11 @@ class Hassell(Model):
         lf = np.log(lam) - b * np.log1p(x[..., 0])
         return lf[..., None]
 
-    def log_growth_limit_at_infinity(self, env):
-        # E[log f(x)] = E[log lam] - E[b] log(1+x): diverges unless b is 0.
-        return -np.inf if env.coords[1].mean() > 0 else None
 
-
-class RickerScalar(Model):
+class RickerScalar(ScalarPerCapita):
     """Scalar Ricker model: x' = x * exp(r - a*x)."""
 
     name = "ricker"
-    k = 1
-    env_dim = 2
-    sim_mode = "log_mult"
-    extinction = Origin()
     low = (-np.inf, 0.0)
     domain = "ricker needs a >= 0"
 
@@ -154,18 +158,11 @@ class RickerScalar(Model):
         lf = r - a * x[..., 0]
         return lf[..., None]
 
-    def log_growth_limit_at_infinity(self, env):
-        return -np.inf if env.coords[1].mean() > 0 else None
 
-
-class BevertonHolt(Model):
+class BevertonHolt(ScalarPerCapita):
     """Compensating model with survivorship: x' = lam*x/(1 + a*x) + s*x."""
 
     name = "beverton_holt"
-    k = 1
-    env_dim = 2
-    sim_mode = "log_mult"
-    extinction = Origin()
     low = (_POSITIVE, 0.0)
     domain = "beverton_holt needs lam > 0 and a >= 0"
 
@@ -173,17 +170,13 @@ class BevertonHolt(Model):
         if not (0.0 <= s < 1.0):
             raise ConfigurationError("beverton_holt survivorship must lie in [0, 1)")
         self.s = float(s)
+        if self.s > 0.0:  # lam/(1 + a x) vanishes at large x, leaving the survivors s
+            self.log_survival = float(np.log(self.s))
 
     def log_percapita(self, x, w):
         lam, a = w[..., 0], w[..., 1]
         lf = np.log(lam / (1.0 + a * x[..., 0]) + self.s)
         return lf[..., None]
-
-    def log_growth_limit_at_infinity(self, env):
-        # lam/(1 + a x) vanishes, leaving the survivors s
-        if env.coords[1].mean() > 0:
-            return float(np.log(self.s)) if self.s > 0.0 else -np.inf
-        return None
 
 
 class RickerCompetition(Model):
@@ -240,8 +233,9 @@ class Lottery(Model):
         return np.log((1.0 - self.d) + self.d * w / pool)
 
 
-class RpsLottery(Model):
-    """Lottery competition with cyclic frequency dependence.
+class RpsLottery(Lottery):
+    """Lottery competition with cyclic frequency dependence: the lottery
+    of three species whose fecundity depends on the frequencies.
 
     Per-capita fecundity of species i is row i of the draw matrix
     [[beta, alpha, gamma], [gamma, beta, alpha], [alpha, gamma, beta]]
@@ -250,16 +244,11 @@ class RpsLottery(Model):
     """
 
     name = "rps_lottery"
-    k = 3
-    env_dim = 3
-    sim_mode = "simplex"
-    extinction = CoordinateUnion()
+    low = -np.inf  # the coupled domain below decides every refusal
     faces_collapse_to_vertices = True  # each edge's cyclic dominance ends at a vertex
 
     def __init__(self, d: float):
-        if not (0.0 < d <= 1.0):
-            raise ConfigurationError("death fraction must lie in (0, 1]")
-        self.d = float(d)
+        super().__init__(3, d)
 
     def check_env(self, env):
         bounds = super().check_env(env)
@@ -283,9 +272,7 @@ class RpsLottery(Model):
 
     def log_percapita(self, x, w):
         x = np.asarray(x, dtype=float)
-        rates = self._rates(x, w)
-        pool = (x * rates).sum(axis=-1, keepdims=True)
-        return np.log((1.0 - self.d) + self.d * rates / pool)
+        return super().log_percapita(x, self._rates(x, w))
 
 
 class Biennial(Model):
@@ -377,7 +364,6 @@ _MODEL_DOC = {
     "rps_lottery": ("d: float in (0,1], alpha: dist, beta: dist, gamma: dist",
                     "alpha, beta, gamma (requires alpha > beta > gamma > 0)"),
 }
-MODEL_NAMES = tuple(_MODEL_DOC)
 
 
 def _require_keys(cfg: dict, allowed: set, required: set):

@@ -19,14 +19,7 @@ from .engine import (_binomial_estimate, _drive, _iid_estimate, _initial_states,
                      _open_rows, _open_streams, _point_draws, _pooled_estimates, _stream_id)
 from .env import sample_block
 from .errors import ConfigurationError, FaceDegenerateError
-from .models import (
-    BevertonHolt,
-    Hassell,
-    Lottery,
-    RickerCompetition,
-    RickerScalar,
-    RpsLottery,
-)
+from .models import Lottery, RickerCompetition, RpsLottery, ScalarPerCapita
 
 __all__ = [
     "DriftConstruction",
@@ -154,9 +147,9 @@ def boundary_invasion_report(model, envspec, cfg: SimConfig) -> dict:
     face start, or the point mass at a vertex of a simplex model; rates for
     supported species double as stationarity checks (their average log
     growth should vanish).  A model whose faces collapse to the vertices
-    is evaluated at its vertices only.  "persistent" needs every face
-    invadable and weights from the one ``find_persistence_weights`` search
-    (Hofbauer 1981), whose weights and verdict the report returns.
+    is evaluated at its vertices only.  "persistent" needs some invader to
+    clear 3 SE on every face and weights from one ``find_persistence_weights``
+    search (Hofbauer 1981), whose weights and verdict the report returns.
     ``decision_margin`` is the least margin of the per-face 3-SE calls; the
     search has no margin, so ``weights_verdict`` shows when it decided.
     """
@@ -182,8 +175,9 @@ def boundary_invasion_report(model, envspec, cfg: SimConfig) -> dict:
         rates = list(face["rates"].values())
         ests = [rates[i] for i in range(k) if i not in support]
         best = max(ests, key=lambda e: e.mean)
-        if _call(best) > 0:
-            margins.append(_margin(best))
+        clear = [e for e in ests if _call(e) > 0]  # any invader that clears makes it invadable
+        if clear:
+            margins.append(_margin(best) if _call(best) > 0 else max(map(_margin, clear)))
         elif all(_call(e) < 0 for e in ests):
             not_permanent = True
             all_faces_invasible = False
@@ -355,13 +349,13 @@ def _scalar_contraction_scale(model, envspec, seed, margin) -> float:
 def drift_construction(model, envspec, seed: int = 0, margin: float = 0.1) -> DriftConstruction:
     """Catalog-shipped (V, alpha, beta) certificates.
 
-    Scalar models with decreasing per-capita growth use V(x) = x with
+    A ``ScalarPerCapita`` model, its growth decreasing in x, uses V(x) = x with
     alpha(w) = f(M, w) and beta(w) = M f(0, w) at a contracting scale M:
     above M the per-capita bound applies, below M the absolute bound does.
     The two-species competition model uses V(x) = x1 + x2 with a constant
     alpha and beta(w) = e^{xi1 - 1} + e^{xi2 - 1}, since x e^{-x} <= 1/e.
     """
-    if isinstance(model, (Hassell, RickerScalar, BevertonHolt)):
+    if isinstance(model, ScalarPerCapita):
         m_val = _scalar_contraction_scale(model, envspec, seed, margin)
         m_arr = np.full(1, m_val)
         zero = np.zeros(1)

@@ -506,6 +506,17 @@ def test_empty_resident_support_exits_2_without_outputs(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_invade_writes_the_sorted_support_it_ran(tmp_path):
+    # the face run is (0, 1) whatever the order given; before, results.json
+    # wrote the support as given, [1, 0], beside the CSV face 0+1
+    cfg = dict(_invade_lottery_cfg(), task_params={"invader": 2, "resident_support": [1, 0]})
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+    results = json.loads((out / "results.json").read_text())["results"]
+    assert results["resident_support"] == [0, 1]
+    assert [row["face"] for row in csv.DictReader((out / "results.csv").open())] == ["0+1"]
+
+
 def _set_log_sd(cfg, value):
     cfg["model"]["fecundity"] = [dict(cfg["model"]["fecundity"][0], log_sd=value)] * 3
 

@@ -70,6 +70,19 @@ def test_rps_vertex_rates():
     assert f1 == pytest.approx(1.0, abs=1e-14)
 
 
+def test_rps_lottery_is_the_lottery_of_its_payoff_fecundities():
+    # fecundity i is row i of the payoff matrix applied to the frequencies
+    m, lottery = RpsLottery(0.2), Lottery(3, 0.2)
+    rng = np.random.default_rng(4)
+    x = np.vstack([rng.dirichlet(np.ones(3), size=50), np.eye(3)])
+    w = rng.uniform((3.0, 2.0, 1.0), (3.5, 2.5, 1.5), size=(len(x), 3))
+    (a, b, g), (x1, x2, x3) = w.T, x.T
+    fecundity = np.column_stack([b * x1 + a * x2 + g * x3, g * x1 + b * x2 + a * x3,
+                                 a * x1 + g * x2 + b * x3])
+    assert np.array_equal(m.log_percapita(x, w), lottery.log_percapita(x, fecundity))
+    assert np.array_equal(m.step(x, w), lottery.step(x, fecundity))
+
+
 def test_rps_rejects_unordered_draws():
     # step is an unchecked kernel; check_env refuses the environment once,
     # from its range, where before each draw block was scanned

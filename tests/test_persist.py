@@ -31,6 +31,7 @@ from stochpop.models import (
     RickerCompetition,
     RickerScalar,
     RpsLottery,
+    ScalarPerCapita,
 )
 from stochpop.persist import (
     DriftConstruction,
@@ -543,6 +544,31 @@ def test_lottery_boundary_report_drives_only_its_edges(monkeypatch):
         "simulated"] * 3
 
 
+def test_a_face_is_invadable_when_an_invader_other_than_the_largest_mean_clears(monkeypatch):
+    # on face (0,) invader 1 has the larger mean, 1.0, but at SE 0.5 it does
+    # not clear; invader 2 clears at 0.5 +- 0.1.  Before, only the largest-
+    # mean invader was called, so the report read "inconclusive" with
+    # margin 2 while its own weights were feasible
+    def faces(model, envspec, cfg, supports, species):
+        rows = []
+        for s in supports:
+            rates = {str(i): RateEstimate(0.0 if i in s else 0.5, 0.01, 20, 1000) for i in species}
+            if s == (0,):
+                rates["1"], rates["2"] = RateEstimate(1.0, 0.5, 20, 1000), RateEstimate(
+                    0.5, 0.1, 20, 1000)
+            rows.append({"support": list(s), "measure": "simulated", "rates": rates,
+                         "degenerate": ""})
+        return rows
+
+    monkeypatch.setattr(persist, "_face_runs", faces)
+    report = boundary_invasion_report(Lottery(3, 0.1), EnvSpec((LogNormal(1.0, 0.3),) * 3),
+                                      SimConfig(seed=1, horizon=100))
+    assert report["weights_verdict"] == "feasible"
+    assert (report["verdict"], report["not_permanent"]) == ("persistent", False)
+    # the margin is the clearing invader's, 0.5 / 0.1, the least of any face
+    assert report["decision_margin"] == pytest.approx(5.0)
+
+
 def test_weights_infeasible_when_a_face_rejects_everyone():
     env = EnvSpec((Constant(3.0), Constant(2.0), Constant(1.0)))
     m = RpsLottery(0.5)  # exact condition fails at this turnover
@@ -613,6 +639,31 @@ def test_competition_drift_construction_passes_audit():
     m = RickerCompetition(0.6, 0.5)
     con = drift_construction(m, env, seed=18)
     report = drift_bounded_check(m, env, con, 50_000, seed=18)
+    assert report["violations"] == 0
+    assert report["hypotheses_hold"]
+
+
+class _ThetaRicker(ScalarPerCapita):
+    """x' = x exp(r - a x**2), stating only its name, domain and kernel."""
+
+    name = "theta_ricker"
+    low = (-np.inf, 0.0)
+    domain = "theta_ricker needs a >= 0"
+
+    def log_percapita(self, x, w):
+        return (w[..., 0] - w[..., 1] * x[..., 0] ** 2)[..., None]
+
+
+def test_a_scalar_per_capita_model_inherits_its_limit_and_its_certificate():
+    m = _ThetaRicker()
+    env = EnvSpec((Normal(0.5, 0.3), Uniform(0.5, 1.5)))
+    assert m.log_growth_limit_at_infinity(env) == -np.inf
+    assert m.log_growth_limit_at_infinity(EnvSpec((Normal(0.5, 0.3), Constant(0.0)))) is None
+    cfg = SimConfig(seed=21, replicates=2, burn_in=0, horizon=200)
+    assert scalar_classify(m, env, cfg)["evidence"]["lambda_inf"].mean == -np.inf
+    con = drift_construction(m, env, seed=21)
+    assert con.name == "theta_ricker_scale_bound"
+    report = drift_bounded_check(m, env, con, 20_000, seed=21)
     assert report["violations"] == 0
     assert report["hypotheses_hold"]
 
