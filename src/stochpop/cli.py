@@ -447,7 +447,7 @@ def run_config(cfg: dict, out_dir=None, seed=None, threads: int = 1, explore: bo
     if not existing.is_dir():
         raise ConfigurationError(f"output location {target}: {existing} is not a directory")
     if seed is not None and isinstance(cfg["sim"], dict):  # _parse_sim refuses any other sim
-        cfg["sim"]["seed"] = int(seed)
+        cfg = dict(cfg, sim=dict(cfg["sim"], seed=int(seed)))  # the caller's config is kept
     model, default_env = parse_model(cfg["model"])
     envspec = parse_env_spec(cfg["env"]) if "env" in cfg else default_env
     model.check_env(envspec)

@@ -38,17 +38,30 @@ A run's memory is one draw block, reused by every chunk of the run (a chunk
 is valid only until the next is drawn), plus cache-sized buffers: the
 uniforms of a block of rows, the transform's scratch and the measured
 blocks.
+
+A wide batch runs in slices (``_in_slices``): ``_drive`` opens every row's
+stream and start first, then cuts the rows into one contiguous slice per
+usable CPU, of at least _MIN_SLICE_ROWS rows each.  The first slice runs in
+the calling process and each other in a forked child, which sends its
+arrays back; they are joined in row order.  Rows share nothing, so the
+slices give the bits of the one batch, and each slice draws its own rows in
+the chunk lengths of the whole run, so the run keeps one draw block's
+budget across its processes.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import logsumexp
 
+from . import env
 from .env import _SCRATCH, make_stream, open_unit, sample_block
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError, NumericError, StochpopError
 from .models import LOG_CAP, LOG_FLOOR, Model
 
 __all__ = [
@@ -71,6 +84,13 @@ __all__ = [
 N_BATCHES = 20
 _CHUNK = 2048
 _BLOCK = 1 << 21  # most draws in one chunk: bounds a wide batch's memory
+# Fewest rows in a slice of a split batch.  In-process simulate on the
+# hassell-wide model at horizon 4000, best of 3 on 2 vCPUs, inline against
+# 2 slices: R=128 took 0.055 against 0.082 s, R=256 0.092 against 0.072 s,
+# R=512 0.152 against 0.114 s, R=1024 0.275 against 0.193 s and R=2048
+# 0.521 against 0.328 s.  The fork pays off from slices of about 128 rows;
+# 256 keeps a margin over that break-even
+_MIN_SLICE_ROWS = 256
 _LINEAR_FLOOR = float(np.exp(LOG_FLOOR))
 # stream namespace -> (first id, bit width of each index); see _stream_id
 _STREAM_IDS = {
@@ -274,13 +294,16 @@ def _batch_lengths(n_steps: int, n_batches: int) -> np.ndarray:
     return np.bincount(idx, minlength=n_batches)
 
 
-def _draw_chunks(envspec, streams, t_total):
+def _draw_chunks(envspec, streams, t_total, shared=None):
     """Yield ``(t, draws)`` for steps t..t+n-1 in chunks of at most _CHUNK
-    steps and, for wide batches, at most _BLOCK draws: ``draws[s, i]`` is the
-    environment of ``streams[i]`` at step t+s.  Streams are counter-based, so
-    no draw depends on the chunking; but lyap cuts its blocked products at
-    chunk ends, so its sums change in their last bits with the chunk length,
-    which is shorter than _CHUNK once rows * m exceeds _BLOCK / _CHUNK.
+    steps and, for wide batches, at most _BLOCK draws of the ``shared`` rows
+    (by default these streams; a slice of a run's rows shares the budget of
+    the run's rows and so draws the run's chunk lengths): ``draws[s, i]`` is
+    the environment of ``streams[i]`` at step t+s.  Streams are
+    counter-based, so no draw depends on the chunking; but lyap cuts its
+    blocked products at chunk ends, so its sums change in their last bits
+    with the chunk length, which is shorter than _CHUNK once rows * m
+    exceeds _BLOCK / _CHUNK.
 
     Every chunk is a view of one draw block per run, so it is valid only
     until the next chunk is drawn.  Its one consumer is ``_open_rows``, whose
@@ -290,7 +313,7 @@ def _draw_chunks(envspec, streams, t_total):
     into those rows of the draw block while it is still in cache."""
     m = envspec.dim
     rows = len(streams)
-    chunk = min(t_total, _CHUNK, max(1, _BLOCK // (rows * m)))
+    chunk = min(t_total, _CHUNK, max(1, _BLOCK // ((shared or rows) * m)))
     span = min(rows, max(1, _SCRATCH // (chunk * m)))  # rows per uniform block
     block = np.empty((chunk, rows, m))
     buf = np.empty(span * chunk * m)
@@ -326,11 +349,13 @@ def _open_rows(model, envspec, cfg, rows=None, estimates=False):
     (stream id, support, label): a row draws from stream (cfg.seed, id) and
     starts on its support; by default they are replicates 0..R-1 of
     ``model`` on every species.  Returns ``(rows, x0, lengths, pieces)``:
-    one start per row, the step count of each time batch, and ``(t, b,
-    draws)`` for steps t..t+n-1, no draw of which is read: ``check_env``
-    decided the domain.  Each chunk is cut at the burn-in end and at every
-    time-batch edge, so a piece lies in one chunk and one batch ``b`` (-1 in
-    the burn-in); it is valid only until the next piece is drawn.  A run
+    one start per row, the step count of each time batch, and
+    ``pieces(lo=0, hi=len(rows))``, which yields ``(t, b, draws)`` of rows
+    lo..hi-1 for steps t..t+n-1, no draw of which is read: ``check_env``
+    decided the domain.  Each chunk, of the run's length whatever rows are
+    drawn, is cut at the burn-in end and at every time-batch edge, so a
+    piece lies in one chunk and one batch ``b`` (-1 in the burn-in); it is
+    valid only until the next piece is drawn.  A run
     that makes time-batch ``estimates`` from too few measured steps is
     refused here (``_measured_steps``), before any stream opens."""
     n_steps = _measured_steps(cfg, estimates)
@@ -343,9 +368,9 @@ def _open_rows(model, envspec, cfg, rows=None, estimates=False):
     lengths = _batch_lengths(n_steps, min(N_BATCHES, n_steps))
     edges = (cfg.burn_in + np.concatenate(([0], np.cumsum(lengths)))).tolist()
 
-    def pieces():
+    def pieces(lo=0, hi=len(rows)):
         b = -1
-        for t0, draws in _draw_chunks(envspec, streams, cfg.horizon):
+        for t0, draws in _draw_chunks(envspec, streams[lo:hi], cfg.horizon, len(streams)):
             t, end = t0, t0 + len(draws)
             while t < end:
                 while edges[b + 1] <= t:
@@ -354,7 +379,7 @@ def _open_rows(model, envspec, cfg, rows=None, estimates=False):
                 yield t, b, draws[t - t0:stop - t0]
                 t = stop
 
-    return rows, x0, lengths, pieces()
+    return rows, x0, lengths, pieces
 
 
 def _step_sum(block):
@@ -371,7 +396,12 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None, estimates=False):
     them over the post-burn-in window: ``occ_counts[row, j, b]`` counts the
     steps of time batch b in ``sets[j]``, and ``fsums[row, j, b]`` sums
     ``functionals[j]`` over them.  A run with functionals, or one that asks
-    for ``estimates`` from its counts, needs at least 2 measured steps."""
+    for ``estimates`` from its counts, needs at least 2 measured steps.
+
+    The rows run in ``_slices`` contiguous slices (``_in_slices``), each
+    through ``_advance``, and their arrays are joined in row order.  A
+    non-finite state or estimate raises the error the one batch would: the
+    earliest piece's, a state's before an estimate's, the lowest row's."""
     for f in functionals:
         if not isinstance(f, (Coordinate, LogPerCapita, LogNorm)):
             raise ConfigurationError(f"unsupported functional {f!r}")
@@ -383,9 +413,111 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None, estimates=False):
             raise ConfigurationError(f"{model.name} has no per-capita growth factors")
     rows, x, lengths, pieces = _open_rows(model, envspec, cfg, rows,
                                           estimates=estimates or bool(functionals))
-    k = model.k
+    labels = [label for _, _, label in rows]
     n_steps = cfg.horizon - cfg.burn_in
-    rg = len(rows)
+    n = _slices(len(rows))
+    parts = _in_slices(lambda lo, hi: _advance(model, x[lo:hi], pieces(lo, hi), labels[lo:hi],
+                                               functionals, sets, len(lengths), n_steps),
+                       [len(rows) * i // n for i in range(n + 1)])
+    faults = [part["fault"] for part in parts if part["fault"] is not None]
+    if faults:  # min keeps the first, lowest-row slice of equal keys
+        step, _, message = min(faults, key=lambda fault: fault[:2])
+        raise NumericError(message, step=step)
+    raw = {key: np.concatenate([part[key] for part in parts])
+           for key in ("occ_counts", "fsums", "floored", "saturated", "terminal")}
+    return dict(raw, labels=labels, n_steps=n_steps, lengths=lengths)
+
+
+def _slices(rows: int) -> int:
+    """The slices a batch of ``rows`` rows runs in: one per usable CPU, each
+    of at least _MIN_SLICE_ROWS rows, where the OS can fork a process and
+    pin it to CPUs; else one."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_setaffinity")):
+        return 1
+    return max(1, min(env._usable_cpus(), rows // _MIN_SLICE_ROWS))
+
+
+def _in_slices(run, cuts) -> list:
+    """``[run(lo, hi) for lo, hi in zip(cuts, cuts[1:])]``, each slice on its
+    own share of the process's CPUs.
+
+    The first slice runs here, pinned to its share until it returns; each
+    other runs in a child forked for this call (``_child``).  A slice pinned
+    to one CPU splits no ppf (``env._split_ppf``).  Every child is reaped
+    before this returns or raises, and one not yet reaped when this raises
+    (a ``KeyboardInterrupt`` too) is killed first.  An exception of a slice
+    is raised here, the lowest slice's first; a child that ends without
+    sending its result raises a ``StochpopError`` naming its rows and exit
+    status, and nothing it sent is read."""
+    n = len(cuts) - 1
+    if n < 2:
+        return [run(cuts[0], cuts[1])]
+    cpus = sorted(os.sched_getaffinity(0))
+    # a share of one CPU, shared, where more slices than CPUs were asked for
+    shares = [set(cpus[i::n]) or {cpus[i % len(cpus)]} for i in range(n)]
+    children, sources = {}, []  # children not yet reaped: pid -> (source, lo, hi)
+    try:
+        for share, lo, hi in zip(shares[1:], cuts[1:], cuts[2:]):
+            r, w = os.pipe()
+            sources.append(open(r, "rb"))
+            with open(w, "wb") as sink:  # closed here once the child holds it
+                pid = os.fork()
+                if pid == 0:
+                    _child(sink, share, run, lo, hi)
+            children[pid] = (sources[-1], lo, hi)
+        os.sched_setaffinity(0, shares[0])
+        try:
+            parts = [run(cuts[0], cuts[1])]
+        finally:
+            os.sched_setaffinity(0, cpus)
+        for pid, (source, lo, hi) in list(children.items()):
+            blob = source.read()  # up to the end of the pipe: the child has exited
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if status != 0:
+                raise StochpopError(f"the process running rows {lo}..{hi - 1} ended without "
+                                    f"its result (exit status {status})")
+            raised, value = pickle.loads(blob)
+            if raised:
+                raise value
+            parts.append(value)
+    finally:
+        for source in sources:
+            source.close()
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return parts
+
+
+def _child(sink, share, run, lo, hi):
+    """A forked slice: pins itself to ``share``, writes ``(False,
+    run(lo, hi))`` or ``(True, exception)`` pickled to ``sink``, and leaves
+    by ``os._exit``, which runs none of the parent's exit handlers; its exit
+    status is 0 only once the whole result is written."""
+    status = 1
+    try:
+        os.sched_setaffinity(0, share)
+        try:
+            reply = (False, run(lo, hi))
+        except BaseException as exc:  # the parent raises it
+            reply = (True, exc)
+        sink.write(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
+        sink.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _advance(model, x, pieces, labels, functionals, sets, n_batches, n_steps) -> dict:
+    """Advance the rows that start at ``x`` through ``pieces`` and measure
+    them (see ``_drive``).  Returns their ``occ_counts``, ``fsums``,
+    ``floored``, ``saturated`` and ``terminal`` arrays and ``fault``: None,
+    or ``(step, order, message)`` of the first piece whose state (order 0)
+    or else estimate (order 1) of some row is not finite, named by the
+    first such row's label; the run stops at that piece."""
+    k = model.k
+    rg = len(x)
 
     mode = model.sim_mode
     # log_mult carries the log state ell; x is its capped view
@@ -395,9 +527,12 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None, estimates=False):
             ell = np.log(x)
     # The per-capita modes keep each coordinate's least within a piece, in the
     # state's own scale (ell or x), and flag a row at the piece end if one lies
-    # below its floor.  A structural zero is a face: its floor is -inf.
+    # below its floor.  A structural zero is a face: its floor is -inf.  The
+    # log state also keeps its greatest, and flags a row saturated at the
+    # piece end if it reached the cap, where x stops growing.
     floor = np.where(x > 0, LOG_FLOOR if log_state else _LINEAR_FLOOR, -np.inf)
     least = np.full((rg, k), np.inf)
+    greatest = np.full((rg, k), -np.inf)
 
     # Measured step s of a sub-piece is stored in row s of each block: the
     # states when a set or a Coordinate reads them, log f when a LogPerCapita
@@ -416,9 +551,11 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None, estimates=False):
              (xs if isinstance(f, Coordinate) else lf)[0, :, f.i] for f in functionals]
     batch = -1  # the time batch of the running sums, set to 0.0 when it starts
 
-    counts = np.zeros((rg, len(sets), len(lengths)), dtype=np.int32)
-    fsums = np.zeros((rg, len(functionals), len(lengths)))
+    counts = np.zeros((rg, len(sets), n_batches), dtype=np.int32)
+    fsums = np.zeros((rg, len(functionals), n_batches))
     floored = np.zeros(rg, dtype=bool)
+    saturated = np.zeros(rg, dtype=bool)
+    fault = None
 
     for t, b, draws in pieces:
         measuring = b >= 0
@@ -440,6 +577,7 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None, estimates=False):
                     logf = model.log_percapita(x, w)
                     ell_new = ell + logf
                     least = np.minimum(least, ell_new)
+                    np.maximum(greatest, ell_new, out=greatest)
                     ell_new = np.maximum(ell_new, floor)
                     if measuring and norm:
                         growth = logsumexp(ell_new, axis=-1) - logsumexp(ell, axis=-1)
@@ -473,14 +611,14 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None, estimates=False):
 
         last = t + len(draws) - 1
         floored |= (least < floor).any(axis=-1)
+        saturated |= (greatest >= LOG_CAP).any(axis=-1)
         least.fill(np.inf)
+        greatest.fill(-np.inf)
         bad = (np.isnan(ell) | (ell == np.inf)) if log_state else ~np.isfinite(x)
         if bad.any():
             which = int(np.argwhere(bad.any(axis=-1))[0][0])
-            raise NumericError(
-                f"non-finite state for {rows[which][2]} within steps {t}..{last}",
-                step=last,
-            )
+            fault = (last, 0, f"non-finite state for {labels[which]} within steps {t}..{last}")
+            break
         if measuring:
             for j, view in enumerate(views):
                 fsums[:, j, b] = view
@@ -488,24 +626,15 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None, estimates=False):
             bad_sum = ~np.isfinite(fsums[:, :, b])
             if bad_sum.any():
                 row, j = (int(i) for i in np.argwhere(bad_sum)[0])
-                raise NumericError(
-                    f"non-finite estimate of {functionals[j].name} for {rows[row][2]} "
-                    f"within steps {t}..{last}",
-                    step=last,
-                )
+                fault = (last, 1, f"non-finite estimate of {functionals[j].name} for "
+                                  f"{labels[row]} within steps {t}..{last}")
+                break
 
     if log_state:
         x = np.exp(np.minimum(ell, LOG_CAP))
 
-    return {
-        "occ_counts": counts,
-        "fsums": fsums,
-        "floored": floored,
-        "terminal": x,
-        "labels": [label for _, _, label in rows],
-        "n_steps": n_steps,
-        "lengths": lengths,
-    }
+    return {"occ_counts": counts, "fsums": fsums, "floored": floored, "saturated": saturated,
+            "terminal": x, "fault": fault}
 
 
 def _batch_estimates(sums, lengths, n, labels, names):
@@ -580,10 +709,11 @@ def _build_result(raw, functionals, sets) -> dict:
                                     for name, mean, se in zip(names, means_r, ses_r)},
             "terminal_state": terminal,
             "extinct": floored,
+            **({"saturated": True} if saturated else {}),
         }
-        for occ_r, means_r, ses_r, terminal, floored in zip(
+        for occ_r, means_r, ses_r, terminal, floored, saturated in zip(
             occ.tolist(), means.tolist(), ses.tolist(), raw["terminal"].tolist(),
-            raw["floored"].tolist())
+            raw["floored"].tolist(), raw["saturated"].tolist())
     ]
     pooled = {
         "occupation": {name: float(occ[:, j].mean()) for j, name in enumerate(set_names)},

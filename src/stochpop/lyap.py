@@ -117,7 +117,7 @@ def _mc_batch_sums(model, envspec, cfg):
         raise ConfigurationError("initial vector must be strictly positive")
     v = v / v.sum(axis=-1)[:, None]
     gsums = np.zeros((len(rows), len(lengths)))
-    for t, b, draws in pieces:
+    for t, b, draws in pieces():
         mats = model.linearization_at_zero(draws)
         prod, logscale = _product(mats)
         grown = np.einsum("rij,rj->ri", prod, v)

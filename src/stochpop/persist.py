@@ -467,7 +467,7 @@ def affine_domination_audit(model, envspec, construction: DriftConstruction, cfg
     _, x, _, pieces = _open_rows(model, envspec, cfg)
     z = construction.v(x).copy()
     min_slack = np.inf
-    for _, _, draws in pieces:
+    for _, _, draws in pieces():
         for w in draws:
             x = model.step(x, w)
             z = construction.alpha(w) * z + construction.beta(w)

@@ -195,6 +195,38 @@ def test_non_finite_exponent_exits_3_without_outputs(tmp_path, capsys):
     assert "non-finite log growth for replicate 0 within steps 0..249" in capsys.readouterr().err
 
 
+def _hassell_simulate_cfg(b):
+    return {"model": {"model": "hassell", "b": b,
+                      "lam": {"dist": "lognormal", "log_mean": 0.3, "log_sd": 0.3}},
+            "sim": {"seed": 0, "replicates": 2, "burn_in": 0, "horizon": 6000,
+                    "bound_radius": 10.0, "eta_grid": [0.01]},
+            "task": "simulate"}
+
+
+def test_a_replicate_held_at_the_state_cap_is_flagged_saturated(tmp_path):
+    # without density dependence the log state grows past LOG_CAP, where
+    # the state stops at e^709; before, both replicates reported that state
+    # as their terminal state and nothing said it was the cap
+    from stochpop.models import LOG_CAP
+
+    capped = [[math.exp(LOG_CAP)]] * 2
+    for b, saturated in ((0.0, [True, True]), (1.0, [None, None])):
+        out = tmp_path / f"b{b}"
+        run_config(_hassell_simulate_cfg(b), out_dir=out)
+        reps = json.loads((out / "results.json").read_text())["results"]["replicates"]
+        assert [rep.get("saturated") for rep in reps] == saturated, b
+        assert ([rep["terminal_state"] for rep in reps] == capped) == (b == 0.0), b
+
+
+def test_seed_argument_leaves_the_callers_config_as_it_was(tmp_path):
+    # before, run_config(cfg, seed=7) wrote the seed into cfg["sim"]
+    cfg = {"model": {"model": "hassell", "b": 1.0, "lam": 1.5},
+           "sim": {"horizon": 50, "seed": 1}, "task": "simulate"}
+    report = run_config(cfg, out_dir=tmp_path, seed=7)
+    assert cfg["sim"] == {"horizon": 50, "seed": 1}
+    assert report["provenance"]["seed"] == 7 and report["config"]["sim"]["seed"] == 7
+
+
 def test_set_overrides_and_seed_flag(tmp_path):
     cfg_path = _write(tmp_path, _classify_cfg())
     out = tmp_path / "out"

@@ -516,9 +516,10 @@ def test_one_row_functional_of_widely_varying_terms_matches_the_reference():
 def _recut_chunks(lengths):
     """A ``_draw_chunks`` whose chunks have the given lengths, repeated:
     the same draws as the regular chunks, cut elsewhere."""
-    def chunks(envspec, streams, t_total):
+    def chunks(envspec, streams, t_total, shared=None):
         # each chunk is valid only until the next is drawn, so copy it
-        draws = np.concatenate([d.copy() for _, d in _draw_chunks(envspec, streams, t_total)])
+        draws = np.concatenate([d.copy() for _, d in _draw_chunks(envspec, streams, t_total,
+                                                                  shared)])
         t = 0
         for n in itertools.cycle(lengths):
             if t >= t_total:
@@ -704,8 +705,8 @@ def test_pieces_tile_the_horizon_within_chunks_and_batches(monkeypatch, case):
         monkeypatch.setattr(engine, "_BLOCK", block)
     chunks = []
 
-    def recording(envspec, streams, t_total):
-        for t, draws in _draw_chunks(envspec, streams, t_total):
+    def recording(envspec, streams, t_total, shared=None):
+        for t, draws in _draw_chunks(envspec, streams, t_total, shared):
             chunks.append((t, draws.copy()))  # valid only until the next chunk
             yield t, draws
 
@@ -713,6 +714,7 @@ def test_pieces_tile_the_horizon_within_chunks_and_batches(monkeypatch, case):
     cfg = SimConfig(seed=3, replicates=3, burn_in=burn_in, horizon=horizon)
     env = EnvSpec((LogNormal(0.3, 0.3), Uniform(0.5, 1.5)))
     _, _, lengths, pieces = engine._open_rows(Hassell(), env, cfg)
+    pieces = pieces()
     n_steps = horizon - burn_in
     n_batches = min(20, n_steps)
     step, cells = 0, set()
@@ -932,6 +934,7 @@ def _raw(fsums, n_steps):
         "occ_counts": np.zeros((rows, 0, fsums.shape[-1]), dtype=np.int32),
         "fsums": fsums,
         "floored": np.zeros(rows, dtype=bool),
+        "saturated": np.zeros(rows, dtype=bool),
         "terminal": np.ones((rows, 1)),
         "labels": [f"replicate {r}" for r in range(rows)],
         "n_steps": n_steps,
