@@ -39,14 +39,18 @@ is valid only until the next is drawn), plus cache-sized buffers: the
 uniforms of a block of rows, the transform's scratch and the measured
 blocks.
 
-A wide batch runs in slices (``_in_slices``): ``_drive`` opens every row's
-stream and start first, then cuts the rows into one contiguous slice per
-usable CPU, of at least _MIN_SLICE_ROWS rows each.  The first slice runs in
+A wide batch runs in slices (``_in_slices``): ``_drive``, and
+``lyap._mc_batch_sums`` for its products, open every row's stream and start
+first, then cut the rows into one contiguous slice per usable CPU, each of
+at least _MIN_SLICE_ROWS rows for ``_drive`` and, for lyap, of as many rows
+as hold ``lyap._MIN_SLICE_ROW_STEPS`` row-steps.  The first slice runs in
 the calling process and each other in a forked child, which sends its
 arrays back; they are joined in row order.  Rows share nothing, so the
 slices give the bits of the one batch, and each slice draws its own rows in
 the chunk lengths of the whole run, so the run keeps one draw block's
-budget across its processes.
+budget across its processes and lyap cuts its products at the one batch's
+chunk ends.  A slice returns its fault rather than raising it, and the
+caller raises the one batch's (``_raise_first_fault``).
 """
 
 from __future__ import annotations
@@ -415,31 +419,40 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None, estimates=False):
                                           estimates=estimates or bool(functionals))
     labels = [label for _, _, label in rows]
     n_steps = cfg.horizon - cfg.burn_in
-    n = _slices(len(rows))
     parts = _in_slices(lambda lo, hi: _advance(model, x[lo:hi], pieces(lo, hi), labels[lo:hi],
                                                functionals, sets, len(lengths), n_steps),
-                       [len(rows) * i // n for i in range(n + 1)])
-    faults = [part["fault"] for part in parts if part["fault"] is not None]
-    if faults:  # min keeps the first, lowest-row slice of equal keys
-        step, _, message = min(faults, key=lambda fault: fault[:2])
-        raise NumericError(message, step=step)
+                       len(rows), _MIN_SLICE_ROWS)
+    _raise_first_fault([part["fault"] for part in parts])
     raw = {key: np.concatenate([part[key] for part in parts])
            for key in ("occ_counts", "fsums", "floored", "saturated", "terminal")}
     return dict(raw, labels=labels, n_steps=n_steps, lengths=lengths)
 
 
-def _slices(rows: int) -> int:
+def _slices(rows: int, min_rows: int) -> int:
     """The slices a batch of ``rows`` rows runs in: one per usable CPU, each
-    of at least _MIN_SLICE_ROWS rows, where the OS can fork a process and
-    pin it to CPUs; else one."""
+    of at least ``min_rows`` (>= 1) rows, so never more slices than rows,
+    where the OS can fork a process and pin it to CPUs; else one."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_setaffinity")):
         return 1
-    return max(1, min(env._usable_cpus(), rows // _MIN_SLICE_ROWS))
+    return max(1, min(env._usable_cpus(), rows // min_rows))
 
 
-def _in_slices(run, cuts) -> list:
-    """``[run(lo, hi) for lo, hi in zip(cuts, cuts[1:])]``, each slice on its
-    own share of the process's CPUs.
+def _raise_first_fault(faults):
+    """Raise the ``NumericError`` of the first of the slices' ``faults``, in
+    row order, each None or ``(step, order, message)``: the lowest step,
+    then order, then slice.  That is the error the one batch raises."""
+    faults = [fault for fault in faults if fault is not None]
+    if faults:  # min keeps the first, lowest-row slice of equal keys
+        step, _, message = min(faults, key=lambda fault: fault[:2])
+        raise NumericError(message, step=step)
+
+
+def _in_slices(run, rows, min_rows) -> list:
+    """``[run(lo, hi) for lo, hi in zip(cuts, cuts[1:])]`` over ``_slices(rows,
+    min_rows)`` contiguous slices of rows 0..rows-1, each on its own share
+    of the process's CPUs.  ``_drive`` and ``lyap._mc_batch_sums`` run
+    their rows through it; each slice returns its fault rather than raising
+    it, and the caller raises the first (``_raise_first_fault``).
 
     The first slice runs here, pinned to its share until it returns; each
     other runs in a child forked for this call (``_child``).  A slice pinned
@@ -449,7 +462,8 @@ def _in_slices(run, cuts) -> list:
     is raised here, the lowest slice's first; a child that ends without
     sending its result raises a ``StochpopError`` naming its rows and exit
     status, and nothing it sent is read."""
-    n = len(cuts) - 1
+    n = _slices(rows, min_rows)
+    cuts = [rows * i // n for i in range(n + 1)]
     if n < 2:
         return [run(cuts[0], cuts[1])]
     cpus = sorted(os.sched_getaffinity(0))

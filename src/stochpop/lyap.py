@@ -5,9 +5,12 @@ Monte Carlo route: time-average the one-step log growth of the l1 norm of
 telescopes to ``log||P v||`` with ``P`` the run's matrix product, so each
 time batch is computed from blocked products: a pairwise tree over the
 step axis, vectorized over replicates and rescaled by the largest entry at
-every level so it never overflows.  There is no per-step Python loop
-except on the error path, which replays one block to find the step at
-which a vector vanished.
+every level so it never overflows.  Each product entry is an ordered sum
+of elementwise products, not a BLAS call, so its bits do not depend on the
+host CPU's BLAS kernel.  There is no per-step Python loop except on the
+error path, which replays one block to find the step at which a vector
+vanished.  A run of enough row-steps runs its rows in the forked slices of
+``engine._in_slices``, which give the bits and the error of the one batch.
 
 Closed-form route for the two-stage bet-hedging model: with flowering
 probability ``p`` in (0, 1), survivorship ``a``, and Gamma(k, theta) seed
@@ -38,8 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import RateEstimate, SimConfig, _open_rows, _pooled_estimates
-from .errors import ConfigurationError, NumericError, QuadratureError
+from .engine import (RateEstimate, SimConfig, _in_slices, _open_rows, _pooled_estimates,
+                     _raise_first_fault)
+from .errors import ConfigurationError, QuadratureError
 
 __all__ = [
     "GammaClosedFormInput",
@@ -51,6 +55,14 @@ __all__ = [
 
 _P_CAP = 1.0 - 1e-6
 _MAX_DEPTH = 60  # halvings of a panel before adaptive_simpson gives up
+# Fewest row-steps (rows x horizon) in a slice of a split lyapunov_mc run,
+# whose cost grows with row-steps: its product has no per-step dispatch.
+# In-process lyapunov_mc on the biennial Gamma(2, 2) model, best of 7 on 2
+# vCPUs (noisy), inline against 2 slices: R=2, T=2000 took 5.2 against
+# 10.7 ms, R=20 at T=2500 28 against 24 ms, T=5000 59 against 49 ms and
+# T=50500 327 against 274 ms.  A fork costs about 5-10 ms, and the split
+# pays off from about 25 000 row-steps a slice; 50 000 keeps a margin
+_MIN_SLICE_ROW_STEPS = 50_000
 
 
 # ---------------------------------------------------------------------------
@@ -63,40 +75,84 @@ def _product(mats):
 
     Each pairwise product is divided by its largest entry, so nothing
     overflows; returns the scaled ``(R, k, k)`` product and the ``(R,)`` log
-    of the scale taken out.  A zero product is left unscaled.
+    of the scale taken out.  A zero product is left unscaled.  The stack is
+    held as ``(k, k, R, n)`` planes, so each level is a few elementwise
+    calls over all its products: entry (i, j) is ``a_i0*b_0j + a_i1*b_1j +
+    ...``, added in order of l, and no BLAS kernel (whose FMA would change
+    the bits with the host CPU) is called.
     """
-    logs = np.zeros(mats.shape[:2])
-    while len(mats) > 1:
-        h = len(mats) // 2
-        prod = mats[1:2 * h:2] @ mats[0:2 * h:2]
-        scale = prod.max(axis=(-2, -1))
+    n, r, k, _ = mats.shape
+    x = np.ascontiguousarray(mats.transpose(2, 3, 1, 0))
+    logs = np.zeros((r, n))
+    term = np.empty((k, k, r, n // 2)) if k > 1 else None
+    while (m := x.shape[-1]) > 1:
+        h = m // 2
+        a, b = x[..., 1:2 * h:2], x[..., 0:2 * h:2]  # the pairs' later and earlier factors
+        nxt = np.empty((k, k, r, h + m % 2))
+        lg = np.empty((r, h + m % 2))
+        prod = nxt[..., :h]
+        np.multiply(a[:, :1], b[None, 0], out=prod)
+        for l in range(1, k):
+            np.multiply(a[:, l:l + 1], b[None, l], out=term[..., :h])
+            prod += term[..., :h]
+        scale = np.maximum.reduce(prod.reshape(k * k, r, h))
         scale[scale <= 0.0] = 1.0
-        prod /= scale[..., None, None]
-        lg = logs[1:2 * h:2] + logs[0:2 * h:2] + np.log(scale)
-        if len(mats) % 2:
-            prod = np.concatenate((prod, mats[-1:]))
-            lg = np.concatenate((lg, logs[-1:]))
-        mats, logs = prod, lg
-    return mats[0], logs[0]
+        prod /= scale
+        np.add(logs[:, 1:2 * h:2], logs[:, 0:2 * h:2], out=lg[:, :h])
+        lg[:, :h] += np.log(scale)
+        if m % 2:
+            nxt[..., h] = x[..., -1]
+            lg[:, h] = logs[:, -1]
+        x, logs = nxt, lg
+    return np.ascontiguousarray(x[..., 0].transpose(2, 0, 1)), logs[:, 0]
 
 
-def _stepwise(mats, v, t0):
-    """One step at a time through a stack that starts at step ``t0``: the
-    summed log growths and the final vector.  Raises at the first step at
-    which a vector vanishes."""
+def _stepwise(mats, v):
+    """One step at a time through a stack: the summed log growths, the
+    final vector and the index of the first step at which some vector
+    vanished, where one did (the run stops there), else None."""
     logsum = np.zeros(len(v))
     for s, a_mat in enumerate(mats):
         grown = np.einsum("rij,rj->ri", a_mat, v)
         tot = grown.sum(axis=-1)
         if np.any(tot <= 0.0):
-            raise NumericError(
-                "zero vector under the linearized dynamics: "
-                "the model violates primitivity",
-                step=t0 + s,
-            )
+            return logsum, v, s
         logsum += np.log(tot)
         v = grown / tot[:, None]
-    return logsum, v
+    return logsum, v, None
+
+
+def _grow(model, v, pieces, labels, n_batches):
+    """The ``(rows, n_batches)`` sums of the one-step log growths of the
+    rows that start at the normalized vectors ``v``, through ``pieces``
+    (see ``_mc_batch_sums``), and ``fault``: None, or ``(step, order,
+    message)`` of the first piece in which some vector vanished (order 0,
+    at the first such step) or else some row's log growth is not finite
+    (order 1, at the piece's last step, named by the first such row's
+    label); the run stops at that piece."""
+    gsums = np.zeros((len(v), n_batches))
+    for t, b, draws in pieces:
+        mats = model.linearization_at_zero(draws)
+        prod, logscale = _product(mats)
+        grown = np.einsum("rij,rj->ri", prod, v)
+        tot = grown.sum(axis=-1)
+        if np.any(tot <= 0.0):
+            # find the step at which the vector vanished
+            logsum, v, s = _stepwise(mats, v)
+            if s is not None:
+                return gsums, (t + s, 0, "zero vector under the linearized dynamics: "
+                                         "the model violates primitivity")
+        else:
+            logsum = np.log(tot) + logscale
+            v = grown / tot[:, None]
+        bad = ~np.isfinite(logsum)
+        if bad.any():
+            last = t + len(draws) - 1
+            return gsums, (last, 1, f"non-finite log growth for {labels[int(np.argmax(bad))]} "
+                                    f"within steps {t}..{last}")
+        if b >= 0:
+            gsums[:, b] += logsum
+    return gsums, None
 
 
 def _mc_batch_sums(model, envspec, cfg):
@@ -109,33 +165,25 @@ def _mc_batch_sums(model, envspec, cfg):
     start; every piece of ``_open_rows`` lies in one time batch (or the
     burn-in), so each piece costs one blocked product.  The matrices are
     nonnegative, so the vector vanishes inside a piece exactly when ``P v``
-    does.  A piece whose log growth is not finite (a draw that overflowed)
-    raises ``NumericError`` at once, naming its row and steps.
+    does.  A piece in which a vector vanishes raises ``NumericError`` at
+    the step it vanished; one whose log growth is not finite (a draw that
+    overflowed) raises it naming its row and steps.
+
+    Every stream, start and refusal is opened and decided here; then the
+    rows run in ``engine._in_slices``, each slice through ``_grow`` in the
+    whole run's chunk lengths, so every row's sums keep the bits of the
+    one batch, and the error raised is the one batch's.
     """
     rows, v, lengths, pieces = _open_rows(model, envspec, cfg, estimates=True)
     if np.any(v <= 0):
         raise ConfigurationError("initial vector must be strictly positive")
     v = v / v.sum(axis=-1)[:, None]
-    gsums = np.zeros((len(rows), len(lengths)))
-    for t, b, draws in pieces():
-        mats = model.linearization_at_zero(draws)
-        prod, logscale = _product(mats)
-        grown = np.einsum("rij,rj->ri", prod, v)
-        tot = grown.sum(axis=-1)
-        if np.any(tot <= 0.0):
-            # find the step at which the vector vanished
-            logsum, v = _stepwise(mats, v, t)
-        else:
-            logsum = np.log(tot) + logscale
-            v = grown / tot[:, None]
-        bad = ~np.isfinite(logsum)
-        if bad.any():
-            last = t + len(draws) - 1
-            raise NumericError(f"non-finite log growth for {rows[int(np.argmax(bad))][2]} "
-                               f"within steps {t}..{last}", step=last)
-        if b >= 0:
-            gsums[:, b] += logsum
-    return gsums, lengths
+    labels = [label for _, _, label in rows]
+    parts = _in_slices(lambda lo, hi: _grow(model, v[lo:hi], pieces(lo, hi), labels[lo:hi],
+                                            len(lengths)),
+                       len(rows), -(-_MIN_SLICE_ROW_STEPS // cfg.horizon))
+    _raise_first_fault([fault for _, fault in parts])
+    return np.concatenate([gsums for gsums, _ in parts]), lengths
 
 
 def lyapunov_mc(model, envspec, cfg: SimConfig) -> RateEstimate:

@@ -1,6 +1,9 @@
 """Growth exponents: Monte Carlo estimator and closed form."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
@@ -8,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+import stochpop
 from stochpop import engine, lyap
 from stochpop.engine import _CHUNK, SimConfig, _batch_lengths
 from stochpop.env import Constant, Discrete, EnvSpec, Gamma, LogNormal, Normal, Uniform, make_stream
@@ -158,6 +162,80 @@ def test_blocked_batch_means_match_stepwise_reference(case, model_env, cfg):
     ref = _reference_batch_sums(model, env, cfg) / lengths
     assert blocked.shape == ref.shape == (cfg.replicates, len(lengths))
     np.testing.assert_allclose(blocked, ref, rtol=1e-12, atol=0.0)
+
+
+def _python_product(mats):
+    """``_product`` in Python floats, one row and one pair at a time: entry
+    (i, j) of a pair is ``a_i0*b_0j + a_i1*b_1j + ...`` added in order of l,
+    divided by the pair's largest entry (1.0 for a zero product), whose log
+    is added to the later and the earlier log in that order; an odd level's
+    last matrix moves up as it is."""
+    n, r, k, _ = mats.shape
+    prods, logs = [], []
+    for row in range(r):
+        level = [(mats[t, row].tolist(), 0.0) for t in range(n)]
+        while len(level) > 1:
+            up = []
+            for (b, log_b), (a, log_a) in zip(level[0::2], level[1::2]):
+                c = [[0.0] * k for _ in range(k)]
+                for i in range(k):
+                    for j in range(k):
+                        acc = a[i][0] * b[0][j]
+                        for l in range(1, k):
+                            acc += a[i][l] * b[l][j]
+                        c[i][j] = acc
+                scale = max(max(line) for line in c)
+                if scale <= 0.0:
+                    scale = 1.0
+                up.append(([[e / scale for e in line] for line in c],
+                           log_a + log_b + float(np.log(scale))))
+            if len(level) % 2:
+                up.append(level[-1])
+            level = up
+        prods.append(level[0][0])
+        logs.append(level[0][1])
+    return np.array(prods), np.array(logs)
+
+
+@pytest.mark.parametrize("n,r,k", [(1, 2, 2), (2, 3, 1), (7, 2, 1), (64, 3, 2), (37, 2, 2),
+                                   (100, 1, 3), (45, 2, 3)])
+def test_product_is_the_python_float_tree_bit_for_bit(n, r, k):
+    rng = np.random.default_rng(100 * n + 10 * r + k)
+    mats = rng.gamma(2.0, 2.0, size=(n, r, k, k))
+    mats[n // 2, -1] = 0.0  # the last row's product is zero: a scale of 1.0 from there up
+    before = mats.copy()
+    prod, logs = lyap._product(mats)
+    want_prod, want_logs = _python_product(mats)
+    assert np.array_equal(mats, before)  # the stack is read, not written
+    assert prod.shape == (r, k, k) and logs.shape == (r,)
+    assert prod.tobytes() == want_prod.tobytes()
+    assert logs.tobytes() == want_logs.tobytes()
+    assert not prod[-1].any() and np.isfinite(logs[-1])
+
+
+def test_batch_sums_do_not_depend_on_the_blas_kernel():
+    # a BLAS kernel with FMA (Haswell and later) rounds a matrix product
+    # differently from one without; the products call no BLAS, so a run
+    # under OpenBLAS's SSE3 kernel has the bits of this process's run
+    model, envspec = _BIENNIAL
+    cfg = SimConfig(seed=5, replicates=4, burn_in=100, horizon=3100)
+    here, _ = _mc_batch_sums(model, envspec, cfg)
+    code = """if True:
+        import sys
+        from stochpop.engine import SimConfig
+        from stochpop.env import EnvSpec, Gamma
+        from stochpop.lyap import _mc_batch_sums
+        from stochpop.models import Biennial
+        gsums, _ = _mc_batch_sums(Biennial(p=0.5, a=0.5, b1=1.0, b2=1.0), EnvSpec((Gamma(2.0, 2.0),)),
+                                  SimConfig(seed=5, replicates=4, burn_in=100, horizon=3100))
+        sys.stdout.write(gsums.tobytes().hex())
+    """
+    src = os.path.dirname(os.path.dirname(stochpop.__file__))
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
+               PYTHONPATH=os.pathsep.join([src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert bytes.fromhex(done.stdout) == here.tobytes()
 
 
 def test_unknown_initial_state_string_is_refused():

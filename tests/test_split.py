@@ -1,8 +1,9 @@
 """A wide batch's rows run in slices, one per usable CPU, the first in the
 calling process and each other in a forked child: the slices give the bits
 of the one batch, raise the error the one batch raises, and leave no child
-behind.  The split is forced at small sizes by lowering
-``engine._MIN_SLICE_ROWS`` and faking ``env._usable_cpus``."""
+behind.  That holds for ``_drive`` and for ``lyap._mc_batch_sums``.  The
+split is forced at small sizes by lowering ``engine._MIN_SLICE_ROWS`` (or
+``lyap._MIN_SLICE_ROW_STEPS``) and faking ``env._usable_cpus``."""
 
 import os
 import pickle
@@ -13,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stochpop import engine, env, persist
+from stochpop import engine, env, lyap, persist
 from stochpop.cli import run_config
 from stochpop.engine import (
     Coordinate,
@@ -26,9 +27,9 @@ from stochpop.engine import (
     simulate,
     terminal_states,
 )
-from stochpop.env import Constant, Discrete, EnvSpec, Gamma, LogNormal, Normal
+from stochpop.env import Constant, Discrete, EnvSpec, Gamma, LogNormal, Normal, Uniform
 from stochpop.errors import NumericError, StochpopError
-from stochpop.models import Biennial, Hassell, Lottery, RickerCompetition
+from stochpop.models import Biennial, Hassell, LinearMatrix, Lottery, RickerCompetition
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_setaffinity"),
                                 reason="the split needs os.fork and CPU affinity")
@@ -36,9 +37,11 @@ pytestmark = pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sche
 
 def _split(monkeypatch, cpus, min_rows=1):
     """Cut every batch into up to ``cpus`` slices of at least ``min_rows``
-    rows each, and record each fork made from this process."""
+    rows each (a lyap slice of at least one row), and record each fork made
+    from this process."""
     monkeypatch.setattr(env, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(engine, "_MIN_SLICE_ROWS", min_rows)
+    monkeypatch.setattr(lyap, "_MIN_SLICE_ROW_STEPS", 1)
     forks = []
     real = os.fork
 
@@ -52,6 +55,7 @@ def _split(monkeypatch, cpus, min_rows=1):
 
 def _inline(monkeypatch):
     monkeypatch.setattr(engine, "_MIN_SLICE_ROWS", 1 << 30)
+    monkeypatch.setattr(lyap, "_MIN_SLICE_ROW_STEPS", 1 << 60)
 
 
 def _no_child_left():
@@ -259,21 +263,21 @@ class _Recorded(Gamma):
         return super().ppf(u, out)
 
 
-def test_a_slice_splits_no_gamma_ppf_across_threads(monkeypatch, tmp_path):
-    # a made-up mask of 2 CPUs: the ppf blocks of 16 rows x 2048 steps split
-    # across threads inline, and each slice, pinned to its own one CPU of
-    # the mask, splits none
+def _ppf_threads(monkeypatch, tmp_path, run):
+    """``run(gamma)`` inline and in 2 slices on a made-up mask of 2 CPUs,
+    with ``gamma`` a ``_Recorded`` coordinate: the ppf blocks of 16 rows x
+    2048 steps split across threads inline, and each slice, pinned to its
+    own one CPU of the mask, splits none.  Returns both runs' results."""
     mask = [{0, 1}]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask[0]))
     monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: mask.__setitem__(0, set(cpus)))
     monkeypatch.setattr(_Recorded, "path", tmp_path / "ppf.txt")
-    envspec = EnvSpec((_Recorded(2.0, 0.7), Constant(1.0)))
-    cfg = SimConfig(seed=4, replicates=16, horizon=2048)
     seen = {}
-    for name, min_rows in (("inline", 1 << 30), ("split", 8)):
+    for name, min_rows, min_row_steps in (("inline", 1 << 30, 1 << 60), ("split", 8, 1)):
         monkeypatch.setattr(engine, "_MIN_SLICE_ROWS", min_rows)
+        monkeypatch.setattr(lyap, "_MIN_SLICE_ROW_STEPS", min_row_steps)
         _Recorded.path.write_text("")
-        seen[name] = terminal_states(Hassell(), envspec, cfg, cfg.horizon)
+        seen[name] = run(_Recorded(2.0, 0.7))
         lines = [line.split() for line in _Recorded.path.read_text().splitlines()]
         pids = {int(pid) for pid, _ in lines}
         threads = {thread.startswith("stochpop-ppf") for _, thread in lines}
@@ -282,8 +286,22 @@ def test_a_slice_splits_no_gamma_ppf_across_threads(monkeypatch, tmp_path):
         else:
             assert len(pids) == 2 and threads == {False}
     assert mask[0] == {0, 1}
-    assert np.array_equal(seen["inline"], seen["split"])
     _no_child_left()
+    return seen["inline"], seen["split"]
+
+
+def test_a_slice_splits_no_gamma_ppf_across_threads(monkeypatch, tmp_path):
+    cfg = SimConfig(seed=4, replicates=16, horizon=2048)
+    inline, split = _ppf_threads(monkeypatch, tmp_path, lambda gamma: terminal_states(
+        Hassell(), EnvSpec((gamma, Constant(1.0))), cfg, 2048))
+    assert np.array_equal(inline, split)
+
+
+def test_a_lyap_slice_splits_no_gamma_ppf_across_threads(monkeypatch, tmp_path):
+    cfg = SimConfig(seed=4, replicates=16, burn_in=48, horizon=2048)
+    inline, split = _ppf_threads(monkeypatch, tmp_path, lambda gamma: lyap._mc_batch_sums(
+        Biennial(0.5, 0.5, 1.0, 1.0), EnvSpec((gamma,)), cfg)[0])
+    assert inline.tobytes() == split.tobytes()
 
 
 def test_a_batch_below_two_slices_forks_no_child(monkeypatch):
@@ -291,7 +309,7 @@ def test_a_batch_below_two_slices_forks_no_child(monkeypatch):
     cfg = SimConfig(seed=1, replicates=7, horizon=50)
     simulate(Hassell(), EnvSpec((LogNormal(0.3, 0.3), Constant(1.0))), cfg)
     assert forks == []
-    assert engine._slices(7) == 1 and engine._slices(8) == 2 and engine._slices(100) == 4
+    assert [engine._slices(rows, engine._MIN_SLICE_ROWS) for rows in (7, 8, 100)] == [1, 2, 4]
 
 
 def test_a_split_run_reads_the_budget_of_the_whole_run(monkeypatch):
@@ -315,3 +333,159 @@ def test_a_split_run_reads_the_budget_of_the_whole_run(monkeypatch):
         assert sum(len(draws) for _, _, draws in pieces(lo, hi)) == 300
         assert lengths == [(hi - lo, 83)] * 3 + [(hi - lo, 51)]
 
+
+
+# ---------------------------------------------------------------------------
+# lyapunov_mc's rows
+
+
+_LYAP_CASES = {
+    "biennial": (Biennial(0.5, 0.5, 1.0, 1.0), EnvSpec((Gamma(2.0, 2.0),)),
+                 SimConfig(seed=31, replicates=7, burn_in=500, horizon=5500)),
+    "linear3": (LinearMatrix(3), EnvSpec(tuple(Uniform(0.05, 1.0) for _ in range(9))),
+                SimConfig(seed=32, replicates=5, burn_in=300, horizon=4400)),
+}
+
+
+@pytest.mark.parametrize("case", list(_LYAP_CASES))
+def test_split_lyap_rows_give_the_bits_of_the_one_batch(monkeypatch, case):
+    # 7 rows in 3 slices of 2, 2 and 3 rows; 5 in 2 of 2 and 3.  A budget of
+    # 1000 draws a chunk makes the products' cuts depend on the rows drawn,
+    # unless each slice draws the whole run's chunk lengths
+    model, envspec, cfg = _LYAP_CASES[case]
+    monkeypatch.setattr(engine, "_BLOCK", 1000)
+    _inline(monkeypatch)
+    want, want_lengths = lyap._mc_batch_sums(model, envspec, cfg)
+    forks = _split(monkeypatch, 3 if cfg.replicates == 7 else 2)
+    got, lengths = lyap._mc_batch_sums(model, envspec, cfg)
+    assert forks == [os.getpid()] * (2 if cfg.replicates == 7 else 1)
+    _no_child_left()
+    assert got.shape == (cfg.replicates, 20)
+    assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+    assert np.array_equal(lengths, want_lengths)
+
+
+def test_split_gamma_task_writes_the_bytes_of_the_one_batch(monkeypatch, tmp_path):
+    cfg = {"model": {"model": "biennial", "p": 0.5, "a": 0.5, "b1": 1.0, "b2": 1.0,
+                     "xi": {"dist": "gamma", "shape": 2.0, "scale": 2.0}},
+           "sim": {"seed": 9, "replicates": 6, "burn_in": 100, "horizon": 3100},
+           "task": "gamma"}
+    _inline(monkeypatch)
+    want = _outputs(cfg, tmp_path / "inline")
+    forks = _split(monkeypatch, 4)
+    got = _outputs(cfg, tmp_path / "split")
+    assert len(forks) == 3
+    assert set(got) == {"results.json", "results.csv"}
+    assert got == want
+    _no_child_left()
+
+
+def _lyap_rows(monkeypatch, rows):
+    """Run ``lyap._mc_batch_sums`` on ``rows`` (stream id, support, label)
+    of ``_open_rows`` in place of its replicates."""
+    monkeypatch.setattr(lyap, "_open_rows", lambda model, envspec, cfg, **kw: (
+        engine._open_rows(model, envspec, cfg, rows, **kw)))
+
+
+def _row(r):
+    return (r, (0,), f"replicate {r}")
+
+
+def _lyap_error(monkeypatch, envspec, cfg, rows, cpus):
+    """The error of a one-species matrix product over ``rows``, inline and
+    split into ``cpus`` slices, with the forks the split made."""
+    one = LinearMatrix(1)
+    with monkeypatch.context() as m:
+        _inline(m)
+        _lyap_rows(m, rows)
+        want = _error(lambda: lyap._mc_batch_sums(one, envspec, cfg))
+    with monkeypatch.context() as m:
+        forks = _split(m, cpus)
+        _lyap_rows(m, rows)
+        got = _error(lambda: lyap._mc_batch_sums(one, envspec, cfg))
+    _no_child_left()
+    return want, got, forks
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_split_lyap_run_raises_the_numeric_error_of_the_one_batch(monkeypatch):
+    # one species: a draw of 0 makes its vector vanish at that step, and two
+    # draws of 1e200 paired in a product's first level overflow, so the log
+    # growth of their piece is not finite.  horizon 2000 is one chunk cut
+    # into 20 pieces of 100 steps
+    cfg = SimConfig(seed=5, replicates=1, horizon=2000)
+    envs = {
+        "vanish": EnvSpec((Discrete((0.0, 1.0), (0.004, 0.996)),)),
+        "overflow": EnvSpec((Discrete((1.0, 1e200), (0.95, 0.05)),)),
+        "both": EnvSpec((Discrete((0.0, 1.0, 1e200), (0.002, 0.93, 0.068)),)),
+    }
+    alone = {}  # (kind, step) of each row's own error
+    for name, envspec in envs.items():
+        for r in range(40):
+            with monkeypatch.context() as m:
+                _inline(m)
+                _lyap_rows(m, [_row(r)])
+                try:
+                    lyap._mc_batch_sums(LinearMatrix(1), envspec, cfg)
+                except NumericError as exc:
+                    alone[name, r] = ("primitivity" in str(exc), exc.step)
+
+    def faulting(name, vanish):
+        return sorted(((alone[key][1], key[1]) for key in alone
+                       if key[0] == name and alone[key][0] == vanish), reverse=True)
+
+    for name, vanish in (("vanish", True), ("overflow", False)):
+        # rows that fault at 6 different steps, the 5 latest in descending
+        # order and then the earliest, alone in the last slice
+        by_step = list(dict(faulting(name, vanish)).items())
+        assert len(by_step) >= 6, name
+        (first, r), rows = by_step[-1], [_row(r) for _, r in by_step[:5] + by_step[-1:]]
+        want, got, forks = _lyap_error(monkeypatch, envs[name], cfg, rows, 3)
+        assert len(forks) == 2 and got == want, name
+        assert want[2] == first, name
+        if not vanish:
+            assert want[1].startswith(f"non-finite log growth for replicate {r} "), name
+    # two rows that overflow in one piece, in slices 1 and 2 behind a row
+    # that faults later: the lower slice's row is named
+    pieces = {}
+    for step, r in faulting("overflow", False):
+        pieces.setdefault(step, []).append(r)
+    step, (r1, r2) = next((step, rs[:2]) for step, rs in sorted(pieces.items()) if len(rs) > 1)
+    later = next(r for s, r in faulting("overflow", False) if s > step)
+    want, got, _ = _lyap_error(monkeypatch, envs["overflow"], cfg,
+                               [_row(later), _row(r2), _row(r1)], 3)
+    assert got == want and want[1].startswith(f"non-finite log growth for replicate {r2} ")
+    # a row whose vector vanishes in the piece where a lower slice's row
+    # overflows: the one batch finds the vanishing first in that piece
+    vanishing = {step // 100: (step, r) for step, r in faulting("both", True)}
+    overflowing = {step // 100: r for step, r in faulting("both", False)}
+    piece = min(set(vanishing) & set(overflowing))
+    step, r_vanish = vanishing[piece]
+    want, got, _ = _lyap_error(monkeypatch, envs["both"], cfg,
+                               [_row(overflowing[piece]), _row(r_vanish)], 2)
+    assert got == want == (NumericError, "zero vector under the linearized dynamics: "
+                                         "the model violates primitivity", step)
+
+
+def test_a_lyap_run_below_its_row_steps_forks_no_child(monkeypatch):
+    # 20 rows of 2000 steps hold 40 000 row-steps, under one slice's least
+    forks = _split(monkeypatch, 4)
+    monkeypatch.setattr(lyap, "_MIN_SLICE_ROW_STEPS", 50_000)
+    cfg = SimConfig(seed=1, replicates=20, burn_in=100, horizon=2000)
+    lyap.lyapunov_mc(Biennial(0.5, 0.5, 1.0, 1.0), EnvSpec((Gamma(2.0, 2.0),)), cfg)
+    assert forks == []
+    # the rows of 20 x 50500 steps run in 4 slices of 5
+    assert engine._slices(20, -(-50_000 // 50_500)) == 4
+
+
+def test_a_split_never_makes_more_slices_than_rows(monkeypatch):
+    model, envspec, cfg = _LYAP_CASES["biennial"]
+    cfg = replace(cfg, replicates=3)
+    _inline(monkeypatch)
+    want, _ = lyap._mc_batch_sums(model, envspec, cfg)
+    forks = _split(monkeypatch, 8)
+    assert [engine._slices(rows, 1) for rows in (1, 3, 8, 100)] == [1, 3, 8, 8]
+    got, _ = lyap._mc_batch_sums(model, envspec, cfg)
+    assert len(forks) == 2  # 3 slices of one row
+    assert got.tobytes() == want.tobytes()
+    _no_child_left()
