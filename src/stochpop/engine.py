@@ -63,7 +63,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import logsumexp
 
-from . import env
 from .env import _SCRATCH, make_stream, open_unit, sample_block
 from .errors import ConfigurationError, NumericError, StochpopError
 from .models import LOG_CAP, LOG_FLOOR, Model
@@ -428,13 +427,19 @@ def _drive(model, envspec, cfg, functionals, sets, rows=None, estimates=False):
     return dict(raw, labels=labels, n_steps=n_steps, lengths=lengths)
 
 
+def _usable_cpus() -> int:
+    """The CPUs in this process's affinity mask (read only where ``_slices``
+    found CPU affinity)."""
+    return len(os.sched_getaffinity(0))
+
+
 def _slices(rows: int, min_rows: int) -> int:
     """The slices a batch of ``rows`` rows runs in: one per usable CPU, each
     of at least ``min_rows`` (>= 1) rows, so never more slices than rows,
     where the OS can fork a process and pin it to CPUs; else one."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_setaffinity")):
         return 1
-    return max(1, min(env._usable_cpus(), rows // min_rows))
+    return max(1, min(_usable_cpus(), rows // min_rows))
 
 
 def _raise_first_fault(faults):
@@ -455,13 +460,12 @@ def _in_slices(run, rows, min_rows) -> list:
     it, and the caller raises the first (``_raise_first_fault``).
 
     The first slice runs here, pinned to its share until it returns; each
-    other runs in a child forked for this call (``_child``).  A slice pinned
-    to one CPU splits no ppf (``env._split_ppf``).  Every child is reaped
-    before this returns or raises, and one not yet reaped when this raises
-    (a ``KeyboardInterrupt`` too) is killed first.  An exception of a slice
-    is raised here, the lowest slice's first; a child that ends without
-    sending its result raises a ``StochpopError`` naming its rows and exit
-    status, and nothing it sent is read."""
+    other runs in a child forked for this call (``_child``).  Every child is
+    reaped before this returns or raises, and one not yet reaped when this
+    raises (a ``KeyboardInterrupt`` too) is killed first.  An exception of a
+    slice is raised here, the lowest slice's first; a child that ends
+    without sending its result raises a ``StochpopError`` naming its rows
+    and exit status, and nothing it sent is read."""
     n = _slices(rows, min_rows)
     cuts = [rows * i // n for i in range(n + 1)]
     if n < 2:

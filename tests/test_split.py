@@ -3,7 +3,8 @@ calling process and each other in a forked child: the slices give the bits
 of the one batch, raise the error the one batch raises, and leave no child
 behind.  That holds for ``_drive`` and for ``lyap._mc_batch_sums``.  The
 split is forced at small sizes by lowering ``engine._MIN_SLICE_ROWS`` (or
-``lyap._MIN_SLICE_ROW_STEPS``) and faking ``env._usable_cpus``."""
+``lyap._MIN_SLICE_ROW_STEPS``) and faking ``engine._usable_cpus``.  These
+slices are the package's only parallelism: nothing it runs starts a thread."""
 
 import os
 import pickle
@@ -14,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stochpop import engine, env, lyap, persist
+from stochpop import engine, lyap, persist
 from stochpop.cli import run_config
 from stochpop.engine import (
     Coordinate,
@@ -39,7 +40,7 @@ def _split(monkeypatch, cpus, min_rows=1):
     """Cut every batch into up to ``cpus`` slices of at least ``min_rows``
     rows each (a lyap slice of at least one row), and record each fork made
     from this process."""
-    monkeypatch.setattr(env, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(engine, "_MIN_SLICE_ROWS", min_rows)
     monkeypatch.setattr(lyap, "_MIN_SLICE_ROW_STEPS", 1)
     forks = []
@@ -64,10 +65,13 @@ def _no_child_left():
 
 
 # model, environment and functionals: every sim_mode (log_mult, simplex,
-# linear), every functional kind, and rows that floor by step 400 or not
+# linear), every functional kind, rows that floor by step 400 or not, and a
+# gamma coordinate
 _CASES = {
     "hassell": (Hassell(), EnvSpec((LogNormal(0.2, 0.4), Constant(1.0))),
                 (Coordinate(0), LogPerCapita(0), LogNorm())),
+    "hassell-gamma": (Hassell(), EnvSpec((Gamma(2.0, 0.7), Constant(1.0))),
+                      (Coordinate(0), LogPerCapita(0), LogNorm())),
     "lottery": (Lottery(3, 0.3), EnvSpec((LogNormal(1.0, 0.5),) * 3),
                 (Coordinate(1), LogPerCapita(2), LogNorm(), LogPerCapita(0))),
     "hassell-floor": (Hassell(), EnvSpec((LogNormal(-1.75, 1.0), Constant(1.0))),
@@ -251,57 +255,82 @@ def test_no_child_outlives_a_split_run_that_fails(monkeypatch, fault):
     assert os.sched_getaffinity(0) == before  # the parent's mask is restored
 
 
-class _Recorded(Gamma):
-    """A gamma coordinate whose ppf appends the name of the thread that runs
-    it, and its process, to the file ``path``."""
+def _thread_starts(monkeypatch) -> list:
+    """The name of every thread started in this process from now on."""
+    started = []
+    real = threading.Thread.start
 
-    path = None
+    def start(thread):
+        started.append(thread.name)
+        return real(thread)
 
-    def ppf(self, u, out=None):
-        with open(self.path, "a") as fh:
-            fh.write(f"{os.getpid()} {threading.current_thread().name}\n")
-        return super().ppf(u, out)
-
-
-def _ppf_threads(monkeypatch, tmp_path, run):
-    """``run(gamma)`` inline and in 2 slices on a made-up mask of 2 CPUs,
-    with ``gamma`` a ``_Recorded`` coordinate: the ppf blocks of 16 rows x
-    2048 steps split across threads inline, and each slice, pinned to its
-    own one CPU of the mask, splits none.  Returns both runs' results."""
-    mask = [{0, 1}]
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask[0]))
-    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: mask.__setitem__(0, set(cpus)))
-    monkeypatch.setattr(_Recorded, "path", tmp_path / "ppf.txt")
-    seen = {}
-    for name, min_rows, min_row_steps in (("inline", 1 << 30, 1 << 60), ("split", 8, 1)):
-        monkeypatch.setattr(engine, "_MIN_SLICE_ROWS", min_rows)
-        monkeypatch.setattr(lyap, "_MIN_SLICE_ROW_STEPS", min_row_steps)
-        _Recorded.path.write_text("")
-        seen[name] = run(_Recorded(2.0, 0.7))
-        lines = [line.split() for line in _Recorded.path.read_text().splitlines()]
-        pids = {int(pid) for pid, _ in lines}
-        threads = {thread.startswith("stochpop-ppf") for _, thread in lines}
-        if name == "inline":
-            assert pids == {os.getpid()} and threads == {False, True}
-        else:
-            assert len(pids) == 2 and threads == {False}
-    assert mask[0] == {0, 1}
-    _no_child_left()
-    return seen["inline"], seen["split"]
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
 
 
-def test_a_slice_splits_no_gamma_ppf_across_threads(monkeypatch, tmp_path):
-    cfg = SimConfig(seed=4, replicates=16, horizon=2048)
-    inline, split = _ppf_threads(monkeypatch, tmp_path, lambda gamma: terminal_states(
-        Hassell(), EnvSpec((gamma, Constant(1.0))), cfg, 2048))
-    assert np.array_equal(inline, split)
+@pytest.mark.parametrize("cpus", [1, 2, 3, 64])
+def test_no_transform_or_narrow_batch_starts_a_thread(monkeypatch, cpus):
+    # on a mask of 1 to 64 CPUs: a gamma transform of 4 x 8192 values, and a
+    # gamma batch of 255 rows, one short of two slices, whose transform
+    # blocks hold 255 x 128 values
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    started = _thread_starts(monkeypatch)
+    gamma = EnvSpec((Gamma(2.0, 2.0), Constant(1.0)))
+    u = np.linspace(0.01, 0.99, 4 * 8192 * 2).reshape(-1, 2)
+    assert np.array_equal(gamma.transform(u), np.stack([Gamma(2.0, 2.0).ppf(u[:, 0]),
+                                                        np.ones(len(u))], axis=1))
+    cfg = SimConfig(seed=4, replicates=255, horizon=128)
+    assert engine._slices(255, engine._MIN_SLICE_ROWS) == 1
+    assert terminal_states(Hassell(), gamma, cfg, 128).shape == (255, 1)
+    assert started == []
 
 
-def test_a_lyap_slice_splits_no_gamma_ppf_across_threads(monkeypatch, tmp_path):
+@pytest.mark.parametrize("slices", [1, 2])
+def test_no_lyap_gamma_run_starts_a_thread(monkeypatch, slices):
+    # biennial's gamma draws in 16 rows x 2048 steps, inline or in 2 slices
+    # on 2 CPUs; the first slice runs in this process
+    if slices == 1:
+        _inline(monkeypatch)
+    else:
+        forks = _split(monkeypatch, 2)
+    started = _thread_starts(monkeypatch)
     cfg = SimConfig(seed=4, replicates=16, burn_in=48, horizon=2048)
-    inline, split = _ppf_threads(monkeypatch, tmp_path, lambda gamma: lyap._mc_batch_sums(
-        Biennial(0.5, 0.5, 1.0, 1.0), EnvSpec((gamma,)), cfg)[0])
-    assert inline.tobytes() == split.tobytes()
+    got, _ = lyap._mc_batch_sums(Biennial(0.5, 0.5, 1.0, 1.0), EnvSpec((Gamma(2.0, 0.7),)), cfg)
+    assert got.shape == (16, 20) and np.isfinite(got).all()
+    assert started == []
+    if slices == 2:
+        assert forks == [os.getpid()]
+        _no_child_left()
+
+
+# a run's draws at the shapes of the workloads: hassell-wide's first chunk
+# (4096 rows, blocks of 128 rows x 512 steps), a gamma coordinate in blocks
+# of that shape, and biennial-gamma's first chunk (20 rows x 2048 steps);
+# each run ends in a short chunk
+_DRAW_CASES = {
+    "hassell-wide": (EnvSpec((LogNormal(0.3, 0.3),)), 4096, 512 + 37),
+    "gamma": (EnvSpec((Gamma(2.0, 2.0),)), 256, 512 + 37),
+    "biennial-gamma": (EnvSpec((Gamma(2.0, 2.0),)), 20, 2048 + 37),
+}
+
+
+@pytest.mark.parametrize("slices", [2, 3, 4, 7])
+@pytest.mark.parametrize("case", list(_DRAW_CASES))
+def test_a_row_slice_draws_its_rows_of_the_one_batch(case, slices):
+    # each slice draws with the whole run's budget, so its chunks start at
+    # the steps of the one batch's and hold those rows' bits
+    envspec, rows, steps = _DRAW_CASES[case]
+    streams = [engine.make_stream(0, r) for r in range(rows)]
+    want = [(t, draws.copy()) for t, draws in engine._draw_chunks(envspec, streams, steps)]
+    assert len(want) == (1 if case == "gamma" else 2)
+    cuts = [rows * i // slices for i in range(slices + 1)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        streams = [engine.make_stream(0, r) for r in range(lo, hi)]  # drawn afresh
+        got = [(t, draws.copy()) for t, draws in
+               engine._draw_chunks(envspec, streams, steps, rows)]
+        assert [t for t, _ in got] == [t for t, _ in want]
+        for (_, g), (_, w) in zip(got, want):
+            assert g.tobytes() == w[:, lo:hi].tobytes(), (lo, hi)
 
 
 def test_a_batch_below_two_slices_forks_no_child(monkeypatch):
